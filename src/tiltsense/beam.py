@@ -98,7 +98,7 @@ def intensity_profile(beam: BeamParams, theta: float, z: float, x):
     """
     w2 = beam.width(z) ** 2
     amp = math.sqrt(2.0 / (math.pi * w2))
-    u = np.asarray(x, dtype=float) - beam.xi - 2.0 * theta * z
+    u = np.asarray(x, dtype=float) - (beam.xi + 2.0 * theta * z)
     return amp * np.exp(-2.0 * u * u / w2)
 
 

@@ -28,13 +28,11 @@ from .fisher import (
 )
 from .oracle import OracleError, numeric_fisher_oracle
 from .output import write_csv, write_json, write_sidecar
-from .polarization import PolarizationState
 from .schemes import (
     PolarizationModel,
     PositionModel,
     PositionPolarizationModel,
     QuadrantModel,
-    small_angle_flags,
 )
 from .svgplot import LineChart
 
@@ -60,14 +58,6 @@ class StatisticalCheckError(RuntimeError):
     pass
 
 
-def _require_diagonal(pol: PolarizationState, context: str) -> None:
-    if abs(pol.sigma_z_mean) > 1e-12 or abs(math.sin(pol.coherence_phase)) > 1e-12:
-        raise ConfigError(
-            f"{context}: the joint scheme's closed-form analysis needs the "
-            "diagonal input polarization"
-        )
-
-
 def build_model(scheme: str, config: ScenarioConfig, z: float | None, split):
     beam, pol = config.beam, config.polarization
     if scheme == "position":
@@ -77,7 +67,11 @@ def build_model(scheme: str, config: ScenarioConfig, z: float | None, split):
     if scheme == "polarization":
         return PolarizationModel(beam, pol)
     if scheme == "joint":
-        _require_diagonal(pol, "run block")
+        if not pol.is_diagonal:
+            raise ConfigError(
+                "run block: the joint scheme's closed-form analysis needs the "
+                "diagonal input polarization"
+            )
         return PositionPolarizationModel(beam, pol, z)
     raise ConfigError(f"unknown scheme {scheme!r}")
 
@@ -92,11 +86,6 @@ def _fisher_point(run_index, point_index, scheme, config, theta, z, split, nu):
     analytic = analytic_fisher(model, theta)
     oracle = numeric_fisher_oracle(model, theta)
     qfi = qfi_for_model(model)
-    warnings = list(small_angle_flags(config.beam, theta))
-    if scheme in ("polarization", "joint") and theta == 0.0:
-        warnings.append(
-            "theta=0 stationary point: finite differences see only the even part"
-        )
     return (
         run_index,
         point_index,
@@ -108,7 +97,7 @@ def _fisher_point(run_index, point_index, scheme, config, theta, z, split, nu):
         qfi,
         analytic / qfi if qfi > 0.0 else math.nan,
         cramer_rao_bound(analytic, nu),
-        "; ".join(warnings),
+        "; ".join(model.regime_flags(theta)),
     )
 
 

@@ -15,14 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .fisher import analytic_fisher, cramer_rao_bound
-from .schemes import (
-    SMALL_ANGLE_LIMIT,
-    ConditionedPolarizationModel,
-    PolarizationModel,
-    PositionPolarizationModel,
-)
-
-LOG_FLOOR = 1e-300
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -41,68 +33,12 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 def sample_outcomes(model, theta: float, nu: int, rng: np.random.Generator):
     """Draw nu independent outcomes from the model at tilt theta.
 
-    Discrete models sample by inverse CDF; position outcomes use the exact
-    Gaussian-mixture representation where the model provides one, otherwise
-    rejection sampling against a dominating Gaussian envelope.  The joint
-    scheme returns a (signs, positions) pair.
+    Two-outcome models return +1/-1 signs, the position model positions, and
+    the joint model a (signs, positions) pair.
     """
     if nu < 1:
         raise ValueError("nu must be at least 1")
-    if hasattr(model, "probabilities"):
-        p_plus = float(model.probabilities(theta)[0])
-        return np.where(rng.random(nu) < p_plus, 1, -1).astype(np.int8)
-    if isinstance(model, PositionPolarizationModel):
-        x = _sample_positions(model, theta, nu, rng)
-        p_plus = model.conditional_plus(theta, x)
-        signs = np.where(rng.random(nu) < p_plus, 1, -1).astype(np.int8)
-        return signs, x
-    if hasattr(model, "pdf"):
-        return _sample_positions(model, theta, nu, rng)
-    raise TypeError(f"cannot sample from {type(model).__name__}")
-
-
-def _sample_positions(model, theta, nu, rng):
-    if hasattr(model, "gaussian_mixture"):
-        weights, means, sigmas = model.gaussian_mixture(theta)
-        component = rng.choice(len(weights), size=nu, p=weights / weights.sum())
-        return means[component] + sigmas[component] * rng.standard_normal(nu)
-    return rejection_sample(rng, lambda x: model.pdf(theta, x), nu, *model.envelope(theta))
-
-
-def rejection_sample(
-    rng: np.random.Generator,
-    pdf,
-    n: int,
-    center: float,
-    sigma: float,
-    ceiling: float,
-    min_efficiency: float = 0.01,
-):
-    """Sample from pdf(x) <= ceiling * N(center, sigma) by rejection.
-
-    Aborts with diagnostics once the running acceptance rate drops below
-    ``min_efficiency``.
-    """
-    out = np.empty(n)
-    filled = 0
-    proposed = 0
-    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-    while filled < n:
-        batch = max(1024, 2 * (n - filled))
-        xs = center + sigma * rng.standard_normal(batch)
-        envelope = ceiling * norm * np.exp(-0.5 * ((xs - center) / sigma) ** 2)
-        accept = rng.random(batch) * envelope < pdf(xs)
-        proposed += batch
-        take = xs[accept][: n - filled]
-        out[filled : filled + take.size] = take
-        filled += take.size
-        if proposed >= 8192 and filled / proposed < min_efficiency:
-            raise RuntimeError(
-                f"rejection sampling efficiency {filled / proposed:.4f} below "
-                f"{min_efficiency:.2f} after {proposed} proposals "
-                f"(center={center!r}, sigma={sigma!r}, ceiling={ceiling!r})"
-            )
-    return out
+    return model.sample(theta, nu, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +48,7 @@ def rejection_sample(
 
 def log_likelihood(model, outcomes, theta: float) -> float:
     """Summed log probability of the recorded outcomes at tilt theta."""
-    if hasattr(model, "probabilities"):
-        signs = np.asarray(outcomes)
-        n_plus = int(np.count_nonzero(signs > 0))
-        n_minus = signs.size - n_plus
-        p = np.maximum(np.asarray(model.probabilities(theta), dtype=float), LOG_FLOOR)
-        return n_plus * math.log(p[0]) + n_minus * math.log(p[1])
-    if isinstance(model, PositionPolarizationModel):
-        signs, x = outcomes
-        branches = model.branch_pdf(theta, x)
-        dens = np.where(np.asarray(signs) > 0, branches[0], branches[1])
-        return float(np.sum(np.log(np.maximum(dens, LOG_FLOOR))))
-    x = np.asarray(outcomes, dtype=float)
-    return float(np.sum(np.log(np.maximum(model.pdf(theta, x), LOG_FLOOR))))
+    return model.log_likelihood(outcomes, theta)
 
 
 @dataclass(frozen=True)
@@ -208,28 +132,9 @@ class SaturationReport:
         return self.empirical_variance / self.cr_variance
 
 
-def small_angle_guard(model) -> float:
-    """Largest |theta| keeping the polarization schemes in the first-order regime."""
-    beam = model.beam
-    limits = [math.sqrt(SMALL_ANGLE_LIMIT / (2.0 * (beam.k * beam.w0) ** 2))]
-    if beam.xi != 0.0:
-        limits.append(math.sqrt(SMALL_ANGLE_LIMIT) / (4.0 * beam.k * abs(beam.xi)))
-    return min(limits)
-
-
-def _even_in_theta(model) -> bool:
-    """Polarization-family models with zero relative phase cannot tell the
-    sign of the tilt: their outcome distributions are even in theta."""
-    if isinstance(model, ConditionedPolarizationModel):
-        return True
-    if isinstance(model, (PolarizationModel, PositionPolarizationModel)):
-        return abs(math.sin(model.pol.coherence_phase)) < 1e-12
-    return False
-
-
 def default_search_interval(model, theta_true: float, nu: int) -> tuple[float, float]:
-    """theta_true +- 10 Cramer-Rao sigma, clipped to the small-angle guard region
-    for the polarization-based schemes.
+    """theta_true +- 10 Cramer-Rao sigma, clipped to the model's small-angle
+    guard region.
 
     For schemes whose statistics are even in theta only the magnitude of the
     tilt is identifiable, so the interval is additionally restricted to the
@@ -237,23 +142,18 @@ def default_search_interval(model, theta_true: float, nu: int) -> tuple[float, f
     """
     sigma = cramer_rao_bound(analytic_fisher(model, theta_true), nu)
     half = 10.0 * sigma
-    lo, hi = theta_true - half, theta_true + half
-    if isinstance(
-        model,
-        (PolarizationModel, PositionPolarizationModel, ConditionedPolarizationModel),
-    ):
-        guard = small_angle_guard(model)
-        if abs(theta_true) >= guard:
-            raise ValueError(
-                f"theta_true={theta_true!r} outside the small-angle guard "
-                f"region (+-{guard:.3e} rad)"
-            )
-        lo, hi = max(lo, -guard), min(hi, guard)
-        if _even_in_theta(model) and theta_true != 0.0:
-            if theta_true > 0.0:
-                lo = max(lo, 0.0)
-            else:
-                hi = min(hi, 0.0)
+    guard = model.small_angle_guard()
+    if abs(theta_true) >= guard:
+        raise ValueError(
+            f"theta_true={theta_true!r} outside the small-angle guard "
+            f"region (+-{guard:.3e} rad)"
+        )
+    lo, hi = max(theta_true - half, -guard), min(theta_true + half, guard)
+    if model.even_in_theta and theta_true != 0.0:
+        if theta_true > 0.0:
+            lo = max(lo, 0.0)
+        else:
+            hi = min(hi, 0.0)
     return lo, hi
 
 

@@ -19,22 +19,11 @@ from ._integrate import integrate_interval
 from .beam import BeamParams
 from .oracle import numeric_fisher_oracle
 from .polarization import PolarizationState
-from .schemes import (
-    ConditionedPolarizationModel,
-    PolarizationModel,
-    PositionModel,
-    PositionPolarizationModel,
-    QuadrantModel,
-    interference_coefficients,
-)
+from .schemes import COSH_CUTOFF, PositionPolarizationModel, interference_coefficients
 
 # below this, the polarization Fisher denominator is treated as the degenerate
 # maximal-visibility working point and the analytic theta->0 limit is returned
 DEGENERATE_DEN = 1e-14
-
-# cosh^2 appears in the conditioned Fisher; half the overflow threshold keeps
-# it finite, and the value is already below double underflow there
-COSH_CUTOFF = 350.0
 
 
 def qfi_beam_deflection(beam: BeamParams) -> float:
@@ -206,43 +195,12 @@ def cramer_rao_bound(fisher: float, nu: int) -> float:
 
 def analytic_fisher(model, theta: float) -> float:
     """Closed-form Fisher information of a probability model at theta."""
-    if isinstance(model, PositionModel):
-        return fisher_position(model.beam, model.z)
-    if isinstance(model, QuadrantModel):
-        return fisher_quadrant(model.beam, theta, model.z, model.split)
-    if isinstance(model, PolarizationModel):
-        return fisher_sagnac_polarization(model.beam, model.pol, theta)
-    if isinstance(model, ConditionedPolarizationModel):
-        return fisher_conditioned(model.beam, model.z, model.x, theta)
-    if isinstance(model, PositionPolarizationModel):
-        pol = model.pol
-        diagonal = (
-            abs(pol.sigma_z_mean) <= 1e-12
-            and pol.coherence_magnitude >= 0.5 - 1e-12
-            and abs(math.sin(pol.coherence_phase)) <= 1e-12
-        )
-        if not diagonal:
-            raise ValueError(
-                "closed-form decomposition is defined for the diagonal input state"
-            )
-        return fisher_total_decomposition(model.beam, model.z, theta).total
-    raise TypeError(f"no closed-form Fisher information for {type(model).__name__}")
+    return model.fisher(theta)
 
 
 def qfi_for_model(model) -> float:
-    """The quantum bound matching a probability model.
-
-    For the point-detector (conditioned) model this is the full-state bound;
-    the per-detection information at large |x| may legitimately exceed it,
-    since rare detections are not a complete measurement.
-    """
-    if isinstance(model, (PositionModel, QuadrantModel)):
-        return qfi_beam_deflection(model.beam)
-    if isinstance(model, (PolarizationModel, PositionPolarizationModel)):
-        return qfi_sagnac(model.beam, model.pol)
-    if isinstance(model, ConditionedPolarizationModel):
-        return qfi_sagnac(model.beam, PolarizationState.diagonal())
-    raise TypeError(f"no QFI bound for {type(model).__name__}")
+    """The quantum bound matching a probability model."""
+    return model.qfi()
 
 
 @dataclass(frozen=True)

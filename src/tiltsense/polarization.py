@@ -70,3 +70,12 @@ class PolarizationState:
     def sigma_z_mean(self) -> float:
         """|alpha|^2 - |beta|^2, the H/V population imbalance."""
         return abs(self.alpha) ** 2 - abs(self.beta) ** 2
+
+    @property
+    def is_diagonal(self) -> bool:
+        """(|H> pm |V>)/sqrt(2) up to rounding: balanced populations, real coherence."""
+        return (
+            abs(self.sigma_z_mean) <= NORM_TOL
+            and self.coherence_magnitude >= 0.5 - NORM_TOL
+            and abs(math.sin(self.coherence_phase)) <= NORM_TOL
+        )

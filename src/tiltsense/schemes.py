@@ -20,17 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 from scipy import special
 
-from .beam import BeamParams
+from .beam import BeamParams, intensity_profile
 from .polarization import PolarizationState
 
-# cosh overflows double range just above 710; past this the cos/cosh
-# interference ratio is returned as exactly 0
-COSH_CUTOFF = 700.0
+# Largest |q| = |b theta| at which the interference ratio cos(p)/cosh(q) is
+# evaluated; beyond it the ratio is taken as exactly 0.  The conditioned Fisher
+# information squares cosh(q), which stays finite only for |q| < ~355, and past
+# 350 the ratio is below 2e-152, so 1 +- ratio already rounds to exactly 1.
+COSH_CUTOFF = 350.0
 
 # beyond these the first-order (small-angle) saturation statements degrade,
 # although the exact formulas remain valid
@@ -145,8 +147,8 @@ def conditioned_polarization_probabilities(beam: BeamParams, theta: float, z: fl
         P(pm | x) = (1/2) [1 pm cos(4 k theta (w0^2/w^2)(x-xi) + 4 k theta xi)
                                / cosh(8 theta z (x-xi) / w^2)],
 
-    which sums to 1 exactly.  For |cosh argument| > 700 the ratio is returned
-    as 0 (both outcomes equally likely) to avoid overflow.
+    which sums to 1 exactly.  For |cosh argument| > COSH_CUTOFF the ratio is
+    returned as 0 (both outcomes equally likely) to avoid overflow.
     """
     x = np.asarray(x, dtype=float)
     w2 = beam.width(z) ** 2
@@ -180,18 +182,105 @@ def interference_coefficients(beam: BeamParams, z: float, x):
     return a, b
 
 
+
+
 # ---------------------------------------------------------------------------
 # Probability models: a scheme bound to beam (+ polarization), exposing its
 # outcome distribution as a function of theta.  Discrete models implement
 # probabilities(theta); continuous ones pdf/branch_pdf plus an integration
-# domain.
+# domain.  Every model also implements the same estimation protocol:
+#
+#   fisher(theta)                    closed-form Fisher information
+#   qfi()                            the matching quantum bound
+#   regime_flags(theta)              warnings for points outside the first-order regime
+#   even_in_theta                    True when only |theta| is identifiable
+#   small_angle_guard()              largest |theta| an estimate may take (inf: none)
+#   sample(theta, nu, rng)           nu independent outcomes
+#   log_likelihood(outcomes, theta)  summed log probability of recorded outcomes
+#
+# The closed forms live in tiltsense.fisher, which imports this module for the
+# joint decomposition, so the methods import them when called.
 # ---------------------------------------------------------------------------
 
 DOMAIN_WIDTHS = 10.0  # integration window, in local beam widths around the centers
 
+LOG_FLOOR = 1e-300  # densities are floored here before taking logarithms
+
+
+def _sample_signs(p_plus, nu: int, rng: np.random.Generator):
+    return np.where(rng.random(nu) < p_plus, 1, -1).astype(np.int8)
+
+
+def _sample_mixture(model, theta: float, nu: int, rng: np.random.Generator):
+    """Exact positions from the model's Gaussian-mixture representation."""
+    weights, means, sigmas = model.gaussian_mixture(theta)
+    component = rng.choice(len(weights), size=nu, p=weights / weights.sum())
+    return means[component] + sigmas[component] * rng.standard_normal(nu)
+
+
+def _log_density_sum(densities) -> float:
+    return float(np.sum(np.log(np.maximum(densities, LOG_FLOOR))))
+
+
+class _DeflectionScheme:
+    """Protocol shared by the schemes that image the deflected beam directly."""
+
+    even_in_theta = False
+
+    def qfi(self) -> float:
+        from .fisher import qfi_beam_deflection
+        return qfi_beam_deflection(self.beam)
+
+    def regime_flags(self, theta: float) -> tuple[str, ...]:
+        return ()
+
+    def small_angle_guard(self) -> float:
+        return math.inf
+
+
+class _InterferometricScheme:
+    """Protocol shared by the polarization schemes of the common-path interferometer."""
+
+    @property
+    def even_in_theta(self) -> bool:
+        # with zero relative phase the outcome statistics are even in theta
+        return abs(math.sin(self.pol.coherence_phase)) < 1e-12
+
+    def qfi(self) -> float:
+        from .fisher import qfi_sagnac
+        return qfi_sagnac(self.beam, self.pol)
+
+    def regime_flags(self, theta: float) -> tuple[str, ...]:
+        flags = small_angle_flags(self.beam, theta)
+        if theta == 0.0:
+            flags += ("theta=0 stationary point: finite differences see only the even part",)
+        return flags
+
+    def small_angle_guard(self) -> float:
+        """Largest |theta| inside the first-order regime of ``small_angle_flags``."""
+        beam = self.beam
+        limits = [math.sqrt(SMALL_ANGLE_LIMIT / (2.0 * (beam.k * beam.w0) ** 2))]
+        if beam.xi != 0.0:
+            limits.append(math.sqrt(SMALL_ANGLE_LIMIT) / (4.0 * beam.k * abs(beam.xi)))
+        return min(limits)
+
+
+class _TwoOutcomeScheme:
+    """Sampling and likelihood of +1/-1 outcomes given by probabilities(theta)."""
+
+    def sample(self, theta: float, nu: int, rng: np.random.Generator):
+        return _sample_signs(float(self.probabilities(theta)[0]), nu, rng)
+
+    def log_likelihood(self, outcomes, theta: float) -> float:
+        signs = np.asarray(outcomes)
+        n_plus = int(np.count_nonzero(signs > 0))
+        n_minus = signs.size - n_plus
+        p = np.maximum(np.asarray(self.probabilities(theta), dtype=float), LOG_FLOOR)
+        return n_plus * math.log(p[0]) + n_minus * math.log(p[1])
+
 
 @dataclass(frozen=True)
-class PositionModel:
+class PositionModel(_DeflectionScheme):
     """Imaging detector at plane z; outcome is the continuous position x."""
 
     beam: BeamParams
@@ -204,10 +293,7 @@ class PositionModel:
         return 0.5 * self.beam.width(self.z)
 
     def pdf(self, theta: float, x):
-        w2 = self.beam.width(self.z) ** 2
-        amp = math.sqrt(2.0 / (math.pi * w2))
-        u = np.asarray(x, dtype=float) - self.mean(theta)
-        return amp * np.exp(-2.0 * u * u / w2)
+        return intensity_profile(self.beam, theta, self.z, x)
 
     def gaussian_mixture(self, theta: float):
         """(weights, means, sigmas) of the exact mixture representation."""
@@ -225,9 +311,19 @@ class PositionModel:
     def breakpoints(self, theta: float):
         return (self.mean(theta),)
 
+    def fisher(self, theta: float) -> float:
+        from .fisher import fisher_position
+        return fisher_position(self.beam, self.z)
+
+    def sample(self, theta: float, nu: int, rng: np.random.Generator):
+        return _sample_mixture(self, theta, nu, rng)
+
+    def log_likelihood(self, outcomes, theta: float) -> float:
+        return _log_density_sum(self.pdf(theta, np.asarray(outcomes, dtype=float)))
+
 
 @dataclass(frozen=True)
-class QuadrantModel:
+class QuadrantModel(_TwoOutcomeScheme, _DeflectionScheme):
     """Sign detector at plane z; outcomes are +1/-1 for x above/below the split."""
 
     beam: BeamParams
@@ -237,9 +333,13 @@ class QuadrantModel:
     def probabilities(self, theta: float):
         return np.array(quadrant_probabilities(self.beam, theta, self.z, self.split))
 
+    def fisher(self, theta: float) -> float:
+        from .fisher import fisher_quadrant
+        return fisher_quadrant(self.beam, theta, self.z, self.split)
+
 
 @dataclass(frozen=True)
-class PolarizationModel:
+class PolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
     """Position-integrated diagonal polarization measurement; outcomes +1/-1."""
 
     beam: BeamParams
@@ -248,14 +348,25 @@ class PolarizationModel:
     def probabilities(self, theta: float):
         return np.array(sagnac_polarization_probabilities(self.beam, self.pol, theta))
 
+    def fisher(self, theta: float) -> float:
+        from .fisher import fisher_sagnac_polarization
+        return fisher_sagnac_polarization(self.beam, self.pol, theta)
+
 
 @dataclass(frozen=True)
-class ConditionedPolarizationModel:
-    """Diagonal polarization statistics of a point detector at fixed x."""
+class ConditionedPolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
+    """Diagonal polarization statistics of a point detector at fixed x.
+
+    Its quantum bound is the full-state one; the per-detection information at
+    large |x| may legitimately exceed it, since rare detections are not a
+    complete measurement.
+    """
 
     beam: BeamParams
     z: float
     x: float
+    # the conditioned probabilities are those of the diagonal input state
+    pol: ClassVar[PolarizationState] = PolarizationState.diagonal()
 
     def probabilities(self, theta: float):
         p_plus, p_minus = conditioned_polarization_probabilities(
@@ -263,9 +374,13 @@ class ConditionedPolarizationModel:
         )
         return np.array([float(p_plus), float(p_minus)])
 
+    def fisher(self, theta: float) -> float:
+        from .fisher import fisher_conditioned
+        return fisher_conditioned(self.beam, self.z, self.x, theta)
+
 
 @dataclass(frozen=True)
-class PositionPolarizationModel:
+class PositionPolarizationModel(_InterferometricScheme):
     """Joint measurement of diagonal polarization and position at plane z."""
 
     beam: BeamParams
@@ -326,3 +441,20 @@ class PositionPolarizationModel:
     def breakpoints(self, theta: float):
         shift = 2.0 * theta * self.z
         return (self.beam.xi - shift, self.beam.xi, self.beam.xi + shift)
+
+    def fisher(self, theta: float) -> float:
+        """Total of the polarization/position decomposition (diagonal input state only)."""
+        if not self.pol.is_diagonal:
+            raise ValueError("closed-form decomposition is defined for the diagonal input state")
+        from .fisher import fisher_total_decomposition
+        return fisher_total_decomposition(self.beam, self.z, theta).total
+
+    def sample(self, theta: float, nu: int, rng: np.random.Generator):
+        """(signs, positions): positions from the mixture, then each sign given x."""
+        x = _sample_mixture(self, theta, nu, rng)
+        return _sample_signs(self.conditional_plus(theta, x), nu, rng), x
+
+    def log_likelihood(self, outcomes, theta: float) -> float:
+        signs, x = outcomes
+        branches = self.branch_pdf(theta, x)
+        return _log_density_sum(np.where(np.asarray(signs) > 0, branches[0], branches[1]))

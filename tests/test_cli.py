@@ -132,6 +132,26 @@ def test_sweep_covers_all_run_blocks(tmp_path):
     assert meta["outputs"] == ["sweep.csv"]
 
 
+def test_small_angle_warnings_only_on_polarization_rows(tmp_path):
+    # at 1 mrad both polarization regime flags fire; the deflection schemes
+    # have no such regime and their rows stay clean
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n"
+        "run:\n"
+        "  - {scheme: quadrant, theta: 1mrad, z: 1z_R}\n"
+        "  - {scheme: position, theta: 1mrad, z: 1z_R}\n"
+        "  - {scheme: polarization, theta: 1mrad}\n",
+    )
+    out = tmp_path / "warn"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    quadrant, position, polarization = read_rows(out / "sweep.csv")
+    assert quadrant["warnings"] == ""
+    assert position["warnings"] == ""
+    assert "dephasing argument" in polarization["warnings"]
+    assert "displacement phase" in polarization["warnings"]
+
+
 def test_joint_scheme_requires_diagonal_polarization(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -19,7 +19,7 @@ from tiltsense import (
     sample_outcomes,
     trial_rng,
 )
-from tiltsense.estimate import default_search_interval, rejection_sample, run_trial
+from tiltsense.estimate import default_search_interval, run_trial
 
 
 def test_trial_rng_streams_are_reproducible_and_distinct():
@@ -93,30 +93,6 @@ def test_sample_validation(beam):
     model = QuadrantModel(beam, 1.0)
     with pytest.raises(ValueError):
         sample_outcomes(model, 0.0, 0, trial_rng(1, 0))
-
-
-def test_rejection_sampler_matches_target():
-    rng = trial_rng(3, 0)
-    # bimodal target strictly under 2x a unit Gaussian envelope
-    def pdf(x):
-        return (np.exp(-0.5 * (x - 0.7) ** 2) + np.exp(-0.5 * (x + 0.7) ** 2)) / (
-            2.0 * math.sqrt(2.0 * math.pi)
-        )
-
-    n = 50_000
-    xs = rejection_sample(rng, pdf, n, center=0.0, sigma=1.5, ceiling=2.0)
-    grid = np.linspace(-8.0, 8.0, 4001)
-    cdf_grid = integrate.cumulative_trapezoid(pdf(grid), grid, initial=0.0)
-    cdf_grid /= cdf_grid[-1]
-    result = stats.kstest(xs, lambda v: np.interp(v, grid, cdf_grid))
-    assert result.statistic < 1.6276 / math.sqrt(n)
-
-
-def test_rejection_sampler_aborts_when_inefficient():
-    rng = trial_rng(3, 1)
-    pdf = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    with pytest.raises(RuntimeError, match="efficiency"):
-        rejection_sample(rng, pdf, 10_000, center=0.0, sigma=1.0, ceiling=500.0)
 
 
 # ---------------------------------------------------------------------------

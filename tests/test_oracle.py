@@ -131,6 +131,41 @@ def test_joint_total_against_oracle(beam):
     assert relerr(total, oracle, 1.0) < 1e-4
 
 
+@pytest.mark.parametrize(
+    "cls",
+    [
+        PositionModel,
+        QuadrantModel,
+        PolarizationModel,
+        ConditionedPolarizationModel,
+        PositionPolarizationModel,
+    ],
+)
+def test_model_protocol(beam, cls):
+    z, pol = 2.0 * beam.rayleigh_range, PolarizationState.diagonal()
+    args = {
+        PositionModel: (beam, z),
+        QuadrantModel: (beam, z),
+        PolarizationModel: (beam, pol),
+        ConditionedPolarizationModel: (beam, z, 1.5e-3),
+        PositionPolarizationModel: (beam, pol, z),
+    }
+    model = cls(*args[cls])
+    joint = cls is PositionPolarizationModel
+    floor = 1.0 if joint else 1e-6 * qfi_beam_deflection(beam)
+    for theta in [-1.5e-6, 5e-7, 2e-6]:
+        analytic = model.fisher(theta)
+        oracle = numeric_fisher_oracle(model, theta)
+        assert relerr(analytic, oracle, floor) < (1e-4 if joint else 1e-6)
+        # the point detector is exempt: rare detections may carry more
+        # information than the full-state bound
+        if cls is not ConditionedPolarizationModel:
+            assert analytic <= model.qfi()
+    if cls in (PositionModel, QuadrantModel):
+        for theta in [0.0, 1e-6, -1e-3, 1e-3]:
+            assert model.regime_flags(theta) == ()
+
+
 def test_joint_oracle_with_general_state(beam):
     # oracle works for states with no closed-form decomposition
     pol = PolarizationState.from_bloch(1.1, 0.4)
