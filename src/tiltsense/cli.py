@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from ._integrate import ConvergenceError
 from .beam import BeamParams, intensity_profile
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import SEED_LIMIT, ConfigError, ScenarioConfig, load_config, parse_integer
 from .estimate import default_search_interval, run_saturation
 from .fisher import (
     analytic_fisher,
@@ -185,7 +185,9 @@ def cmd_montecarlo(args) -> int:
     if not config.runs:
         raise ConfigError("config has no run blocks")
     mc = config.montecarlo
-    seed = args.seed if args.seed is not None else mc.seed
+    seed = mc.seed
+    if args.seed is not None:
+        seed = parse_integer(args.seed, where="--seed", low=0, high=SEED_LIMIT)
 
     rows = []
     failures = []
@@ -198,6 +200,9 @@ def cmd_montecarlo(args) -> int:
                 )
             z = float(block.z[0])
         model = build_model(block.scheme, config, z, block.split)
+        information = analytic_fisher(model, mc.theta)
+        if not information > 0.0:
+            raise ConfigError(f"run[{index}]: scheme carries no information at this working point")
         try:
             interval = mc.interval or default_search_interval(model, mc.theta, mc.nu)
         except ValueError as exc:
@@ -219,7 +224,7 @@ def cmd_montecarlo(args) -> int:
                 report.empirical_variance,
                 report.cr_variance,
                 report.ratio,
-                analytic_fisher(model, mc.theta),
+                information,
             )
         )
         if report.non_interior > 0.05 * report.trials:

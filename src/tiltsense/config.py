@@ -24,6 +24,8 @@ LIGHT_SPEED = 299792458.0  # m/s
 
 SCHEMES = ("position", "quadrant", "polarization", "joint")
 
+SEED_LIMIT = 2 ** 64  # seeds key a Philox stream through one uint64
+
 UNIT_SCALES = {
     "m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12,
     "rad": 1.0, "mrad": 1e-3, "urad": 1e-6, "µrad": 1e-6, "nrad": 1e-9,
@@ -42,26 +44,42 @@ class ConfigError(ValueError):
 
 
 def parse_quantity(value, *, rayleigh: Optional[float] = None, where: str = "value") -> float:
-    """Resolve a number-with-unit into SI."""
+    """Resolve a number-with-unit into SI; infinities and NaN are refused."""
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected a quantity, got boolean")
     if isinstance(value, (int, float)):
-        return float(value)
-    if not isinstance(value, str):
+        number, unit = float(value), ""
+    elif isinstance(value, str):
+        match = _QUANTITY_RE.match(value)
+        if not match:
+            raise ConfigError(f"{where}: cannot parse quantity {value!r}")
+        number, unit = float(match.group(1)), match.group(2)
+    else:
         raise ConfigError(f"{where}: expected a number or quantity string, got {value!r}")
-    match = _QUANTITY_RE.match(value)
-    if not match:
-        raise ConfigError(f"{where}: cannot parse quantity {value!r}")
-    number, unit = float(match.group(1)), match.group(2)
-    if unit == "":
-        return number
-    if unit == "z_R" or unit == "zR":
+    if unit in ("z_R", "zR"):
         if rayleigh is None:
             raise ConfigError(f"{where}: {value!r} needs a beam to resolve z_R units")
-        return number * rayleigh
-    if unit in UNIT_SCALES:
-        return number * UNIT_SCALES[unit]
-    raise ConfigError(f"{where}: unknown unit {unit!r} in {value!r}")
+        number *= rayleigh
+    elif unit:
+        if unit not in UNIT_SCALES:
+            raise ConfigError(f"{where}: unknown unit {unit!r} in {value!r}")
+        number *= UNIT_SCALES[unit]
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
+    return number
+
+
+def parse_integer(value, *, where: str, low: int = 1, high: float = math.inf) -> int:
+    """A whole number in [low, high): an int, an integral float or a digit string."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif isinstance(value, str) and re.fullmatch(r"\s*[+-]?\d+\s*", value):
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected a whole number, got {value!r}")
+    if not low <= value < high:
+        raise ConfigError(f"{where}: must be in [{low}, {high}), got {value}")
+    return value
 
 
 def parse_grid(spec, *, rayleigh: Optional[float] = None, where: str = "grid") -> np.ndarray:
@@ -73,11 +91,9 @@ def parse_grid(spec, *, rayleigh: Optional[float] = None, where: str = "grid") -
         try:
             start = parse_quantity(spec["start"], rayleigh=rayleigh, where=f"{where}.start")
             stop = parse_quantity(spec["stop"], rayleigh=rayleigh, where=f"{where}.stop")
-            count = int(spec["count"])
+            count = parse_integer(spec["count"], where=f"{where}.count")
         except KeyError as missing:
             raise ConfigError(f"{where}: grid needs start/stop/count, missing {missing}")
-        if count < 1:
-            raise ConfigError(f"{where}: count must be >= 1")
         values = np.linspace(start, stop, count)
     elif isinstance(spec, list):
         values = np.array(
@@ -227,19 +243,17 @@ def _parse_montecarlo(section, beam, wavelength) -> MonteCarloBlock:
     if "nu" in section and "energy" in section:
         raise ConfigError(f"{where}: give nu or energy, not both")
     if "nu" in section:
-        nu = int(section["nu"])
+        nu = parse_integer(section["nu"], where=f"{where}.nu")
     elif "energy" in section:
         # one detected photon per quantum hbar*omega = h c / lambda
         energy = parse_quantity(section["energy"], where=f"{where}.energy")
         nu = int(energy * wavelength / (PLANCK * LIGHT_SPEED))
+        if nu < 1:
+            raise ConfigError(f"{where}.energy: nu must be >= 1, got {nu}")
     else:
         raise ConfigError(f"{where}: needs nu (photon count) or energy")
-    if nu < 1:
-        raise ConfigError(f"{where}: nu must be >= 1, got {nu}")
-    trials = int(section.get("trials", 200))
-    if trials < 1:
-        raise ConfigError(f"{where}: trials must be >= 1")
-    seed = int(section.get("seed", 0))
+    trials = parse_integer(section.get("trials", 200), where=f"{where}.trials")
+    seed = parse_integer(section.get("seed", 0), where=f"{where}.seed", low=0, high=SEED_LIMIT)
     interval = None
     if "interval" in section:
         pair = section["interval"]

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import special
 
 from ._integrate import integrate_interval
 from .beam import BeamParams
@@ -80,7 +79,7 @@ def fisher_quadrant(
     w = beam.width(z)
     g = math.sqrt(2.0) * (beam.xi + 2.0 * theta * z - split) / w
     # 1 - erf^2 = erfc(g) (2 - erfc(g)), stable in the tails
-    erfc = special.erfc(g)
+    erfc = math.erfc(g)
     complement = erfc * (2.0 - erfc)
     if complement <= 0.0:
         return 0.0
@@ -121,11 +120,11 @@ def fisher_conditioned(beam: BeamParams, z: float, x, theta: float):
 
     Exact value from the conditioned probabilities (1/2)[1 pm cos(a th)/cosh(b th)]:
 
-        F = [a sin(p) cosh(q) + b cos(p) sinh(q)]^2
-               / (cosh^2(q) [sinh^2(q) + sin^2(p)]),   p = a theta, q = b theta,
+        F = [a sin(p) + b cos(p) tanh(q)]^2 / [sinh^2(q) + sin^2(p)],
+        p = a theta, q = b theta,
 
-    a form with no cancelling differences.  At theta = 0 it equals the limit
-    a^2 + b^2 = 16 k^2 (z_R^2 x^2 + z^2 xi^2)/(z^2 + z_R^2).
+    a form with no cancelling differences that stays finite up to COSH_CUTOFF.  At
+    theta = 0 it equals the limit a^2 + b^2 = 16 k^2 (z_R^2 x^2 + z^2 xi^2)/(z^2 + z_R^2).
     """
     a, b = interference_coefficients(beam, z, x)
     a = np.asarray(a, dtype=float)
@@ -137,11 +136,11 @@ def fisher_conditioned(beam: BeamParams, z: float, x, theta: float):
     sp = np.sin(p)
     cp = np.cos(p)
     sh = np.sinh(qc) * np.sign(q)
-    ch = np.cosh(qc)
+    th = np.tanh(qc) * np.sign(q)
     s2 = sh * sh + sp * sp
     limit = a * a + b * b
     with np.errstate(invalid="ignore", divide="ignore"):
-        val = (a * sp * ch + b * cp * sh) ** 2 / (ch * ch * s2)
+        val = (a * sp + b * cp * th) ** 2 / s2
     val = np.where(s2 == 0.0, limit, val)
     val = np.where(qa > COSH_CUTOFF, 0.0, val)
     if np.isscalar(x) or np.ndim(x) == 0:
@@ -169,21 +168,18 @@ def fisher_total_decomposition(
     """
     model = PositionPolarizationModel(beam, PolarizationState.diagonal(), z)
     lo, hi = model.domain(theta)
-    points = model.breakpoints(theta)
 
-    def avg_integrand(xx):
-        return float(model.total_pdf(theta, xx)) * fisher_conditioned(beam, z, xx, theta)
+    def integrand(xx):
+        p = model.total_pdf(theta, xx)
+        dp = model.total_pdf_dtheta(theta, xx)
+        dead = p < 1e-300
+        return np.stack([
+            p * fisher_conditioned(beam, z, xx, theta),
+            np.where(dead, 0.0, dp * dp / np.where(dead, 1.0, p)),
+        ])
 
-    def pos_integrand(xx):
-        p = float(model.total_pdf(theta, xx))
-        if p < 1e-300:
-            return 0.0
-        dp = float(model.total_pdf_dtheta(theta, xx))
-        return dp * dp / p
-
-    avg = integrate_interval(avg_integrand, lo, hi, points, rtol=rtol)
-    pos = integrate_interval(pos_integrand, lo, hi, points, rtol=rtol)
-    return FisherDecomposition(avg_conditioned=avg, position_part=pos, total=avg + pos)
+    avg, pos = integrate_interval(integrand, lo, hi, model.breakpoints(theta), rtol=rtol)
+    return FisherDecomposition(float(avg), float(pos), float(avg + pos))
 
 
 def cramer_rao_bound(fisher: float, nu: int) -> float:

@@ -2,7 +2,7 @@
 
 Differentiates the outcome probabilities of any model by Richardson-refined
 central differences and assembles sum_j (dp_j/dtheta)^2 / p_j, by direct
-summation for discrete outcomes and by adaptive quadrature for continuous
+summation for discrete outcomes and by Gauss-Legendre quadrature for continuous
 ones.  Completely independent of the closed forms in :mod:`tiltsense.fisher`,
 which it is used to check.
 """
@@ -34,21 +34,11 @@ def default_step(theta: float) -> float:
     return max(1e-9, 1e-6 * abs(theta))
 
 
-def _richardson(values_m1, values_p1, values_mh, values_ph, h):
-    """Fourth-order derivative estimate plus the pair it was built from."""
-    d_h = (values_p1 - values_m1) / (2.0 * h)
-    d_half = (values_ph - values_mh) / h  # step h/2: spacing h between the points
-    return (4.0 * d_half - d_h) / 3.0, d_h, d_half
-
-
-def _check_convergence(d_best, d_half, scale):
-    gap = np.max(np.abs(d_best - d_half))
-    tol = DERIV_RTOL * max(scale, 1e-300)
-    if gap > tol:
-        raise OracleError(
-            f"probability derivative not converged: step-halving gap {gap:.3e} "
-            f"exceeds {tol:.3e}"
-        )
+def _richardson(values, theta, h):
+    """Fourth-order derivative of values(theta) plus the step-h/2 estimate it refines."""
+    d_h = (values(theta + h) - values(theta - h)) / (2.0 * h)
+    d_half = (values(theta + 0.5 * h) - values(theta - 0.5 * h)) / h  # spacing h
+    return (4.0 * d_half - d_h) / 3.0, d_half
 
 
 def numeric_fisher_oracle(model, theta: float, step: float | None = None) -> float:
@@ -64,73 +54,54 @@ def numeric_fisher_oracle(model, theta: float, step: float | None = None) -> flo
         raise ValueError("step must be positive")
     if hasattr(model, "probabilities"):
         return _discrete_fisher(model, theta, h)
-    if hasattr(model, "branch_pdf"):
-        return _continuous_fisher(
-            model, theta, h, lambda th, x: np.ravel(model.branch_pdf(th, x))
-        )
-    if hasattr(model, "pdf"):
-        return _continuous_fisher(
-            model, theta, h, lambda th, x: np.ravel(model.pdf(th, x))
-        )
+    density = getattr(model, "branch_pdf", None) or getattr(model, "pdf", None)
+    if density is not None:
+        return _continuous_fisher(model, theta, h, density)
     raise TypeError(f"{type(model).__name__} exposes no outcome probabilities")
 
 
 def _discrete_fisher(model, theta, h):
-    p0 = np.asarray(model.probabilities(theta), dtype=float)
-    deriv, _, d_half = _richardson(
-        np.asarray(model.probabilities(theta - h), dtype=float),
-        np.asarray(model.probabilities(theta + h), dtype=float),
-        np.asarray(model.probabilities(theta - 0.5 * h), dtype=float),
-        np.asarray(model.probabilities(theta + 0.5 * h), dtype=float),
-        h,
-    )
-    _check_convergence(deriv, d_half, np.max(np.abs(deriv)))
+    def probabilities(th):
+        return np.asarray(model.probabilities(th), dtype=float)
+
+    p0 = probabilities(theta)
+    deriv, d_half = _richardson(probabilities, theta, h)
+    gap = np.max(np.abs(deriv - d_half))
+    tol = DERIV_RTOL * max(np.max(np.abs(deriv)), 1e-300)
+    if gap > tol:
+        raise OracleError(
+            f"probability derivative not converged: step-halving gap {gap:.3e} "
+            f"exceeds {tol:.3e}"
+        )
     keep = p0 >= PROB_FLOOR
     excluded = float(p0[~keep].sum())
     if excluded > MASS_TOL:
-        raise OracleError(
-            f"excluded outcome mass {excluded:.3e} exceeds {MASS_TOL:.1e}"
-        )
+        raise OracleError(f"excluded outcome mass {excluded:.3e} exceeds {MASS_TOL:.1e}")
     return float(np.sum(deriv[keep] ** 2 / p0[keep]))
 
 
 def _continuous_fisher(model, theta, h, density):
-    lo0, hi0 = model.domain(theta)
-    lo1, hi1 = model.domain(theta + h)
-    lo2, hi2 = model.domain(theta - h)
-    lo, hi = min(lo0, lo1, lo2), max(hi0, hi1, hi2)
+    lows, highs = zip(*(model.domain(t) for t in (theta, theta + h, theta - h)))
     points = tuple(model.breakpoints(theta)) if hasattr(model, "breakpoints") else ()
 
-    n_branch = density(theta, lo).size
-    eps = np.finfo(float).eps
+    def integrand(x):
+        def branches(th):
+            return np.reshape(density(th, x), (-1, x.size))
 
-    def integrand_for(branch):
-        def f(x):
-            p0 = float(density(theta, x)[branch])
-            if p0 < DENSITY_FLOOR:
-                return 0.0
-            deriv, _, d_half = _richardson(
-                float(density(theta - h, x)[branch]),
-                float(density(theta + h, x)[branch]),
-                float(density(theta - 0.5 * h, x)[branch]),
-                float(density(theta + 0.5 * h, x)[branch]),
-                h,
+        p0 = branches(theta)
+        deriv, d_half = _richardson(branches, theta, h)
+        dead = p0 < DENSITY_FLOOR  # NaN stays in, so the quadrature cannot converge on it
+        # rounding of p(theta +- h) alone perturbs the difference quotient
+        # by ~eps*p/h; only flag gaps clearly above that noise floor
+        gap = np.abs(deriv - d_half)
+        noise = 1e4 * np.finfo(float).eps * p0 / h
+        bad = ~dead & (gap > np.maximum(DERIV_RTOL * np.abs(deriv), noise))
+        if bad.any():
+            branch, node = np.argwhere(bad)[0]
+            raise OracleError(
+                f"density derivative not converged at x={float(x[node])!r}: "
+                f"step-halving gap {gap[branch, node]:.3e}"
             )
-            # rounding of p(theta +- h) alone perturbs the difference quotient
-            # by ~eps*p/h; only flag gaps clearly above that noise floor
-            gap = abs(deriv - d_half)
-            if gap > max(DERIV_RTOL * abs(deriv), 1e4 * eps * p0 / h):
-                raise OracleError(
-                    f"density derivative not converged at x={x!r}: "
-                    f"step-halving gap {gap:.3e}"
-                )
-            return deriv * deriv / p0
+        return np.sum(np.where(dead, 0.0, deriv * deriv / np.where(dead, 1.0, p0)), axis=0)
 
-        return f
-
-    total = 0.0
-    for branch in range(n_branch):
-        total += integrate_interval(
-            integrand_for(branch), lo, hi, points, rtol=1e-9, atol=1e-12
-        )
-    return total
+    return integrate_interval(integrand, min(lows), max(highs), points, rtol=1e-9, atol=1e-12)

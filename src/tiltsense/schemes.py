@@ -23,14 +23,13 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
-from scipy import special
 
 from .beam import BeamParams, intensity_profile
 from .polarization import PolarizationState
 
 # Largest |q| = |b theta| at which the interference ratio cos(p)/cosh(q) is
 # evaluated; beyond it the ratio is taken as exactly 0.  The conditioned Fisher
-# information squares cosh(q), which stays finite only for |q| < ~355, and past
+# information squares sinh(q), which stays finite only for |q| < ~355, and past
 # 350 the ratio is below 2e-152, so 1 +- ratio already rounds to exactly 1.
 COSH_CUTOFF = 350.0
 
@@ -72,7 +71,7 @@ def quadrant_probabilities(
     w = beam.width(z)
     arg = math.sqrt(2.0) * (beam.xi + 2.0 * theta * z - split) / w
     # erfc on both sides keeps the small outcome accurate in the tails
-    return 0.5 * special.erfc(-arg), 0.5 * special.erfc(arg)
+    return 0.5 * math.erfc(-arg), 0.5 * math.erfc(arg)
 
 
 def sagnac_joint_density(
@@ -97,20 +96,19 @@ def sagnac_joint_density(
     u = x - beam.xi
     shift = 2.0 * theta * z
 
-    e_h = np.exp(-2.0 * (u + shift) ** 2 / w2)
-    e_v = np.exp(-2.0 * (u - shift) ** 2 / w2)
-    e_c = np.exp(-2.0 * u ** 2 / w2 - 8.0 * (theta * z) ** 2 / w2)
-
     pa = abs(pol.alpha) ** 2
     pb = abs(pol.beta) ** 2
     d = pol.coherence_magnitude
     phi = pol.coherence_phase
 
-    base = 0.5 * (pa * e_h + pb * e_v)
-    osc = np.cos(
+    # in place: with more live temporaries glibc trims and refaults them every call
+    base = pa * np.exp(-2.0 * (u + shift) ** 2 / w2)
+    base += pb * np.exp(-2.0 * (u - shift) ** 2 / w2)
+    base *= 0.5
+    cross = np.cos(
         4.0 * beam.k * theta * (beam.w0 ** 2 / w2) * u + 4.0 * beam.k * theta * beam.xi - phi
     )
-    cross = d * e_c * osc
+    cross *= d * np.exp(-2.0 * u ** 2 / w2 - 8.0 * (theta * z) ** 2 / w2)
     # |cross| <= base holds exactly (d^2 = pa*pb); clamp rounding residue
     p_plus = amp * np.maximum(base + cross, 0.0)
     p_minus = amp * np.maximum(base - cross, 0.0)
@@ -180,8 +178,6 @@ def interference_coefficients(beam: BeamParams, z: float, x):
     a = 4.0 * beam.k * (zr * zr * x + z * z * beam.xi) / denom
     b = 4.0 * beam.k * z * zr * (x - beam.xi) / denom
     return a, b
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +384,8 @@ class PositionPolarizationModel(_InterferometricScheme):
     z: float
 
     def branch_pdf(self, theta: float, x):
-        """Stacked densities [p_plus(x), p_minus(x)]."""
-        p_plus, p_minus = sagnac_joint_density(self.beam, self.pol, theta, self.z, x)
-        return np.stack([np.atleast_1d(p_plus), np.atleast_1d(p_minus)])
+        """The pair of densities (p_plus(x), p_minus(x))."""
+        return sagnac_joint_density(self.beam, self.pol, theta, self.z, x)
 
     def total_pdf(self, theta: float, x):
         """Position marginal: the interference term cancels, leaving a mixture."""

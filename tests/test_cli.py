@@ -306,3 +306,50 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "tiltsense" in result.stdout
+
+
+def test_non_finite_theta_exits_2_naming_the_field(tmp_path, capsys):
+    sweep = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n"
+        "run: {scheme: position, theta: .nan, z: 1z_R}\n",
+    )
+    assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "s")]) == 2
+    assert "run[0].theta: must be finite" in capsys.readouterr().err
+    mc = write_config(tmp_path, MC_CONFIG.replace("theta: 1urad, nu", "theta: .nan, nu"), "mc.yaml")
+    assert main(["montecarlo", "--config", mc, "--out", str(tmp_path / "m")]) == 2
+    assert "montecarlo.theta: must be finite" in capsys.readouterr().err
+
+
+def test_seed_out_of_range_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, MC_CONFIG)
+    for seed in ("-5", str(2 ** 64)):
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path), "--seed", seed]) == 2
+        assert "--seed: must be in [0, 18446744073709551616)" in capsys.readouterr().err
+    bad = write_config(tmp_path, MC_CONFIG.replace("seed: 424242", "seed: -1"), "bad.yaml")
+    assert main(["montecarlo", "--config", bad, "--out", str(tmp_path / "c")]) == 2
+    assert "montecarlo.seed" in capsys.readouterr().err
+
+
+def test_fractional_nu_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, MC_CONFIG.replace("nu: 10000", "nu: 2.7"))
+    assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    assert "montecarlo.nu: expected a whole number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        "polarization: horizontal\nrun: {scheme: polarization, theta: 1urad}\n",
+        "run: {scheme: position, theta: 1urad, z: 0m}\n",
+    ],
+    ids=["horizontal-polarization", "position-at-z0"],
+)
+def test_montecarlo_refuses_zero_information(tmp_path, capsys, setup):
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n" + setup
+        + "montecarlo: {theta: 1urad, nu: 1000, trials: 5, seed: 1}\n",
+    )
+    assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    assert "run[0]: scheme carries no information at this working point" in capsys.readouterr().err

@@ -156,3 +156,64 @@ def test_top_level_validation():
         parse_config_text(BASE + "extra: 1\n")
     with pytest.raises(ConfigError, match="YAML"):
         parse_config_text("beam: {wavelength: [unclosed\n")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1e999", "1e999mm", "1e308z_R"])
+def test_parse_quantity_rejects_non_finite(bad):
+    with pytest.raises(ConfigError, match="theta: must be finite"):
+        parse_quantity(bad, rayleigh=10.0, where="theta")
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_non_finite_config_values_name_the_field(value):
+    with pytest.raises(ConfigError, match=r"montecarlo\.theta"):
+        parse_config_text(BASE + f"montecarlo: {{theta: {value}, nu: 10}}\n")
+    with pytest.raises(ConfigError, match=r"run\[0\]\.theta\[0\]"):
+        parse_config_text(BASE.replace("theta: 0.0", f"theta: [{value}]"))
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5", "abc"])
+def test_montecarlo_seed_must_fit_a_uint64(seed):
+    with pytest.raises(ConfigError, match=r"montecarlo\.seed"):
+        parse_config_text(BASE + f"montecarlo: {{theta: 1urad, nu: 10, seed: {seed}}}\n")
+
+
+def test_montecarlo_seed_limits_are_inclusive_exclusive():
+    for seed in (0, 2 ** 64 - 1):
+        config = parse_config_text(BASE + f"montecarlo: {{theta: 1urad, nu: 10, seed: {seed}}}\n")
+        assert config.montecarlo.seed == seed
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("montecarlo: {theta: 1urad, nu: 2.7}\n", r"montecarlo\.nu"),
+        ("montecarlo: {theta: 1urad, nu: 10, trials: 3.5}\n", r"montecarlo\.trials"),
+        ("montecarlo: {theta: 1urad, nu: 10, trials: .nan}\n", r"montecarlo\.trials"),
+        ("montecarlo: {theta: 1urad, nu: 2m}\n", r"montecarlo\.nu"),
+    ],
+)
+def test_integer_fields_are_not_truncated(text, field):
+    with pytest.raises(ConfigError, match=field + ": expected a whole number"):
+        parse_config_text(BASE + text)
+
+
+def test_grid_count_must_be_whole():
+    with pytest.raises(ConfigError, match=r"grid\.count: expected a whole number"):
+        parse_grid({"start": 0, "stop": 1, "count": 2.5})
+    assert parse_grid({"start": 0, "stop": 1, "count": 3.0}).tolist() == [0.0, 0.5, 1.0]
+
+
+def test_integral_values_are_accepted_in_every_form():
+    config = parse_config_text(
+        BASE + "montecarlo: {theta: 1urad, nu: 100.0, trials: '7', seed: 3}\n"
+    )
+    assert (config.montecarlo.nu, config.montecarlo.trials) == (100, 7)
+    assert isinstance(config.montecarlo.nu, int)
+
+
+def test_energy_derived_nu_keeps_its_floor():
+    # 1.5 photons' worth of energy gives one photon
+    photon = 6.62607015e-34 * 299792458.0 / 633e-9
+    config = parse_config_text(BASE + f"montecarlo: {{theta: 1urad, energy: {1.5 * photon!r}}}\n")
+    assert config.montecarlo.nu == 1

@@ -131,6 +131,19 @@ def test_joint_total_against_oracle(beam):
     assert relerr(total, oracle, 1.0) < 1e-4
 
 
+@pytest.mark.parametrize("z_over_zr", [1.0, 10.0, 100.0])
+def test_joint_total_against_oracle_at_large_tilt(beam, z_over_zr):
+    # far outside the small-angle regime |b theta| reaches COSH_CUTOFF inside
+    # the integration window, where the conditioned information must not overflow
+    theta, z = 1e-3, z_over_zr * beam.rayleigh_range
+    with np.errstate(over="raise"):
+        conditioned = fisher_conditioned(beam, z, np.linspace(-0.5, 0.5, 4001), theta)
+    assert np.all(np.isfinite(conditioned))
+    model = PositionPolarizationModel(beam, PolarizationState.diagonal(), z)
+    total = fisher_total_decomposition(beam, z, theta).total
+    assert relerr(total, numeric_fisher_oracle(model, theta), 1.0) < 1e-4
+
+
 @pytest.mark.parametrize(
     "cls",
     [
