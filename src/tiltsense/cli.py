@@ -228,10 +228,17 @@ def cmd_montecarlo(args) -> int:
             )
         )
         if report.non_interior > 0.05 * report.trials:
-            failures.append(
-                f"run[{index}] ({block.scheme}): {report.non_interior}/{report.trials} "
-                "estimates on the search-interval boundary"
-            )
+            causes = []
+            if report.at_boundary:
+                causes.append(
+                    f"{report.at_boundary}/{report.trials} estimates on the search-interval boundary"
+                )
+            if report.one_port:
+                causes.append(
+                    f"all outcomes fell in one port in {report.one_port}/{report.trials} trials, "
+                    "a non-regular point where the Cramer-Rao bound does not apply"
+                )
+            failures.append(f"run[{index}] ({block.scheme}): " + " and ".join(causes))
 
     table = _emit_table(args, "montecarlo", MC_HEADER, rows, config.raw_text, seed=seed)
     print(f"wrote {table} ({len(rows)} rows)")

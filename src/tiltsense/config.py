@@ -48,7 +48,10 @@ def parse_quantity(value, *, rayleigh: Optional[float] = None, where: str = "val
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected a quantity, got boolean")
     if isinstance(value, (int, float)):
-        number, unit = float(value), ""
+        try:
+            number, unit = float(value), ""
+        except OverflowError:  # YAML integers are unbounded
+            raise ConfigError(f"{where}: must be finite, got an integer beyond the float range")
     elif isinstance(value, str):
         match = _QUANTITY_RE.match(value)
         if not match:
@@ -247,7 +250,10 @@ def _parse_montecarlo(section, beam, wavelength) -> MonteCarloBlock:
     elif "energy" in section:
         # one detected photon per quantum hbar*omega = h c / lambda
         energy = parse_quantity(section["energy"], where=f"{where}.energy")
-        nu = int(energy * wavelength / (PLANCK * LIGHT_SPEED))
+        photons = energy * wavelength / (PLANCK * LIGHT_SPEED)
+        if not math.isfinite(photons):
+            raise ConfigError(f"{where}.energy: {energy!r} J gives a photon count beyond the float range")
+        nu = int(photons)
         if nu < 1:
             raise ConfigError(f"{where}.energy: nu must be >= 1, got {nu}")
     else:
@@ -272,6 +278,8 @@ def parse_config_text(text: str) -> ScenarioConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}")
+    except ValueError as exc:  # e.g. an integer past Python's 4300-digit conversion limit
+        raise ConfigError(f"not a usable YAML value: {exc}")
     if data is None:
         data = {}
     if not isinstance(data, dict):

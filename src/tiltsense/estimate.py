@@ -16,7 +16,8 @@ import numpy as np
 
 from .fisher import analytic_fisher, cramer_rao_bound
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# a cap well above what bisection needs to narrow any practical bracket to tol
+MAX_SCORE_STEPS = 200
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -48,55 +49,94 @@ def sample_outcomes(model, theta: float, nu: int, rng: np.random.Generator):
 
 def log_likelihood(model, outcomes, theta: float) -> float:
     """Summed log probability of the recorded outcomes at tilt theta."""
-    return model.log_likelihood(outcomes, theta)
+    return model.log_likelihood(model.statistic(outcomes), theta)
 
 
 @dataclass(frozen=True)
 class MleResult:
     theta_hat: float
-    interior: bool
+    at_boundary: bool  # the likelihood peaked at an end of the search interval
+    one_port: bool  # all outcomes of a two-outcome scheme fell in one port
+
+    @property
+    def interior(self) -> bool:
+        """A regular interior maximum, usable for saturation statistics."""
+        return not (self.at_boundary or self.one_port)
 
 
 def mle(
     model,
     outcomes,
     search_interval: tuple[float, float],
-    grid_points: int = 201,
+    grid_points: int = 21,
     tol: float = 1e-12,
 ) -> MleResult:
     """Maximum-likelihood tilt estimate over a bracketing interval.
 
-    Coarse grid scan followed by golden-section refinement of the bracket to
-    an absolute width of ``tol``.  A maximum on the interval boundary is
-    flagged non-interior; such trials are excluded from saturation statistics.
+    The outcomes are reduced once to the model's statistic.  A coarse grid
+    scan of the log-likelihood brackets the maximum between the neighbours
+    of the best node, where the root of the analytic score is refined to
+    ``tol`` (see ``_score_root``).  A maximum at an end of the grid, or a
+    two-outcome trial with all outcomes in one port (P+ or P- at 0, where
+    the Cramer-Rao bound does not apply), is flagged non-interior; such
+    trials are excluded from saturation statistics.
     """
     lo, hi = search_interval
     if not lo < hi:
         raise ValueError("search interval must have positive width")
+    stat = model.statistic(outcomes)
+    one_port = model.one_port(stat)
     grid = np.linspace(lo, hi, grid_points)
-    values = np.array([log_likelihood(model, outcomes, t) for t in grid])
+    values = [model.log_likelihood(stat, float(t)) for t in grid]
     best = int(np.argmax(values))
     if best == 0 or best == grid_points - 1:
-        return MleResult(theta_hat=float(grid[best]), interior=False)
-    a, b = float(grid[best - 1]), float(grid[best + 1])
-    theta_hat = _golden_max(lambda t: log_likelihood(model, outcomes, t), a, b, tol)
-    return MleResult(theta_hat=theta_hat, interior=True)
+        return MleResult(float(grid[best]), at_boundary=True, one_port=one_port)
+    theta_hat = _score_root(
+        lambda t: model.score(stat, t), grid[best - 1 : best + 2], values[best - 1 : best + 2], tol
+    )
+    return MleResult(theta_hat, at_boundary=False, one_port=one_port)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
+def _score_root(score, nodes, values, tol: float) -> float:
+    """Root of the score between the outer two of three grid nodes.
+
+    The middle node holds the largest log-likelihood, so the maximum lies in
+    [a, b].  The first iterate is the vertex of the parabola through the
+    three values, and its curvature is the first slope; each later step is a
+    secant through the last two iterates.  Every score sign moves one end of
+    the bracket.  A step that leaves the bracket, or that is not under half
+    the step before the last one (the bracket is then shrinking too slowly),
+    becomes a bisection.  Stops once a step is at most ``tol``.
+    """
+    a, middle, b = (float(v) for v in nodes)
+    v_a, v_m, v_b = values
+    h = 0.5 * (b - a)
+    bend = v_a - 2.0 * v_m + v_b
+    x, slope = middle, math.nan
+    if bend < 0.0:
+        x = middle + 0.5 * h * (v_a - v_b) / bend
+        slope = bend / (h * h)
+    steps = [math.inf, math.inf]
+    previous = None
+    for _ in range(MAX_SCORE_STEPS):
+        s = score(x)
+        if previous is not None:
+            slope = (s - previous[1]) / (x - previous[0])
+        if s > 0.0:
+            a = x
+        elif s < 0.0:
+            b = x
         else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            return x
+        new = x - s / slope if slope < 0.0 else math.nan
+        if not a < new < b or abs(new - x) >= 0.5 * steps[0]:
+            new = 0.5 * (a + b)
+        if abs(new - x) <= tol:
+            return new
+        steps = [steps[1], abs(new - x)]
+        previous = (x, s)
+        x = new
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +152,12 @@ class Trial:
     seed: int
     trial_index: int
     theta_hat: float
-    interior: bool
+    at_boundary: bool
+    one_port: bool
+
+    @property
+    def interior(self) -> bool:
+        return not (self.at_boundary or self.one_port)
 
 
 @dataclass(frozen=True)
@@ -123,6 +168,8 @@ class SaturationReport:
     trials: int
     used_trials: int
     non_interior: int
+    at_boundary: int
+    one_port: int
     empirical_variance: float
     cr_variance: float
     seed: int
@@ -176,7 +223,8 @@ def run_trial(
         seed=seed,
         trial_index=trial_index,
         theta_hat=result.theta_hat,
-        interior=result.interior,
+        at_boundary=result.at_boundary,
+        one_port=result.one_port,
     )
 
 
@@ -194,13 +242,15 @@ def run_saturation(
         raise ValueError("need at least one trial")
     interval = search_interval or default_search_interval(model, theta_true, nu)
     estimates = []
-    non_interior = 0
+    non_interior = at_boundary = one_port = 0
     for index in range(trials):
         trial = run_trial(model, scheme, theta_true, nu, seed, index, interval)
         if trial.interior:
             estimates.append(trial.theta_hat)
         else:
             non_interior += 1
+        at_boundary += trial.at_boundary
+        one_port += trial.one_port
     if len(estimates) >= 2:
         empirical = float(np.var(np.array(estimates), ddof=1))
     else:
@@ -213,6 +263,8 @@ def run_saturation(
         trials=trials,
         used_trials=len(estimates),
         non_interior=non_interior,
+        at_boundary=at_boundary,
+        one_port=one_port,
         empirical_variance=empirical,
         cr_variance=cr,
         seed=seed,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -192,7 +192,11 @@ def interference_coefficients(beam: BeamParams, z: float, x):
 #   even_in_theta                    True when only |theta| is identifiable
 #   small_angle_guard()              largest |theta| an estimate may take (inf: none)
 #   sample(theta, nu, rng)           nu independent outcomes
-#   log_likelihood(outcomes, theta)  summed log probability of recorded outcomes
+#   statistic(outcomes)              the outcomes reduced once to what the likelihood needs
+#   log_likelihood(stat, theta)      summed log probability of the reduced outcomes
+#   score(stat, theta)               its analytic d/dtheta
+#   one_port(stat)                   True when all outcomes fell in one port of a
+#                                    two-outcome scheme (P+ or P- at 0: not a regular point)
 #
 # The closed forms live in tiltsense.fisher, which imports this module for the
 # joint decomposition, so the methods import them when called.
@@ -201,6 +205,7 @@ def interference_coefficients(beam: BeamParams, z: float, x):
 DOMAIN_WIDTHS = 10.0  # integration window, in local beam widths around the centers
 
 LOG_FLOOR = 1e-300  # densities are floored here before taking logarithms
+LOG_FLOOR_LN = math.log(LOG_FLOOR)
 
 
 def _sample_signs(p_plus, nu: int, rng: np.random.Generator):
@@ -212,10 +217,6 @@ def _sample_mixture(model, theta: float, nu: int, rng: np.random.Generator):
     weights, means, sigmas = model.gaussian_mixture(theta)
     component = rng.choice(len(weights), size=nu, p=weights / weights.sum())
     return means[component] + sigmas[component] * rng.standard_normal(nu)
-
-
-def _log_density_sum(densities) -> float:
-    return float(np.sum(np.log(np.maximum(densities, LOG_FLOOR))))
 
 
 class _DeflectionScheme:
@@ -232,6 +233,9 @@ class _DeflectionScheme:
 
     def small_angle_guard(self) -> float:
         return math.inf
+
+    def one_port(self, stat) -> bool:
+        return False
 
 
 class _InterferometricScheme:
@@ -260,19 +264,37 @@ class _InterferometricScheme:
             limits.append(math.sqrt(SMALL_ANGLE_LIMIT) / (4.0 * beam.k * abs(beam.xi)))
         return min(limits)
 
+    def one_port(self, stat) -> bool:
+        return False
+
 
 class _TwoOutcomeScheme:
-    """Sampling and likelihood of +1/-1 outcomes given by probabilities(theta)."""
+    """Sampling and likelihood of +1/-1 outcomes given by probabilities(theta).
+
+    The counts (n_plus, n_minus) are sufficient; each model supplies
+    ``plus_slope(theta)`` = dP_plus/dtheta for the score.
+    """
 
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
         return _sample_signs(float(self.probabilities(theta)[0]), nu, rng)
 
-    def log_likelihood(self, outcomes, theta: float) -> float:
+    def statistic(self, outcomes):
         signs = np.asarray(outcomes)
         n_plus = int(np.count_nonzero(signs > 0))
-        n_minus = signs.size - n_plus
+        return n_plus, signs.size - n_plus
+
+    def log_likelihood(self, stat, theta: float) -> float:
+        n_plus, n_minus = stat
         p = np.maximum(np.asarray(self.probabilities(theta), dtype=float), LOG_FLOOR)
         return n_plus * math.log(p[0]) + n_minus * math.log(p[1])
+
+    def score(self, stat, theta: float) -> float:
+        n_plus, n_minus = stat
+        p = np.maximum(np.asarray(self.probabilities(theta), dtype=float), LOG_FLOOR)
+        return float(self.plus_slope(theta) * (n_plus / p[0] - n_minus / p[1]))
+
+    def one_port(self, stat) -> bool:
+        return 0 in stat
 
 
 @dataclass(frozen=True)
@@ -314,8 +336,23 @@ class PositionModel(_DeflectionScheme):
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
         return _sample_mixture(self, theta, nu, rng)
 
-    def log_likelihood(self, outcomes, theta: float) -> float:
-        return _log_density_sum(self.pdf(theta, np.asarray(outcomes, dtype=float)))
+    def statistic(self, outcomes):
+        """(n, sample mean, sum of squared deviations): sufficient for a Gaussian."""
+        x = np.asarray(outcomes, dtype=float)
+        mean = float(x.mean())
+        return x.size, mean, float(np.sum((x - mean) ** 2))
+
+    def log_likelihood(self, stat, theta: float) -> float:
+        # the pointwise sum of log pdf; no sampled density comes near LOG_FLOOR
+        n, mean, squares = stat
+        w2 = self.beam.width(self.z) ** 2
+        spread = squares + n * (mean - self.mean(theta)) ** 2
+        return 0.5 * n * math.log(2.0 / (math.pi * w2)) - 2.0 * spread / w2
+
+    def score(self, stat, theta: float) -> float:
+        # linear in theta, with its root at (mean - xi) / (2 z)
+        n, mean, _ = stat
+        return 8.0 * n * self.z * (mean - self.mean(theta)) / self.beam.width(self.z) ** 2
 
 
 @dataclass(frozen=True)
@@ -328,6 +365,12 @@ class QuadrantModel(_TwoOutcomeScheme, _DeflectionScheme):
 
     def probabilities(self, theta: float):
         return np.array(quadrant_probabilities(self.beam, theta, self.z, self.split))
+
+    def plus_slope(self, theta: float) -> float:
+        split = self.beam.xi if self.split is None else self.split
+        w = self.beam.width(self.z)
+        arg = math.sqrt(2.0) * (self.beam.xi + 2.0 * theta * self.z - split) / w
+        return 2.0 * math.sqrt(2.0 / math.pi) * self.z / w * math.exp(-arg * arg)
 
     def fisher(self, theta: float) -> float:
         from .fisher import fisher_quadrant
@@ -343,6 +386,17 @@ class PolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
 
     def probabilities(self, theta: float):
         return np.array(sagnac_polarization_probabilities(self.beam, self.pol, theta))
+
+    def plus_slope(self, theta: float) -> float:
+        beam = self.beam
+        b_coeff = 2.0 * (beam.k * beam.w0) ** 2
+        rate = 4.0 * beam.k * beam.xi
+        phase = rate * theta - self.pol.coherence_phase
+        return (
+            self.pol.coherence_magnitude
+            * math.exp(-b_coeff * theta * theta)
+            * (-2.0 * b_coeff * theta * math.cos(phase) - rate * math.sin(phase))
+        )
 
     def fisher(self, theta: float) -> float:
         from .fisher import fisher_sagnac_polarization
@@ -370,9 +424,48 @@ class ConditionedPolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
         )
         return np.array([float(p_plus), float(p_minus)])
 
+    def plus_slope(self, theta: float) -> float:
+        # P+ = (1/2)[1 + cos(a theta) / cosh(b theta)]
+        a, b = (float(v) for v in interference_coefficients(self.beam, self.z, self.x))
+        q = b * theta
+        if abs(q) > COSH_CUTOFF:
+            return 0.0
+        p = a * theta
+        return -0.5 * (a * math.sin(p) + b * math.cos(p) * math.tanh(q)) / math.cosh(q)
+
     def fisher(self, theta: float) -> float:
         from .fisher import fisher_conditioned
         return fisher_conditioned(self.beam, self.z, self.x, theta)
+
+
+class JointStatistic(NamedTuple):
+    """Per-photon factors of the joint likelihood, fixed once by the outcomes.
+
+    With u = x - xi, q = 8 theta z u / w^2 and psi = theta * phase_rate - phi,
+    the density of ``sagnac_joint_density`` factors as
+
+        p_pm = A e^{gauss - 8 theta^2 z^2 / w^2}
+               [(|alpha|^2 e^{-q} + |beta|^2 e^{q}) / 2  pm  d cos psi]
+             = A e^{gauss - 8 theta^2 z^2 / w^2 + |q|} I,
+        I    = (near + far t^2) / 2  pm  d t cos psi,     t = e^{-|q|},
+
+    where ``near`` is the weight of the path whose center lies on the
+    photon's side (|beta|^2 for q >= 0) and far = 1 - near.  Nothing in
+    this form overflows, whatever theta.
+    """
+
+    signed_d: np.ndarray  # d for a "+" outcome, -d for a "-" outcome
+    path_rate: np.ndarray  # |8 z u / w^2| = |q| / |theta|
+    phase_rate: np.ndarray  # 4 k (w0^2 / w^2) u + 4 k xi
+    gauss: np.ndarray  # -2 u^2 / w^2
+    half_near: Union[float, np.ndarray]  # near / 2 for theta >= 0
+    half_far: Union[float, np.ndarray]
+
+    def halves(self, theta: float):
+        """(near / 2, far / 2) at theta: the paths swap sides with the sign of theta."""
+        if theta >= 0.0:
+            return self.half_near, self.half_far
+        return self.half_far, self.half_near
 
 
 @dataclass(frozen=True)
@@ -449,7 +542,82 @@ class PositionPolarizationModel(_InterferometricScheme):
         x = _sample_mixture(self, theta, nu, rng)
         return _sample_signs(self.conditional_plus(theta, x), nu, rng), x
 
-    def log_likelihood(self, outcomes, theta: float) -> float:
+    def statistic(self, outcomes) -> JointStatistic:
         signs, x = outcomes
-        branches = self.branch_pdf(theta, x)
-        return _log_density_sum(np.where(np.asarray(signs) > 0, branches[0], branches[1]))
+        beam = self.beam
+        w2 = beam.width(self.z) ** 2
+        u = np.asarray(x, dtype=float) - beam.xi
+        d = self.pol.coherence_magnitude
+        pa, pb = abs(self.pol.alpha) ** 2, abs(self.pol.beta) ** 2
+        rate = (8.0 * self.z / w2) * u
+        half_near = half_far = 0.5 * pa
+        if pa != pb:
+            toward_v = rate >= 0.0
+            half_near = 0.5 * np.where(toward_v, pb, pa)
+            half_far = 0.5 * np.where(toward_v, pa, pb)
+        return JointStatistic(
+            signed_d=np.where(np.asarray(signs) > 0, d, -d),
+            path_rate=np.abs(rate),
+            phase_rate=(4.0 * beam.k * beam.w0 ** 2 / w2) * u + 4.0 * beam.k * beam.xi,
+            gauss=(-2.0 / w2) * u * u,
+            half_near=half_near,
+            half_far=half_far,
+        )
+
+    def log_likelihood(self, stat: JointStatistic, theta: float) -> float:
+        # in place: with more live temporaries glibc trims and refaults them every call
+        half_near, half_far = stat.halves(theta)
+        neg_q = stat.path_rate * -abs(theta)
+        log_p = stat.phase_rate * theta
+        log_p -= self.pol.coherence_phase
+        np.cos(log_p, out=log_p)
+        t2 = np.exp(neg_q)
+        log_p *= t2
+        log_p *= stat.signed_d
+        t2 *= t2
+        t2 *= half_far
+        log_p += t2
+        log_p += half_near
+        # I >= 0 holds exactly (d^2 = near * far); clamp rounding residue
+        np.maximum(log_p, 0.0, out=log_p)
+        with np.errstate(divide="ignore"):
+            np.log(log_p, out=log_p)
+        log_p -= neg_q
+        log_p += stat.gauss
+        w2 = self.beam.width(self.z) ** 2
+        prefactor = 0.5 * math.log(2.0 / (math.pi * w2)) - 8.0 * (theta * self.z) ** 2 / w2
+        np.maximum(log_p, LOG_FLOOR_LN - prefactor, out=log_p)
+        return float(log_p.sum()) + log_p.size * prefactor
+
+    def score(self, stat: JointStatistic, theta: float) -> float:
+        """d/dtheta of ``log_likelihood``; photons with I = 0 (floored) add nothing.
+
+        Per photon, d log p / dtheta = -16 theta z^2 / w^2
+            + [sgn(theta) path_rate (near - far t^2) / 2 -+ d t phase_rate sin psi] / I,
+        with sgn(0) = +1 to match ``JointStatistic.halves``.
+        """
+        half_near, half_far = stat.halves(theta)
+        t = np.exp(stat.path_rate * -abs(theta))
+        psi = stat.phase_rate * theta
+        psi -= self.pol.coherence_phase
+        bracket = np.cos(psi)
+        slope = np.sin(psi, out=psi)
+        bracket *= t
+        bracket *= stat.signed_d
+        slope *= t
+        slope *= stat.signed_d
+        slope *= stat.phase_rate
+        t *= t
+        t *= half_far
+        bracket += t
+        bracket += half_near
+        np.subtract(half_near, t, out=t)
+        t *= stat.path_rate
+        if theta < 0.0:
+            t *= -1.0
+        t -= slope
+        ratio = slope  # reuse the buffer; photons with I = 0 keep a 0
+        ratio.fill(0.0)
+        np.divide(t, bracket, out=ratio, where=bracket > 0.0)
+        w2 = self.beam.width(self.z) ** 2
+        return float(ratio.sum()) - ratio.size * 16.0 * theta * self.z ** 2 / w2

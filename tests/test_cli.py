@@ -353,3 +353,20 @@ def test_montecarlo_refuses_zero_information(tmp_path, capsys, setup):
     )
     assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
     assert "run[0]: scheme carries no information at this working point" in capsys.readouterr().err
+
+
+def test_montecarlo_all_outcomes_in_one_port_exits_4(tmp_path, capsys):
+    # at theta = 0 the diagonal state sends every photon to the + port: P- = 0
+    # is not a regular point, so no trial may enter the saturation statistics
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n"
+        "run: {scheme: polarization, theta: 0}\n"
+        "montecarlo: {theta: 0, nu: 10000, trials: 10, seed: 5}\n",
+    )
+    out = tmp_path / "m"
+    assert main(["montecarlo", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "run[0] (polarization): all outcomes fell in one port in 10/10 trials" in err
+    row = read_rows(out / "montecarlo.csv")[0]
+    assert (row["used_trials"], row["non_interior"]) == ("0", "10")

@@ -217,3 +217,19 @@ def test_energy_derived_nu_keeps_its_floor():
     photon = 6.62607015e-34 * 299792458.0 / 633e-9
     config = parse_config_text(BASE + f"montecarlo: {{theta: 1urad, energy: {1.5 * photon!r}}}\n")
     assert config.montecarlo.nu == 1
+
+
+def test_energy_beyond_float_photon_count_names_the_field():
+    with pytest.raises(ConfigError, match=r"montecarlo\.energy: .*beyond the float range"):
+        parse_config_text(BASE + "montecarlo: {theta: 1urad, energy: 1e300J}\n")
+
+
+def test_integer_quantity_beyond_float_range_names_the_field():
+    huge = "1" + "0" * 400
+    text = BASE.replace("theta: 0.0", f"theta: {huge}", 1)
+    assert huge in text
+    with pytest.raises(ConfigError, match=r"run\[0\]\.theta: must be finite"):
+        parse_config_text(text)
+    # past 4300 digits the YAML loader itself refuses the integer (Python >= 3.10.7)
+    with pytest.raises(ConfigError, match=r"4300 digits|run\[0\]\.theta: must be finite"):
+        parse_config_text(BASE.replace("theta: 0.0", "theta: 1" + "0" * 5000, 1))

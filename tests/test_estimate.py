@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from tiltsense import (
+    ConditionedPolarizationModel,
     PolarizationModel,
     PolarizationState,
     PositionModel,
@@ -19,7 +20,8 @@ from tiltsense import (
     sample_outcomes,
     trial_rng,
 )
-from tiltsense.estimate import default_search_interval, run_trial
+from tiltsense.estimate import _score_root, default_search_interval, run_trial
+from tiltsense.schemes import LOG_FLOOR
 
 
 def test_trial_rng_streams_are_reproducible_and_distinct():
@@ -110,8 +112,8 @@ def test_loglik_discrete_matches_direct_sum(beam):
 
 
 def test_mle_recovers_position_mean_exactly(beam):
-    # Gaussian location: the MLE is the sample mean, so golden section must
-    # land on (mean(x) - xi)/(2z) to the refinement tolerance
+    # Gaussian location: the MLE is the sample mean, and the score is linear
+    # in theta, so the score root lands on (mean(x) - xi)/(2z)
     z = beam.rayleigh_range
     model = PositionModel(beam, z)
     xs = sample_outcomes(model, 1e-6, 5000, trial_rng(21, 0))
@@ -119,6 +121,96 @@ def test_mle_recovers_position_mean_exactly(beam):
     result = mle(model, xs, (-2e-5, 2e-5))
     assert result.interior
     assert result.theta_hat == pytest.approx(closed_form, abs=1e-11)
+
+
+# every model class, plus the joint model with unequal path weights and a
+# nonzero coherence phase, which has no closed-form Fisher information and so
+# gets an explicit interval across theta = 0: (model, theta_true, interval)
+MODEL_CASES = {
+    "position": lambda b: (PositionModel(b, b.rayleigh_range), 1.5e-6, None),
+    "quadrant": lambda b: (QuadrantModel(b, b.rayleigh_range), 1.5e-6, None),
+    "polarization": lambda b: (PolarizationModel(b, PolarizationState.diagonal()), 1.5e-6, None),
+    "conditioned": lambda b: (
+        ConditionedPolarizationModel(b, b.rayleigh_range, 1.5e-3), 1.5e-6, None
+    ),
+    "joint": lambda b: (
+        PositionPolarizationModel(b, PolarizationState.diagonal(), b.rayleigh_range), 1.5e-6, None
+    ),
+    "joint-elliptical": lambda b: (
+        PositionPolarizationModel(b, PolarizationState.from_bloch(1.1, 0.4), 2.0 * b.rayleigh_range),
+        -1.5e-6,
+        (-3.5e-6, 0.5e-6),
+    ),
+}
+
+
+def _case(beam, name, nu=2000, index=0):
+    model, theta, interval = MODEL_CASES[name](beam)
+    outcomes = sample_outcomes(model, theta, nu, trial_rng(77, index))
+    return model, theta, outcomes, interval or default_search_interval(model, theta, nu)
+
+
+def _pointwise_log_likelihood(model, outcomes, theta):
+    """Sum of floored log probabilities, one outcome at a time."""
+    if hasattr(model, "probabilities"):
+        p_plus, p_minus = np.maximum(model.probabilities(theta), LOG_FLOOR)
+        return float(sum(math.log(p_plus if s > 0 else p_minus) for s in outcomes))
+    if hasattr(model, "branch_pdf"):
+        signs, x = outcomes
+        p_plus, p_minus = model.branch_pdf(theta, x)
+        density = np.where(signs > 0, p_plus, p_minus)
+    else:
+        density = model.pdf(theta, outcomes)
+    return float(np.sum(np.log(np.maximum(density, LOG_FLOOR))))
+
+
+@pytest.mark.parametrize("name", MODEL_CASES)
+def test_statistic_likelihood_equals_pointwise_sum(beam, name):
+    model, theta, outcomes, (lo, hi) = _case(beam, name)
+    for t in (lo, theta, hi, 0.0):
+        expected = _pointwise_log_likelihood(model, outcomes, t)
+        assert log_likelihood(model, outcomes, t) == pytest.approx(expected, rel=1e-11)
+
+
+@pytest.mark.parametrize("name", MODEL_CASES)
+def test_score_matches_likelihood_difference(beam, name):
+    model, theta, outcomes, (lo, hi) = _case(beam, name)
+    stat = model.statistic(outcomes)
+    width = hi - lo
+    for t in (lo + 0.1 * width, theta - 0.2 * width, theta + 0.3 * width, hi - 0.05 * width):
+        h = 1e-5 * width
+        difference = (model.log_likelihood(stat, t + h) - model.log_likelihood(stat, t - h)) / (2 * h)
+        assert model.score(stat, t) == pytest.approx(difference, rel=1e-6), t
+
+
+@pytest.mark.parametrize("name", MODEL_CASES)
+def test_mle_beats_a_dense_grid(beam, name):
+    for index in range(3):
+        model, _, outcomes, (lo, hi) = _case(beam, name, index=index)
+        result = mle(model, outcomes, (lo, hi))
+        best = log_likelihood(model, outcomes, result.theta_hat)
+        dense = max(log_likelihood(model, outcomes, t) for t in np.linspace(lo, hi, 2001))
+        assert best >= dense - 1e-12 * abs(dense)
+        assert lo <= result.theta_hat <= hi
+
+
+def test_score_root_bisects_where_secant_steps_stall():
+    # a score that is flat far from its root: secant slopes vanish there, so
+    # only the bisection safeguard can reach the root
+    root = 0.123456789
+    result = _score_root(lambda t: math.tanh(1e4 * (root - t)), [0.0, 0.5, 1.0], [0.0, 1.0, 0.5], 1e-12)
+    assert result == pytest.approx(root, abs=1e-12)
+
+
+def test_mle_flags_all_outcomes_in_one_port(beam):
+    # at theta = 0 the diagonal state sends every photon to the + port; the
+    # maximum is interior to the interval but P- = 0 is not a regular point
+    model = PolarizationModel(beam, PolarizationState.diagonal())
+    signs = sample_outcomes(model, 0.0, 1000, trial_rng(3, 0))
+    result = mle(model, signs, (-1e-6, 1e-6))
+    assert result.one_port and not result.at_boundary and not result.interior
+    mixed = mle(model, np.array([1, -1], dtype=np.int8), (-1e-6, 1e-6))
+    assert not mixed.one_port
 
 
 def test_mle_is_deterministic(beam):
