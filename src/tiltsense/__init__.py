@@ -12,7 +12,6 @@ from .beam import BeamParams, field_amplitude, intensity_profile, waist_momentum
 from .estimate import (
     MleResult,
     SaturationReport,
-    Trial,
     log_likelihood,
     mle,
     run_saturation,
@@ -21,9 +20,7 @@ from .estimate import (
 )
 from .fisher import (
     FisherDecomposition,
-    FisherReport,
     analytic_fisher,
-    build_report,
     cramer_rao_bound,
     fisher_conditioned,
     fisher_position,
@@ -62,13 +59,10 @@ __all__ = [
     "PositionPolarizationModel",
     "QuadrantModel",
     "FisherDecomposition",
-    "FisherReport",
     "MleResult",
     "SaturationReport",
-    "Trial",
     "OracleError",
     "analytic_fisher",
-    "build_report",
     "cramer_rao_bound",
     "conditioned_polarization_probabilities",
     "field_amplitude",

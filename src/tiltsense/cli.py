@@ -146,29 +146,21 @@ def _emit_table(args, name, header, rows, config_text, seed=None):
     return table
 
 
-def cmd_fisher(args) -> int:
+def cmd_table(args) -> int:
+    """``sweep`` tabulates every run block, ``fisher`` only block ``--run``."""
     config = load_config(args.config)
     if not config.runs:
         raise ConfigError("config has no run blocks")
-    if args.run >= len(config.runs):
-        raise ConfigError(f"--run {args.run} but config has {len(config.runs)} run block(s)")
-    nu = config.montecarlo.nu if config.montecarlo else 1
-    block = config.runs[args.run]
-    rows = _run_block_rows(config, args.run, block, nu, args.threads)
-    table = _emit_table(args, "fisher", FISHER_HEADER, rows, config.raw_text)
-    print(f"wrote {table} ({len(rows)} rows)")
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    if not config.runs:
-        raise ConfigError("config has no run blocks")
+    indices = range(len(config.runs))
+    if args.run is not None:
+        if args.run not in indices:
+            raise ConfigError(f"--run {args.run} but config has {len(config.runs)} run block(s)")
+        indices = [args.run]
     nu = config.montecarlo.nu if config.montecarlo else 1
     rows = []
-    for run_index, block in enumerate(config.runs):
-        rows.extend(_run_block_rows(config, run_index, block, nu, args.threads))
-    table = _emit_table(args, "sweep", FISHER_HEADER, rows, config.raw_text)
+    for run_index in indices:
+        rows.extend(_run_block_rows(config, run_index, config.runs[run_index], nu, args.threads))
+    table = _emit_table(args, args.command, FISHER_HEADER, rows, config.raw_text)
     print(f"wrote {table} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -262,110 +254,95 @@ def _figure_beam(config: ScenarioConfig | None, xi: float) -> BeamParams:
     return BeamParams.from_rayleigh_range(FIGURE_RAYLEIGH, FIGURE_WAVELENGTH, xi)
 
 
-def cmd_figure3(args) -> int:
-    config = load_config(args.config) if args.config else None
+def _write_figure(args, config, command, panels) -> int:
+    """Write each panel's CSV and SVG, then the sidecar that lists them.
+
+    A panel is (name, title, x label, y label, header, x, columns, curve labels).
+    """
     out = Path(args.out)
-    zr = _figure_beam(config, 0.0).rayleigh_range
-
-    # panel (a): information per detected photon vs x at z = 5 z_R
-    x = np.linspace(-3e-3, 3e-3, 601)
-    z_a = 5.0 * zr
-    columns_a = []
-    for xi in (0.0, 1e-3):
-        beam = _figure_beam(config, xi)
-        columns_a.append(fisher_conditioned(beam, z_a, x, 0.0) / beam.k ** 2)
-    header_a = ("x_m", "cond_fisher_over_k2_xi_0mm", "cond_fisher_over_k2_xi_1mm")
-    rows_a = list(zip(x, *columns_a))
-    write_csv(out / "figure3a.csv", header_a, rows_a)
-
-    chart_a = LineChart(
-        "Information per detected photon vs position (z = 5 z_R)",
-        "x [m]", "conditional Fisher / k^2 [m^2]",
-    )
-    chart_a.add(x, columns_a[0], label="xi = 0")
-    chart_a.add(x, columns_a[1], label="xi = 1 mm")
-    chart_a.write(out / "figure3a.svg")
-
-    # panel (b): same quantity vs z at fixed detection points, xi = 1 mm
-    beam_b = _figure_beam(config, 1e-3)
-    z = np.linspace(0.0, 10.0 * zr, 501)
-    columns_b = [
-        np.array([fisher_conditioned(beam_b, zz, xx, 0.0) for zz in z]) / beam_b.k ** 2
-        for xx in (0.0, 1e-3, 1.5e-3)
-    ]
-    header_b = ("z_m", "cond_fisher_over_k2_x_0mm", "cond_fisher_over_k2_x_1mm", "cond_fisher_over_k2_x_1p5mm")
-    rows_b = list(zip(z, *columns_b))
-    write_csv(out / "figure3b.csv", header_b, rows_b)
-
-    chart_b = LineChart(
-        "Information per detected photon vs detector plane (xi = 1 mm)",
-        "z [m]", "conditional Fisher / k^2 [m^2]",
-    )
-    chart_b.add(z, columns_b[0], label="x = 0")
-    chart_b.add(z, columns_b[1], label="x = 1 mm")
-    chart_b.add(z, columns_b[2], label="x = 1.5 mm")
-    chart_b.write(out / "figure3b.svg")
-
-    write_sidecar(
-        out / "figure3.meta.json",
-        command="figure3",
-        argv=args.raw_argv,
-        version=__version__,
-        config_text=config.raw_text if config else None,
-        outputs=["figure3a.csv", "figure3a.svg", "figure3b.csv", "figure3b.svg"],
-    )
-    print(f"wrote {out}/figure3a.csv, figure3a.svg, figure3b.csv, figure3b.svg")
-    return EXIT_OK
-
-
-def cmd_figure4(args) -> int:
-    config = load_config(args.config) if args.config else None
-    out = Path(args.out)
-    zr = _figure_beam(config, 0.0).rayleigh_range
-    z_values = (0.0, 5.0 * zr)
-    panels = (
-        ("figure4a", 0.0, "scaled"),
-        ("figure4b", 0.0, "density"),
-        ("figure4c", 1e-3, "scaled"),
-        ("figure4d", 1e-3, "density"),
-    )
     outputs = []
-    for name, xi, kind in panels:
-        beam = _figure_beam(config, xi)
-        w_far = beam.width(z_values[-1])
-        x = np.linspace(xi - 5.0 * w_far, xi + 5.0 * w_far, 2001)
-        columns = []
-        for z in z_values:
-            density = intensity_profile(beam, 0.0, z, x)
-            if kind == "scaled":
-                columns.append(density * fisher_conditioned(beam, z, x, 0.0) / beam.k ** 2)
-            else:
-                columns.append(density)
-        if kind == "scaled":
-            header = ("x_m", "p_cond_fisher_over_k2_z_0", "p_cond_fisher_over_k2_z_5zR")
-            ylabel = "P(x) x conditional Fisher / k^2 [m]"
-            title = f"Scaled information per detection (xi = {xi * 1e3:g} mm)"
-        else:
-            header = ("x_m", "p_density_z_0", "p_density_z_5zR")
-            ylabel = "P(x) [1/m]"
-            title = f"Detection probability density (xi = {xi * 1e3:g} mm)"
+    for name, title, xlabel, ylabel, header, x, columns, labels in panels:
         write_csv(out / f"{name}.csv", header, list(zip(x, *columns)))
-        chart = LineChart(title, "x [m]", ylabel)
-        chart.add(x, columns[0], label="z = 0")
-        chart.add(x, columns[1], label="z = 5 z_R")
+        chart = LineChart(title, xlabel, ylabel)
+        for column, label in zip(columns, labels):
+            chart.add(x, column, label=label)
         chart.write(out / f"{name}.svg")
-        outputs.extend([f"{name}.csv", f"{name}.svg"])
-
+        outputs += [f"{name}.csv", f"{name}.svg"]
     write_sidecar(
-        out / "figure4.meta.json",
-        command="figure4",
+        out / f"{command}.meta.json",
+        command=command,
         argv=args.raw_argv,
         version=__version__,
         config_text=config.raw_text if config else None,
         outputs=outputs,
     )
-    print(f"wrote {out}/figure4[a-d].csv and .svg")
+    print(f"wrote {out}/" + ", ".join(outputs))
     return EXIT_OK
+
+
+def cmd_figure3(args) -> int:
+    config = load_config(args.config) if args.config else None
+    zr = _figure_beam(config, 0.0).rayleigh_range
+    ylabel = "conditional Fisher / k^2 [m^2]"
+
+    # panel (a): information per detected photon vs x at z = 5 z_R
+    x = np.linspace(-3e-3, 3e-3, 601)
+    beams = [_figure_beam(config, xi) for xi in (0.0, 1e-3)]
+    columns_a = [fisher_conditioned(beam, 5.0 * zr, x, 0.0) / beam.k ** 2 for beam in beams]
+
+    # panel (b): same quantity vs z at fixed detection points, xi = 1 mm
+    beam_b = beams[1]
+    z = np.linspace(0.0, 10.0 * zr, 501)
+    columns_b = [
+        np.array([fisher_conditioned(beam_b, zz, xx, 0.0) for zz in z]) / beam_b.k ** 2
+        for xx in (0.0, 1e-3, 1.5e-3)
+    ]
+    return _write_figure(args, config, "figure3", [
+        (
+            "figure3a", "Information per detected photon vs position (z = 5 z_R)",
+            "x [m]", ylabel,
+            ("x_m", "cond_fisher_over_k2_xi_0mm", "cond_fisher_over_k2_xi_1mm"),
+            x, columns_a, ("xi = 0", "xi = 1 mm"),
+        ),
+        (
+            "figure3b", "Information per detected photon vs detector plane (xi = 1 mm)",
+            "z [m]", ylabel,
+            ("z_m", "cond_fisher_over_k2_x_0mm", "cond_fisher_over_k2_x_1mm",
+             "cond_fisher_over_k2_x_1p5mm"),
+            z, columns_b, ("x = 0", "x = 1 mm", "x = 1.5 mm"),
+        ),
+    ])
+
+
+def cmd_figure4(args) -> int:
+    config = load_config(args.config) if args.config else None
+    zr = _figure_beam(config, 0.0).rayleigh_range
+    z_values = (0.0, 5.0 * zr)
+    panels = []
+    for name, xi, scaled in (
+        ("figure4a", 0.0, True),
+        ("figure4b", 0.0, False),
+        ("figure4c", 1e-3, True),
+        ("figure4d", 1e-3, False),
+    ):
+        beam = _figure_beam(config, xi)
+        w_far = beam.width(z_values[-1])
+        x = np.linspace(xi - 5.0 * w_far, xi + 5.0 * w_far, 2001)
+        columns = [intensity_profile(beam, 0.0, z, x) for z in z_values]
+        if scaled:
+            columns = [
+                density * fisher_conditioned(beam, z, x, 0.0) / beam.k ** 2
+                for density, z in zip(columns, z_values)
+            ]
+            title = f"Scaled information per detection (xi = {xi * 1e3:g} mm)"
+            ylabel = "P(x) x conditional Fisher / k^2 [m]"
+            header = ("x_m", "p_cond_fisher_over_k2_z_0", "p_cond_fisher_over_k2_z_5zR")
+        else:
+            title = f"Detection probability density (xi = {xi * 1e3:g} mm)"
+            ylabel = "P(x) [1/m]"
+            header = ("x_m", "p_density_z_0", "p_density_z_5zR")
+        panels.append((name, title, "x [m]", ylabel, header, x, columns, ("z = 0", "z = 5 z_R")))
+    return _write_figure(args, config, "figure4", panels)
 
 
 # ---------------------------------------------------------------------------
@@ -409,35 +386,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tiltsense {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def command(name, func, summary, config_required=True, seed=False, table=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument(
             "--config", required=config_required, default=None, help="scenario YAML file"
         )
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
+        # only fisher and sweep read it; every perfbench command passes it (ROADMAP item 3)
         p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=func)
+        return p
 
-    p_fisher = sub.add_parser("fisher", help="Fisher table for one run block")
-    common(p_fisher)
+    p_fisher = command("fisher", cmd_table, "Fisher table for one run block", table=True)
     p_fisher.add_argument("--run", type=int, default=0, help="run block index")
-    p_fisher.set_defaults(func=cmd_fisher)
-
-    p_sweep = sub.add_parser("sweep", help="Fisher table for every run block")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_f3 = sub.add_parser("figure3", help="information-per-photon curves (CSV + SVG)")
-    common(p_f3, config_required=False)
-    p_f3.set_defaults(func=cmd_figure3)
-
-    p_f4 = sub.add_parser("figure4", help="probability-scaled information curves (CSV + SVG)")
-    common(p_f4, config_required=False)
-    p_f4.set_defaults(func=cmd_figure4)
-
-    p_mc = sub.add_parser("montecarlo", help="Cramer-Rao saturation runs")
-    common(p_mc)
-    p_mc.set_defaults(func=cmd_montecarlo)
+    p_sweep = command("sweep", cmd_table, "Fisher table for every run block", table=True)
+    p_sweep.set_defaults(run=None)
+    command(
+        "figure3", cmd_figure3, "information-per-photon curves (CSV + SVG)",
+        config_required=False,
+    )
+    command(
+        "figure4", cmd_figure4, "probability-scaled information curves (CSV + SVG)",
+        config_required=False,
+    )
+    command("montecarlo", cmd_montecarlo, "Cramer-Rao saturation runs", seed=True, table=True)
 
     p_val = sub.add_parser("validate-config", help="parse and validate a config file")
     p_val.add_argument("--config", required=True)

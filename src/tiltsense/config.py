@@ -26,6 +26,8 @@ SCHEMES = ("position", "quadrant", "polarization", "joint")
 
 SEED_LIMIT = 2 ** 64  # seeds key a Philox stream through one uint64
 
+NU_LIMIT = 10 ** 8  # photons per trial; one float64 array of that many is 0.8 GB
+
 UNIT_SCALES = {
     "m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12,
     "rad": 1.0, "mrad": 1e-3, "urad": 1e-6, "µrad": 1e-6, "nrad": 1e-9,
@@ -233,7 +235,7 @@ def _parse_run(block, beam, index) -> RunBlock:
     return RunBlock(scheme=scheme, theta=theta, z=z, split=split)
 
 
-def _parse_montecarlo(section, beam, wavelength) -> MonteCarloBlock:
+def _parse_montecarlo(section, wavelength) -> MonteCarloBlock:
     where = "montecarlo"
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected a mapping")
@@ -246,8 +248,10 @@ def _parse_montecarlo(section, beam, wavelength) -> MonteCarloBlock:
     if "nu" in section and "energy" in section:
         raise ConfigError(f"{where}: give nu or energy, not both")
     if "nu" in section:
+        source = "nu"
         nu = parse_integer(section["nu"], where=f"{where}.nu")
     elif "energy" in section:
+        source = "energy"
         # one detected photon per quantum hbar*omega = h c / lambda
         energy = parse_quantity(section["energy"], where=f"{where}.energy")
         photons = energy * wavelength / (PLANCK * LIGHT_SPEED)
@@ -258,6 +262,11 @@ def _parse_montecarlo(section, beam, wavelength) -> MonteCarloBlock:
             raise ConfigError(f"{where}.energy: nu must be >= 1, got {nu}")
     else:
         raise ConfigError(f"{where}: needs nu (photon count) or energy")
+    if nu > NU_LIMIT:
+        raise ConfigError(
+            f"{where}.{source}: {nu} photons per trial exceed the limit of {NU_LIMIT} "
+            "(one sample array of them would not fit in memory)"
+        )
     trials = parse_integer(section.get("trials", 200), where=f"{where}.trials")
     seed = parse_integer(section.get("seed", 0), where=f"{where}.seed", low=0, high=SEED_LIMIT)
     interval = None
@@ -301,7 +310,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
     mc = None
     if "montecarlo" in data:
-        mc = _parse_montecarlo(data["montecarlo"], beam, beam.wavelength)
+        mc = _parse_montecarlo(data["montecarlo"], beam.wavelength)
     return ScenarioConfig(beam=beam, polarization=pol, runs=runs, montecarlo=mc, raw_text=text)
 
 

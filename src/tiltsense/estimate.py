@@ -16,7 +16,9 @@ import numpy as np
 
 from .fisher import analytic_fisher, cramer_rao_bound
 
-# a cap well above what bisection needs to narrow any practical bracket to tol
+GRID_POINTS = 21  # coarse log-likelihood scan that brackets the maximum
+SCORE_TOL = 1e-12  # rad; the score root is refined until a step is this small
+# a cap well above what bisection needs to narrow any practical bracket to SCORE_TOL
 MAX_SCORE_STEPS = 200
 
 
@@ -64,19 +66,13 @@ class MleResult:
         return not (self.at_boundary or self.one_port)
 
 
-def mle(
-    model,
-    outcomes,
-    search_interval: tuple[float, float],
-    grid_points: int = 21,
-    tol: float = 1e-12,
-) -> MleResult:
+def mle(model, outcomes, search_interval: tuple[float, float]) -> MleResult:
     """Maximum-likelihood tilt estimate over a bracketing interval.
 
     The outcomes are reduced once to the model's statistic.  A coarse grid
     scan of the log-likelihood brackets the maximum between the neighbours
     of the best node, where the root of the analytic score is refined to
-    ``tol`` (see ``_score_root``).  A maximum at an end of the grid, or a
+    ``SCORE_TOL`` (see ``_score_root``).  A maximum at an end of the grid, or a
     two-outcome trial with all outcomes in one port (P+ or P- at 0, where
     the Cramer-Rao bound does not apply), is flagged non-interior; such
     trials are excluded from saturation statistics.
@@ -86,14 +82,13 @@ def mle(
         raise ValueError("search interval must have positive width")
     stat = model.statistic(outcomes)
     one_port = model.one_port(stat)
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     values = [model.log_likelihood(stat, float(t)) for t in grid]
     best = int(np.argmax(values))
-    if best == 0 or best == grid_points - 1:
+    if best == 0 or best == GRID_POINTS - 1:
         return MleResult(float(grid[best]), at_boundary=True, one_port=one_port)
-    theta_hat = _score_root(
-        lambda t: model.score(stat, t), grid[best - 1 : best + 2], values[best - 1 : best + 2], tol
-    )
+    window = slice(best - 1, best + 2)
+    theta_hat = _score_root(lambda t: model.score(stat, t), grid[window], values[window], SCORE_TOL)
     return MleResult(theta_hat, at_boundary=False, one_port=one_port)
 
 
@@ -145,34 +140,21 @@ def _score_root(score, nodes, values, tol: float) -> float:
 
 
 @dataclass(frozen=True)
-class Trial:
-    scheme: str
-    theta_true: float
-    nu: int
-    seed: int
-    trial_index: int
-    theta_hat: float
-    at_boundary: bool
-    one_port: bool
-
-    @property
-    def interior(self) -> bool:
-        return not (self.at_boundary or self.one_port)
-
-
-@dataclass(frozen=True)
 class SaturationReport:
     scheme: str
     theta_true: float
     nu: int
     trials: int
     used_trials: int
-    non_interior: int
     at_boundary: int
     one_port: int
     empirical_variance: float
     cr_variance: float
     seed: int
+
+    @property
+    def non_interior(self) -> int:
+        return self.trials - self.used_trials
 
     @property
     def ratio(self) -> float:
@@ -212,20 +194,10 @@ def run_trial(
     seed: int,
     trial_index: int,
     search_interval: tuple[float, float],
-) -> Trial:
-    rng = trial_rng(seed, trial_index)
-    outcomes = sample_outcomes(model, theta_true, nu, rng)
-    result = mle(model, outcomes, search_interval)
-    return Trial(
-        scheme=scheme,
-        theta_true=theta_true,
-        nu=nu,
-        seed=seed,
-        trial_index=trial_index,
-        theta_hat=result.theta_hat,
-        at_boundary=result.at_boundary,
-        one_port=result.one_port,
-    )
+) -> MleResult:
+    """One sample-and-estimate trial; ``scheme`` only labels it (perfbench's tracer tags it)."""
+    outcomes = sample_outcomes(model, theta_true, nu, trial_rng(seed, trial_index))
+    return mle(model, outcomes, search_interval)
 
 
 def run_saturation(
@@ -242,13 +214,11 @@ def run_saturation(
         raise ValueError("need at least one trial")
     interval = search_interval or default_search_interval(model, theta_true, nu)
     estimates = []
-    non_interior = at_boundary = one_port = 0
+    at_boundary = one_port = 0
     for index in range(trials):
         trial = run_trial(model, scheme, theta_true, nu, seed, index, interval)
         if trial.interior:
             estimates.append(trial.theta_hat)
-        else:
-            non_interior += 1
         at_boundary += trial.at_boundary
         one_port += trial.one_port
     if len(estimates) >= 2:
@@ -262,7 +232,6 @@ def run_saturation(
         nu=nu,
         trials=trials,
         used_trials=len(estimates),
-        non_interior=non_interior,
         at_boundary=at_boundary,
         one_port=one_port,
         empirical_variance=empirical,

@@ -9,20 +9,21 @@ form here has an independent finite-difference counterpart in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ._integrate import integrate_interval
 from .beam import BeamParams
-from .oracle import numeric_fisher_oracle
 from .polarization import PolarizationState
 from .schemes import COSH_CUTOFF, PositionPolarizationModel, interference_coefficients
 
 # below this, the polarization Fisher denominator is treated as the degenerate
 # maximal-visibility working point and the analytic theta->0 limit is returned
 DEGENERATE_DEN = 1e-14
+
+# relative tolerance of the joint decomposition's quadrature
+DECOMPOSITION_RTOL = 1e-10
 
 
 def qfi_beam_deflection(beam: BeamParams) -> float:
@@ -154,9 +155,7 @@ class FisherDecomposition(NamedTuple):
     total: float
 
 
-def fisher_total_decomposition(
-    beam: BeamParams, z: float, theta: float, rtol: float = 1e-10
-) -> FisherDecomposition:
+def fisher_total_decomposition(beam: BeamParams, z: float, theta: float) -> FisherDecomposition:
     """Split the joint measurement information into polarization and spatial parts.
 
     For the diagonal input state:
@@ -178,7 +177,12 @@ def fisher_total_decomposition(
             np.where(dead, 0.0, dp * dp / np.where(dead, 1.0, p)),
         ])
 
-    avg, pos = integrate_interval(integrand, lo, hi, model.breakpoints(theta), rtol=rtol)
+    # both parts to DECOMPOSITION_RTOL of the bound on their sum: near theta = 0 the
+    # position part is rounding noise that no panel count resolves relative to itself
+    atol = DECOMPOSITION_RTOL * qfi_sagnac(beam, model.pol)
+    avg, pos = integrate_interval(
+        integrand, lo, hi, model.breakpoints(theta), rtol=DECOMPOSITION_RTOL, atol=atol
+    )
     return FisherDecomposition(float(avg), float(pos), float(avg + pos))
 
 
@@ -197,30 +201,3 @@ def analytic_fisher(model, theta: float) -> float:
 def qfi_for_model(model) -> float:
     """The quantum bound matching a probability model."""
     return model.qfi()
-
-
-@dataclass(frozen=True)
-class FisherReport:
-    """Closed form, oracle value and quantum bound for one configuration."""
-
-    analytic: float
-    numeric: float
-    qfi: float
-    nu: int = 1
-
-    @property
-    def ratio(self) -> float:
-        return self.analytic / self.qfi if self.qfi > 0.0 else math.nan
-
-    @property
-    def cr_bound(self) -> float:
-        return cramer_rao_bound(self.analytic, self.nu)
-
-
-def build_report(model, theta: float, nu: int = 1, step: Optional[float] = None) -> FisherReport:
-    return FisherReport(
-        analytic=analytic_fisher(model, theta),
-        numeric=numeric_fisher_oracle(model, theta, step=step),
-        qfi=qfi_for_model(model),
-        nu=nu,
-    )

@@ -25,7 +25,7 @@ from typing import ClassVar, NamedTuple, Optional, Union
 import numpy as np
 
 from .beam import BeamParams, intensity_profile
-from .polarization import PolarizationState
+from .polarization import NORM_TOL, PolarizationState
 
 # Largest |q| = |b theta| at which the interference ratio cos(p)/cosh(q) is
 # evaluated; beyond it the ratio is taken as exactly 0.  The conditioned Fisher
@@ -222,7 +222,10 @@ def _sample_mixture(model, theta: float, nu: int, rng: np.random.Generator):
 class _DeflectionScheme:
     """Protocol shared by the schemes that image the deflected beam directly."""
 
-    even_in_theta = False
+    @property
+    def even_in_theta(self) -> bool:
+        # the deflection 2 theta z is odd in theta; at z = 0 nothing depends on theta
+        return self.z == 0.0
 
     def qfi(self) -> float:
         from .fisher import qfi_beam_deflection
@@ -243,8 +246,8 @@ class _InterferometricScheme:
 
     @property
     def even_in_theta(self) -> bool:
-        # with zero relative phase the outcome statistics are even in theta
-        return abs(math.sin(self.pol.coherence_phase)) < 1e-12
+        # the interference phase enters as cos(c theta - phi), even in theta when sin(phi) = 0
+        return abs(math.sin(self.pol.coherence_phase)) <= NORM_TOL
 
     def qfi(self) -> float:
         from .fisher import qfi_sagnac
@@ -252,7 +255,7 @@ class _InterferometricScheme:
 
     def regime_flags(self, theta: float) -> tuple[str, ...]:
         flags = small_angle_flags(self.beam, theta)
-        if theta == 0.0:
+        if theta == 0.0 and self.even_in_theta:
             flags += ("theta=0 stationary point: finite differences see only the even part",)
         return flags
 
@@ -398,6 +401,11 @@ class PolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
             * (-2.0 * b_coeff * theta * math.cos(phase) - rate * math.sin(phase))
         )
 
+    @property
+    def even_in_theta(self) -> bool:
+        # c = 4 k xi: without a displacement the phase does not depend on theta
+        return self.beam.xi == 0.0 or super().even_in_theta
+
     def fisher(self, theta: float) -> float:
         from .fisher import fisher_sagnac_polarization
         return fisher_sagnac_polarization(self.beam, self.pol, theta)
@@ -475,6 +483,13 @@ class PositionPolarizationModel(_InterferometricScheme):
     beam: BeamParams
     pol: PolarizationState
     z: float
+
+    @property
+    def even_in_theta(self) -> bool:
+        # theta -> -theta also swaps the two path centers xi -+ 2 theta z, which
+        # changes nothing only with balanced populations or at z = 0
+        balanced = abs(self.pol.sigma_z_mean) <= NORM_TOL
+        return (balanced or self.z == 0.0) and super().even_in_theta
 
     def branch_pdf(self, theta: float, x):
         """The pair of densities (p_plus(x), p_minus(x))."""

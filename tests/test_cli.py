@@ -110,6 +110,69 @@ def test_fisher_json_format(tmp_path):
     assert records[0]["oracle_fisher"] == pytest.approx(records[0]["analytic_fisher"], rel=1e-6)
 
 
+def test_fisher_row_invariants(tmp_path):
+    # the position scheme at z = z_R holds half the deflection bound
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n"
+        "run: {scheme: position, theta: 1urad, z: 1z_R}\n"
+        "montecarlo: {theta: 1urad, nu: 10000}\n",
+    )
+    assert main(["fisher", "--config", cfg, "--out", str(tmp_path / "f")]) == 0
+    (row,) = read_rows(tmp_path / "f" / "fisher.csv")
+    analytic, qfi = float(row["analytic_fisher"]), float(row["qfi"])
+    assert 0.0 <= analytic <= qfi * (1.0 + 1e-6)
+    assert abs(analytic - float(row["oracle_fisher"])) / analytic < 1e-4
+    assert float(row["ratio_to_qfi"]) == pytest.approx(0.5, rel=1e-9)
+    assert float(row["cr_delta_theta_rad"]) == pytest.approx(
+        1.0 / math.sqrt(10 ** 4 * analytic), rel=1e-12
+    )
+
+
+def test_fisher_run_is_that_block_of_the_sweep(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n"
+        "run:\n"
+        "  - {scheme: quadrant, theta: 1urad, z: [1z_R, 2z_R]}\n"
+        "  - {scheme: polarization, theta: [0.5urad, 1urad]}\n"
+        "  - {scheme: position, theta: 1urad, z: 1z_R}\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    assert main(["fisher", "--config", cfg, "--out", str(tmp_path / "f"), "--run", "1"]) == 0
+    sweep = [r for r in read_rows(tmp_path / "s" / "sweep.csv") if r["run"] == "1"]
+    assert read_rows(tmp_path / "f" / "fisher.csv") == sweep
+    assert len(sweep) == 2
+
+
+@pytest.mark.parametrize("run", ["3", "-1"])
+def test_fisher_run_out_of_range_exits_2(tmp_path, capsys, run):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    assert main(["fisher", "--config", cfg, "--out", str(tmp_path / "f"), "--run", run]) == 2
+    assert f"--run {run} but config has 1 run block(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fisher", "--seed", "1"],
+        ["sweep", "--seed", "1"],
+        ["figure3", "--seed", "1"],
+        ["figure4", "--seed", "1"],
+        ["figure3", "--format", "json"],
+        ["figure4", "--format", "csv"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_covers_all_run_blocks(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -335,6 +398,16 @@ def test_fractional_nu_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, MC_CONFIG.replace("nu: 10000", "nu: 2.7"))
     assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
     assert "montecarlo.nu: expected a whole number" in capsys.readouterr().err
+
+
+def test_photon_count_above_nu_limit_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, MC_CONFIG.replace("nu: 10000", "nu: 100000000000000000000"))
+    for command in (["validate-config"], ["montecarlo", "--out", str(tmp_path / "m")]):
+        assert main([*command, "--config", cfg]) == 2
+        assert "montecarlo.nu: 100000000000000000000 photons per trial exceed" in (
+            capsys.readouterr().err
+        )
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tiltsense.config import (
+    NU_LIMIT,
     ConfigError,
     parse_config_text,
     parse_grid,
@@ -222,6 +223,17 @@ def test_energy_derived_nu_keeps_its_floor():
 def test_energy_beyond_float_photon_count_names_the_field():
     with pytest.raises(ConfigError, match=r"montecarlo\.energy: .*beyond the float range"):
         parse_config_text(BASE + "montecarlo: {theta: 1urad, energy: 1e300J}\n")
+
+
+def test_photon_count_above_nu_limit_names_the_field():
+    config = parse_config_text(BASE + f"montecarlo: {{theta: 1urad, nu: {NU_LIMIT}}}\n")
+    assert config.montecarlo.nu == NU_LIMIT
+    for nu in (NU_LIMIT + 1, 10 ** 20):
+        with pytest.raises(ConfigError, match=rf"montecarlo\.nu: {nu} photons per trial exceed"):
+            parse_config_text(BASE + f"montecarlo: {{theta: 1urad, nu: {nu}}}\n")
+    # 1e-9 J at 633 nm is about 3.2e9 photons
+    with pytest.raises(ConfigError, match=r"montecarlo\.energy: \d+ photons per trial exceed"):
+        parse_config_text(BASE + "montecarlo: {theta: 1urad, energy: 1nJ}\n")
 
 
 def test_integer_quantity_beyond_float_range_names_the_field():

@@ -259,16 +259,31 @@ def test_default_search_interval_guard(beam):
         default_search_interval(model, 1e-3, 10 ** 4)
 
 
+def test_default_search_interval_keeps_the_sign_branch_of_even_statistics(centered_beam):
+    # at xi = 0 the polarization statistics are even in theta for any coherence
+    # phase, so an interval across 0 would return the wrong sign half the time
+    pol = PolarizationState.from_bloch(0.5 * math.pi, 0.25 * math.pi)
+    model = PolarizationModel(centered_beam, pol)
+    assert model.even_in_theta
+    interval = default_search_interval(model, 5e-6, 10 ** 5)
+    assert interval[0] >= 0.0
+    trials = [run_trial(model, "polarization", 5e-6, 10 ** 5, 7, i, interval) for i in range(10)]
+    interior = [trial.theta_hat for trial in trials if trial.interior]
+    assert len(interior) >= 5 and min(interior) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # saturation runs
 # ---------------------------------------------------------------------------
 
 
 def test_run_trial_record(beam):
+    # a trial is the MLE on the outcomes of the stream keyed by (seed, index)
     model = QuadrantModel(beam, beam.rayleigh_range)
-    trial = run_trial(model, "quadrant", 1e-6, 1000, 99, 3, (-2e-5, 2e-5))
-    assert trial.scheme == "quadrant"
-    assert trial.nu == 1000 and trial.seed == 99 and trial.trial_index == 3
+    interval = (-2e-5, 2e-5)
+    trial = run_trial(model, "quadrant", 1e-6, 1000, 99, 3, interval)
+    outcomes = sample_outcomes(model, 1e-6, 1000, trial_rng(99, 3))
+    assert trial == mle(model, outcomes, interval)
     assert math.isfinite(trial.theta_hat)
 
 

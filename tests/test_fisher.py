@@ -298,16 +298,6 @@ def test_cramer_rao_bound():
     assert cramer_rao_bound(0.0, 100) == math.inf
 
 
-def test_build_report_invariants(beam):
-    from tiltsense import PositionModel, build_report
-
-    report = build_report(PositionModel(beam, beam.rayleigh_range), 1e-6, nu=10 ** 4)
-    assert 0.0 <= report.analytic <= report.qfi * (1.0 + 1e-6)
-    assert abs(report.analytic - report.numeric) / report.analytic < 1e-4
-    assert report.ratio == pytest.approx(0.5, rel=1e-9)
-    assert report.cr_bound == pytest.approx(1.0 / math.sqrt(10 ** 4 * report.analytic), rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # cross-cutting invariants
 # ---------------------------------------------------------------------------
@@ -318,15 +308,23 @@ def test_build_report_invariants(beam):
     xi=st.floats(min_value=-2e-3, max_value=2e-3),
     z_factor=st.floats(min_value=1e-3, max_value=50.0),
     theta=st.floats(min_value=-2e-6, max_value=2e-6),
+    split=st.floats(min_value=-3e-3, max_value=3e-3),
+    polar=st.floats(min_value=0.0, max_value=math.pi),
+    azimuth=st.floats(min_value=-math.pi, max_value=math.pi),
 )
-def test_measurement_fisher_below_qfi(xi, z_factor, theta):
+def test_measurement_fisher_below_qfi(xi, z_factor, theta, split, polar, azimuth):
+    # Braunstein-Caves: no measurement carries more than the quantum bound
     beam = BeamParams.from_wavelength(WAVELENGTH, WAIST, xi)
     plus = PolarizationState.diagonal()
+    state = PolarizationState.from_bloch(polar, azimuth)
     z = z_factor * beam.rayleigh_range
     slack = 1.0 + 1e-6
     assert fisher_position(beam, z) <= qfi_beam_deflection(beam) * slack
     assert fisher_quadrant(beam, theta, z) <= qfi_beam_deflection(beam) * slack
+    assert fisher_quadrant(beam, theta, z, split) <= qfi_beam_deflection(beam) * slack
     assert fisher_sagnac_polarization(beam, plus, theta) <= qfi_sagnac(beam, plus) * slack
+    assert fisher_sagnac_polarization(beam, state, theta) <= qfi_sagnac(beam, state) * slack
+    assert fisher_total_decomposition(beam, z, theta).total <= qfi_sagnac(beam, plus) * slack
 
 
 @pytest.mark.parametrize("theta", [1e-7, 1e-6, 3e-6])

@@ -8,7 +8,12 @@ from scipy import integrate
 
 from tiltsense import (
     BeamParams,
+    ConditionedPolarizationModel,
+    PolarizationModel,
     PolarizationState,
+    PositionModel,
+    PositionPolarizationModel,
+    QuadrantModel,
     conditioned_polarization_probabilities,
     intensity_profile,
     interference_coefficients,
@@ -18,7 +23,7 @@ from tiltsense import (
     small_angle_flags,
 )
 
-from conftest import WAVELENGTH, WAIST
+from conftest import OFFSET, WAVELENGTH, WAIST
 from wave_oracle import branch_wavefunction, joint_density_wave
 
 
@@ -318,3 +323,60 @@ def test_small_angle_flags(beam):
     # offset phase flag needs xi != 0
     centered = BeamParams.from_wavelength(WAVELENGTH, WAIST, 0.0)
     assert len(small_angle_flags(centered, 1e-3)) == 1
+
+
+# ---------------------------------------------------------------------------
+# evenness in theta
+# ---------------------------------------------------------------------------
+
+EVENNESS_STATES = (
+    PolarizationState.diagonal(),
+    PolarizationState.from_bloch(0.5 * math.pi, math.pi),  # anti-diagonal
+    PolarizationState.circular(),
+    PolarizationState.from_bloch(0.5 * math.pi, 0.25 * math.pi),
+    PolarizationState.from_bloch(1.2, 0.0),
+    PolarizationState.from_bloch(1.2, math.pi / 3),
+    PolarizationState.horizontal(),
+    PolarizationState.vertical(),
+)
+
+
+def _evenness_models():
+    for xi in (0.0, OFFSET):
+        beam = BeamParams.from_wavelength(WAVELENGTH, WAIST, xi)
+        for pol in EVENNESS_STATES:
+            yield PolarizationModel(beam, pol)
+        for z in (0.0, beam.rayleigh_range):
+            yield PositionModel(beam, z)
+            yield QuadrantModel(beam, z)
+            yield QuadrantModel(beam, z, xi + 0.2e-3)
+            yield ConditionedPolarizationModel(beam, z, 0.3e-3)
+            for pol in EVENNESS_STATES:
+                yield PositionPolarizationModel(beam, pol, z)
+
+
+def _outcome_statistics(model, theta):
+    if hasattr(model, "probabilities"):
+        return np.asarray(model.probabilities(theta))
+    x = np.linspace(-4e-3, 5e-3, 901)
+    if hasattr(model, "branch_pdf"):
+        return np.concatenate(model.branch_pdf(theta, x))
+    return model.pdf(theta, x)
+
+
+def test_even_in_theta_matches_the_statistics():
+    # even_in_theta holds exactly when every outcome probability (density) is
+    # the same at theta and -theta; only then is theta = 0 a stationary point
+    verdicts = {}
+    for model in _evenness_models():
+        agree = True
+        for theta in (0.7e-6, 1.9e-6):
+            plus, minus = _outcome_statistics(model, theta), _outcome_statistics(model, -theta)
+            agree &= np.allclose(plus, minus, rtol=1e-9, atol=1e-12 * np.max(np.abs(plus)))
+        assert model.even_in_theta == agree, model
+        flagged = any("stationary point" in f for f in model.regime_flags(0.0))
+        assert flagged == (agree and hasattr(model, "pol")), model
+        verdicts.setdefault(type(model).__name__, set()).add(agree)
+    # every class but the conditioned (always diagonal) one shows both verdicts
+    assert verdicts.pop("ConditionedPolarizationModel") == {True}
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
