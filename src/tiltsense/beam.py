@@ -40,6 +40,12 @@ class BeamParams:
             raise ValueError(f"waist must be positive and finite, got {self.w0}")
         if not math.isfinite(self.xi):
             raise ValueError(f"beam displacement must be finite, got {self.xi}")
+        # widths, densities and Fisher information divide by z_R; w0 ** 2 in
+        # rayleigh_range raises OverflowError from w0 = 1.3e154 m on
+        if not (self.w0 < 1e154 and 0.0 < self.rayleigh_range < math.inf):
+            raise ValueError(
+                f"Rayleigh range k w0^2/2 must be positive and finite, got k={self.k!r}, w0={self.w0!r}"
+            )
 
     @classmethod
     def from_wavelength(cls, wavelength: float, w0: float, xi: float = 0.0) -> "BeamParams":

@@ -112,10 +112,12 @@ def _run_block_rows(config, run_index, block, nu, threads):
 
     def job(point):
         point_index, theta, z = point
-        return _fisher_point(
-            run_index, point_index, block.scheme, config, float(theta),
-            None if z is None else float(z), block.split, nu,
-        )
+        theta, z = float(theta), None if z is None else float(z)
+        try:
+            return _fisher_point(run_index, point_index, block.scheme, config, theta, z, block.split, nu)
+        except (OracleError, ConvergenceError) as exc:
+            at = f"theta={theta!r} rad" + ("" if z is None else f", z={z!r} m")
+            raise type(exc)(f"run[{run_index}] row {point_index} ({block.scheme}, {at}): {exc}") from exc
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -130,23 +130,22 @@ def _parse_beam(section, where="beam") -> BeamParams:
             raise ConfigError(f"{where}.wavelength: must be positive, got {wavelength}")
     else:
         raise ConfigError(f"{where}: needs wavelength or k")
+    if not 0.0 < 2.0 * math.pi / wavelength < math.inf:
+        source = "k" if "k" in section else "wavelength"
+        raise ConfigError(f"{where}.{source}: gives no finite wavenumber and wavelength")
     xi = parse_quantity(section.get("xi", 0.0), where=f"{where}.xi")
     if "w0" in section and "z_R" in section:
         raise ConfigError(f"{where}: give w0 or z_R, not both")
+    if "w0" not in section and "z_R" not in section:
+        raise ConfigError(f"{where}: needs w0 or z_R")
+    field = "z_R" if "z_R" in section else "w0"
+    size = parse_quantity(section[field], where=f"{where}.{field}")
     try:
-        if "z_R" in section:
-            z_r = parse_quantity(section["z_R"], where=f"{where}.z_R")
-            beam = BeamParams.from_rayleigh_range(z_r, wavelength, xi)
-        elif "w0" in section:
-            w0 = parse_quantity(section["w0"], where=f"{where}.w0")
-            beam = BeamParams.from_wavelength(wavelength, w0, xi)
-        else:
-            raise ConfigError(f"{where}: needs w0 or z_R")
-    except ConfigError:
-        raise
+        if field == "z_R":
+            return BeamParams.from_rayleigh_range(size, wavelength, xi)
+        return BeamParams.from_wavelength(wavelength, size, xi)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
-    return beam
+        raise ConfigError(f"{where}.{field}: {exc}")
 
 
 def _parse_polarization(section, where="polarization") -> PolarizationState:
@@ -267,7 +266,8 @@ def _parse_montecarlo(section, wavelength) -> MonteCarloBlock:
             f"{where}.{source}: {nu} photons per trial exceed the limit of {NU_LIMIT} "
             "(one sample array of them would not fit in memory)"
         )
-    trials = parse_integer(section.get("trials", 200), where=f"{where}.trials")
+    # an empirical variance needs two estimates
+    trials = parse_integer(section.get("trials", 200), where=f"{where}.trials", low=2)
     seed = parse_integer(section.get("seed", 0), where=f"{where}.seed", low=0, high=SEED_LIMIT)
     interval = None
     if "interval" in section:

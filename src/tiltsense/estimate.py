@@ -16,7 +16,7 @@ import numpy as np
 
 from .fisher import analytic_fisher, cramer_rao_bound
 
-GRID_POINTS = 21  # coarse log-likelihood scan that brackets the maximum
+END_INSET = 1e-3  # the end scores are read this fraction of the interval inside its ends
 SCORE_TOL = 1e-12  # rad; the score root is refined until a step is this small
 # a cap well above what bisection needs to narrow any practical bracket to SCORE_TOL
 MAX_SCORE_STEPS = 200
@@ -57,7 +57,7 @@ def log_likelihood(model, outcomes, theta: float) -> float:
 @dataclass(frozen=True)
 class MleResult:
     theta_hat: float
-    at_boundary: bool  # the likelihood peaked at an end of the search interval
+    at_boundary: bool  # the likelihood peaked at an interval end, or within END_INSET of it
     one_port: bool  # all outcomes of a two-outcome scheme fell in one port
 
     @property
@@ -67,56 +67,52 @@ class MleResult:
 
 
 def mle(model, outcomes, search_interval: tuple[float, float]) -> MleResult:
-    """Maximum-likelihood tilt estimate over a bracketing interval.
+    """Maximum-likelihood tilt estimate over a bracketing interval, from scores only.
 
-    The outcomes are reduced once to the model's statistic.  A coarse grid
-    scan of the log-likelihood brackets the maximum between the neighbours
-    of the best node, where the root of the analytic score is refined to
-    ``SCORE_TOL`` (see ``_score_root``).  A maximum at an end of the grid, or a
-    two-outcome trial with all outcomes in one port (P+ or P- at 0, where
-    the Cramer-Rao bound does not apply), is flagged non-interior; such
-    trials are excluded from saturation statistics.
+    The outcomes are reduced once to the model's statistic.  The end scores are
+    one-sided limits read ``END_INSET`` of the width inside each end (at an even
+    interval's theta = 0 end the joint score is exactly 0).  A score <= 0 at the
+    low end or >= 0 at the high end puts the maximum at that end or within the
+    inset of it: the trial returns that end, flagged ``at_boundary``.  Otherwise
+    the end scores bracket the root, refined by ``_score_root``.  A two-outcome
+    trial with all outcomes in one port (P+ or P- at 0, where the Cramer-Rao
+    bound does not apply) is flagged ``one_port``.  Flagged trials are left out
+    of the saturation statistics.
     """
     lo, hi = search_interval
     if not lo < hi:
         raise ValueError("search interval must have positive width")
     stat = model.statistic(outcomes)
     one_port = model.one_port(stat)
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    values = [model.log_likelihood(stat, float(t)) for t in grid]
-    best = int(np.argmax(values))
-    if best == 0 or best == GRID_POINTS - 1:
-        return MleResult(float(grid[best]), at_boundary=True, one_port=one_port)
-    window = slice(best - 1, best + 2)
-    theta_hat = _score_root(lambda t: model.score(stat, t), grid[window], values[window], SCORE_TOL)
+    low, high = lo + END_INSET * (hi - lo), hi - END_INSET * (hi - lo)
+    s_low = model.score(stat, low)
+    if s_low <= 0.0:
+        return MleResult(float(lo), at_boundary=True, one_port=one_port)
+    s_high = model.score(stat, high)
+    if s_high >= 0.0:
+        return MleResult(float(hi), at_boundary=True, one_port=one_port)
+    theta_hat = _score_root(lambda t: model.score(stat, t), (low, s_low), (high, s_high), SCORE_TOL)
     return MleResult(theta_hat, at_boundary=False, one_port=one_port)
 
 
-def _score_root(score, nodes, values, tol: float) -> float:
-    """Root of the score between the outer two of three grid nodes.
+def _score_root(score, low, high, tol: float) -> float:
+    """Root of the score between (theta, score) ends with scores > 0 and < 0.
 
-    The middle node holds the largest log-likelihood, so the maximum lies in
-    [a, b].  The first iterate is the vertex of the parabola through the
-    three values, and its curvature is the first slope; each later step is a
-    secant through the last two iterates.  Every score sign moves one end of
-    the bracket.  A step that leaves the bracket, or that is not under half
-    the step before the last one (the bracket is then shrinking too slowly),
-    becomes a bisection.  Stops once a step is at most ``tol``.
+    The first iterate is the false-position point of the ends; each later step
+    is a secant through the last two points, the first through ``high``.  Every
+    score sign moves one end of the bracket.  A step that leaves the bracket,
+    or that is not under half the step before the last one (the bracket is then
+    shrinking too slowly), becomes a bisection.  Stops once a step is <= ``tol``.
     """
-    a, middle, b = (float(v) for v in nodes)
-    v_a, v_m, v_b = values
-    h = 0.5 * (b - a)
-    bend = v_a - 2.0 * v_m + v_b
-    x, slope = middle, math.nan
-    if bend < 0.0:
-        x = middle + 0.5 * h * (v_a - v_b) / bend
-        slope = bend / (h * h)
+    (a, s_a), (b, s_b) = low, high
+    x = a - s_a * (b - a) / (s_b - s_a)
+    if not a < x < b:  # rounding, where one end score dwarfs the other
+        x = 0.5 * (a + b)
+    previous = high
     steps = [math.inf, math.inf]
-    previous = None
     for _ in range(MAX_SCORE_STEPS):
         s = score(x)
-        if previous is not None:
-            slope = (s - previous[1]) / (x - previous[0])
+        slope = (s - previous[1]) / (x - previous[0])
         if s > 0.0:
             a = x
         elif s < 0.0:

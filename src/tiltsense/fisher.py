@@ -9,6 +9,7 @@ form here has an independent finite-difference counterpart in
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -21,6 +22,9 @@ from .schemes import COSH_CUTOFF, PositionPolarizationModel, interference_coeffi
 # below this, the polarization Fisher denominator is treated as the degenerate
 # maximal-visibility working point and the analytic theta->0 limit is returned
 DEGENERATE_DEN = 1e-14
+
+# largest x with a finite e^x
+EXP_LIMIT = math.log(sys.float_info.max)
 
 # relative tolerance of the joint decomposition's quadrature
 DECOMPOSITION_RTOL = 1e-10
@@ -105,12 +109,16 @@ def fisher_sagnac_polarization(beam: BeamParams, pol: PolarizationState, theta: 
         return 0.0
     phi = pol.coherence_phase
     b_coeff = 2.0 * (beam.k * beam.w0) ** 2
+    dephasing = 2.0 * b_coeff * theta * theta
+    if dephasing > EXP_LIMIT:
+        # e^{2B th^2} is past the float range; the numerator grows only as B^2 th^2
+        return 0.0
     ph = 4.0 * beam.k * beam.xi * theta - phi
     c = math.cos(ph)
     s = math.sin(ph)
     num = 16.0 * d * d * (b_coeff * theta * c + 2.0 * beam.k * beam.xi * s) ** 2
     # e^{2B th^2} - 4 d^2 c^2 rewritten with only non-cancelling terms
-    den = math.expm1(2.0 * b_coeff * theta * theta) + (1.0 - 4.0 * d * d) + 4.0 * d * d * s * s
+    den = math.expm1(dephasing) + (1.0 - 4.0 * d * d) + 4.0 * d * d * s * s
     if den <= 0.0 or (abs(theta) < 1e-12 and den < DEGENERATE_DEN):
         return 16.0 * beam.k ** 2 * (beam.variance(0.0) + beam.xi ** 2)
     return num / den

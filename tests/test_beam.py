@@ -16,6 +16,10 @@ def test_validation():
         BeamParams(k=1e7, w0=0.0)
     with pytest.raises(ValueError):
         BeamParams(k=1e7, w0=1e-3, xi=math.nan)
+    # z_R = k w0^2 / 2 underflows to 0, overflows, or w0 ** 2 itself overflows
+    for k, w0 in ((1e7, 1e-300), (1e7, 1e200), (1e-200, 1e160)):
+        with pytest.raises(ValueError, match="Rayleigh range"):
+            BeamParams(k=k, w0=w0)
 
 
 def test_wavelength_roundtrip(beam):

@@ -443,3 +443,51 @@ def test_montecarlo_all_outcomes_in_one_port_exits_4(tmp_path, capsys):
     assert "run[0] (polarization): all outcomes fell in one port in 10/10 trials" in err
     row = read_rows(out / "montecarlo.csv")[0]
     assert (row["used_trials"], row["non_interior"]) == ("0", "10")
+
+
+def test_montecarlo_single_trial_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, MC_CONFIG.replace("trials: 60", "trials: 1"))
+    for command in (["validate-config"], ["montecarlo", "--out", str(tmp_path / "m")]):
+        assert main([*command, "--config", cfg]) == 2
+        assert "montecarlo.trials: must be in [2, inf), got 1" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_vanishing_rayleigh_range_exits_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1e-300m, xi: 1mm}\n"
+        "run: {scheme: joint, theta: 1urad, z: 1z_R}\n",
+    )
+    for command in (["validate-config"], ["sweep", "--out", str(tmp_path / "s")]):
+        assert main([*command, "--config", cfg]) == 2
+        assert "beam.w0: Rayleigh range" in capsys.readouterr().err
+
+
+def test_overflowing_polarization_dephasing_gives_a_clean_row(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 1e-30m, w0: 1mm, xi: 1mm}\n"
+        "run: {scheme: polarization, theta: 1urad}\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    row = read_rows(tmp_path / "s" / "sweep.csv")[0]
+    assert float(row["analytic_fisher"]) == 0.0
+    assert float(row["oracle_fisher"]) == 0.0
+    assert math.isinf(float(row["cr_delta_theta_rad"]))
+
+
+def test_numerical_failure_names_the_row(tmp_path, capsys):
+    # 1 km beam offset: the oracle's density derivative cannot converge at
+    # 1 urad, while the theta = 0 row converges
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm, xi: 1e3m}\n"
+        "run:\n"
+        "  - {scheme: position, theta: 1urad, z: 1z_R}\n"
+        "  - {scheme: joint, theta: [0, 1urad], z: 1z_R}\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: run[1] row 1 (joint, theta=1e-06 rad, z=" in err
+    assert "m): density derivative not converged" in err

@@ -245,3 +245,28 @@ def test_integer_quantity_beyond_float_range_names_the_field():
     # past 4300 digits the YAML loader itself refuses the integer (Python >= 3.10.7)
     with pytest.raises(ConfigError, match=r"4300 digits|run\[0\]\.theta: must be finite"):
         parse_config_text(BASE.replace("theta: 0.0", "theta: 1" + "0" * 5000, 1))
+
+
+def test_montecarlo_needs_two_trials():
+    # an empirical variance needs two estimates
+    for trials in (0, 1):
+        with pytest.raises(ConfigError, match=rf"montecarlo\.trials: must be in \[2, inf\), got {trials}"):
+            parse_config_text(BASE + f"montecarlo: {{theta: 1urad, nu: 100, trials: {trials}}}\n")
+    config = parse_config_text(BASE + "montecarlo: {theta: 1urad, nu: 100, trials: 2}\n")
+    assert config.montecarlo.trials == 2
+
+
+@pytest.mark.parametrize(
+    "size, field",
+    [("w0: 1e-300m", "w0"), ("w0: 1e200m", "w0"), ("w0: 1e160m", "w0")],
+)
+def test_rayleigh_range_must_be_positive_and_finite(size, field):
+    # k w0^2 / 2 underflows to 0 or overflows; every width divides by it
+    with pytest.raises(ConfigError, match=rf"beam\.{field}: Rayleigh range k w0\^2/2 must be positive and finite"):
+        parse_config_text(f"beam: {{wavelength: 633nm, {size}}}\n")
+
+
+@pytest.mark.parametrize("source", ["wavelength: 1e-320m", "k: 1e-320"])
+def test_wavelength_without_a_finite_wavenumber_names_the_field(source):
+    with pytest.raises(ConfigError, match=rf"beam\.{source.split(':')[0]}: gives no finite wavenumber"):
+        parse_config_text(f"beam: {{{source}, w0: 1mm}}\n")

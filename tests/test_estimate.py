@@ -20,7 +20,7 @@ from tiltsense import (
     sample_outcomes,
     trial_rng,
 )
-from tiltsense.estimate import _score_root, default_search_interval, run_trial
+from tiltsense.estimate import END_INSET, MleResult, _score_root, default_search_interval, run_trial
 from tiltsense.schemes import LOG_FLOOR
 
 
@@ -194,12 +194,64 @@ def test_mle_beats_a_dense_grid(beam, name):
         assert lo <= result.theta_hat <= hi
 
 
+@pytest.mark.parametrize("name", MODEL_CASES)
+def test_mle_uses_only_a_few_score_evaluations(beam, name, monkeypatch):
+    calls = {"score": 0, "log_likelihood": 0}
+    model_class = type(MODEL_CASES[name](beam)[0])
+    for method in calls:
+        original = getattr(model_class, method)
+
+        def counted(self, stat, theta, _original=original, _method=method):
+            calls[_method] += 1
+            return _original(self, stat, theta)
+
+        monkeypatch.setattr(model_class, method, counted)
+    for index in range(3):
+        model, _, outcomes, interval = _case(beam, name, index=index)
+        calls["score"] = 0
+        mle(model, outcomes, interval)
+        assert calls["log_likelihood"] == 0
+        assert 1 <= calls["score"] <= 12
+
+
+def test_maximum_within_the_end_inset_is_at_the_boundary(beam):
+    # the position score is linear, with its root at (mean(x) - xi)/(2z): put
+    # that root half an inset inside each end in turn
+    z = beam.rayleigh_range
+    model = PositionModel(beam, z)
+    xs = sample_outcomes(model, 1e-6, 5000, trial_rng(21, 0))
+    root = (xs.mean() - beam.xi) / (2.0 * z)
+    width = 4e-6
+    offset = 0.5 * END_INSET * width
+    lo, hi = root - offset, root + offset
+    assert mle(model, xs, (lo, lo + width)) == MleResult(lo, at_boundary=True, one_port=False)
+    assert mle(model, xs, (hi - width, hi)) == MleResult(hi, at_boundary=True, one_port=False)
+    # three half-insets inside the end, the root is interior
+    result = mle(model, xs, (root - 3 * offset, root - 3 * offset + width))
+    assert result.interior
+    assert result.theta_hat == pytest.approx(root, abs=1e-11)
+
+
 def test_score_root_bisects_where_secant_steps_stall():
     # a score that is flat far from its root: secant slopes vanish there, so
     # only the bisection safeguard can reach the root
     root = 0.123456789
-    result = _score_root(lambda t: math.tanh(1e4 * (root - t)), [0.0, 0.5, 1.0], [0.0, 1.0, 0.5], 1e-12)
+
+    def score(t):
+        return math.tanh(1e4 * (root - t))
+
+    result = _score_root(score, (0.0, score(0.0)), (1.0, score(1.0)), 1e-12)
     assert result == pytest.approx(root, abs=1e-12)
+
+
+def test_score_root_starts_inside_the_bracket_when_an_end_score_is_negligible():
+    # the false-position point of ends scored 1 and -1e-30 rounds onto the
+    # high end, where a secant through the two would divide by zero
+    def score(t):
+        return 1.0 - t if t < 1.0 else -1e-30
+
+    result = _score_root(score, (0.0, 1.0), (1.0, -1e-30), 1e-12)
+    assert result == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mle_flags_all_outcomes_in_one_port(beam):

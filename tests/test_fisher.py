@@ -217,6 +217,16 @@ def test_polarization_fisher_biased_phase_nonzero_at_origin(beam):
     assert fisher_sagnac_polarization(beam, pol, 0.0) == pytest.approx(expected, rel=1e-10)
 
 
+def test_polarization_fisher_vanishes_where_the_dephasing_overflows():
+    # at a 1e-30 m wavelength 2 B theta^2 ~ 8e43 at 1 urad: e^{2 B theta^2}
+    # is past the float range while the numerator is finite
+    beam = BeamParams.from_wavelength(1e-30, WAIST, WAIST)
+    pol = PolarizationState.diagonal()
+    assert fisher_sagnac_polarization(beam, pol, 1e-6) == 0.0
+    assert fisher_sagnac_polarization(beam, pol, -1e-6) == 0.0
+    assert fisher_sagnac_polarization(beam, pol, 0.0) > 0.0
+
+
 def test_polarization_fisher_continuous_at_degenerate_point(beam):
     plus = PolarizationState.diagonal()
     limit = fisher_sagnac_polarization(beam, plus, 0.0)

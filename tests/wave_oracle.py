@@ -14,13 +14,15 @@ interference formulas in tiltsense.schemes.
 
 import numpy as np
 
+from conftest import leggauss
+
 QSPAN_AMPLITUDE_SIGMAS = 14.0
 
 
 def branch_wavefunction(beam, theta, z, x, sign, nodes=4000):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     q_max = QSPAN_AMPLITUDE_SIGMAS * np.sqrt(2.0) / beam.w0
-    qs, wts = np.polynomial.legendre.leggauss(nodes)
+    qs, wts = leggauss(nodes)
     qs = qs * q_max
     wts = wts * q_max
     psi_q = (beam.w0 ** 2 / (2.0 * np.pi)) ** 0.25 * np.exp(-((qs * beam.w0) ** 2) / 4.0)
