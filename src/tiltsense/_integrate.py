@@ -34,6 +34,11 @@ def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
         x = (centers[..., None] + half[..., None] * _NODES).ravel()
         weights = np.broadcast_to(half[..., None] * _WEIGHTS, centers.shape + (ORDER,))
         total = np.sum(f(x) * weights.ravel(), axis=-1)
+        if not np.all(np.isfinite(total)):
+            raise ConvergenceError(
+                f"quadrature did not converge on [{lo:.6e}, {hi:.6e}]: the integrand is not "
+                f"finite there (sum {total})"
+            )
         if previous is not None:
             gap = np.abs(total - previous)
             if np.all(gap <= np.maximum(atol, rtol * np.abs(total))):

@@ -46,6 +46,10 @@ class BeamParams:
             raise ValueError(
                 f"Rayleigh range k w0^2/2 must be positive and finite, got k={self.k!r}, w0={self.w0!r}"
             )
+        # the polarization dephasing 2 (k w0)^2 theta^2 squares k w0, which
+        # raises OverflowError from k w0 = 1.3e154 on
+        if not self.k * self.w0 < 1e154:
+            raise ValueError(f"k w0 must be below 1e154, got k={self.k!r}, w0={self.w0!r}")
 
     @classmethod
     def from_wavelength(cls, wavelength: float, w0: float, xi: float = 0.0) -> "BeamParams":

@@ -264,7 +264,10 @@ def _write_figure(args, config, command, panels) -> int:
     out = Path(args.out)
     outputs = []
     for name, title, xlabel, ylabel, header, x, columns, labels in panels:
-        write_csv(out / f"{name}.csv", header, list(zip(x, *columns)))
+        write_csv(
+            out / f"{name}.csv", header,
+            list(zip(x.tolist(), *(column.tolist() for column in columns))),
+        )
         chart = LineChart(title, xlabel, ylabel)
         for column, label in zip(columns, labels):
             chart.add(x, column, label=label)
@@ -296,7 +299,7 @@ def cmd_figure3(args) -> int:
     beam_b = beams[1]
     z = np.linspace(0.0, 10.0 * zr, 501)
     columns_b = [
-        np.array([fisher_conditioned(beam_b, zz, xx, 0.0) for zz in z]) / beam_b.k ** 2
+        fisher_conditioned(beam_b, z, np.full_like(z, xx), 0.0) / beam_b.k ** 2
         for xx in (0.0, 1e-3, 1.5e-3)
     ]
     return _write_figure(args, config, "figure3", [

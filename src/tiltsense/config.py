@@ -224,6 +224,12 @@ def _parse_run(block, beam, index) -> RunBlock:
         z = parse_grid(block["z"], rayleigh=beam.rayleigh_range, where=f"{where}.z")
         if np.any(z < 0.0):
             raise ConfigError(f"{where}.z: detector positions must be >= 0")
+        # widths square z/z_R, which raises OverflowError from 1.3e154 on
+        if np.any(z >= 1e154 * beam.rayleigh_range):
+            raise ConfigError(
+                f"{where}.z: z/z_R must be below 1e154, got z={float(z.max())!r} m "
+                f"with z_R={beam.rayleigh_range!r} m"
+            )
     elif "z" in block:
         raise ConfigError(f"{where}.z: scheme 'polarization' is independent of z")
     split = None

@@ -20,6 +20,11 @@ def test_validation():
     for k, w0 in ((1e7, 1e-300), (1e7, 1e200), (1e-200, 1e160)):
         with pytest.raises(ValueError, match="Rayleigh range"):
             BeamParams(k=k, w0=w0)
+    # (k w0)^2 overflows while z_R stays finite
+    for k, w0 in ((6.3e200, 1e-3), (1e7, 1e150)):
+        with pytest.raises(ValueError, match="k w0 must be below 1e154"):
+            BeamParams(k=k, w0=w0)
+    assert BeamParams(k=1e7, w0=1e146).rayleigh_range == pytest.approx(5e298)
 
 
 def test_wavelength_roundtrip(beam):

@@ -464,6 +464,32 @@ def test_vanishing_rayleigh_range_exits_2(tmp_path, capsys):
         assert "beam.w0: Rayleigh range" in capsys.readouterr().err
 
 
+def test_overflowing_k_w0_exits_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 1e-200m, w0: 1mm}\n"
+        "run: {scheme: polarization, theta: 1urad}\n",
+    )
+    for command in (["validate-config"], ["sweep", "--out", str(tmp_path / "s")]):
+        assert main([*command, "--config", cfg]) == 2
+        assert "beam.w0: k w0 must be below 1e154" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "beam, scheme",
+    [("z_R: 1e-300m", "joint"), ("w0: 1e-160m", "position")],
+)
+def test_z_far_past_the_rayleigh_range_exits_2(tmp_path, capsys, beam, scheme):
+    cfg = write_config(
+        tmp_path,
+        f"beam: {{wavelength: 633nm, {beam}}}\n"
+        f"run: {{scheme: {scheme}, theta: 1urad, z: 1m}}\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    assert "run[0].z: z/z_R must be below 1e154" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_overflowing_polarization_dephasing_gives_a_clean_row(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -266,6 +266,22 @@ def test_rayleigh_range_must_be_positive_and_finite(size, field):
         parse_config_text(f"beam: {{wavelength: 633nm, {size}}}\n")
 
 
+def test_overflowing_k_w0_names_the_field():
+    # z_R is finite, but the polarization dephasing squares k w0 = 6.3e197
+    with pytest.raises(ConfigError, match=r"beam\.w0: k w0 must be below 1e154"):
+        parse_config_text("beam: {wavelength: 1e-200m, w0: 1mm}\n")
+
+
+@pytest.mark.parametrize("size", ["z_R: 1e-300m", "w0: 1e-160m"])
+def test_z_far_past_the_rayleigh_range_names_the_field(size):
+    # widths square z/z_R; at w0 = 1e-160 m, z_R is subnormal and z/z_R overflows
+    text = f"beam: {{wavelength: 633nm, {size}}}\nrun: {{scheme: position, theta: 1urad, z: [0, 1m]}}\n"
+    with pytest.raises(ConfigError, match=r"run\[0\]\.z: z/z_R must be below 1e154, got z=1\.0 m"):
+        parse_config_text(text)
+    config = parse_config_text(text.replace("[0, 1m]", "[0, 1e-170m]"))
+    assert config.runs[0].z.tolist() == [0.0, 1e-170]
+
+
 @pytest.mark.parametrize("source", ["wavelength: 1e-320m", "k: 1e-320"])
 def test_wavelength_without_a_finite_wavenumber_names_the_field(source):
     with pytest.raises(ConfigError, match=rf"beam\.{source.split(':')[0]}: gives no finite wavenumber"):

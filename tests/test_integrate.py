@@ -49,6 +49,19 @@ def test_unresolvable_integrands_raise(integrand):
         integrate_interval(integrand, 0.0, 1.0, rtol=1e-11)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_integrand_is_named_on_the_first_pass(bad):
+    calls = []
+
+    def integrand(x):
+        calls.append(x.size)
+        return np.where(x < 0.5, 1.0, bad)
+
+    with pytest.raises(ConvergenceError, match=rf"the integrand is not finite there \(sum {bad}\)"):
+        integrate_interval(integrand, 0.0, 1.0)
+    assert len(calls) == 1
+
+
 def test_oracle_keeps_nan_densities_in_the_integral():
     class NanDensity:
         def pdf(self, theta, x):

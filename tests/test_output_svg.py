@@ -1,4 +1,8 @@
+import csv
+import io
 import json
+import math
+import re
 import xml.dom.minidom
 
 import numpy as np
@@ -83,3 +87,83 @@ def test_linechart_handles_flat_curve(tmp_path):
     text = chart.to_svg()
     xml.dom.minidom.parseString(text)
     assert "<polyline" in text
+
+
+def _reference_csv(header, rows):
+    # the row-by-row writer that write_csv's all-float fast path must match
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_value(v) for v in row])
+    return buffer.getvalue().encode("utf-8")
+
+
+def test_write_csv_matches_the_row_by_row_writer(tmp_path):
+    header = ("a", "b", "c")
+    rows = [
+        (1, True, 'say "x, y"'),
+        (0.1, np.float64(0.2), -0.0),
+        [math.nan, math.inf, -math.inf],
+        (np.float64(1e-320), 5e-324, 1.7976931348623157e308),
+        (3, 2.5, False),
+        (np.int64(7), np.nan, "plain"),
+        (2.0, 3.0, 4.0),
+        (),
+        (1.0,),
+    ]
+    path = tmp_path / "mixed.csv"
+    write_csv(path, header, rows)
+    assert path.read_bytes() == _reference_csv(header, rows)
+
+    x = np.linspace(-1.0, 1.0, 101)
+    floats = list(zip(x.tolist(), np.sin(x).tolist(), (x / 3.0).tolist()))
+    write_csv(path, header, floats)
+    assert path.read_bytes() == _reference_csv(header, floats)
+
+
+def _reference_points(chart):
+    # per-point polylines, the loop that LineChart.to_svg's array code replaces
+    plot_w = chart.width - 86 - 24
+    plot_h = chart.height - 40 - 58
+    xs = [float(v) for c in chart.curves for v in c.x if math.isfinite(v)]
+    ys = [float(v) for c in chart.curves for v in c.y if math.isfinite(v)]
+    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
+    y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
+    if x_hi == x_lo:
+        x_hi = x_lo + (abs(x_lo) or 1.0)
+    if y_hi == y_lo:
+        pad = abs(y_lo) or 1.0
+        y_lo, y_hi = y_lo - 0.05 * pad, y_hi + 0.05 * pad
+    else:
+        pad = 0.04 * (y_hi - y_lo)
+        y_lo, y_hi = y_lo - pad, y_hi + pad
+    return [
+        " ".join(
+            f"{86 + (float(x) - x_lo) / (x_hi - x_lo) * plot_w:.2f},"
+            f"{40 + plot_h - (float(y) - y_lo) / (y_hi - y_lo) * plot_h:.2f}"
+            for x, y in zip(c.x, c.y)
+            if math.isfinite(x) and math.isfinite(y)
+        )
+        for c in chart.curves
+    ]
+
+
+def test_linechart_points_match_the_per_point_reference():
+    x = [0.0, 0.5, math.nan, 1.5, 2.0, math.inf, 3.0]
+    y = [1.0, -math.inf, 2.0, math.nan, -0.5, 0.25, 1e-3]
+    from_lists = LineChart("t", "x", "y").add(x, y).add(x[:4], [-0.0, 0.0, 4.0, 5.0])
+    from_arrays = LineChart("t", "x", "y").add(np.array(x), np.array(y))
+    from_arrays.add(np.array(x[:4]), np.array([-0.0, 0.0, 4.0, 5.0]))
+    text = from_lists.to_svg()
+    assert text == from_arrays.to_svg()
+    points = re.findall(r'<polyline points="([^"]*)"', text)
+    assert points == _reference_points(from_lists)
+    assert len(points[0].split()) == 3
+
+    flat = LineChart("flat", "x", "y").add([2.0, 2.0], [math.nan, math.nan])
+    assert re.findall(r'<polyline points="([^"]*)"', flat.to_svg()) == [""]
+
+    x = np.linspace(-3e-3, 3e-3, 601)
+    chart = LineChart("t", "x", "y").add(x, np.exp(-x * x / 1e-6)).add(x, np.where(x < 0, np.nan, x))
+    assert re.findall(r'<polyline points="([^"]*)"', chart.to_svg()) == _reference_points(chart)
