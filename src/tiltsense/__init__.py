@@ -8,7 +8,7 @@ bounds, and verifies Cramer-Rao saturation by Monte Carlo maximum-likelihood
 estimation.
 """
 
-from .beam import BeamParams, field_amplitude, intensity_profile, waist_momentum_amplitude
+from .beam import BeamParams, intensity_profile
 from .estimate import (
     MleResult,
     SaturationReport,
@@ -19,14 +19,13 @@ from .estimate import (
     trial_rng,
 )
 from .fisher import (
-    FisherDecomposition,
     analytic_fisher,
     cramer_rao_bound,
     fisher_conditioned,
     fisher_position,
     fisher_quadrant,
     fisher_sagnac_polarization,
-    fisher_total_decomposition,
+    interference_coefficients,
     qfi_beam_deflection,
     qfi_for_model,
     qfi_mach_zehnder,
@@ -36,12 +35,13 @@ from .oracle import OracleError, numeric_fisher_oracle
 from .polarization import PolarizationState
 from .schemes import (
     ConditionedPolarizationModel,
+    FisherDecomposition,
     PolarizationModel,
     PositionModel,
     PositionPolarizationModel,
     QuadrantModel,
     conditioned_polarization_probabilities,
-    interference_coefficients,
+    fisher_total_decomposition,
     quadrant_probabilities,
     sagnac_joint_density,
     sagnac_polarization_probabilities,
@@ -65,7 +65,6 @@ __all__ = [
     "analytic_fisher",
     "cramer_rao_bound",
     "conditioned_polarization_probabilities",
-    "field_amplitude",
     "fisher_conditioned",
     "fisher_position",
     "fisher_quadrant",
@@ -87,6 +86,5 @@ __all__ = [
     "sample_outcomes",
     "small_angle_flags",
     "trial_rng",
-    "waist_momentum_amplitude",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Gaussian beam geometry and field amplitudes.
+"""Gaussian beam geometry and detection density.
 
 The beam propagates along z, reflects off a tilting surface at z = 0 and is
 observed in one transverse dimension x.  A surface tilt of ``theta`` deflects
@@ -75,21 +75,6 @@ class BeamParams:
         zr = self.rayleigh_range
         return self.w0 * np.sqrt(1.0 + (z / zr) ** 2)
 
-    def gouy(self, z):
-        """Propagation phase arctan(z/z_R), in [0, pi/2) for z >= 0."""
-        return np.arctan2(z, self.rayleigh_range)
-
-    def curvature_radius(self, z: float) -> float:
-        """Wavefront radius of curvature z*(1 + z_R^2/z^2); infinite at the waist."""
-        if z == 0.0:
-            return math.inf
-        return z * (1.0 + (self.rayleigh_range / z) ** 2)
-
-    def inverse_curvature(self, z):
-        """1/R(z) = z/(z^2 + z_R^2), finite for every z."""
-        zr = self.rayleigh_range
-        return z / (z * z + zr * zr)
-
     def variance(self, z=0.0):
         """Transverse variance of the intensity profile, w(z)^2/4."""
         w = self.width(z)
@@ -111,29 +96,3 @@ def intensity_profile(beam: BeamParams, theta: float, z: float, x):
     u = np.asarray(x, dtype=float) - (beam.xi + 2.0 * theta * z)
     return amp * np.exp(-2.0 * u * u / w2)
 
-
-def field_amplitude(beam: BeamParams, z: float, x):
-    """Complex transverse field of the undeflected beam at plane z.
-
-    Gaussian envelope around the beam center plus the wavefront-curvature and
-    Gouy phases.  The squared modulus equals ``intensity_profile`` at
-    theta = 0; the curvature phase is written against the optical axis, so it
-    is meaningful up to a global phase for a displaced beam.
-    """
-    x = np.asarray(x, dtype=float)
-    w = beam.width(z)
-    envelope = (2.0 / (math.pi * w * w)) ** 0.25 * np.exp(-((x - beam.xi) ** 2) / (w * w))
-    phase = -0.5 * beam.k * x * x * beam.inverse_curvature(z) + beam.gouy(z)
-    return envelope * np.exp(1j * phase)
-
-
-def waist_momentum_amplitude(beam: BeamParams, q):
-    """Momentum-space amplitude of the waist mode, centered at q = 0.
-
-    Normalized so that the squared modulus integrates to 1 over q.  A beam
-    displaced to x = xi carries the extra factor exp(-i q xi), applied by the
-    caller.
-    """
-    q = np.asarray(q, dtype=float)
-    c = (beam.w0 ** 2 / (2.0 * math.pi)) ** 0.25
-    return c * np.exp(-(q * beam.w0) ** 2 / 4.0)

@@ -261,6 +261,14 @@ def _write_figure(args, config, command, panels) -> int:
 
     A panel is (name, title, x label, y label, header, x, columns, curve labels).
     """
+    for name, *_, columns, _ in panels:
+        if not all(np.isfinite(column).all() for column in columns):
+            beam = _figure_beam(config, 0.0)
+            raise ConfigError(
+                f"beam: the {name} curves are not finite for k={beam.k!r} rad/m, "
+                f"w0={beam.w0!r} m (z_R={beam.rayleigh_range!r} m); the figures span "
+                "10 z_R in z and millimetre offsets in x"
+            )
     out = Path(args.out)
     outputs = []
     for name, title, xlabel, ylabel, header, x, columns, labels in panels:

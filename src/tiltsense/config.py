@@ -321,9 +321,21 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
+    """Read and parse a config file, then refuse a beam whose densities overflow.
+
+    Every command reads its config here; the check follows the parse, so that
+    a run block's own error (its z/z_R, say) is the one reported.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    return parse_config_text(text)
+    config = parse_config_text(text)
+    # the density amplitude sqrt(2/(pi w0^2)) overflows from w0 = 6e-155 m down
+    if not config.beam.w0 > 1e-154:
+        raise ConfigError(
+            f"beam.w0: the waist must be above 1e-154 m, where the density amplitude "
+            f"sqrt(2/(pi w0^2)) overflows, got w0={config.beam.w0!r} m"
+        )
+    return config

@@ -3,21 +3,28 @@
 Closed-form Fisher information for each scheme, the quantum Fisher information
 (QFI) that bounds it, and the Cramer-Rao uncertainty they imply.  Every closed
 form here has an independent finite-difference counterpart in
-:mod:`tiltsense.oracle`.
+:mod:`tiltsense.oracle`.  The joint measurement's total is an integral over
+its own densities, so it lives on its model,
+``PositionPolarizationModel.decomposition``.  This module imports no scheme
+model; :mod:`tiltsense.schemes` imports it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from ._integrate import integrate_interval
 from .beam import BeamParams
 from .polarization import PolarizationState
-from .schemes import COSH_CUTOFF, PositionPolarizationModel, interference_coefficients
+
+# Largest |q| = |b theta| at which the interference ratio cos(p)/cosh(q) is
+# evaluated; beyond it the ratio is taken as exactly 0.  The conditioned Fisher
+# information squares sinh(q), which stays finite only for |q| < ~355, and past
+# 350 the ratio is below 2e-152, so 1 +- ratio already rounds to exactly 1.
+COSH_CUTOFF = 350.0
 
 # below this, the polarization Fisher denominator is treated as the degenerate
 # maximal-visibility working point and the analytic theta->0 limit is returned
@@ -25,9 +32,6 @@ DEGENERATE_DEN = 1e-14
 
 # largest x with a finite e^x
 EXP_LIMIT = math.log(sys.float_info.max)
-
-# relative tolerance of the joint decomposition's quadrature
-DECOMPOSITION_RTOL = 1e-10
 
 
 def qfi_beam_deflection(beam: BeamParams) -> float:
@@ -124,6 +128,26 @@ def fisher_sagnac_polarization(beam: BeamParams, pol: PolarizationState, theta: 
     return num / den
 
 
+def interference_coefficients(beam: BeamParams, z: float, x):
+    """Per-radian rates (a, b) of the conditioned interference signal at x.
+
+    ``a`` multiplies theta inside the cosine (polarization-rotation phase) and
+    ``b`` inside the cosh (which-path damping):
+
+        a = 4 k (z_R^2 x + z^2 xi) / (z^2 + z_R^2),
+        b = 4 k z z_R (x - xi) / (z^2 + z_R^2),
+
+    so that (1/2)[1 pm cos(a theta)/cosh(b theta)] reproduces
+    ``conditioned_polarization_probabilities``.
+    """
+    x = np.asarray(x, dtype=float)
+    zr = beam.rayleigh_range
+    denom = z * z + zr * zr
+    a = 4.0 * beam.k * (zr * zr * x + z * z * beam.xi) / denom
+    b = 4.0 * beam.k * z * zr * (x - beam.xi) / denom
+    return a, b
+
+
 def fisher_conditioned(beam: BeamParams, z: float, x, theta: float):
     """Fisher information of the polarization measurement at a point detector x.
 
@@ -155,43 +179,6 @@ def fisher_conditioned(beam: BeamParams, z: float, x, theta: float):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(val)
     return val
-
-
-class FisherDecomposition(NamedTuple):
-    avg_conditioned: float
-    position_part: float
-    total: float
-
-
-def fisher_total_decomposition(beam: BeamParams, z: float, theta: float) -> FisherDecomposition:
-    """Split the joint measurement information into polarization and spatial parts.
-
-    For the diagonal input state:
-
-        total = integral dx P(x) F_cond(x)  +  integral dx (dP/dtheta)^2 / P,
-
-    with P(x) the position marginal.  In the small-angle regime the first term
-    carries everything (16 k^2 [w0^2/4 + xi^2]) and the second vanishes.
-    """
-    model = PositionPolarizationModel(beam, PolarizationState.diagonal(), z)
-    lo, hi = model.domain(theta)
-
-    def integrand(xx):
-        p = model.total_pdf(theta, xx)
-        dp = model.total_pdf_dtheta(theta, xx)
-        dead = p < 1e-300
-        return np.stack([
-            p * fisher_conditioned(beam, z, xx, theta),
-            np.where(dead, 0.0, dp * dp / np.where(dead, 1.0, p)),
-        ])
-
-    # both parts to DECOMPOSITION_RTOL of the bound on their sum: near theta = 0 the
-    # position part is rounding noise that no panel count resolves relative to itself
-    atol = DECOMPOSITION_RTOL * qfi_sagnac(beam, model.pol)
-    avg, pos = integrate_interval(
-        integrand, lo, hi, model.breakpoints(theta), rtol=DECOMPOSITION_RTOL, atol=atol
-    )
-    return FisherDecomposition(float(avg), float(pos), float(avg + pos))
 
 
 def cramer_rao_bound(fisher: float, nu: int) -> float:

@@ -24,14 +24,19 @@ from typing import ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
+from ._integrate import integrate_interval
 from .beam import BeamParams, intensity_profile
+from .fisher import (
+    COSH_CUTOFF,
+    fisher_conditioned,
+    fisher_position,
+    fisher_quadrant,
+    fisher_sagnac_polarization,
+    interference_coefficients,
+    qfi_beam_deflection,
+    qfi_sagnac,
+)
 from .polarization import NORM_TOL, PolarizationState
-
-# Largest |q| = |b theta| at which the interference ratio cos(p)/cosh(q) is
-# evaluated; beyond it the ratio is taken as exactly 0.  The conditioned Fisher
-# information squares sinh(q), which stays finite only for |q| < ~355, and past
-# 350 the ratio is below 2e-152, so 1 +- ratio already rounds to exactly 1.
-COSH_CUTOFF = 350.0
 
 # beyond these the first-order (small-angle) saturation statements degrade,
 # although the exact formulas remain valid
@@ -160,26 +165,6 @@ def conditioned_polarization_probabilities(beam: BeamParams, theta: float, z: fl
     return 0.5 * (1.0 + ratio), 0.5 * (1.0 - ratio)
 
 
-def interference_coefficients(beam: BeamParams, z: float, x):
-    """Per-radian rates (a, b) of the conditioned interference signal at x.
-
-    ``a`` multiplies theta inside the cosine (polarization-rotation phase) and
-    ``b`` inside the cosh (which-path damping):
-
-        a = 4 k (z_R^2 x + z^2 xi) / (z^2 + z_R^2),
-        b = 4 k z z_R (x - xi) / (z^2 + z_R^2),
-
-    so that (1/2)[1 pm cos(a theta)/cosh(b theta)] reproduces
-    ``conditioned_polarization_probabilities``.
-    """
-    x = np.asarray(x, dtype=float)
-    zr = beam.rayleigh_range
-    denom = z * z + zr * zr
-    a = 4.0 * beam.k * (zr * zr * x + z * z * beam.xi) / denom
-    b = 4.0 * beam.k * z * zr * (x - beam.xi) / denom
-    return a, b
-
-
 # ---------------------------------------------------------------------------
 # Probability models: a scheme bound to beam (+ polarization), exposing its
 # outcome distribution as a function of theta.  Discrete models implement
@@ -187,6 +172,7 @@ def interference_coefficients(beam: BeamParams, z: float, x):
 # domain.  Every model also implements the same estimation protocol:
 #
 #   fisher(theta)                    closed-form Fisher information
+#   decomposition(theta)             (joint model only) its polarization and spatial parts
 #   qfi()                            the matching quantum bound
 #   regime_flags(theta)              warnings for points outside the first-order regime
 #   even_in_theta                    True when only |theta| is identifiable
@@ -197,15 +183,15 @@ def interference_coefficients(beam: BeamParams, z: float, x):
 #   score(stat, theta)               its analytic d/dtheta
 #   one_port(stat)                   True when all outcomes fell in one port of a
 #                                    two-outcome scheme (P+ or P- at 0: not a regular point)
-#
-# The closed forms live in tiltsense.fisher, which imports this module for the
-# joint decomposition, so the methods import them when called.
 # ---------------------------------------------------------------------------
 
 DOMAIN_WIDTHS = 10.0  # integration window, in local beam widths around the centers
 
 LOG_FLOOR = 1e-300  # densities are floored here before taking logarithms
 LOG_FLOOR_LN = math.log(LOG_FLOOR)
+
+# relative tolerance of the joint decomposition's quadrature
+DECOMPOSITION_RTOL = 1e-10
 
 
 def _sample_signs(p_plus, nu: int, rng: np.random.Generator):
@@ -228,7 +214,6 @@ class _DeflectionScheme:
         return self.z == 0.0
 
     def qfi(self) -> float:
-        from .fisher import qfi_beam_deflection
         return qfi_beam_deflection(self.beam)
 
     def regime_flags(self, theta: float) -> tuple[str, ...]:
@@ -250,7 +235,6 @@ class _InterferometricScheme:
         return abs(math.sin(self.pol.coherence_phase)) <= NORM_TOL
 
     def qfi(self) -> float:
-        from .fisher import qfi_sagnac
         return qfi_sagnac(self.beam, self.pol)
 
     def regime_flags(self, theta: float) -> tuple[str, ...]:
@@ -333,7 +317,6 @@ class PositionModel(_DeflectionScheme):
         return (self.mean(theta),)
 
     def fisher(self, theta: float) -> float:
-        from .fisher import fisher_position
         return fisher_position(self.beam, self.z)
 
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
@@ -376,7 +359,6 @@ class QuadrantModel(_TwoOutcomeScheme, _DeflectionScheme):
         return 2.0 * math.sqrt(2.0 / math.pi) * self.z / w * math.exp(-arg * arg)
 
     def fisher(self, theta: float) -> float:
-        from .fisher import fisher_quadrant
         return fisher_quadrant(self.beam, theta, self.z, self.split)
 
 
@@ -407,7 +389,6 @@ class PolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
         return self.beam.xi == 0.0 or super().even_in_theta
 
     def fisher(self, theta: float) -> float:
-        from .fisher import fisher_sagnac_polarization
         return fisher_sagnac_polarization(self.beam, self.pol, theta)
 
 
@@ -442,8 +423,13 @@ class ConditionedPolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
         return -0.5 * (a * math.sin(p) + b * math.cos(p) * math.tanh(q)) / math.cosh(q)
 
     def fisher(self, theta: float) -> float:
-        from .fisher import fisher_conditioned
         return fisher_conditioned(self.beam, self.z, self.x, theta)
+
+
+class FisherDecomposition(NamedTuple):
+    avg_conditioned: float
+    position_part: float
+    total: float
 
 
 class JointStatistic(NamedTuple):
@@ -545,12 +531,40 @@ class PositionPolarizationModel(_InterferometricScheme):
         shift = 2.0 * theta * self.z
         return (self.beam.xi - shift, self.beam.xi, self.beam.xi + shift)
 
-    def fisher(self, theta: float) -> float:
-        """Total of the polarization/position decomposition (diagonal input state only)."""
+    def decomposition(self, theta: float) -> FisherDecomposition:
+        """Split the Fisher information into polarization and spatial parts.
+
+        For the diagonal input state:
+
+            total = integral dx P(x) F_cond(x)  +  integral dx (dP/dtheta)^2 / P,
+
+        with P(x) the position marginal.  In the small-angle regime the first term
+        carries everything (16 k^2 [w0^2/4 + xi^2]) and the second vanishes.
+        """
         if not self.pol.is_diagonal:
             raise ValueError("closed-form decomposition is defined for the diagonal input state")
-        from .fisher import fisher_total_decomposition
-        return fisher_total_decomposition(self.beam, self.z, theta).total
+
+        def integrand(xx):
+            p = self.total_pdf(theta, xx)
+            dp = self.total_pdf_dtheta(theta, xx)
+            dead = p < 1e-300
+            return np.stack([
+                p * fisher_conditioned(self.beam, self.z, xx, theta),
+                np.where(dead, 0.0, dp * dp / np.where(dead, 1.0, p)),
+            ])
+
+        # both parts to DECOMPOSITION_RTOL of the bound on their sum: near theta = 0 the
+        # position part is rounding noise that no panel count resolves relative to itself
+        lo, hi = self.domain(theta)
+        avg, pos = integrate_interval(
+            integrand, lo, hi, self.breakpoints(theta),
+            rtol=DECOMPOSITION_RTOL, atol=DECOMPOSITION_RTOL * self.qfi(),
+        )
+        return FisherDecomposition(float(avg), float(pos), float(avg + pos))
+
+    def fisher(self, theta: float) -> float:
+        """Total of ``decomposition`` (diagonal input state only)."""
+        return self.decomposition(theta).total
 
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
         """(signs, positions): positions from the mixture, then each sign given x."""
@@ -636,3 +650,8 @@ class PositionPolarizationModel(_InterferometricScheme):
         np.divide(t, bracket, out=ratio, where=bracket > 0.0)
         w2 = self.beam.width(self.z) ** 2
         return float(ratio.sum()) - ratio.size * 16.0 * theta * self.z ** 2 / w2
+
+
+def fisher_total_decomposition(beam: BeamParams, z: float, theta: float) -> FisherDecomposition:
+    """``PositionPolarizationModel.decomposition`` for the diagonal input state."""
+    return PositionPolarizationModel(beam, PolarizationState.diagonal(), z).decomposition(theta)

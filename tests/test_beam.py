@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from tiltsense import BeamParams, field_amplitude, intensity_profile, waist_momentum_amplitude
+from tiltsense import BeamParams, intensity_profile
 
 from conftest import OFFSET, WAIST, WAVELENGTH
 
@@ -63,21 +63,6 @@ def test_width_far_field_asymptote(beam):
     assert beam.width(z) / WAIST == pytest.approx(z / beam.rayleigh_range, rel=1e-6)
 
 
-def test_curvature_radius(beam):
-    assert beam.curvature_radius(0.0) == math.inf
-    z = 2.0
-    expected = z * (1.0 + (beam.rayleigh_range / z) ** 2)
-    assert beam.curvature_radius(z) == pytest.approx(expected, rel=1e-14)
-    assert beam.inverse_curvature(z) == pytest.approx(1.0 / expected, rel=1e-14)
-    assert beam.inverse_curvature(0.0) == 0.0
-
-
-def test_gouy_range(beam):
-    assert beam.gouy(0.0) == 0.0
-    assert 0.0 < beam.gouy(beam.rayleigh_range) == pytest.approx(math.pi / 4, rel=1e-14)
-    assert beam.gouy(1e12) < math.pi / 2
-
-
 def test_profile_peak_value(centered_beam):
     beam = BeamParams.from_wavelength(WAVELENGTH, WAIST, OFFSET)
     peak = intensity_profile(beam, theta=0.0, z=0.0, x=OFFSET)
@@ -110,19 +95,3 @@ def test_profile_normalization_and_moments(beam, theta, z_factor):
     )
     assert second == pytest.approx(w * w / 4.0, rel=1e-10)
     assert second == pytest.approx(beam.variance(z), rel=1e-10)
-
-
-def test_field_amplitude_modulus_matches_profile(beam):
-    z = 0.7 * beam.rayleigh_range
-    x = np.linspace(beam.xi - 2e-3, beam.xi + 2e-3, 11)
-    dens = np.abs(field_amplitude(beam, z, x)) ** 2
-    assert dens == pytest.approx(intensity_profile(beam, 0.0, z, x), rel=1e-12)
-
-
-def test_momentum_amplitude_normalized(beam):
-    q_max = 20.0 / beam.w0
-    norm, _ = integrate.quad(
-        lambda q: abs(waist_momentum_amplitude(beam, q)) ** 2, -q_max, q_max,
-        epsabs=1e-14, epsrel=1e-13,
-    )
-    assert norm == pytest.approx(1.0, abs=1e-12)

@@ -517,3 +517,67 @@ def test_numerical_failure_names_the_row(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: run[1] row 1 (joint, theta=1e-06 rad, z=" in err
     assert "m): density derivative not converged" in err
+
+
+@pytest.mark.parametrize(
+    "setup, command, message",
+    [
+        ("", "sweep", "config has no run blocks"),
+        (
+            "run: {scheme: polarization, theta: 1urad}\n",
+            "montecarlo", "config has no montecarlo block",
+        ),
+        (
+            "montecarlo: {theta: 1urad, nu: 100, trials: 5}\n",
+            "montecarlo", "config has no run blocks",
+        ),
+        (
+            "run: {scheme: position, theta: 1urad, z: [1z_R, 2z_R]}\n"
+            "montecarlo: {theta: 1urad, nu: 100, trials: 5}\n",
+            "montecarlo", "run[0]: montecarlo needs a scalar z, got a grid of 2",
+        ),
+        (
+            "run: {scheme: polarization, theta: 1mrad}\n"
+            "montecarlo: {theta: 1mrad, nu: 100, trials: 5}\n",
+            "montecarlo", "run[0]: theta_true=0.001 outside the small-angle guard",
+        ),
+    ],
+    ids=["sweep-no-runs", "mc-no-montecarlo", "mc-no-runs", "mc-z-grid", "mc-past-guard"],
+)
+def test_config_missing_what_the_command_needs_exits_2(tmp_path, capsys, setup, command, message):
+    cfg = write_config(tmp_path, "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n" + setup)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_density_amplitude_exits_2(tmp_path, capsys):
+    # z_R = 5e-314 m is subnormal and sqrt(2/(pi w0^2)) overflows at w0 = 1e-160 m
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1e-160m}\n"
+        "run: {scheme: position, theta: 1urad, z: 0m}\n",
+    )
+    for command in (["validate-config"], ["sweep", "--out", str(tmp_path / "s")]):
+        assert main([*command, "--config", cfg]) == 2
+        assert "beam.w0: the waist must be above 1e-154 m" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["figure3", "figure4"])
+@pytest.mark.parametrize(
+    "beam, message",
+    [
+        ("wavelength: 633nm, w0: 1e-160m", "beam.w0: the waist must be above 1e-154 m"),
+        ("wavelength: 1e-150m, w0: 1mm", "curves are not finite for k=6.283185307179586e+150"),
+        ("wavelength: 633nm, z_R: 1e300m", "(z_R=1e+300 m)"),
+    ],
+    ids=["tiny-w0", "tiny-wavelength", "huge-z_R"],
+)
+def test_figure_beam_without_finite_curves_exits_2(tmp_path, capsys, command, beam, message):
+    cfg = write_config(tmp_path, f"beam: {{{beam}}}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: beam" in err and message in err
+    assert not (tmp_path / "o").exists()

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from tiltsense import (
     BeamParams,
     PolarizationState,
+    PositionPolarizationModel,
     cramer_rao_bound,
     fisher_conditioned,
     fisher_position,
@@ -300,6 +303,38 @@ def test_decomposition_small_angle_centered(centered_beam):
     report = fisher_total_decomposition(centered_beam, 2.0, 1e-9)
     assert report.avg_conditioned == pytest.approx(
         16.0 * centered_beam.k ** 2 * WAIST ** 2 / 4.0, rel=1e-5
+    )
+
+
+def test_decomposition_is_the_joint_model_fisher(beam):
+    model = PositionPolarizationModel(beam, PolarizationState.diagonal(), 2.0)
+    report = model.decomposition(1e-6)
+    assert model.fisher(1e-6) == report.total
+    assert fisher_total_decomposition(beam, 2.0, 1e-6) == report
+
+
+def test_decomposition_needs_the_diagonal_state(beam):
+    model = PositionPolarizationModel(beam, PolarizationState.from_bloch(1.2, 0.0), 2.0)
+    with pytest.raises(ValueError, match="diagonal input state"):
+        model.decomposition(1e-6)
+
+
+def test_fisher_module_imports_no_scheme_model():
+    # the closed forms sit below the models: tiltsense.fisher loads only the
+    # beam and polarization modules (the package __init__ is bypassed, since it
+    # imports everything)
+    code = (
+        "import importlib.util, sys, types; "
+        "package = types.ModuleType('tiltsense'); "
+        "package.__path__ = importlib.util.find_spec('tiltsense').submodule_search_locations; "
+        "sys.modules['tiltsense'] = package; "
+        "import tiltsense.fisher; "
+        "print(sorted(m for m in sys.modules if m.startswith('tiltsense')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == (
+        "['tiltsense', 'tiltsense.beam', 'tiltsense.fisher', 'tiltsense.polarization']"
     )
 
 

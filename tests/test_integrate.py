@@ -78,7 +78,7 @@ def test_quadrature_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     # the joint closed form integrates the conditioned information; make it
     # NaN so the real quadrature engine gives up
     monkeypatch.setattr(
-        "tiltsense.fisher.fisher_conditioned", lambda beam, z, x, theta: np.full_like(x, np.nan)
+        "tiltsense.schemes.fisher_conditioned", lambda beam, z, x, theta: np.full_like(x, np.nan)
     )
     cfg = tmp_path / "joint.yaml"
     cfg.write_text(
