@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 ORDER = 64  # nodes per panel
-# panels per segment in the first sum: smooth Gaussian integrands are then at
-# their rounding floor by the first comparison, so the result is good to about
-# 1e-15 rather than only to rtol; doubling gives up past MAX_PANELS
-FIRST_PANELS = 8
-MAX_PANELS = 512
+MAX_PANELS = 512  # panels per segment past which doubling gives up
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(ORDER)
 
@@ -27,7 +23,7 @@ def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
     within max(atol, rtol |sum|) in every component.
     """
     edges = np.array([lo, *sorted(p for p in breakpoints if lo < p < hi), hi], dtype=float)
-    previous, gap, panels = None, np.inf, FIRST_PANELS
+    previous, gap, panels = None, np.inf, 1
     while panels <= MAX_PANELS:
         half = (0.5 * np.diff(edges) / panels)[:, None]
         centers = edges[:-1, None] + (2.0 * np.arange(panels) + 1.0) * half

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +119,9 @@ def _run_block_rows(config, run_index, block, nu, threads):
             raise type(exc)(f"run[{run_index}] row {point_index} ({block.scheme}, {at}): {exc}") from exc
 
     if threads > 1:
+        # imported here: concurrent.futures costs every cold start a few ms
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(job, points))
     else:

@@ -290,7 +290,8 @@ def _parse_montecarlo(section, wavelength) -> MonteCarloBlock:
 
 def parse_config_text(text: str) -> ScenarioConfig:
     try:
-        data = yaml.safe_load(text)
+        # libyaml's parser when PyYAML was built with it, several times faster than pure Python
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}")
     except ValueError as exc:  # e.g. an integer past Python's 4300-digit conversion limit

@@ -69,7 +69,11 @@ def fisher_position(beam: BeamParams, z: float) -> float:
     16 k^2 (w0^2/4) z^2/(z^2 + z_R^2): grows with the lever arm and saturates
     the deflection QFI in the far field.  Independent of theta and xi.
     """
-    zr = beam.rayleigh_range
+    # z and z_R scaled by one power of two so that the larger is in [1/2, 1): no
+    # square under- or overflows, the QFI is only scaled down, and the rounding
+    # is exactly that of the unscaled expression
+    _, exponent = math.frexp(max(abs(z), beam.rayleigh_range))
+    z, zr = math.ldexp(z, -exponent), math.ldexp(beam.rayleigh_range, -exponent)
     return qfi_beam_deflection(beam) * z * z / (z * z + zr * zr)
 
 

@@ -90,15 +90,23 @@ def sagnac_joint_density(
 
         p_pm(x) = |alpha|^2/2 |psi(x-xi+2 theta z)|^2
                 + |beta|^2/2  |psi(x-xi-2 theta z)|^2
-                pm A d e^{-8 theta^2 z^2/w^2} e^{-2(x-xi)^2/w^2}
-                     cos(4 k theta (w0^2/w^2)(x-xi) + 4 k theta xi - phi),
+                pm A d e^{-8 theta^2 z^2/w^2} e^{-2(x-xi)^2/w^2} cos(psi),
+        psi     = 4 k theta (w0^2/w^2)(x-xi) + 4 k theta xi - phi,
 
-    with A = sqrt(2/(pi w^2(z))) and d e^{i phi} = alpha* beta.
+    with A = sqrt(2/(pi w^2(z))) and d e^{i phi} = alpha* beta.  With u = x - xi,
+    s = 2 theta z, q = 4 u s / w^2 and t = e^{-|q|} it is evaluated as
+
+        p_pm = A e^{-2(|u| - |s|)^2/w^2}
+               [(sqrt(near) - sqrt(far) t)^2 / 2 + 2 d t {cos^2, sin^2}(psi/2)],
+
+    where ``near`` is the weight of the path whose center lies on x's side
+    (|beta|^2 for q >= 0) and far = 1 - near.  Since d^2 = near * far, both
+    terms are non-negative and nothing cancels at a dark fringe.
     """
     x = np.asarray(x, dtype=float)
     w2 = beam.width(z) ** 2
     amp = math.sqrt(2.0 / (math.pi * w2))
-    u = x - beam.xi
+    u = x.reshape(-1) - beam.xi  # at least 1-d, so that the ufuncs below can write in place
     shift = 2.0 * theta * z
 
     pa = abs(pol.alpha) ** 2
@@ -107,17 +115,53 @@ def sagnac_joint_density(
     phi = pol.coherence_phase
 
     # in place: with more live temporaries glibc trims and refaults them every call
-    base = pa * np.exp(-2.0 * (u + shift) ** 2 / w2)
-    base += pb * np.exp(-2.0 * (u - shift) ** 2 / w2)
-    base *= 0.5
-    cross = np.cos(
-        4.0 * beam.k * theta * (beam.w0 ** 2 / w2) * u + 4.0 * beam.k * theta * beam.xi - phi
-    )
-    cross *= d * np.exp(-2.0 * u ** 2 / w2 - 8.0 * (theta * z) ** 2 / w2)
-    # |cross| <= base holds exactly (d^2 = pa*pb); clamp rounding residue
-    p_plus = amp * np.maximum(base + cross, 0.0)
-    p_minus = amp * np.maximum(base - cross, 0.0)
-    return p_plus, p_minus
+    q = u * (4.0 * shift / w2)
+    envelope = np.abs(u)
+    envelope -= abs(shift)
+    envelope *= envelope
+    envelope *= -2.0 / w2
+    np.exp(envelope, out=envelope)
+    envelope *= amp
+    t = np.abs(q)
+    t *= -1.0  # -|q| until it is replaced by t itself below
+    if pa == pb:
+        # sqrt(near) - sqrt(far) t = sqrt(pa) (1 - t), with t - 1 = expm1(-|q|)
+        np.expm1(t, out=t)
+        gap = t * t
+        gap *= 0.5 * pa
+        t += 1.0
+    else:
+        # sqrt(near) - sqrt(far) t: through 1 - t = -expm1(-|q|) where t >= 1/2, so
+        # that it stays accurate for near ~ far, and through t itself in the tail
+        toward_v = q >= 0.0
+        root_near = np.where(toward_v, math.sqrt(pb), math.sqrt(pa))
+        root_far = np.where(toward_v, math.sqrt(pa), math.sqrt(pb))
+        m = np.expm1(t)
+        np.exp(t, out=t)
+        gap = np.where(m >= -0.5, (root_near - root_far) - root_far * m, root_near - root_far * t)
+        gap *= gap
+        gap *= 0.5
+    # {cos^2, sin^2}(psi/2) = {(1 - tau^2)^2, 4 tau^2} / (1 + tau^2)^2 with
+    # tau = tan(psi/4): one transcendental, and each part keeps its own zero
+    tau = u * (beam.k * theta * beam.w0 ** 2 / w2)
+    tau += beam.k * theta * beam.xi - 0.25 * phi
+    np.tan(tau, out=tau)
+    tau *= tau
+    t *= 2.0 * d
+    scale = tau + 1.0
+    scale *= scale
+    t /= scale
+    p_minus = tau * t
+    p_minus *= 4.0
+    p_minus += gap
+    p_minus *= envelope
+    p_plus = np.subtract(1.0, tau, out=tau)
+    p_plus *= p_plus
+    p_plus *= t
+    p_plus += gap
+    p_plus *= envelope
+    # [()] turns the 0-d results of a scalar x back into scalars
+    return p_plus.reshape(x.shape)[()], p_minus.reshape(x.shape)[()]
 
 
 def sagnac_polarization_probabilities(beam: BeamParams, pol: PolarizationState, theta: float):

@@ -195,6 +195,48 @@ def test_sweep_covers_all_run_blocks(tmp_path):
     assert meta["outputs"] == ["sweep.csv"]
 
 
+def test_joint_rows_at_nanoradian_tilts_converge(tmp_path):
+    # at a dark fringe p_minus is tiny; taken as a difference (base - cross) it keeps
+    # no digits, the oracle's step-halving check fails there and the row exits 3
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n"
+        "run:\n"
+        "  - {scheme: joint, theta: 1nrad, z: [0, 1z_R, 5z_R]}\n"
+        "  - {scheme: joint, theta: 5nrad, z: 0}\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    rows = read_rows(tmp_path / "s" / "sweep.csv")
+    assert len(rows) == 4
+    for row in rows:
+        assert float(row["oracle_fisher"]) == pytest.approx(float(row["analytic_fisher"]), rel=1e-4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracle's density at z_R = 1e300 m
+@pytest.mark.parametrize(
+    "beam",
+    [
+        "wavelength: 633nm, w0: 1e-150m",
+        "wavelength: 633nm, z_R: 1e300m",
+        "wavelength: 1e-150m, w0: 1mm",
+    ],
+    ids=["tiny-w0", "huge-z_R", "tiny-wavelength"],
+)
+def test_position_rows_stay_finite_at_extreme_lengths(tmp_path, beam):
+    # z_R = 5e-294 m, 1e300 m and 3e144 m: z^2 and z_R^2 under- or overflow, and so
+    # does QFI z^2, unless the lengths are scaled first
+    cfg = write_config(
+        tmp_path,
+        f"beam: {{{beam}}}\n"
+        "run: {scheme: position, theta: 1urad, z: [0, 1z_R, 10z_R]}\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    rows = read_rows(tmp_path / "s" / "sweep.csv")
+    assert all(math.isfinite(float(row["analytic_fisher"])) for row in rows)
+    ratios = [float(row["ratio_to_qfi"]) for row in rows]
+    assert ratios == pytest.approx([0.0, 0.5, 100.0 / 101.0], rel=1e-12)
+
+
 def test_small_angle_warnings_only_on_polarization_rows(tmp_path):
     # at 1 mrad both polarization regime flags fire; the deflection schemes
     # have no such regime and their rows stay clean

@@ -6,10 +6,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from tiltsense._integrate import ConvergenceError, integrate_interval
+from tiltsense import BeamParams, PolarizationState, PositionPolarizationModel
+from tiltsense import oracle, schemes
+from tiltsense._integrate import ORDER, ConvergenceError, integrate_interval
 from tiltsense.cli import main
-from tiltsense.oracle import numeric_fisher_oracle
+from tiltsense.oracle import OracleError, numeric_fisher_oracle
 
 
 def test_unit_gaussian_split_at_mean():
@@ -28,6 +32,18 @@ def test_array_valued_integrand_returns_every_integral():
     values = integrate_interval(pair, 0.0, 1.0)
     assert values.shape == (2,)
     assert values == pytest.approx([1.0, 1.0 / 3.0], rel=1e-14)
+
+
+def test_doubling_starts_at_one_panel_per_segment():
+    sizes = []
+
+    def gaussian(x):
+        sizes.append(x.size)
+        return np.exp(-0.5 * x * x)
+
+    integrate_interval(gaussian, -12.0, 12.0, breakpoints=(0.0,), rtol=1e-11)
+    # two segments of one panel, then of two: a smooth integrand converges at once
+    assert sizes == [2 * ORDER, 4 * ORDER]
 
 
 def test_breakpoints_outside_the_interval_are_ignored():
@@ -93,8 +109,71 @@ def test_quadrature_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
 def test_cli_import_does_not_load_scipy():
     code = (
         "import sys, tiltsense.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent'))))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+DENSE_PANELS = 64
+
+
+def dense_rule(f, lo, hi, breakpoints=(), **_tolerances):
+    """The engine's rule at a fixed DENSE_PANELS panels per segment; no doubling, no tolerances."""
+    nodes, weights = np.polynomial.legendre.leggauss(ORDER)
+    edges = np.array([lo, *sorted(p for p in breakpoints if lo < p < hi), hi], dtype=float)
+    half = (0.5 * np.diff(edges) / DENSE_PANELS)[:, None]
+    centers = edges[:-1, None] + (2.0 * np.arange(DENSE_PANELS) + 1.0) * half
+    x = (centers[..., None] + half[..., None] * nodes).ravel()
+    w = np.broadcast_to(half[..., None] * weights, centers.shape + (ORDER,)).ravel()
+    total = np.sum(f(x) * w, axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+joint_points = st.tuples(
+    st.floats(400e-9, 2e-6),  # wavelength
+    st.floats(1e-4, 5e-3),  # w0
+    st.floats(-3.0, 3.0),  # xi / w0
+    # z / z_R: nearer the waist than 0.1 z_R (but not at it) the conditioned information
+    # dips at its fringe zeros over a width ~ z/z_R, which a fixed rule cannot resolve
+    st.one_of(st.just(0.0), st.floats(0.1, 10.0)),
+    st.floats(-3.0, math.log10(30.0)),  # log10 of |theta| / small-angle guard
+    st.sampled_from([-1.0, 1.0]),  # sign of theta
+)
+
+
+def check_against_dense_rule(point):
+    wavelength, w0, xi_ratio, z_ratio, log_theta, sign = point
+    beam = BeamParams.from_wavelength(wavelength, w0, xi_ratio * w0)
+    model = PositionPolarizationModel(beam, PolarizationState.diagonal(), z_ratio * beam.rayleigh_range)
+    theta = sign * 10.0 ** log_theta * model.small_angle_guard()
+    decomposition = model.decomposition(theta)
+    value = numeric_fisher_oracle(model, theta)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schemes, "integrate_interval", dense_rule)
+        patch.setattr(oracle, "integrate_interval", dense_rule)
+        reference = model.decomposition(theta)
+        try:
+            reference_value = numeric_fisher_oracle(model, theta)
+        except OracleError:
+            # a dense node can land where dp/dtheta crosses 0, where the oracle's
+            # step-halving check has no scale; then there is nothing to compare with
+            reject()
+    # each part against the total: near theta = 0 the spatial part is rounding noise
+    for part, reference_part in zip(decomposition, reference):
+        assert abs(part - reference_part) <= 1e-13 * reference.total
+    assert value == pytest.approx(reference_value, rel=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(joint_points)
+def test_one_panel_start_matches_a_dense_rule(point):
+    check_against_dense_rule(point)
+
+
+@pytest.mark.slow
+@settings(max_examples=500, deadline=None)
+@given(joint_points)
+def test_one_panel_start_matches_a_dense_rule_widely(point):
+    check_against_dense_rule(point)
