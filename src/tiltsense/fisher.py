@@ -145,7 +145,11 @@ def interference_coefficients(beam: BeamParams, z: float, x):
     ``conditioned_polarization_probabilities``.
     """
     x = np.asarray(x, dtype=float)
-    zr = beam.rayleigh_range
+    # z (a scalar or an array) and z_R scaled as in ``fisher_position``: the rates
+    # depend only on their ratio, and k z_R^2 x, which overflows for a very short
+    # wavelength, is not formed
+    _, exponent = np.frexp(np.maximum(np.abs(z), beam.rayleigh_range))
+    z, zr = np.ldexp(z, -exponent), np.ldexp(beam.rayleigh_range, -exponent)
     denom = z * z + zr * zr
     a = 4.0 * beam.k * (zr * zr * x + z * z * beam.xi) / denom
     b = 4.0 * beam.k * z * zr * (x - beam.xi) / denom

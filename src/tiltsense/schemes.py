@@ -79,6 +79,36 @@ def quadrant_probabilities(
     return 0.5 * math.erfc(-arg), 0.5 * math.erfc(arg)
 
 
+def _path_terms(pol: PolarizationState, q: np.ndarray):
+    """(gap, 2 d t) of ``sagnac_joint_density`` at q = 4 u s / w^2 (a 1-d array).
+
+    gap = (sqrt(near) - sqrt(far) t)^2 / 2 and t = e^{-|q|}; both are >= 0.
+    """
+    pa = abs(pol.alpha) ** 2
+    pb = abs(pol.beta) ** 2
+    t = np.abs(q)
+    t *= -1.0  # -|q| until it is replaced by t itself below
+    if pa == pb:
+        # sqrt(near) - sqrt(far) t = sqrt(pa) (1 - t), with t - 1 = expm1(-|q|)
+        np.expm1(t, out=t)
+        gap = t * t
+        gap *= 0.5 * pa
+        t += 1.0
+    else:
+        # sqrt(near) - sqrt(far) t: through 1 - t = -expm1(-|q|) where t >= 1/2, so
+        # that it stays accurate for near ~ far, and through t itself in the tail
+        toward_v = q >= 0.0
+        root_near = np.where(toward_v, math.sqrt(pb), math.sqrt(pa))
+        root_far = np.where(toward_v, math.sqrt(pa), math.sqrt(pb))
+        m = np.expm1(t)
+        np.exp(t, out=t)
+        gap = np.where(m >= -0.5, (root_near - root_far) - root_far * m, root_near - root_far * t)
+        gap *= gap
+        gap *= 0.5
+    t *= 2.0 * pol.coherence_magnitude
+    return gap, t
+
+
 def sagnac_joint_density(
     beam: BeamParams, pol: PolarizationState, theta: float, z: float, x
 ):
@@ -109,45 +139,22 @@ def sagnac_joint_density(
     u = x.reshape(-1) - beam.xi  # at least 1-d, so that the ufuncs below can write in place
     shift = 2.0 * theta * z
 
-    pa = abs(pol.alpha) ** 2
-    pb = abs(pol.beta) ** 2
-    d = pol.coherence_magnitude
     phi = pol.coherence_phase
 
     # in place: with more live temporaries glibc trims and refaults them every call
-    q = u * (4.0 * shift / w2)
     envelope = np.abs(u)
     envelope -= abs(shift)
     envelope *= envelope
     envelope *= -2.0 / w2
     np.exp(envelope, out=envelope)
     envelope *= amp
-    t = np.abs(q)
-    t *= -1.0  # -|q| until it is replaced by t itself below
-    if pa == pb:
-        # sqrt(near) - sqrt(far) t = sqrt(pa) (1 - t), with t - 1 = expm1(-|q|)
-        np.expm1(t, out=t)
-        gap = t * t
-        gap *= 0.5 * pa
-        t += 1.0
-    else:
-        # sqrt(near) - sqrt(far) t: through 1 - t = -expm1(-|q|) where t >= 1/2, so
-        # that it stays accurate for near ~ far, and through t itself in the tail
-        toward_v = q >= 0.0
-        root_near = np.where(toward_v, math.sqrt(pb), math.sqrt(pa))
-        root_far = np.where(toward_v, math.sqrt(pa), math.sqrt(pb))
-        m = np.expm1(t)
-        np.exp(t, out=t)
-        gap = np.where(m >= -0.5, (root_near - root_far) - root_far * m, root_near - root_far * t)
-        gap *= gap
-        gap *= 0.5
+    gap, t = _path_terms(pol, u * (4.0 * shift / w2))
     # {cos^2, sin^2}(psi/2) = {(1 - tau^2)^2, 4 tau^2} / (1 + tau^2)^2 with
     # tau = tan(psi/4): one transcendental, and each part keeps its own zero
     tau = u * (beam.k * theta * beam.w0 ** 2 / w2)
     tau += beam.k * theta * beam.xi - 0.25 * phi
     np.tan(tau, out=tau)
     tau *= tau
-    t *= 2.0 * d
     scale = tau + 1.0
     scale *= scale
     t /= scale
@@ -239,14 +246,28 @@ DECOMPOSITION_RTOL = 1e-10
 
 
 def _sample_signs(p_plus, nu: int, rng: np.random.Generator):
-    return np.where(rng.random(nu) < p_plus, 1, -1).astype(np.int8)
+    """+1/-1 int8 outcomes, +1 with probability p_plus (a scalar or one per outcome)."""
+    signs = (rng.random(nu) < p_plus).view(np.int8)  # 1 for "+", 0 for "-"
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 def _sample_mixture(model, theta: float, nu: int, rng: np.random.Generator):
-    """Exact positions from the model's Gaussian-mixture representation."""
+    """Exact positions from the model's Gaussian mixture of one or two components.
+
+    The component draw is that of ``rng.choice(len(weights), nu, p=...)`` with
+    p = weights / weights.sum(): one uniform per outcome against the normalized
+    cumulative weights, cdf = [p0, 1] or [1].  It is taken for a single
+    component too, so that the normal draws stay where they were.
+    """
     weights, means, sigmas = model.gaussian_mixture(theta)
-    component = rng.choice(len(weights), size=nu, p=weights / weights.sum())
-    return means[component] + sigmas[component] * rng.standard_normal(nu)
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    # the component index as an int8 view: take() on it is about twice as fast as
+    # np.where between two scalars, whose branches the random mask mispredicts
+    component = (rng.random(nu) >= cdf[0]).view(np.int8)
+    return means.take(component) + sigmas.take(component) * rng.standard_normal(nu)
 
 
 class _DeflectionScheme:
@@ -549,10 +570,37 @@ class PositionPolarizationModel(_InterferometricScheme):
         return (8.0 * self.z / w2) * (pb * (u - shift) * g_v - pa * (u + shift) * g_h)
 
     def conditional_plus(self, theta: float, x):
-        """P(outcome=+1 | detected at x)."""
-        p_plus, p_minus = sagnac_joint_density(self.beam, self.pol, theta, self.z, x)
-        total = p_plus + p_minus
-        return np.where(total > 0.0, p_plus / np.where(total > 0.0, total, 1.0), 0.5)
+        """P(outcome=+1 | detected at x).
+
+        With gap and t as in ``sagnac_joint_density``, p_plus + p_minus is its
+        envelope times 2 gap + 2 d t, so the envelope cancels:
+
+            P(+|x) = [gap + 2 d t cos^2(psi/2)] / (2 gap + 2 d t),
+            cos^2(psi/2) = 1 / (1 + tan^2(psi/2)).
+
+        Each rounded step keeps the numerator at or below the denominator, so
+        the result stays in [0, 1], also where the envelope underflows.  A pure
+        H or V state (d = 0) has no interference, P(+|x) = 1/2, and is returned
+        as such: far out on its empty side gap and t^2 underflow together (0/0).
+        """
+        beam, pol = self.beam, self.pol
+        x = np.asarray(x, dtype=float)
+        if pol.coherence_magnitude == 0.0:
+            return np.full(x.shape, 0.5)[()]
+        w2 = beam.width(self.z) ** 2
+        u = x.reshape(-1) - beam.xi
+        gap, p_plus = _path_terms(pol, u * (8.0 * theta * self.z / w2))  # p_plus = 2 d t
+        tau = u * (2.0 * beam.k * theta * beam.w0 ** 2 / w2)
+        tau += 2.0 * beam.k * theta * beam.xi - 0.5 * pol.coherence_phase  # psi / 2
+        np.tan(tau, out=tau)
+        tau *= tau
+        tau += 1.0  # 1 / cos^2(psi/2)
+        total = gap + gap
+        total += p_plus  # (p_plus + p_minus) / envelope
+        p_plus /= tau
+        p_plus += gap
+        p_plus /= total
+        return p_plus.reshape(x.shape)[()]
 
     def gaussian_mixture(self, theta: float):
         shift = 2.0 * theta * self.z
@@ -671,15 +719,20 @@ class PositionPolarizationModel(_InterferometricScheme):
         """
         half_near, half_far = stat.halves(theta)
         t = np.exp(stat.path_rate * -abs(theta))
-        psi = stat.phase_rate * theta
-        psi -= self.pol.coherence_phase
-        bracket = np.cos(psi)
-        slope = np.sin(psi, out=psi)
-        bracket *= t
-        bracket *= stat.signed_d
-        slope *= t
-        slope *= stat.signed_d
-        slope *= stat.phase_rate
+        # cos psi = (1 - tau^2) / (1 + tau^2) and sin psi = 2 tau / (1 + tau^2) from one
+        # tau = tan(psi/2); at psi = pi the rounded pi/2 gives |tau| ~ 1e16, and tau^2
+        # stays finite
+        tau = stat.phase_rate * (0.5 * theta)
+        tau -= 0.5 * self.pol.coherence_phase
+        np.tan(tau, out=tau)
+        bracket = tau * tau
+        bracket += 1.0
+        dt = t * stat.signed_d
+        dt /= bracket  # +-d t / (1 + tau^2)
+        tau *= dt
+        tau *= stat.phase_rate  # +-d t phase_rate sin(psi) / 2
+        np.subtract(2.0, bracket, out=bracket)  # 1 - tau^2
+        bracket *= dt  # +-d t cos psi
         t *= t
         t *= half_far
         bracket += t
@@ -688,10 +741,12 @@ class PositionPolarizationModel(_InterferometricScheme):
         t *= stat.path_rate
         if theta < 0.0:
             t *= -1.0
-        t -= slope
-        ratio = slope  # reuse the buffer; photons with I = 0 keep a 0
-        ratio.fill(0.0)
-        np.divide(t, bracket, out=ratio, where=bracket > 0.0)
+        t -= tau
+        t -= tau
+        if bracket.min() > 0.0:
+            ratio = np.divide(t, bracket, out=t)
+        else:  # photons with I = 0 keep a 0
+            ratio = np.divide(t, bracket, out=np.zeros_like(t), where=bracket > 0.0)
         w2 = self.beam.width(self.z) ** 2
         return float(ratio.sum()) - ratio.size * 16.0 * theta * self.z ** 2 / w2
 

@@ -237,6 +237,23 @@ def test_position_rows_stay_finite_at_extreme_lengths(tmp_path, beam):
     assert ratios == pytest.approx([0.0, 0.5, 100.0 / 101.0], rel=1e-12)
 
 
+def test_joint_rows_stay_finite_at_a_tiny_wavelength(tmp_path):
+    # k = 6e150 /m and z_R = 3e144 m: 4 k z_R^2 x overflows in the interference
+    # rates unless z and z_R are scaled first.  The guard is 1.1e-149 rad; far
+    # inside it the joint measurement saturates the quantum bound
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 1e-150m, w0: 1mm}\n"
+        "run: {scheme: joint, theta: 1e-160, z: [0, 1z_R]}\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    rows = read_rows(tmp_path / "s" / "sweep.csv")
+    assert len(rows) == 2
+    for row in rows:
+        assert math.isfinite(float(row["analytic_fisher"]))
+        assert float(row["ratio_to_qfi"]) == pytest.approx(1.0, rel=1e-9)
+
+
 def test_small_angle_warnings_only_on_polarization_rows(tmp_path):
     # at 1 mrad both polarization regime flags fire; the deflection schemes
     # have no such regime and their rows stay clean
@@ -607,15 +624,15 @@ def test_overflowing_density_amplitude_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command", ["figure3", "figure4"])
 @pytest.mark.parametrize(
-    "beam, message",
+    "command, beam, message",
     [
-        ("wavelength: 633nm, w0: 1e-160m", "beam.w0: the waist must be above 1e-154 m"),
-        ("wavelength: 1e-150m, w0: 1mm", "curves are not finite for k=6.283185307179586e+150"),
-        ("wavelength: 633nm, z_R: 1e300m", "(z_R=1e+300 m)"),
+        ("figure3", "wavelength: 633nm, w0: 1e-160m", "beam.w0: the waist must be above 1e-154 m"),
+        ("figure4", "wavelength: 633nm, w0: 1e-160m", "beam.w0: the waist must be above 1e-154 m"),
+        # the offsets of a 4e146 m waist overflow the conditional Fisher 16 k^2 x^2 itself
+        ("figure4", "wavelength: 633nm, z_R: 1e300m", "(z_R=1e+300 m)"),
     ],
-    ids=["tiny-w0", "tiny-wavelength", "huge-z_R"],
+    ids=["tiny-w0-figure3", "tiny-w0-figure4", "huge-z_R-figure4"],
 )
 def test_figure_beam_without_finite_curves_exits_2(tmp_path, capsys, command, beam, message):
     cfg = write_config(tmp_path, f"beam: {{{beam}}}\n")
@@ -623,3 +640,28 @@ def test_figure_beam_without_finite_curves_exits_2(tmp_path, capsys, command, be
     err = capsys.readouterr().err
     assert "config error: beam" in err and message in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, beam",
+    [
+        ("figure3", "wavelength: 1e-150m, w0: 1mm"),
+        ("figure4", "wavelength: 1e-150m, w0: 1mm"),
+        ("figure3", "wavelength: 633nm, z_R: 1e300m"),
+    ],
+    ids=["tiny-wavelength-figure3", "tiny-wavelength-figure4", "huge-z_R-figure3"],
+)
+def test_figure_curves_of_extreme_lengths_are_finite(tmp_path, command, beam):
+    # k z_R^2 x and z_R^2 overflowed in the interference rates before z and z_R
+    # were scaled; the figures were refused then
+    cfg = write_config(tmp_path, f"beam: {{{beam}}}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    tables = sorted((tmp_path / "o").glob("*.csv"))
+    assert len(tables) == (2 if command == "figure3" else 4)
+    for table in tables:
+        assert np.all(np.isfinite(np.loadtxt(table, delimiter=",", skiprows=1)))
+    if command == "figure3":
+        # at z = 5 z_R, F / k^2 = 16 (x^2 + 25 xi^2) / 26 for any beam
+        x, xi_0, xi_1mm = np.loadtxt(tmp_path / "o" / "figure3a.csv", delimiter=",", skiprows=1).T
+        assert xi_0 == pytest.approx(16.0 * x * x / 26.0, rel=1e-12, abs=1e-25)
+        assert xi_1mm == pytest.approx(16.0 * (x * x + 25e-6) / 26.0, rel=1e-12)

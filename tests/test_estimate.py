@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from tiltsense import (
     trial_rng,
 )
 from tiltsense.estimate import END_INSET, MleResult, _score_root, default_search_interval, run_trial
-from tiltsense.schemes import LOG_FLOOR
+from tiltsense.schemes import LOG_FLOOR, _sample_mixture, _sample_signs
 
 
 def test_trial_rng_streams_are_reproducible_and_distinct():
@@ -91,6 +92,98 @@ def test_joint_sampling_ks_against_quadrature_cdf(beam):
     assert abs(n_plus - nu * p_plus) < 5.0 * sigma
 
 
+def _choice_mixture(weights, means, sigmas, nu, rng):
+    """The mixture sampler as first written, with rng.choice: the stream to keep."""
+    component = rng.choice(len(weights), size=nu, p=weights / weights.sum())
+    return means[component] + sigmas[component] * rng.standard_normal(nu)
+
+
+def _where_signs(p_plus, nu, rng):
+    """The sign sampler as first written, with np.where: the stream to keep."""
+    return np.where(rng.random(nu) < p_plus, 1, -1).astype(np.int8)
+
+
+class _Mixture:
+    def __init__(self, weights, means, sigmas):
+        self.parts = tuple(np.array(v, dtype=float) for v in (weights, means, sigmas))
+
+    def gaussian_mixture(self, theta):
+        return self.parts
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[1.0], [0.5, 0.5], [0.9, 0.1], [0.2, 0.7], [1e-9, 1.0], [1.0, 0.0], [0.0, 1.0]],
+)
+def test_mixture_sampler_draws_what_rng_choice_drew(weights):
+    n = len(weights)
+    mixture = _Mixture(weights, [1e-3 - 2e-6, 1e-3 + 3e-6][:n], [5e-4, 7e-4][:n])
+    for index in range(3):
+        expected = _choice_mixture(*mixture.parts, 5000, trial_rng(8, index))
+        rng = trial_rng(8, index)
+        got = _sample_mixture(mixture, 0.0, 5000, rng)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        # the generator is left where the old sampler left it
+        reference = trial_rng(8, index)
+        _choice_mixture(*mixture.parts, 5000, reference)
+        assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("p_plus", [0.0, 0.3, 1.0, "array"])
+def test_sign_sampler_draws_what_np_where_drew(p_plus):
+    if p_plus == "array":
+        p_plus = trial_rng(9, 99).random(5000)
+    for index in range(3):
+        expected = _where_signs(p_plus, 5000, trial_rng(9, index))
+        got = _sample_signs(p_plus, 5000, trial_rng(9, index))
+        assert got.dtype == np.int8 and np.array_equal(got, expected)
+
+
+def test_joint_sampler_draws_what_the_old_samplers_drew(beam):
+    # positions from rng.choice, then signs from np.where on P(+|x) of the density ratio
+    for pol in (PolarizationState.diagonal(), PolarizationState.from_bloch(0.3, 3.0)):
+        model = PositionPolarizationModel(beam, pol, beam.rayleigh_range)
+        rng = trial_rng(10, 0)
+        x = _choice_mixture(*model.gaussian_mixture(1.5e-6), 5000, rng)
+        p_plus, p_minus = model.branch_pdf(1.5e-6, x)
+        signs = _where_signs(p_plus / (p_plus + p_minus), 5000, rng)
+        got_signs, got_x = sample_outcomes(model, 1.5e-6, 5000, trial_rng(10, 0))
+        assert np.array_equal(got_x, x) and np.array_equal(got_signs, signs)
+
+
+# sha256 of the outcomes of (seed 2020, trial 3) at theta = 1.5 urad, nu = 1000,
+# recorded with numpy 2.4.6 before the samplers stopped calling rng.choice and
+# np.where.  A sampler edit that moves the stream fails here, instead of quietly
+# moving every seeded Monte Carlo result
+PINNED_STREAMS = {
+    "position": "d9937ac0bd2fb684df0b4f94976ade514b8771c532c856c2f13fab0384db30a2",
+    "quadrant": "c67f77919e457c975c8f08f824988d8a157337e05d56a92fae30d73cead54328",
+    "polarization": "353c38352a855c80f4ecb0793a76493228541b5fab5ef7af26effac91e77ec46",
+    "joint": "a3241a90a6761dd4b01d431478f3fa10e39ce89880521a02a7e7b430db7b8638",
+    "joint-elliptical": "3a441d1f0b5f4fcb6f3a56b5155694da3c4624b8b553da8881aaf0def6e9614b",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_STREAMS)
+def test_outcome_stream_is_pinned(beam, name):
+    """Pinned under numpy 2.4.6; another numpy release may change Philox's doubles or normals."""
+    z = beam.rayleigh_range
+    model = {
+        "position": PositionModel(beam, z),
+        "quadrant": QuadrantModel(beam, z),
+        "polarization": PolarizationModel(beam, PolarizationState.diagonal()),
+        "joint": PositionPolarizationModel(beam, PolarizationState.diagonal(), z),
+        "joint-elliptical": PositionPolarizationModel(
+            beam, PolarizationState.from_bloch(1.1, 0.4), 2.0 * z
+        ),
+    }[name]
+    outcomes = sample_outcomes(model, 1.5e-6, 1000, trial_rng(2020, 3))
+    digest = hashlib.sha256()
+    for part in outcomes if isinstance(outcomes, tuple) else (outcomes,):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    assert digest.hexdigest() == PINNED_STREAMS[name]
+
+
 def test_sample_validation(beam):
     model = QuadrantModel(beam, 1.0)
     with pytest.raises(ValueError):
@@ -123,9 +216,10 @@ def test_mle_recovers_position_mean_exactly(beam):
     assert result.theta_hat == pytest.approx(closed_form, abs=1e-11)
 
 
-# every model class, plus the joint model with unequal path weights and a
-# nonzero coherence phase, which has no closed-form Fisher information and so
-# gets an explicit interval across theta = 0: (model, theta_true, interval)
+# every model class, plus joint models with unequal path weights and a nonzero
+# coherence phase, which have no closed-form Fisher information and so get an
+# explicit interval across theta = 0: (model, theta_true, interval).  With phi
+# near pi, the joint score's tan(psi/2) is large over the sampled photons
 MODEL_CASES = {
     "position": lambda b: (PositionModel(b, b.rayleigh_range), 1.5e-6, None),
     "quadrant": lambda b: (QuadrantModel(b, b.rayleigh_range), 1.5e-6, None),
@@ -141,11 +235,32 @@ MODEL_CASES = {
         -1.5e-6,
         (-3.5e-6, 0.5e-6),
     ),
+    "joint-unbalanced": lambda b: (
+        # |alpha|^2 = 0.978 and phi = 3: |tan(psi/2)| is about 10 to 40
+        PositionPolarizationModel(b, PolarizationState.from_bloch(0.3, 3.0), b.rayleigh_range),
+        -1e-6,
+        (-6e-6, 4e-6),
+    ),
+}
+
+# the score tests also run at the pole of tan(psi/2), psi = pi, where the
+# anti-diagonal state (phi = pi) puts every photon at theta = 0.  The pointwise
+# likelihood test leaves it out: there its P+ is exactly 0, which the density's
+# rounded phi turns into ~2e-32 and the statistic's cos psi into the floor
+SCORE_CASES = {
+    **MODEL_CASES,
+    "joint-anti-diagonal": lambda b: (
+        PositionPolarizationModel(
+            b, PolarizationState.from_bloch(0.5 * math.pi, math.pi), b.rayleigh_range
+        ),
+        1.5e-6,
+        None,
+    ),
 }
 
 
 def _case(beam, name, nu=2000, index=0):
-    model, theta, interval = MODEL_CASES[name](beam)
+    model, theta, interval = SCORE_CASES[name](beam)
     outcomes = sample_outcomes(model, theta, nu, trial_rng(77, index))
     return model, theta, outcomes, interval or default_search_interval(model, theta, nu)
 
@@ -172,7 +287,7 @@ def test_statistic_likelihood_equals_pointwise_sum(beam, name):
         assert log_likelihood(model, outcomes, t) == pytest.approx(expected, rel=1e-11)
 
 
-@pytest.mark.parametrize("name", MODEL_CASES)
+@pytest.mark.parametrize("name", SCORE_CASES)
 def test_score_matches_likelihood_difference(beam, name):
     model, theta, outcomes, (lo, hi) = _case(beam, name)
     stat = model.statistic(outcomes)
@@ -183,7 +298,7 @@ def test_score_matches_likelihood_difference(beam, name):
         assert model.score(stat, t) == pytest.approx(difference, rel=1e-6), t
 
 
-@pytest.mark.parametrize("name", MODEL_CASES)
+@pytest.mark.parametrize("name", SCORE_CASES)
 def test_mle_beats_a_dense_grid(beam, name):
     for index in range(3):
         model, _, outcomes, (lo, hi) = _case(beam, name, index=index)
@@ -194,10 +309,10 @@ def test_mle_beats_a_dense_grid(beam, name):
         assert lo <= result.theta_hat <= hi
 
 
-@pytest.mark.parametrize("name", MODEL_CASES)
+@pytest.mark.parametrize("name", SCORE_CASES)
 def test_mle_uses_only_a_few_score_evaluations(beam, name, monkeypatch):
     calls = {"score": 0, "log_likelihood": 0}
-    model_class = type(MODEL_CASES[name](beam)[0])
+    model_class = type(SCORE_CASES[name](beam)[0])
     for method in calls:
         original = getattr(model_class, method)
 

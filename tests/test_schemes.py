@@ -236,6 +236,35 @@ def test_conditioned_equals_joint_ratio(beam):
     assert cond_plus + cond_minus == pytest.approx(np.ones_like(ratio), abs=0.0)
 
 
+def test_joint_conditional_plus_is_the_density_ratio():
+    # random beams, states (pure H and V among them) and planes, at tilts inside the guard
+    rng = np.random.default_rng(20)
+    pure = (PolarizationState.horizontal(), PolarizationState.vertical())
+    for _ in range(60):
+        beam = BeamParams.from_wavelength(
+            rng.uniform(400e-9, 2e-6), rng.uniform(3e-4, 5e-3), rng.uniform(-2e-3, 2e-3)
+        )
+        z = rng.uniform(0.0, 10.0) * beam.rayleigh_range
+        w = beam.width(z)
+        polar, azimuth = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
+        states = (PolarizationState.from_bloch(polar, azimuth),
+                  PolarizationState.from_bloch(0.5 * math.pi, math.pi)) + pure
+        for pol in states:
+            model = PositionPolarizationModel(beam, pol, z)
+            theta = rng.uniform(-1.0, 1.0) * model.small_angle_guard()
+            x = beam.xi + w * np.linspace(-8.0, 8.0, 161)
+            p_plus, p_minus = sagnac_joint_density(beam, pol, theta, z, x)
+            ratio = p_plus / (p_plus + p_minus)
+            assert np.max(np.abs(model.conditional_plus(theta, x) - ratio)) <= 1e-15
+            # where the envelope underflows the ratio is 0/0; P(+|x) stays a probability
+            tail = beam.xi + w * np.array([-1e6, -1e3, -40.0, 40.0, 1e3, 1e6])
+            assert not np.any(sum(sagnac_joint_density(beam, pol, theta, z, tail)))
+            p_tail = model.conditional_plus(theta, tail)
+            assert np.all((p_tail >= 0.0) & (p_tail <= 1.0))
+            if pol in pure:
+                assert np.all(p_tail == 0.5)
+
+
 def test_interference_coefficients_reduce_correctly(beam):
     zr = beam.rayleigh_range
     # b vanishes on the beam center line
