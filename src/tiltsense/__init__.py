@@ -41,7 +41,6 @@ from .schemes import (
     PositionPolarizationModel,
     QuadrantModel,
     conditioned_polarization_probabilities,
-    fisher_total_decomposition,
     quadrant_probabilities,
     sagnac_joint_density,
     sagnac_polarization_probabilities,
@@ -69,7 +68,6 @@ __all__ = [
     "fisher_position",
     "fisher_quadrant",
     "fisher_sagnac_polarization",
-    "fisher_total_decomposition",
     "intensity_profile",
     "interference_coefficients",
     "log_likelihood",

@@ -126,7 +126,6 @@ def _run_block_rows(config, run_index, block, nu, threads):
             rows = list(pool.map(job, points))
     else:
         rows = [job(p) for p in points]
-    rows.sort(key=lambda r: (r[0], r[1]))
     return rows
 
 

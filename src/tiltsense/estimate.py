@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .fisher import analytic_fisher, cramer_rao_bound
+from .schemes import LOG_FLOOR
 
 END_INSET = 1e-3  # the end scores are read this fraction of the interval inside its ends
 SCORE_TOL = 1e-12  # rad; the score root is refined until a step is this small
@@ -50,8 +51,25 @@ def sample_outcomes(model, theta: float, nu: int, rng: np.random.Generator):
 
 
 def log_likelihood(model, outcomes, theta: float) -> float:
-    """Summed log probability of the recorded outcomes at tilt theta."""
-    return model.log_likelihood(model.statistic(outcomes), theta)
+    """Summed log probability of the recorded outcomes at tilt theta.
+
+    Built from the model's public outcome probabilities, as the oracle reads
+    them: ``probabilities`` with the sign counts, ``branch_pdf`` with each
+    photon's branch picked by its sign, or ``pdf``.  Each probability is
+    floored at ``LOG_FLOOR`` before its log.  The MLE never calls this: it is
+    the reference that the models' analytic scores are checked against.
+    """
+    if hasattr(model, "probabilities"):
+        n_plus, n_minus = model.statistic(outcomes)
+        p_plus, p_minus = np.maximum(model.probabilities(theta), LOG_FLOOR)
+        return n_plus * math.log(p_plus) + n_minus * math.log(p_minus)
+    if hasattr(model, "branch_pdf"):
+        signs, x = outcomes
+        p_plus, p_minus = model.branch_pdf(theta, x)
+        density = np.where(np.asarray(signs) > 0, p_plus, p_minus)
+    else:
+        density = model.pdf(theta, outcomes)
+    return float(np.sum(np.log(np.maximum(density, LOG_FLOOR))))
 
 
 @dataclass(frozen=True)

@@ -229,9 +229,8 @@ def conditioned_polarization_probabilities(beam: BeamParams, theta: float, z: fl
 #   even_in_theta                    True when only |theta| is identifiable
 #   small_angle_guard()              largest |theta| an estimate may take (inf: none)
 #   sample(theta, nu, rng)           nu independent outcomes
-#   statistic(outcomes)              the outcomes reduced once to what the likelihood needs
-#   log_likelihood(stat, theta)      summed log probability of the reduced outcomes
-#   score(stat, theta)               its analytic d/dtheta
+#   statistic(outcomes)              the outcomes reduced once to what the score needs
+#   score(stat, theta)               analytic d/dtheta of the summed log probability
 #   one_port(stat)                   True when all outcomes fell in one port of a
 #                                    two-outcome scheme (P+ or P- at 0: not a regular point)
 # ---------------------------------------------------------------------------
@@ -239,7 +238,6 @@ def conditioned_polarization_probabilities(beam: BeamParams, theta: float, z: fl
 DOMAIN_WIDTHS = 10.0  # integration window, in local beam widths around the centers
 
 LOG_FLOOR = 1e-300  # densities are floored here before taking logarithms
-LOG_FLOOR_LN = math.log(LOG_FLOOR)
 
 # relative tolerance of the joint decomposition's quadrature
 DECOMPOSITION_RTOL = 1e-10
@@ -321,7 +319,7 @@ class _InterferometricScheme:
 
 
 class _TwoOutcomeScheme:
-    """Sampling and likelihood of +1/-1 outcomes given by probabilities(theta).
+    """Sampling and score of +1/-1 outcomes given by probabilities(theta).
 
     The counts (n_plus, n_minus) are sufficient; each model supplies
     ``plus_slope(theta)`` = dP_plus/dtheta for the score.
@@ -334,11 +332,6 @@ class _TwoOutcomeScheme:
         signs = np.asarray(outcomes)
         n_plus = int(np.count_nonzero(signs > 0))
         return n_plus, signs.size - n_plus
-
-    def log_likelihood(self, stat, theta: float) -> float:
-        n_plus, n_minus = stat
-        p = np.maximum(np.asarray(self.probabilities(theta), dtype=float), LOG_FLOOR)
-        return n_plus * math.log(p[0]) + n_minus * math.log(p[1])
 
     def score(self, stat, theta: float) -> float:
         n_plus, n_minus = stat
@@ -388,21 +381,13 @@ class PositionModel(_DeflectionScheme):
         return _sample_mixture(self, theta, nu, rng)
 
     def statistic(self, outcomes):
-        """(n, sample mean, sum of squared deviations): sufficient for a Gaussian."""
+        """(n, sample mean): all the Gaussian location score reads."""
         x = np.asarray(outcomes, dtype=float)
-        mean = float(x.mean())
-        return x.size, mean, float(np.sum((x - mean) ** 2))
-
-    def log_likelihood(self, stat, theta: float) -> float:
-        # the pointwise sum of log pdf; no sampled density comes near LOG_FLOOR
-        n, mean, squares = stat
-        w2 = self.beam.width(self.z) ** 2
-        spread = squares + n * (mean - self.mean(theta)) ** 2
-        return 0.5 * n * math.log(2.0 / (math.pi * w2)) - 2.0 * spread / w2
+        return x.size, float(x.mean())
 
     def score(self, stat, theta: float) -> float:
         # linear in theta, with its root at (mean - xi) / (2 z)
-        n, mean, _ = stat
+        n, mean = stat
         return 8.0 * n * self.z * (mean - self.mean(theta)) / self.beam.width(self.z) ** 2
 
 
@@ -498,14 +483,14 @@ class FisherDecomposition(NamedTuple):
 
 
 class JointStatistic(NamedTuple):
-    """Per-photon factors of the joint likelihood, fixed once by the outcomes.
+    """Per-photon factors of the joint score, fixed once by the outcomes.
 
     With u = x - xi, q = 8 theta z u / w^2 and psi = theta * phase_rate - phi,
     the density of ``sagnac_joint_density`` factors as
 
-        p_pm = A e^{gauss - 8 theta^2 z^2 / w^2}
+        p_pm = A e^{-2 u^2 / w^2 - 8 theta^2 z^2 / w^2}
                [(|alpha|^2 e^{-q} + |beta|^2 e^{q}) / 2  pm  d cos psi]
-             = A e^{gauss - 8 theta^2 z^2 / w^2 + |q|} I,
+             = A e^{-2 u^2 / w^2 - 8 theta^2 z^2 / w^2 + |q|} I,
         I    = (near + far t^2) / 2  pm  d t cos psi,     t = e^{-|q|},
 
     where ``near`` is the weight of the path whose center lies on the
@@ -516,7 +501,6 @@ class JointStatistic(NamedTuple):
     signed_d: np.ndarray  # d for a "+" outcome, -d for a "-" outcome
     path_rate: np.ndarray  # |8 z u / w^2| = |q| / |theta|
     phase_rate: np.ndarray  # 4 k (w0^2 / w^2) u + 4 k xi
-    gauss: np.ndarray  # -2 u^2 / w^2
     half_near: Union[float, np.ndarray]  # near / 2 for theta >= 0
     half_far: Union[float, np.ndarray]
 
@@ -680,38 +664,12 @@ class PositionPolarizationModel(_InterferometricScheme):
             signed_d=np.where(np.asarray(signs) > 0, d, -d),
             path_rate=np.abs(rate),
             phase_rate=(4.0 * beam.k * beam.w0 ** 2 / w2) * u + 4.0 * beam.k * beam.xi,
-            gauss=(-2.0 / w2) * u * u,
             half_near=half_near,
             half_far=half_far,
         )
 
-    def log_likelihood(self, stat: JointStatistic, theta: float) -> float:
-        # in place: with more live temporaries glibc trims and refaults them every call
-        half_near, half_far = stat.halves(theta)
-        neg_q = stat.path_rate * -abs(theta)
-        log_p = stat.phase_rate * theta
-        log_p -= self.pol.coherence_phase
-        np.cos(log_p, out=log_p)
-        t2 = np.exp(neg_q)
-        log_p *= t2
-        log_p *= stat.signed_d
-        t2 *= t2
-        t2 *= half_far
-        log_p += t2
-        log_p += half_near
-        # I >= 0 holds exactly (d^2 = near * far); clamp rounding residue
-        np.maximum(log_p, 0.0, out=log_p)
-        with np.errstate(divide="ignore"):
-            np.log(log_p, out=log_p)
-        log_p -= neg_q
-        log_p += stat.gauss
-        w2 = self.beam.width(self.z) ** 2
-        prefactor = 0.5 * math.log(2.0 / (math.pi * w2)) - 8.0 * (theta * self.z) ** 2 / w2
-        np.maximum(log_p, LOG_FLOOR_LN - prefactor, out=log_p)
-        return float(log_p.sum()) + log_p.size * prefactor
-
     def score(self, stat: JointStatistic, theta: float) -> float:
-        """d/dtheta of ``log_likelihood``; photons with I = 0 (floored) add nothing.
+        """d/dtheta of the summed log density; photons with I = 0 add nothing.
 
         Per photon, d log p / dtheta = -16 theta z^2 / w^2
             + [sgn(theta) path_rate (near - far t^2) / 2 -+ d t phase_rate sin psi] / I,
@@ -750,7 +708,3 @@ class PositionPolarizationModel(_InterferometricScheme):
         w2 = self.beam.width(self.z) ** 2
         return float(ratio.sum()) - ratio.size * 16.0 * theta * self.z ** 2 / w2
 
-
-def fisher_total_decomposition(beam: BeamParams, z: float, theta: float) -> FisherDecomposition:
-    """``PositionPolarizationModel.decomposition`` for the diagonal input state."""
-    return PositionPolarizationModel(beam, PolarizationState.diagonal(), z).decomposition(theta)

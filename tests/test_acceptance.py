@@ -17,12 +17,12 @@ from tiltsense import (
     PolarizationModel,
     PolarizationState,
     PositionModel,
+    PositionPolarizationModel,
     QuadrantModel,
     fisher_conditioned,
     fisher_position,
     fisher_quadrant,
     fisher_sagnac_polarization,
-    fisher_total_decomposition,
     intensity_profile,
     numeric_fisher_oracle,
     qfi_beam_deflection,
@@ -133,7 +133,8 @@ def test_criterion_04_marginalization_consistency():
 def test_criterion_05_decomposition_identity(beam):
     zr = beam.rayleigh_range
     expected = 16.0 * beam.k ** 2 * (WAIST ** 2 / 4.0 + OFFSET ** 2)
-    report = fisher_total_decomposition(beam, 5.0 * zr, 1e-9)
+    model = PositionPolarizationModel(beam, PolarizationState.diagonal(), 5.0 * zr)
+    report = model.decomposition(1e-9)
     rel = abs(report.avg_conditioned - expected) / expected
     pos_fraction = report.position_part / report.total
     _report(

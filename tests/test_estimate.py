@@ -22,7 +22,7 @@ from tiltsense import (
     trial_rng,
 )
 from tiltsense.estimate import END_INSET, MleResult, _score_root, default_search_interval, run_trial
-from tiltsense.schemes import LOG_FLOOR, _sample_mixture, _sample_signs
+from tiltsense.schemes import _sample_mixture, _sample_signs
 
 
 def test_trial_rng_streams_are_reproducible_and_distinct():
@@ -219,8 +219,10 @@ def test_mle_recovers_position_mean_exactly(beam):
 # every model class, plus joint models with unequal path weights and a nonzero
 # coherence phase, which have no closed-form Fisher information and so get an
 # explicit interval across theta = 0: (model, theta_true, interval).  With phi
-# near pi, the joint score's tan(psi/2) is large over the sampled photons
-MODEL_CASES = {
+# near pi, the joint score's tan(psi/2) is large over the sampled photons; the
+# anti-diagonal state (phi = pi) puts every photon at its pole, psi = pi, at
+# theta = 0
+SCORE_CASES = {
     "position": lambda b: (PositionModel(b, b.rayleigh_range), 1.5e-6, None),
     "quadrant": lambda b: (QuadrantModel(b, b.rayleigh_range), 1.5e-6, None),
     "polarization": lambda b: (PolarizationModel(b, PolarizationState.diagonal()), 1.5e-6, None),
@@ -241,14 +243,6 @@ MODEL_CASES = {
         -1e-6,
         (-6e-6, 4e-6),
     ),
-}
-
-# the score tests also run at the pole of tan(psi/2), psi = pi, where the
-# anti-diagonal state (phi = pi) puts every photon at theta = 0.  The pointwise
-# likelihood test leaves it out: there its P+ is exactly 0, which the density's
-# rounded phi turns into ~2e-32 and the statistic's cos psi into the floor
-SCORE_CASES = {
-    **MODEL_CASES,
     "joint-anti-diagonal": lambda b: (
         PositionPolarizationModel(
             b, PolarizationState.from_bloch(0.5 * math.pi, math.pi), b.rayleigh_range
@@ -265,28 +259,6 @@ def _case(beam, name, nu=2000, index=0):
     return model, theta, outcomes, interval or default_search_interval(model, theta, nu)
 
 
-def _pointwise_log_likelihood(model, outcomes, theta):
-    """Sum of floored log probabilities, one outcome at a time."""
-    if hasattr(model, "probabilities"):
-        p_plus, p_minus = np.maximum(model.probabilities(theta), LOG_FLOOR)
-        return float(sum(math.log(p_plus if s > 0 else p_minus) for s in outcomes))
-    if hasattr(model, "branch_pdf"):
-        signs, x = outcomes
-        p_plus, p_minus = model.branch_pdf(theta, x)
-        density = np.where(signs > 0, p_plus, p_minus)
-    else:
-        density = model.pdf(theta, outcomes)
-    return float(np.sum(np.log(np.maximum(density, LOG_FLOOR))))
-
-
-@pytest.mark.parametrize("name", MODEL_CASES)
-def test_statistic_likelihood_equals_pointwise_sum(beam, name):
-    model, theta, outcomes, (lo, hi) = _case(beam, name)
-    for t in (lo, theta, hi, 0.0):
-        expected = _pointwise_log_likelihood(model, outcomes, t)
-        assert log_likelihood(model, outcomes, t) == pytest.approx(expected, rel=1e-11)
-
-
 @pytest.mark.parametrize("name", SCORE_CASES)
 def test_score_matches_likelihood_difference(beam, name):
     model, theta, outcomes, (lo, hi) = _case(beam, name)
@@ -294,7 +266,9 @@ def test_score_matches_likelihood_difference(beam, name):
     width = hi - lo
     for t in (lo + 0.1 * width, theta - 0.2 * width, theta + 0.3 * width, hi - 0.05 * width):
         h = 1e-5 * width
-        difference = (model.log_likelihood(stat, t + h) - model.log_likelihood(stat, t - h)) / (2 * h)
+        difference = (
+            log_likelihood(model, outcomes, t + h) - log_likelihood(model, outcomes, t - h)
+        ) / (2 * h)
         assert model.score(stat, t) == pytest.approx(difference, rel=1e-6), t
 
 
@@ -311,22 +285,25 @@ def test_mle_beats_a_dense_grid(beam, name):
 
 @pytest.mark.parametrize("name", SCORE_CASES)
 def test_mle_uses_only_a_few_score_evaluations(beam, name, monkeypatch):
-    calls = {"score": 0, "log_likelihood": 0}
+    calls = 0
     model_class = type(SCORE_CASES[name](beam)[0])
-    for method in calls:
-        original = getattr(model_class, method)
+    score = model_class.score
 
-        def counted(self, stat, theta, _original=original, _method=method):
-            calls[_method] += 1
-            return _original(self, stat, theta)
+    def counted(self, stat, theta):
+        nonlocal calls
+        calls += 1
+        return score(self, stat, theta)
 
-        monkeypatch.setattr(model_class, method, counted)
+    def forbidden(*args):
+        raise AssertionError("mle evaluated the log-likelihood")
+
+    monkeypatch.setattr(model_class, "score", counted)
+    monkeypatch.setattr("tiltsense.estimate.log_likelihood", forbidden)
     for index in range(3):
         model, _, outcomes, interval = _case(beam, name, index=index)
-        calls["score"] = 0
+        calls = 0
         mle(model, outcomes, interval)
-        assert calls["log_likelihood"] == 0
-        assert 1 <= calls["score"] <= 12
+        assert 1 <= calls <= 12
 
 
 def test_maximum_within_the_end_inset_is_at_the_boundary(beam):

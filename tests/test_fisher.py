@@ -16,7 +16,6 @@ from tiltsense import (
     fisher_position,
     fisher_quadrant,
     fisher_sagnac_polarization,
-    fisher_total_decomposition,
     intensity_profile,
     interference_coefficients,
     qfi_beam_deflection,
@@ -292,7 +291,8 @@ def test_conditioned_matches_finite_difference_of_probabilities(beam):
 
 def test_decomposition_small_angle(beam):
     zr = beam.rayleigh_range
-    report = fisher_total_decomposition(beam, 5 * zr, 1e-9)
+    model = PositionPolarizationModel(beam, PolarizationState.diagonal(), 5 * zr)
+    report = model.decomposition(1e-9)
     expected = 16.0 * beam.k ** 2 * (WAIST ** 2 / 4.0 + beam.xi ** 2)
     assert report.avg_conditioned == pytest.approx(expected, rel=1e-5)
     assert report.position_part < 1e-6 * report.total
@@ -300,7 +300,8 @@ def test_decomposition_small_angle(beam):
 
 
 def test_decomposition_small_angle_centered(centered_beam):
-    report = fisher_total_decomposition(centered_beam, 2.0, 1e-9)
+    model = PositionPolarizationModel(centered_beam, PolarizationState.diagonal(), 2.0)
+    report = model.decomposition(1e-9)
     assert report.avg_conditioned == pytest.approx(
         16.0 * centered_beam.k ** 2 * WAIST ** 2 / 4.0, rel=1e-5
     )
@@ -310,7 +311,6 @@ def test_decomposition_is_the_joint_model_fisher(beam):
     model = PositionPolarizationModel(beam, PolarizationState.diagonal(), 2.0)
     report = model.decomposition(1e-6)
     assert model.fisher(1e-6) == report.total
-    assert fisher_total_decomposition(beam, 2.0, 1e-6) == report
 
 
 def test_decomposition_needs_the_diagonal_state(beam):
@@ -369,7 +369,8 @@ def test_measurement_fisher_below_qfi(xi, z_factor, theta, split, polar, azimuth
     assert fisher_quadrant(beam, theta, z, split) <= qfi_beam_deflection(beam) * slack
     assert fisher_sagnac_polarization(beam, plus, theta) <= qfi_sagnac(beam, plus) * slack
     assert fisher_sagnac_polarization(beam, state, theta) <= qfi_sagnac(beam, state) * slack
-    assert fisher_total_decomposition(beam, z, theta).total <= qfi_sagnac(beam, plus) * slack
+    joint = PositionPolarizationModel(beam, plus, z)
+    assert joint.decomposition(theta).total <= qfi_sagnac(beam, plus) * slack
 
 
 @pytest.mark.parametrize("theta", [1e-7, 1e-6, 3e-6])
@@ -385,6 +386,7 @@ def test_theta_parity(beam, theta):
     assert fisher_conditioned(beam, z, 0.4e-3, theta) == pytest.approx(
         fisher_conditioned(beam, z, 0.4e-3, -theta), rel=1e-12
     )
-    fwd = fisher_total_decomposition(beam, z, theta)
-    bwd = fisher_total_decomposition(beam, z, -theta)
+    joint = PositionPolarizationModel(beam, plus, z)
+    fwd = joint.decomposition(theta)
+    bwd = joint.decomposition(-theta)
     assert fwd.total == pytest.approx(bwd.total, rel=1e-9)

@@ -18,7 +18,6 @@ from tiltsense import (
     fisher_position,
     fisher_quadrant,
     fisher_sagnac_polarization,
-    fisher_total_decomposition,
     numeric_fisher_oracle,
     qfi_beam_deflection,
 )
@@ -127,7 +126,7 @@ def test_joint_total_against_oracle(beam):
     theta, z = 1e-6, 5 * beam.rayleigh_range
     model = PositionPolarizationModel(beam, PolarizationState.diagonal(), z)
     oracle = numeric_fisher_oracle(model, theta)
-    total = fisher_total_decomposition(beam, z, theta).total
+    total = model.decomposition(theta).total
     assert relerr(total, oracle, 1.0) < 1e-4
 
 
@@ -140,7 +139,7 @@ def test_joint_total_against_oracle_at_large_tilt(beam, z_over_zr):
         conditioned = fisher_conditioned(beam, z, np.linspace(-0.5, 0.5, 4001), theta)
     assert np.all(np.isfinite(conditioned))
     model = PositionPolarizationModel(beam, PolarizationState.diagonal(), z)
-    total = fisher_total_decomposition(beam, z, theta).total
+    total = model.decomposition(theta).total
     assert relerr(total, numeric_fisher_oracle(model, theta), 1.0) < 1e-4
 
 

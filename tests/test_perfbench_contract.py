@@ -1,0 +1,50 @@
+"""The names the benchmark's tracer reads from the package.
+
+``perfbench/traced.py`` wraps package functions by name (``estimate.run_trial``,
+``estimate.log_likelihood``, the names ``cli`` binds, every model's density
+methods) before it runs a command.  Each workload's tiny config runs here under
+it, so that removing or renaming one of those names fails in this suite.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def _inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+# the workload, and a span its command must record: the tracer's wrappers ran
+@pytest.mark.parametrize(
+    "workload, span", [("sweep-fisher", "oracle.joint"), ("montecarlo-mle", "estimate.trial")]
+)
+def test_traced_tiny_workload_runs(tmp_path, workload, span):
+    plan = _inputs().make_plan(workload, 7, tiny=True)
+    config = tmp_path / "config.yaml"
+    config.write_text(plan.config, encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for index, command in enumerate(plan.commands):
+        argv = [arg.format(config=config, out=tmp_path / "out") for arg in command]
+        trace = tmp_path / f"trace{index}.json"
+        result = subprocess.run(
+            [sys.executable, str(PERFBENCH / "traced.py"), str(trace), *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(trace.read_text(encoding="utf-8"))
+        assert payload["exit_code"] == 0
+        assert span in {record[0] for record in payload["spans"]}
