@@ -8,81 +8,58 @@ bounds, and verifies Cramer-Rao saturation by Monte Carlo maximum-likelihood
 estimation.
 """
 
-from .beam import BeamParams, intensity_profile
-from .estimate import (
-    MleResult,
-    SaturationReport,
-    log_likelihood,
-    mle,
-    run_saturation,
-    sample_outcomes,
-    trial_rng,
-)
-from .fisher import (
-    analytic_fisher,
-    cramer_rao_bound,
-    fisher_conditioned,
-    fisher_position,
-    fisher_quadrant,
-    fisher_sagnac_polarization,
-    interference_coefficients,
-    qfi_beam_deflection,
-    qfi_for_model,
-    qfi_mach_zehnder,
-    qfi_sagnac,
-)
-from .oracle import OracleError, numeric_fisher_oracle
-from .polarization import PolarizationState
-from .schemes import (
-    ConditionedPolarizationModel,
-    FisherDecomposition,
-    PolarizationModel,
-    PositionModel,
-    PositionPolarizationModel,
-    QuadrantModel,
-    conditioned_polarization_probabilities,
-    quadrant_probabilities,
-    sagnac_joint_density,
-    sagnac_polarization_probabilities,
-    small_angle_flags,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BeamParams",
-    "PolarizationState",
-    "ConditionedPolarizationModel",
-    "PolarizationModel",
-    "PositionModel",
-    "PositionPolarizationModel",
-    "QuadrantModel",
-    "FisherDecomposition",
-    "MleResult",
-    "SaturationReport",
-    "OracleError",
-    "analytic_fisher",
-    "cramer_rao_bound",
-    "conditioned_polarization_probabilities",
-    "fisher_conditioned",
-    "fisher_position",
-    "fisher_quadrant",
-    "fisher_sagnac_polarization",
-    "intensity_profile",
-    "interference_coefficients",
-    "log_likelihood",
-    "mle",
-    "numeric_fisher_oracle",
-    "qfi_beam_deflection",
-    "qfi_for_model",
-    "qfi_mach_zehnder",
-    "qfi_sagnac",
-    "quadrant_probabilities",
-    "run_saturation",
-    "sagnac_joint_density",
-    "sagnac_polarization_probabilities",
-    "sample_outcomes",
-    "small_angle_flags",
-    "trial_rng",
-    "__version__",
-]
+# each export and the module that defines it; a name is imported on first use
+# (PEP 562), so that ``import tiltsense.config`` loads neither numpy nor the models
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("beam", ("BeamParams", "intensity_profile")),
+        (
+            "estimate",
+            (
+                "MleResult", "SaturationReport", "log_likelihood", "mle", "run_saturation",
+                "sample_outcomes", "trial_rng",
+            ),
+        ),
+        (
+            "fisher",
+            (
+                "analytic_fisher", "cramer_rao_bound", "fisher_conditioned", "fisher_position",
+                "fisher_quadrant", "fisher_sagnac_polarization", "interference_coefficients",
+                "qfi_beam_deflection", "qfi_for_model", "qfi_mach_zehnder", "qfi_sagnac",
+            ),
+        ),
+        ("oracle", ("OracleError", "numeric_fisher_oracle")),
+        ("polarization", ("PolarizationState",)),
+        (
+            "schemes",
+            (
+                "ConditionedPolarizationModel", "FisherDecomposition", "PolarizationModel",
+                "PositionModel", "PositionPolarizationModel", "QuadrantModel",
+                "conditioned_polarization_probabilities", "quadrant_probabilities",
+                "sagnac_joint_density", "sagnac_polarization_probabilities", "small_angle_flags",
+            ),
+        ),
+    )
+    for name in names
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    # an unknown name raises AttributeError, so that ``from tiltsense import
+    # schemes`` falls back to importing the submodule
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

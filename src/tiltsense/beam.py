@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -72,6 +70,8 @@ class BeamParams:
 
     def width(self, z):
         """Beam width w(z) = w0*sqrt(1 + z^2/z_R^2)."""
+        import numpy as np  # here, so that parsing a config loads no numpy
+
         zr = self.rayleigh_range
         return self.w0 * np.sqrt(1.0 + (z / zr) ** 2)
 
@@ -91,6 +91,8 @@ def intensity_profile(beam: BeamParams, theta: float, z: float, x):
 
     which integrates to 1 over x.
     """
+    import numpy as np
+
     w2 = beam.width(z) ** 2
     amp = math.sqrt(2.0 / (math.pi * w2))
     u = np.asarray(x, dtype=float) - (beam.xi + 2.0 * theta * z)

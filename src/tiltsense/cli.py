@@ -8,32 +8,76 @@ failure, 4 statistical-check failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from ._integrate import ConvergenceError
-from .beam import BeamParams, intensity_profile
 from .config import SEED_LIMIT, ConfigError, ScenarioConfig, load_config, parse_integer
-from .estimate import default_search_interval, run_saturation
-from .fisher import (
-    analytic_fisher,
-    cramer_rao_bound,
-    fisher_conditioned,
-    qfi_for_model,
-)
-from .oracle import OracleError, numeric_fisher_oracle
 from .output import write_csv, write_json, write_sidecar
-from .schemes import (
-    PolarizationModel,
-    PositionModel,
-    PositionPolarizationModel,
-    QuadrantModel,
+
+_MODELS = ("PolarizationModel", "PositionModel", "PositionPolarizationModel", "QuadrantModel")
+# The names this module takes from the other layers, and the module of each.
+# A command binds the names it runs into this module's globals before it
+# starts (``_bind``), so that it imports only its own layers; attribute
+# access from outside (``cli.LineChart``) binds a name the same way.
+_LAYERS = {
+    name: module
+    for module, names in (
+        ("numpy", ("np",)),
+        (".beam", ("BeamParams", "intensity_profile")),
+        (".fisher", ("analytic_fisher", "cramer_rao_bound", "fisher_conditioned", "qfi_for_model")),
+        (".svgplot", ("LineChart",)),
+        (".schemes", _MODELS),
+        (".oracle", ("OracleError", "numeric_fisher_oracle")),
+        ("._integrate", ("ConvergenceError",)),
+        (".estimate", ("default_search_interval", "run_saturation")),
+    )
+    for name in names
+}
+_TABLE_NAMES = (
+    *_MODELS, "analytic_fisher", "cramer_rao_bound", "qfi_for_model",
+    "numeric_fisher_oracle", "OracleError", "ConvergenceError",
 )
-from .svgplot import LineChart
+_MONTECARLO_NAMES = (*_MODELS, "analytic_fisher", "default_search_interval", "run_saturation")
+_FIGURE_NAMES = ("np", "BeamParams", "intensity_profile", "fisher_conditioned", "LineChart")
+
+
+def _bind(names):
+    """Bind each of ``names`` that is not yet bound here to its layer's object.
+
+    A bound name is kept, so a replacement set from outside stays in force.
+    """
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            module = importlib.import_module(_LAYERS[name], __package__)
+            scope[name] = module if name == "np" else getattr(module, name)
+
+
+def __getattr__(name):
+    if name not in _LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind((name,))
+    return globals()[name]
+
+
+def _numeric_errors():
+    """The numerical-failure classes of the layers this process has loaded.
+
+    Neither can be raised before its module is loaded, and looking them up
+    this way loads nothing for a command that never needed them.
+    """
+    return tuple(
+        getattr(sys.modules[module], name)
+        for module, name in (
+            (f"{__package__}.oracle", "OracleError"),
+            (f"{__package__}._integrate", "ConvergenceError"),
+        )
+        if module in sys.modules
+    )
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -151,6 +195,7 @@ def _emit_table(args, name, header, rows, config_text, seed=None):
 
 def cmd_table(args) -> int:
     """``sweep`` tabulates every run block, ``fisher`` only block ``--run``."""
+    _bind(_TABLE_NAMES)
     config = load_config(args.config)
     if not config.runs:
         raise ConfigError("config has no run blocks")
@@ -174,6 +219,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    _bind(_MONTECARLO_NAMES)
     config = load_config(args.config)
     if config.montecarlo is None:
         raise ConfigError("config has no montecarlo block")
@@ -189,9 +235,9 @@ def cmd_montecarlo(args) -> int:
     for index, block in enumerate(config.runs):
         z = None
         if block.z is not None:
-            if block.z.size != 1:
+            if len(block.z) != 1:
                 raise ConfigError(
-                    f"run[{index}]: montecarlo needs a scalar z, got a grid of {block.z.size}"
+                    f"run[{index}]: montecarlo needs a scalar z, got a grid of {len(block.z)}"
                 )
             z = float(block.z[0])
         model = build_model(block.scheme, config, z, block.split)
@@ -295,6 +341,7 @@ def _write_figure(args, config, command, panels) -> int:
 
 
 def cmd_figure3(args) -> int:
+    _bind(_FIGURE_NAMES)
     config = load_config(args.config) if args.config else None
     zr = _figure_beam(config, 0.0).rayleigh_range
     ylabel = "conditional Fisher / k^2 [m^2]"
@@ -329,6 +376,7 @@ def cmd_figure3(args) -> int:
 
 
 def cmd_figure4(args) -> int:
+    _bind(_FIGURE_NAMES)
     config = load_config(args.config) if args.config else None
     zr = _figure_beam(config, 0.0).rayleigh_range
     z_values = (0.0, 5.0 * zr)
@@ -375,8 +423,8 @@ def cmd_validate(args) -> int:
         f"d={pol.coherence_magnitude:.3f}, phi={pol.coherence_phase:+.3f} rad"
     )
     for i, block in enumerate(config.runs):
-        z_text = f", z points={block.z.size}" if block.z is not None else ""
-        print(f"run[{i}]: scheme={block.scheme}, theta points={block.theta.size}{z_text}")
+        z_text = f", z points={len(block.z)}" if block.z is not None else ""
+        print(f"run[{i}]: scheme={block.scheme}, theta points={len(block.theta)}{z_text}")
     if config.montecarlo:
         mc = config.montecarlo
         print(
@@ -406,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--config", required=config_required, default=None, help="scenario YAML file"
         )
         p.add_argument("--out", default=".", help="output directory")
-        # only fisher and sweep read it; every perfbench command passes it (ROADMAP item 3)
+        # only fisher and sweep read it; every perfbench command passes it (ROADMAP item 1)
         p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
@@ -444,12 +492,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OracleError, ConvergenceError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except StatisticalCheckError as exc:
         print(f"statistical check failed: {exc}", file=sys.stderr)
         return EXIT_STATS
+    except _numeric_errors() as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

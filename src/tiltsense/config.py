@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
 import yaml
 
 from .beam import BeamParams
@@ -27,6 +27,11 @@ SCHEMES = ("position", "quadrant", "polarization", "joint")
 SEED_LIMIT = 2 ** 64  # seeds key a Philox stream through one uint64
 
 NU_LIMIT = 10 ** 8  # photons per trial; one float64 array of that many is 0.8 GB
+
+# points per {start, stop, count} grid: 8 MB of doubles, built in Python in
+# about 0.2 s, and a sweep of ~1 ms rows over them already takes a quarter of
+# an hour; a larger count would only exhaust memory while the grid is built
+GRID_LIMIT = 10 ** 6
 
 UNIT_SCALES = {
     "m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12,
@@ -87,8 +92,26 @@ def parse_integer(value, *, where: str, low: int = 1, high: float = math.inf) ->
     return value
 
 
-def parse_grid(spec, *, rayleigh: Optional[float] = None, where: str = "grid") -> np.ndarray:
-    """A grid is either an explicit list of quantities or {start, stop, count}."""
+def _linspace(start: float, stop: float, count: int) -> array:
+    """``np.linspace(start, stop, count)``, by the same float operations bit for bit."""
+    delta = stop - start
+    div = count - 1
+    if div == 0:
+        return array("d", [0.0 * delta + start])
+    step = delta / div
+    if step == 0.0:  # the spacing underflows: scale by delta after dividing, as numpy does
+        values = array("d", (i / div * delta + start for i in range(count)))
+    else:
+        values = array("d", (i * step + start for i in range(count)))
+    values[-1] = stop
+    return values
+
+
+def parse_grid(spec, *, rayleigh: Optional[float] = None, where: str = "grid") -> array:
+    """A grid is either an explicit list of quantities or {start, stop, count}.
+
+    Returns the points as an ``array('d')``.
+    """
     if isinstance(spec, dict):
         unknown = set(spec) - {"start", "stop", "count"}
         if unknown:
@@ -99,17 +122,26 @@ def parse_grid(spec, *, rayleigh: Optional[float] = None, where: str = "grid") -
             count = parse_integer(spec["count"], where=f"{where}.count")
         except KeyError as missing:
             raise ConfigError(f"{where}: grid needs start/stop/count, missing {missing}")
-        values = np.linspace(start, stop, count)
+        if count > GRID_LIMIT:
+            raise ConfigError(
+                f"{where}.count: {count} points exceed the limit of {GRID_LIMIT} per grid"
+            )
+        values = _linspace(start, stop, count)
     elif isinstance(spec, list):
-        values = np.array(
-            [parse_quantity(v, rayleigh=rayleigh, where=f"{where}[{i}]") for i, v in enumerate(spec)]
+        values = array(
+            "d",
+            [parse_quantity(v, rayleigh=rayleigh, where=f"{where}[{i}]") for i, v in enumerate(spec)],
         )
     else:
-        values = np.array([parse_quantity(spec, rayleigh=rayleigh, where=where)])
-    if values.size == 0:
+        values = array("d", [parse_quantity(spec, rayleigh=rayleigh, where=where)])
+    if not values:
         raise ConfigError(f"{where}: grid must be nonempty")
-    if values.size > 1 and not np.all(np.diff(values) > 0.0):
+    if not all(a < b for a, b in zip(values, values[1:])):
         raise ConfigError(f"{where}: grid must be strictly increasing")
+    # increasing points end at a finite stop, so only a lone point can be
+    # non-finite: 0 * (stop - start) + start is nan when stop - start overflows
+    if not math.isfinite(values[0]):
+        raise ConfigError(f"{where}: stop - start overflows the float range")
     return values
 
 
@@ -180,8 +212,8 @@ class RunBlock:
     """One scheme with its evaluation grids."""
 
     scheme: str
-    theta: np.ndarray
-    z: Optional[np.ndarray] = None
+    theta: array
+    z: Optional[array] = None
     split: Optional[float] = None
 
 
@@ -222,12 +254,12 @@ def _parse_run(block, beam, index) -> RunBlock:
         if "z" not in block:
             raise ConfigError(f"{where}: scheme {scheme!r} needs a z value or grid")
         z = parse_grid(block["z"], rayleigh=beam.rayleigh_range, where=f"{where}.z")
-        if np.any(z < 0.0):
+        if z[0] < 0.0:
             raise ConfigError(f"{where}.z: detector positions must be >= 0")
         # widths square z/z_R, which raises OverflowError from 1.3e154 on
-        if np.any(z >= 1e154 * beam.rayleigh_range):
+        if z[-1] >= 1e154 * beam.rayleigh_range:
             raise ConfigError(
-                f"{where}.z: z/z_R must be below 1e154, got z={float(z.max())!r} m "
+                f"{where}.z: z/z_R must be below 1e154, got z={z[-1]!r} m "
                 f"with z_R={beam.rayleigh_range!r} m"
             )
     elif "z" in block:

@@ -665,3 +665,27 @@ def test_figure_curves_of_extreme_lengths_are_finite(tmp_path, command, beam):
         x, xi_0, xi_1mm = np.loadtxt(tmp_path / "o" / "figure3a.csv", delimiter=",", skiprows=1).T
         assert xi_0 == pytest.approx(16.0 * x * x / 26.0, rel=1e-12, abs=1e-25)
         assert xi_1mm == pytest.approx(16.0 * (x * x + 25e-6) / 26.0, rel=1e-12)
+
+
+def test_grid_count_above_the_limit_exits_2(tmp_path, capsys):
+    # numpy used to be asked for a 7.28 TiB grid here, and the command ended in a traceback
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm}\n"
+        "run: {scheme: position, theta: 0, z: {start: 1z_R, stop: 2z_R, count: 1000000000000}}\n",
+    )
+    for command in (["validate-config"], ["sweep", "--out", str(tmp_path / "s")]):
+        assert main([*command, "--config", cfg]) == 2
+        assert "run[0].z.count: 1000000000000 points exceed the limit" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_lone_grid_point_of_an_overflowing_span_exits_2(tmp_path, capsys):
+    # 0 * (stop - start) + start is nan when stop - start overflows; it used to make a nan row
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm}\n"
+        "run: {scheme: polarization, theta: {start: -1.5e308, stop: 1.5e308, count: 1}}\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    assert "run[0].theta: stop - start overflows the float range" in capsys.readouterr().err

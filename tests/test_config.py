@@ -4,8 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tiltsense import config as config_module
 from tiltsense.config import (
+    GRID_LIMIT,
     NU_LIMIT,
     ConfigError,
     parse_config_text,
@@ -303,3 +307,54 @@ def test_libyaml_and_pure_python_loaders_read_the_same_data(name, monkeypatch):
         config.beam, config.polarization, config.montecarlo
     )
     assert len(fallback.runs) == len(config.runs)
+
+
+def _log_uniform(low_exponent, high_exponent):
+    return st.builds(
+        lambda sign, exponent, mantissa: sign * mantissa * 10.0 ** exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.integers(low_exponent, high_exponent),
+        st.floats(1.0, 10.0, exclude_max=True),
+    )
+
+
+grid_ends = st.one_of(
+    # ends spread over many decades, ordered so that most grids are accepted
+    st.tuples(_log_uniform(-300, 300), _log_uniform(-300, 300)).map(sorted),
+    # a few subnormals apart: the spacing underflows to 0 (numpy's step == 0 branch)
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40)).map(lambda n: (n[0] * 5e-324, n[1] * 5e-324)),
+    # opposite signs near the float limit: stop - start overflows
+    st.tuples(st.floats(1e307, 1.7e308), st.floats(1e307, 1.7e308)).map(lambda m: (-m[0], m[1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_ends, st.integers(1, 2000))
+@example((-1.5e308, 1.5e308), 1)
+@example((-1.5e308, 1.5e308), 2)
+def test_start_stop_count_grid_is_numpy_linspace_bit_for_bit(ends, count):
+    start, stop = ends
+    with np.errstate(all="ignore"):
+        expected = np.linspace(start, stop, count)
+        increasing = bool(np.all(np.diff(expected) > 0.0))
+    assert config_module._linspace(start, stop, count).tobytes() == expected.tobytes()
+    spec = {"start": start, "stop": stop, "count": count}
+    if not increasing:
+        with pytest.raises(ConfigError, match="grid: grid must be strictly increasing"):
+            parse_grid(spec)
+    elif not np.isfinite(expected).all():
+        # a lone point of an overflowing stop - start is nan in numpy
+        with pytest.raises(ConfigError, match="grid: stop - start overflows the float range"):
+            parse_grid(spec)
+    else:
+        assert parse_grid(spec).tobytes() == expected.tobytes()
+
+
+def test_grid_count_above_the_limit_names_the_field():
+    text = "beam: {wavelength: 633nm, w0: 1mm}\nrun: {scheme: position, theta: 0, z: %s}\n"
+    grid = "{start: 1z_R, stop: 2z_R, count: %d}"
+    message = rf"run\[0\]\.z\.count: 1000000000000 points exceed the limit of {GRID_LIMIT}\b"
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(text % (grid % 10 ** 12))
+    config = parse_config_text(text % (grid % GRID_LIMIT))
+    assert len(config.runs[0].z) == GRID_LIMIT

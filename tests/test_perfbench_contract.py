@@ -27,9 +27,14 @@ def _inputs():
     return module
 
 
-# the workload, and a span its command must record: the tracer's wrappers ran
+# the workload, and a span its commands must record: the tracer's wrappers ran
 @pytest.mark.parametrize(
-    "workload, span", [("sweep-fisher", "oracle.joint"), ("montecarlo-mle", "estimate.trial")]
+    "workload, span",
+    [
+        ("sweep-fisher", "oracle.joint"),
+        ("montecarlo-mle", "estimate.trial"),
+        ("coldstart-figures", "svgplot.write"),
+    ],
 )
 def test_traced_tiny_workload_runs(tmp_path, workload, span):
     plan = _inputs().make_plan(workload, 7, tiny=True)
@@ -37,6 +42,7 @@ def test_traced_tiny_workload_runs(tmp_path, workload, span):
     config.write_text(plan.config, encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    spans = set()
     for index, command in enumerate(plan.commands):
         argv = [arg.format(config=config, out=tmp_path / "out") for arg in command]
         trace = tmp_path / f"trace{index}.json"
@@ -47,4 +53,6 @@ def test_traced_tiny_workload_runs(tmp_path, workload, span):
         assert result.returncode == 0, result.stderr
         payload = json.loads(trace.read_text(encoding="utf-8"))
         assert payload["exit_code"] == 0
-        assert span in {record[0] for record in payload["spans"]}
+        spans |= {record[0] for record in payload["spans"]}
+    # over all the workload's commands: validate-config records no figure span
+    assert span in spans
