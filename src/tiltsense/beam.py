@@ -68,14 +68,11 @@ class BeamParams:
         """z_R = k*w0^2/2, the near-field/far-field boundary."""
         return 0.5 * self.k * self.w0 ** 2
 
-    def width(self, z):
-        """Beam width w(z) = w0*sqrt(1 + z^2/z_R^2)."""
-        import numpy as np  # here, so that parsing a config loads no numpy
+    def width(self, z: float) -> float:
+        """Beam width w(z) = w0*sqrt(1 + z^2/z_R^2) at one plane z."""
+        return self.w0 * math.sqrt(1.0 + (z / self.rayleigh_range) ** 2)
 
-        zr = self.rayleigh_range
-        return self.w0 * np.sqrt(1.0 + (z / zr) ** 2)
-
-    def variance(self, z=0.0):
+    def variance(self, z: float = 0.0) -> float:
         """Transverse variance of the intensity profile, w(z)^2/4."""
         w = self.width(z)
         return w * w / 4.0
@@ -89,12 +86,17 @@ def intensity_profile(beam: BeamParams, theta: float, z: float, x):
         P(x) = A * exp(-2 (x - xi - 2 theta z)^2 / w(z)^2),
         A    = sqrt(2 / (pi w(z)^2)),
 
-    which integrates to 1 over x.
+    which integrates to 1 over x.  A list of x (a figure grid) is evaluated
+    point by point with ``math.exp`` and gives a list; any other x (a float or
+    an ndarray of quadrature nodes) goes through numpy.
     """
-    import numpy as np
-
     w2 = beam.width(z) ** 2
     amp = math.sqrt(2.0 / (math.pi * w2))
-    u = np.asarray(x, dtype=float) - (beam.xi + 2.0 * theta * z)
-    return amp * np.exp(-2.0 * u * u / w2)
+    center = beam.xi + 2.0 * theta * z
+    if isinstance(x, list):
+        exp = math.exp
+        return [amp * exp(-2.0 * (v - center) * (v - center) / w2) for v in x]
+    import numpy as np
 
+    u = np.asarray(x, dtype=float) - center
+    return amp * np.exp(-2.0 * u * u / w2)

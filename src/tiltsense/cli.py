@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import SEED_LIMIT, ConfigError, ScenarioConfig, load_config, parse_integer
+from .config import SEED_LIMIT, ConfigError, ScenarioConfig, linspace, load_config, parse_integer
 from .output import write_csv, write_json, write_sidecar
 
 _MODELS = ("PolarizationModel", "PositionModel", "PositionPolarizationModel", "QuadrantModel")
@@ -25,7 +25,6 @@ _MODELS = ("PolarizationModel", "PositionModel", "PositionPolarizationModel", "Q
 _LAYERS = {
     name: module
     for module, names in (
-        ("numpy", ("np",)),
         (".beam", ("BeamParams", "intensity_profile")),
         (".fisher", ("analytic_fisher", "cramer_rao_bound", "fisher_conditioned", "qfi_for_model")),
         (".svgplot", ("LineChart",)),
@@ -41,7 +40,7 @@ _TABLE_NAMES = (
     "numeric_fisher_oracle", "OracleError", "ConvergenceError",
 )
 _MONTECARLO_NAMES = (*_MODELS, "analytic_fisher", "default_search_interval", "run_saturation")
-_FIGURE_NAMES = ("np", "BeamParams", "intensity_profile", "fisher_conditioned", "LineChart")
+_FIGURE_NAMES = ("BeamParams", "intensity_profile", "fisher_conditioned", "LineChart")
 
 
 def _bind(names):
@@ -52,8 +51,7 @@ def _bind(names):
     scope = globals()
     for name in names:
         if name not in scope:
-            module = importlib.import_module(_LAYERS[name], __package__)
-            scope[name] = module if name == "np" else getattr(module, name)
+            scope[name] = getattr(importlib.import_module(_LAYERS[name], __package__), name)
 
 
 def __getattr__(name):
@@ -303,26 +301,28 @@ def _figure_beam(config: ScenarioConfig | None, xi: float) -> BeamParams:
     return BeamParams.from_rayleigh_range(FIGURE_RAYLEIGH, FIGURE_WAVELENGTH, xi)
 
 
+def _not_finite(config, name) -> ConfigError:
+    beam = _figure_beam(config, 0.0)
+    return ConfigError(
+        f"beam: the {name} curves are not finite for k={beam.k!r} rad/m, "
+        f"w0={beam.w0!r} m (z_R={beam.rayleigh_range!r} m); the figures span "
+        "10 z_R in z and millimetre offsets in x"
+    )
+
+
 def _write_figure(args, config, command, panels) -> int:
     """Write each panel's CSV and SVG, then the sidecar that lists them.
 
-    A panel is (name, title, x label, y label, header, x, columns, curve labels).
+    A panel is (name, title, x label, y label, header, x, columns, curve labels),
+    its x and columns lists of floats.
     """
     for name, *_, columns, _ in panels:
-        if not all(np.isfinite(column).all() for column in columns):
-            beam = _figure_beam(config, 0.0)
-            raise ConfigError(
-                f"beam: the {name} curves are not finite for k={beam.k!r} rad/m, "
-                f"w0={beam.w0!r} m (z_R={beam.rayleigh_range!r} m); the figures span "
-                "10 z_R in z and millimetre offsets in x"
-            )
+        if not all(math.isfinite(v) for column in columns for v in column):
+            raise _not_finite(config, name)
     out = Path(args.out)
     outputs = []
     for name, title, xlabel, ylabel, header, x, columns, labels in panels:
-        write_csv(
-            out / f"{name}.csv", header,
-            list(zip(x.tolist(), *(column.tolist() for column in columns))),
-        )
+        write_csv(out / f"{name}.csv", header, list(zip(x, *columns)))
         chart = LineChart(title, xlabel, ylabel)
         for column, label in zip(columns, labels):
             chart.add(x, column, label=label)
@@ -347,15 +347,17 @@ def cmd_figure3(args) -> int:
     ylabel = "conditional Fisher / k^2 [m^2]"
 
     # panel (a): information per detected photon vs x at z = 5 z_R
-    x = np.linspace(-3e-3, 3e-3, 601)
+    x = linspace(-3e-3, 3e-3, 601).tolist()
     beams = [_figure_beam(config, xi) for xi in (0.0, 1e-3)]
-    columns_a = [fisher_conditioned(beam, 5.0 * zr, x, 0.0) / beam.k ** 2 for beam in beams]
+    columns_a = [
+        [fisher_conditioned(beam, 5.0 * zr, xx, 0.0) / beam.k ** 2 for xx in x] for beam in beams
+    ]
 
     # panel (b): same quantity vs z at fixed detection points, xi = 1 mm
     beam_b = beams[1]
-    z = np.linspace(0.0, 10.0 * zr, 501)
+    z = linspace(0.0, 10.0 * zr, 501).tolist()
     columns_b = [
-        fisher_conditioned(beam_b, z, np.full_like(z, xx), 0.0) / beam_b.k ** 2
+        [fisher_conditioned(beam_b, zz, xx, 0.0) / beam_b.k ** 2 for zz in z]
         for xx in (0.0, 1e-3, 1.5e-3)
     ]
     return _write_figure(args, config, "figure3", [
@@ -389,11 +391,16 @@ def cmd_figure4(args) -> int:
     ):
         beam = _figure_beam(config, xi)
         w_far = beam.width(z_values[-1])
-        x = np.linspace(xi - 5.0 * w_far, xi + 5.0 * w_far, 2001)
+        if not w_far < 1e154:  # the densities square it
+            raise _not_finite(config, name)
+        x = linspace(xi - 5.0 * w_far, xi + 5.0 * w_far, 2001).tolist()
         columns = [intensity_profile(beam, 0.0, z, x) for z in z_values]
         if scaled:
             columns = [
-                density * fisher_conditioned(beam, z, x, 0.0) / beam.k ** 2
+                [
+                    d * fisher_conditioned(beam, z, xx, 0.0) / beam.k ** 2
+                    for d, xx in zip(density, x)
+                ]
                 for density, z in zip(columns, z_values)
             ]
             title = f"Scaled information per detection (xi = {xi * 1e3:g} mm)"

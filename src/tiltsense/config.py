@@ -92,7 +92,7 @@ def parse_integer(value, *, where: str, low: int = 1, high: float = math.inf) ->
     return value
 
 
-def _linspace(start: float, stop: float, count: int) -> array:
+def linspace(start: float, stop: float, count: int) -> array:
     """``np.linspace(start, stop, count)``, by the same float operations bit for bit."""
     delta = stop - start
     div = count - 1
@@ -126,7 +126,7 @@ def parse_grid(spec, *, rayleigh: Optional[float] = None, where: str = "grid") -
             raise ConfigError(
                 f"{where}.count: {count} points exceed the limit of {GRID_LIMIT} per grid"
             )
-        values = _linspace(start, stop, count)
+        values = linspace(start, stop, count)
     elif isinstance(spec, list):
         values = array(
             "d",
@@ -261,6 +261,19 @@ def _parse_run(block, beam, index) -> RunBlock:
             raise ConfigError(
                 f"{where}.z: z/z_R must be below 1e154, got z={z[-1]!r} m "
                 f"with z_R={beam.rayleigh_range!r} m"
+            )
+        # the position and joint densities square w(z), which raises
+        # OverflowError from 1.3e154 m on
+        if scheme != "quadrant" and not beam.width(z[-1]) < 1e154:
+            raise ConfigError(
+                f"{where}.z: the beam width w(z) must be below 1e154 m, got "
+                f"w={beam.width(z[-1])!r} m at z={z[-1]!r} m"
+            )
+        # the sweep lists every (theta, z) pair of the block before its first row
+        if len(theta) * len(z) > GRID_LIMIT:
+            raise ConfigError(
+                f"{where}: {len(theta)} theta x {len(z)} z points exceed the limit "
+                f"of {GRID_LIMIT} per run block"
             )
     elif "z" in block:
         raise ConfigError(f"{where}.z: scheme 'polarization' is independent of z")

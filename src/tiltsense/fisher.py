@@ -15,8 +15,6 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .beam import BeamParams
 from .polarization import PolarizationState
 
@@ -142,14 +140,13 @@ def interference_coefficients(beam: BeamParams, z: float, x):
         b = 4 k z z_R (x - xi) / (z^2 + z_R^2),
 
     so that (1/2)[1 pm cos(a theta)/cosh(b theta)] reproduces
-    ``conditioned_polarization_probabilities``.
+    ``conditioned_polarization_probabilities``.  z is a scalar; x is a float or
+    an ndarray, and (a, b) are of the same kind.
     """
-    x = np.asarray(x, dtype=float)
-    # z (a scalar or an array) and z_R scaled as in ``fisher_position``: the rates
-    # depend only on their ratio, and k z_R^2 x, which overflows for a very short
-    # wavelength, is not formed
-    _, exponent = np.frexp(np.maximum(np.abs(z), beam.rayleigh_range))
-    z, zr = np.ldexp(z, -exponent), np.ldexp(beam.rayleigh_range, -exponent)
+    # z and z_R scaled as in ``fisher_position``: the rates depend only on their
+    # ratio, and k z_R^2 x, which overflows for a very short wavelength, is not formed
+    _, exponent = math.frexp(max(abs(z), beam.rayleigh_range))
+    z, zr = math.ldexp(z, -exponent), math.ldexp(beam.rayleigh_range, -exponent)
     denom = z * z + zr * zr
     a = 4.0 * beam.k * (zr * zr * x + z * z * beam.xi) / denom
     b = 4.0 * beam.k * z * zr * (x - beam.xi) / denom
@@ -165,9 +162,14 @@ def fisher_conditioned(beam: BeamParams, z: float, x, theta: float):
         p = a theta, q = b theta,
 
     a form with no cancelling differences that stays finite up to COSH_CUTOFF.  At
-    theta = 0 it equals the limit a^2 + b^2 = 16 k^2 (z_R^2 x^2 + z^2 xi^2)/(z^2 + z_R^2).
+    theta = 0 it equals the limit a^2 + b^2 = 16 k^2 (z_R^2 x^2 + z^2 xi^2)/(z^2 + z_R^2),
+    which is returned directly, with no numpy, for a float or an ndarray x.
     """
     a, b = interference_coefficients(beam, z, x)
+    if theta == 0.0:
+        return a * a + b * b
+    import numpy as np  # here, so that the figures, which plot theta = 0, load no numpy
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     p = a * theta
@@ -182,9 +184,11 @@ def fisher_conditioned(beam: BeamParams, z: float, x, theta: float):
     limit = a * a + b * b
     with np.errstate(invalid="ignore", divide="ignore"):
         val = (a * sp + b * cp * th) ** 2 / s2
-    val = np.where(s2 == 0.0, limit, val)
+    # a subnormal s2 has lost its digits; it needs |p| and |q| below 1.5e-154,
+    # where F equals the limit to double precision
+    val = np.where(s2 < sys.float_info.min, limit, val)
     val = np.where(qa > COSH_CUTOFF, 0.0, val)
-    if np.isscalar(x) or np.ndim(x) == 0:
+    if np.ndim(x) == 0:
         return float(val)
     return val
 

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 COLORS = ("#000000", "#c0392b", "#2a6fb0", "#1e8a4c", "#8a6d1e", "#7d3bb0")
 DASHES = ("", "8 4", "2 3", "8 3 2 3", "5 2", "1 2")
 
@@ -48,8 +46,8 @@ def _fmt_tick(value: float) -> str:
 
 @dataclass
 class Curve:
-    x: np.ndarray
-    y: np.ndarray
+    x: list
+    y: list
     label: str
     color: str
     dash: str
@@ -68,8 +66,8 @@ class LineChart:
         index = len(self.curves)
         self.curves.append(
             Curve(
-                x=np.array(x, dtype=float),
-                y=np.array(y, dtype=float),
+                x=[float(v) for v in x],
+                y=[float(v) for v in y],
                 label=label,
                 color=color or COLORS[index % len(COLORS)],
                 dash=dash if dash is not None else DASHES[index % len(DASHES)],
@@ -82,11 +80,10 @@ class LineChart:
         plot_w = self.width - margin_l - margin_r
         plot_h = self.height - margin_t - margin_b
 
-        xs = np.concatenate([c.x for c in self.curves] or [np.empty(0)])
-        ys = np.concatenate([c.y for c in self.curves] or [np.empty(0)])
-        xs, ys = xs[np.isfinite(xs)], ys[np.isfinite(ys)]
-        x_lo, x_hi = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 1.0)
-        y_lo, y_hi = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 1.0)
+        xs = [v for c in self.curves for v in c.x if math.isfinite(v)]
+        ys = [v for c in self.curves for v in c.y if math.isfinite(v)]
+        x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
+        y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
         if x_hi == x_lo:
             x_hi = x_lo + (abs(x_lo) or 1.0)
         if y_hi == y_lo:
@@ -96,7 +93,7 @@ class LineChart:
             pad = 0.04 * (y_hi - y_lo)
             y_lo, y_hi = y_lo - pad, y_hi + pad
 
-        # one expression for tick scalars and curve arrays keeps their rounding alike
+        # one expression for ticks and curve points keeps their rounding alike
         def px(v):
             return margin_l + (v - x_lo) / (x_hi - x_lo) * plot_w
 
@@ -151,9 +148,11 @@ class LineChart:
         )
 
         for curve in self.curves:
-            finite = np.isfinite(curve.x) & np.isfinite(curve.y)
-            xy = np.stack((px(curve.x[finite]), py(curve.y[finite])), axis=-1)
-            points = " ".join(("%.2f,%.2f",) * len(xy)) % tuple(xy.ravel().tolist())
+            points = " ".join(
+                "%.2f,%.2f" % (px(x), py(y))
+                for x, y in zip(curve.x, curve.y)
+                if math.isfinite(x) and math.isfinite(y)
+            )
             dash = f' stroke-dasharray="{curve.dash}"' if curve.dash else ""
             parts.append(
                 f'<polyline points="{points}" fill="none" stroke="{curve.color}" '

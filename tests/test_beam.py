@@ -53,9 +53,9 @@ def test_width_at_ten_meters(beam):
 
 def test_width_monotone(beam):
     zs = np.linspace(0.0, 20 * beam.rayleigh_range, 200)
-    ws = beam.width(zs)
+    ws = [beam.width(z) for z in zs]
     assert np.all(np.diff(ws) >= 0.0)
-    assert np.all(ws >= WAIST)
+    assert min(ws) >= WAIST
 
 
 def test_width_far_field_asymptote(beam):

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 import pytest
 
+from tiltsense import BeamParams, fisher_conditioned, intensity_profile
 from tiltsense.cli import main
 
 BASE_CONFIG = """
@@ -387,6 +388,38 @@ def test_figure4_shapes(tmp_path):
         assert (out / name).exists()
 
 
+def test_figure3a_is_the_scalar_fisher_conditioned(tmp_path):
+    assert main(["figure3", "--out", str(tmp_path)]) == 0
+    beams = {
+        name: BeamParams.from_rayleigh_range(1.0, 633e-9, xi)
+        for name, xi in (("0mm", 0.0), ("1mm", 1e-3))
+    }
+    z = 5.0 * beams["0mm"].rayleigh_range
+    for row in read_rows(tmp_path / "figure3a.csv"):
+        x = float(row["x_m"])
+        for name, beam in beams.items():
+            expected = fisher_conditioned(beam, z, x, 0.0) / beam.k ** 2
+            assert float(row[f"cond_fisher_over_k2_xi_{name}"]) == expected
+
+
+def test_figure4_matches_the_numpy_evaluation(tmp_path):
+    # the figure evaluates its grid point by point with math.exp; numpy's exp
+    # rounds differently on a few percent of arguments
+    assert main(["figure4", "--out", str(tmp_path)]) == 0
+    panels = (("a", 0.0, True), ("b", 0.0, False), ("c", 1e-3, True), ("d", 1e-3, False))
+    for name, xi, scaled in panels:
+        beam = BeamParams.from_rayleigh_range(1.0, 633e-9, xi)
+        table = np.loadtxt(tmp_path / f"figure4{name}.csv", delimiter=",", skiprows=1)
+        w_far = beam.width(5.0 * beam.rayleigh_range)
+        x = np.linspace(xi - 5.0 * w_far, xi + 5.0 * w_far, 2001)
+        assert table[:, 0].tobytes() == x.tobytes()
+        for column, z in zip(table[:, 1:].T, (0.0, 5.0 * beam.rayleigh_range)):
+            expected = intensity_profile(beam, 0.0, z, x)
+            if scaled:
+                expected = expected * fisher_conditioned(beam, z, x, 0.0) / beam.k ** 2
+            np.testing.assert_array_max_ulp(column, expected, maxulp=4)
+
+
 def test_quadrant_split_option(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -549,6 +582,20 @@ def test_z_far_past_the_rayleigh_range_exits_2(tmp_path, capsys, beam, scheme):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("scheme", ["position", "joint"])
+def test_beam_wider_than_1e154_m_exits_2(tmp_path, capsys, scheme):
+    # the densities square w(z), which raises OverflowError from 1.3e154 m on
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 10m}\n"
+        f"run: {{scheme: {scheme}, theta: 1nrad, z: 5e153z_R}}\n",
+    )
+    for command in (["validate-config"], ["sweep", "--out", str(tmp_path / "s")]):
+        assert main([*command, "--config", cfg]) == 2
+        assert "run[0].z: the beam width w(z) must be below 1e154 m" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_overflowing_polarization_dephasing_gives_a_clean_row(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -631,8 +678,10 @@ def test_overflowing_density_amplitude_exits_2(tmp_path, capsys):
         ("figure4", "wavelength: 633nm, w0: 1e-160m", "beam.w0: the waist must be above 1e-154 m"),
         # the offsets of a 4e146 m waist overflow the conditional Fisher 16 k^2 x^2 itself
         ("figure4", "wavelength: 633nm, z_R: 1e300m", "(z_R=1e+300 m)"),
+        # the density squares the width at 5 z_R, 2.5e154 m
+        ("figure4", "k: 1, w0: 5e153m", "the figure4a curves are not finite"),
     ],
-    ids=["tiny-w0-figure3", "tiny-w0-figure4", "huge-z_R-figure4"],
+    ids=["tiny-w0-figure3", "tiny-w0-figure4", "huge-z_R-figure4", "huge-w0-figure4"],
 )
 def test_figure_beam_without_finite_curves_exits_2(tmp_path, capsys, command, beam, message):
     cfg = write_config(tmp_path, f"beam: {{{beam}}}\n")
@@ -678,6 +727,24 @@ def test_grid_count_above_the_limit_exits_2(tmp_path, capsys):
         assert main([*command, "--config", cfg]) == 2
         assert "run[0].z.count: 1000000000000 points exceed the limit" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_run_block_of_more_points_than_the_limit_exits_2(tmp_path, capsys):
+    # each grid is within the limit, but the sweep lists all 1001 x 1000 pairs
+    block = (
+        "beam: {wavelength: 633nm, w0: 1mm}\n"
+        "run:\n"
+        "  - {scheme: polarization, theta: 1urad}\n"
+        "  - {scheme: position, theta: {start: 0, stop: 1urad, count: %d}, "
+        "z: {start: 1z_R, stop: 2z_R, count: 1000}}\n"
+    )
+    cfg = write_config(tmp_path, block % 1001)
+    for command in (["validate-config"], ["sweep", "--out", str(tmp_path / "s")]):
+        assert main([*command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "run[1]: 1001 theta x 1000 z points exceed the limit of 1000000 per run block" in err
+    assert not (tmp_path / "s").exists()
+    assert main(["validate-config", "--config", write_config(tmp_path, block % 1000)]) == 0
 
 
 def test_lone_grid_point_of_an_overflowing_span_exits_2(tmp_path, capsys):

@@ -337,7 +337,7 @@ def test_start_stop_count_grid_is_numpy_linspace_bit_for_bit(ends, count):
     with np.errstate(all="ignore"):
         expected = np.linspace(start, stop, count)
         increasing = bool(np.all(np.diff(expected) > 0.0))
-    assert config_module._linspace(start, stop, count).tobytes() == expected.tobytes()
+    assert config_module.linspace(start, stop, count).tobytes() == expected.tobytes()
     spec = {"start": start, "stop": stop, "count": count}
     if not increasing:
         with pytest.raises(ConfigError, match="grid: grid must be strictly increasing"):

@@ -71,6 +71,36 @@ def test_command_loads_only_its_layers(tmp_path, command, absent):
     assert not _tiltsense_modules(modules) & absent
 
 
+@pytest.mark.parametrize("command", ["figure3", "figure4"])
+def test_figures_load_no_numpy(tmp_path, command):
+    modules = _run_command(tmp_path, command, "--out", str(tmp_path / "out"))
+    assert "numpy" not in modules
+
+
+# makes every import of numpy raise ImportError, as on a host without it
+BLOCK_NUMPY = """
+import sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockNumpy())
+"""
+
+
+@pytest.mark.parametrize("command", ["figure3", "figure4"])
+def test_figures_run_where_numpy_cannot_be_imported(tmp_path, command):
+    config = tmp_path / "config.yaml"
+    config.write_text(CONFIG, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = (command, "--config", str(config), "--out", str(out))
+    code, _ = _python(BLOCK_NUMPY + RUN_MAIN, *argv, cwd=tmp_path)
+    assert code == 0
+    assert len(list(out.glob(f"{command}?.svg"))) == (2 if command == "figure3" else 4)
+
+
 def test_config_module_loads_no_numpy():
     modules = _python("import json, sys, tiltsense.config; print(json.dumps(sorted(sys.modules)))")
     assert "numpy" not in modules
