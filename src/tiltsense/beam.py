@@ -44,10 +44,13 @@ class BeamParams:
             raise ValueError(
                 f"Rayleigh range k w0^2/2 must be positive and finite, got k={self.k!r}, w0={self.w0!r}"
             )
-        # the polarization dephasing 2 (k w0)^2 theta^2 squares k w0, which
-        # raises OverflowError from k w0 = 1.3e154 on
-        if not self.k * self.w0 < 1e154:
-            raise ValueError(f"k w0 must be below 1e154, got k={self.k!r}, w0={self.w0!r}")
+        # qfi_sagnac's balanced-state bound: every scheme's Fisher information and
+        # every square the closed forms and figures take stay below it (** would raise)
+        if not math.isfinite(16.0 * self.k * self.k * (0.25 * self.w0 * self.w0 + self.xi * self.xi)):
+            raise ValueError(
+                "the quantum bound 16 k^2 (w0^2/4 + xi^2) must be finite, "
+                f"got k={self.k!r}, w0={self.w0!r}, xi={self.xi!r}"
+            )
 
     @classmethod
     def from_wavelength(cls, wavelength: float, w0: float, xi: float = 0.0) -> "BeamParams":

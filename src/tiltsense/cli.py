@@ -39,7 +39,9 @@ _TABLE_NAMES = (
     *_MODELS, "analytic_fisher", "cramer_rao_bound", "qfi_for_model",
     "numeric_fisher_oracle", "OracleError", "ConvergenceError",
 )
-_MONTECARLO_NAMES = (*_MODELS, "analytic_fisher", "default_search_interval", "run_saturation")
+_MONTECARLO_NAMES = (
+    *_MODELS, "analytic_fisher", "default_search_interval", "run_saturation", "ConvergenceError",
+)
 _FIGURE_NAMES = ("BeamParams", "intensity_profile", "fisher_conditioned", "LineChart")
 
 
@@ -59,22 +61,6 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind((name,))
     return globals()[name]
-
-
-def _numeric_errors():
-    """The numerical-failure classes of the layers this process has loaded.
-
-    Neither can be raised before its module is loaded, and looking them up
-    this way loads nothing for a command that never needed them.
-    """
-    return tuple(
-        getattr(sys.modules[module], name)
-        for module, name in (
-            (f"{__package__}.oracle", "OracleError"),
-            (f"{__package__}._integrate", "ConvergenceError"),
-        )
-        if module in sys.modules
-    )
 
 
 EXIT_OK = 0
@@ -99,6 +85,10 @@ class StatisticalCheckError(RuntimeError):
     pass
 
 
+class NumericalFailure(RuntimeError):
+    """The oracle or a quadrature failed; the message names the run block (and row)."""
+
+
 def build_model(scheme: str, config: ScenarioConfig, z: float | None, split):
     beam, pol = config.beam, config.polarization
     if scheme == "position":
@@ -107,14 +97,7 @@ def build_model(scheme: str, config: ScenarioConfig, z: float | None, split):
         return QuadrantModel(beam, z, split)
     if scheme == "polarization":
         return PolarizationModel(beam, pol)
-    if scheme == "joint":
-        if not pol.is_diagonal:
-            raise ConfigError(
-                "run block: the joint scheme's closed-form analysis needs the "
-                "diagonal input polarization"
-            )
-        return PositionPolarizationModel(beam, pol, z)
-    raise ConfigError(f"unknown scheme {scheme!r}")
+    return PositionPolarizationModel(beam, pol, z)
 
 
 # ---------------------------------------------------------------------------
@@ -122,52 +105,28 @@ def build_model(scheme: str, config: ScenarioConfig, z: float | None, split):
 # ---------------------------------------------------------------------------
 
 
-def _fisher_point(run_index, point_index, scheme, config, theta, z, split, nu):
-    model = build_model(scheme, config, z, split)
-    analytic = analytic_fisher(model, theta)
-    oracle = numeric_fisher_oracle(model, theta)
-    qfi = qfi_for_model(model)
-    return (
-        run_index,
-        point_index,
-        scheme,
-        theta,
-        z if z is not None else "",
-        analytic,
-        oracle,
-        qfi,
-        analytic / qfi if qfi > 0.0 else math.nan,
-        cramer_rao_bound(analytic, nu),
-        "; ".join(model.regime_flags(theta)),
-    )
-
-
-def _run_block_rows(config, run_index, block, nu, threads):
+def _run_block_rows(config, run_index, block, nu):
+    """One Fisher row per (theta, z) point of a run block, in grid order."""
     zs = block.z if block.z is not None else [None]
-    points = [
-        (point_index, theta, z)
-        for point_index, (theta, z) in enumerate(
-            (t, z) for t in block.theta for z in zs
-        )
-    ]
-
-    def job(point):
-        point_index, theta, z = point
+    rows = []
+    for point_index, (theta, z) in enumerate((t, z) for t in block.theta for z in zs):
         theta, z = float(theta), None if z is None else float(z)
         try:
-            return _fisher_point(run_index, point_index, block.scheme, config, theta, z, block.split, nu)
+            model = build_model(block.scheme, config, z, block.split)
+            analytic = analytic_fisher(model, theta)
+            oracle = numeric_fisher_oracle(model, theta)
+            qfi = qfi_for_model(model)
+            flags = "; ".join(model.regime_flags(theta))
         except (OracleError, ConvergenceError) as exc:
             at = f"theta={theta!r} rad" + ("" if z is None else f", z={z!r} m")
-            raise type(exc)(f"run[{run_index}] row {point_index} ({block.scheme}, {at}): {exc}") from exc
-
-    if threads > 1:
-        # imported here: concurrent.futures costs every cold start a few ms
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(job, points))
-    else:
-        rows = [job(p) for p in points]
+            raise NumericalFailure(
+                f"run[{run_index}] row {point_index} ({block.scheme}, {at}): {exc}"
+            ) from exc
+        rows.append((
+            run_index, point_index, block.scheme, theta, "" if z is None else z,
+            analytic, oracle, qfi, analytic / qfi if qfi > 0.0 else math.nan,
+            cramer_rao_bound(analytic, nu), flags,
+        ))
     return rows
 
 
@@ -205,7 +164,7 @@ def cmd_table(args) -> int:
     nu = config.montecarlo.nu if config.montecarlo else 1
     rows = []
     for run_index in indices:
-        rows.extend(_run_block_rows(config, run_index, config.runs[run_index], nu, args.threads))
+        rows.extend(_run_block_rows(config, run_index, config.runs[run_index], nu))
     table = _emit_table(args, args.command, FISHER_HEADER, rows, config.raw_text)
     print(f"wrote {table} ({len(rows)} rows)")
     return EXIT_OK
@@ -239,17 +198,20 @@ def cmd_montecarlo(args) -> int:
                 )
             z = float(block.z[0])
         model = build_model(block.scheme, config, z, block.split)
-        information = analytic_fisher(model, mc.theta)
-        if not information > 0.0:
-            raise ConfigError(f"run[{index}]: scheme carries no information at this working point")
         try:
-            interval = mc.interval or default_search_interval(model, mc.theta, mc.nu)
-        except ValueError as exc:
-            raise ConfigError(f"run[{index}]: {exc}")
-        report = run_saturation(
-            model, mc.theta, mc.nu, mc.trials, seed,
-            search_interval=interval, scheme=block.scheme,
-        )
+            information = analytic_fisher(model, mc.theta)
+            if not information > 0.0:
+                raise ConfigError(f"run[{index}]: scheme carries no information at this working point")
+            try:
+                interval = mc.interval or default_search_interval(model, mc.theta, mc.nu)
+            except ValueError as exc:
+                raise ConfigError(f"run[{index}]: {exc}")
+            report = run_saturation(
+                model, mc.theta, mc.nu, mc.trials, seed,
+                search_interval=interval, scheme=block.scheme,
+            )
+        except ConvergenceError as exc:
+            raise NumericalFailure(f"run[{index}] ({block.scheme}): {exc}") from exc
         rows.append(
             (
                 index,
@@ -295,10 +257,12 @@ FIGURE_RAYLEIGH = 1.0  # m
 
 
 def _figure_beam(config: ScenarioConfig | None, xi: float) -> BeamParams:
-    if config is not None:
-        base = config.beam
-        return BeamParams(k=base.k, w0=base.w0, xi=xi)
-    return BeamParams.from_rayleigh_range(FIGURE_RAYLEIGH, FIGURE_WAVELENGTH, xi)
+    if config is None:
+        return BeamParams.from_rayleigh_range(FIGURE_RAYLEIGH, FIGURE_WAVELENGTH, xi)
+    try:
+        return BeamParams(k=config.beam.k, w0=config.beam.w0, xi=xi)
+    except ValueError as exc:  # the config's beam is valid at its own xi
+        raise ConfigError(f"beam: {exc}; the figures place the beam at xi={xi!r} m")
 
 
 def _not_finite(config, name) -> ConfigError:
@@ -461,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--config", required=config_required, default=None, help="scenario YAML file"
         )
         p.add_argument("--out", default=".", help="output directory")
-        # only fisher and sweep read it; every perfbench command passes it (ROADMAP item 1)
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+        # read by no command; kept while every perfbench command passes it (ROADMAP item 1)
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
         if seed:
             p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
         if table:
@@ -502,7 +466,7 @@ def main(argv=None) -> int:
     except StatisticalCheckError as exc:
         print(f"statistical check failed: {exc}", file=sys.stderr)
         return EXIT_STATS
-    except _numeric_errors() as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

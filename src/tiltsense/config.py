@@ -235,7 +235,7 @@ class ScenarioConfig:
     raw_text: str
 
 
-def _parse_run(block, beam, index) -> RunBlock:
+def _parse_run(block, beam, pol, index) -> RunBlock:
     where = f"run[{index}]"
     if not isinstance(block, dict):
         raise ConfigError(f"{where}: expected a mapping")
@@ -245,6 +245,10 @@ def _parse_run(block, beam, index) -> RunBlock:
     scheme = block.get("scheme")
     if scheme not in SCHEMES:
         raise ConfigError(f"{where}.scheme: must be one of {SCHEMES}, got {scheme!r}")
+    if scheme == "joint" and not pol.is_diagonal:
+        raise ConfigError(
+            f"{where}: the joint scheme's closed-form analysis needs the diagonal input polarization"
+        )
     if "theta" not in block:
         raise ConfigError(f"{where}: needs a theta value or grid")
     theta = parse_grid(block["theta"], rayleigh=beam.rayleigh_range, where=f"{where}.theta")
@@ -269,7 +273,7 @@ def _parse_run(block, beam, index) -> RunBlock:
                 f"{where}.z: the beam width w(z) must be below 1e154 m, got "
                 f"w={beam.width(z[-1])!r} m at z={z[-1]!r} m"
             )
-        # the sweep lists every (theta, z) pair of the block before its first row
+        # the sweep holds every row of the block before it writes the table
         if len(theta) * len(z) > GRID_LIMIT:
             raise ConfigError(
                 f"{where}: {len(theta)} theta x {len(z)} z points exceed the limit "
@@ -358,7 +362,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
         run_section = [run_section]
     if not isinstance(run_section, list):
         raise ConfigError("run: expected a block or list of blocks")
-    runs = tuple(_parse_run(block, beam, i) for i, block in enumerate(run_section))
+    runs = tuple(_parse_run(block, beam, pol, i) for i, block in enumerate(run_section))
 
     mc = None
     if "montecarlo" in data:

@@ -22,7 +22,8 @@ MASS_TOL = 1e-6
 # only through Gaussian tails; they are returned as 0
 DENSITY_FLOOR = 1e-30
 
-# the two central-difference estimates (steps h and h/2) must agree this well
+# the two central-difference estimates (steps h and h/2) must agree this well,
+# relative to the largest |derivative| of the pass
 DERIV_RTOL = 1e-3
 
 
@@ -34,11 +35,33 @@ def default_step(theta: float) -> float:
     return max(1e-9, 1e-6 * abs(theta))
 
 
-def _richardson(values, theta, h):
-    """Fourth-order derivative of values(theta) plus the step-h/2 estimate it refines."""
+def _derivative(values, theta, h, floor, x=None):
+    """p = values(theta) and its Richardson derivative from central steps h and h/2.
+
+    Their gap must stay within DERIV_RTOL of the pass's largest |derivative| or
+    within the rounding noise ~eps p/h; entries below ``floor`` go unchecked.
+    ``x``, a density's quadrature nodes, locates a failure.
+    """
+    p0 = values(theta)
     d_h = (values(theta + h) - values(theta - h)) / (2.0 * h)
     d_half = (values(theta + 0.5 * h) - values(theta - 0.5 * h)) / h  # spacing h
-    return (4.0 * d_half - d_h) / 3.0, d_half
+    deriv = (4.0 * d_half - d_h) / 3.0
+    gap = np.abs(deriv - d_half)
+    tol = np.maximum(DERIV_RTOL * np.max(np.abs(deriv)), 1e4 * np.finfo(float).eps * p0 / h)
+    # NaN fails every comparison here; the caller's sum carries it
+    bad = np.argwhere(~(p0 < floor) & (gap > tol))
+    if bad.size:
+        at = tuple(bad[0])
+        if x is None:
+            raise OracleError(
+                f"probability derivative not converged: step-halving gap {gap[at]:.3e} "
+                f"exceeds {tol[at]:.3e}"
+            )
+        raise OracleError(
+            f"density derivative not converged at x={float(x[at[-1]])!r}: "
+            f"step-halving gap {gap[at]:.3e}"
+        )
+    return p0, deriv
 
 
 def numeric_fisher_oracle(model, theta: float, step: float | None = None) -> float:
@@ -64,15 +87,7 @@ def _discrete_fisher(model, theta, h):
     def probabilities(th):
         return np.asarray(model.probabilities(th), dtype=float)
 
-    p0 = probabilities(theta)
-    deriv, d_half = _richardson(probabilities, theta, h)
-    gap = np.max(np.abs(deriv - d_half))
-    tol = DERIV_RTOL * max(np.max(np.abs(deriv)), 1e-300)
-    if gap > tol:
-        raise OracleError(
-            f"probability derivative not converged: step-halving gap {gap:.3e} "
-            f"exceeds {tol:.3e}"
-        )
+    p0, deriv = _derivative(probabilities, theta, h, PROB_FLOOR)
     keep = p0 >= PROB_FLOOR
     excluded = float(p0[~keep].sum())
     if excluded > MASS_TOL:
@@ -88,20 +103,8 @@ def _continuous_fisher(model, theta, h, density):
         def branches(th):
             return np.reshape(density(th, x), (-1, x.size))
 
-        p0 = branches(theta)
-        deriv, d_half = _richardson(branches, theta, h)
+        p0, deriv = _derivative(branches, theta, h, DENSITY_FLOOR, x)
         dead = p0 < DENSITY_FLOOR  # NaN stays in, so the quadrature cannot converge on it
-        # rounding of p(theta +- h) alone perturbs the difference quotient
-        # by ~eps*p/h; only flag gaps clearly above that noise floor
-        gap = np.abs(deriv - d_half)
-        noise = 1e4 * np.finfo(float).eps * p0 / h
-        bad = ~dead & (gap > np.maximum(DERIV_RTOL * np.abs(deriv), noise))
-        if bad.any():
-            branch, node = np.argwhere(bad)[0]
-            raise OracleError(
-                f"density derivative not converged at x={float(x[node])!r}: "
-                f"step-halving gap {gap[branch, node]:.3e}"
-            )
         return np.sum(np.where(dead, 0.0, deriv * deriv / np.where(dead, 1.0, p0)), axis=0)
 
     return integrate_interval(integrand, min(lows), max(highs), points, rtol=1e-9, atol=1e-12)

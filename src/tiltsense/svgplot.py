@@ -12,16 +12,18 @@ from pathlib import Path
 
 COLORS = ("#000000", "#c0392b", "#2a6fb0", "#1e8a4c", "#8a6d1e", "#7d3bb0")
 DASHES = ("", "8 4", "2 3", "8 3 2 3", "5 2", "1 2")
+WIDTH, HEIGHT = 720, 480  # px
+TICKS = 6  # ticks aimed at per axis
 
 
-def nice_ticks(lo: float, hi: float, target: int = 6):
+def nice_ticks(lo: float, hi: float):
     """1-2-5 tick positions covering [lo, hi]."""
     if not math.isfinite(lo) or not math.isfinite(hi):
         return [0.0, 1.0]
     if hi <= lo:
         hi = lo + (abs(lo) if lo != 0.0 else 1.0)
     span = hi - lo
-    raw = span / max(target - 1, 1)
+    raw = span / (TICKS - 1)
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * magnitude
@@ -58,27 +60,25 @@ class LineChart:
     title: str
     xlabel: str
     ylabel: str
-    width: int = 720
-    height: int = 480
     curves: list = field(default_factory=list)
 
-    def add(self, x, y, label="", color=None, dash=None):
+    def add(self, x, y, label=""):
         index = len(self.curves)
         self.curves.append(
             Curve(
                 x=[float(v) for v in x],
                 y=[float(v) for v in y],
                 label=label,
-                color=color or COLORS[index % len(COLORS)],
-                dash=dash if dash is not None else DASHES[index % len(DASHES)],
+                color=COLORS[index % len(COLORS)],
+                dash=DASHES[index % len(DASHES)],
             )
         )
         return self
 
     def to_svg(self) -> str:
         margin_l, margin_r, margin_t, margin_b = 86, 24, 40, 58
-        plot_w = self.width - margin_l - margin_r
-        plot_h = self.height - margin_t - margin_b
+        plot_w = WIDTH - margin_l - margin_r
+        plot_h = HEIGHT - margin_t - margin_b
 
         xs = [v for c in self.curves for v in c.x if math.isfinite(v)]
         ys = [v for c in self.curves for v in c.y if math.isfinite(v)]
@@ -101,10 +101,10 @@ class LineChart:
             return margin_t + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
 
         parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">',
-            f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>',
-            f'<text x="{self.width / 2:.1f}" y="24" text-anchor="middle" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+            f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15">{self.title}</text>',
         ]
 
@@ -138,7 +138,7 @@ class LineChart:
                 f'font-family="sans-serif" font-size="11">{_fmt_tick(t)}</text>'
             )
         parts.append(
-            f'<text x="{margin_l + plot_w / 2:.1f}" y="{self.height - 14}" '
+            f'<text x="{margin_l + plot_w / 2:.1f}" y="{HEIGHT - 14}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="13">{self.xlabel}</text>'
         )
         parts.append(

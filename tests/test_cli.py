@@ -564,7 +564,62 @@ def test_overflowing_k_w0_exits_2(tmp_path, capsys):
     )
     for command in (["validate-config"], ["sweep", "--out", str(tmp_path / "s")]):
         assert main([*command, "--config", cfg]) == 2
-        assert "beam.w0: k w0 must be below 1e154" in capsys.readouterr().err
+        assert "beam.w0: the quantum bound 16 k^2 (w0^2/4 + xi^2) must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "beam",
+    [
+        # k w0 = 1e100: every closed form squares it
+        "{k: 1e200, w0: 1e-100m}",
+        # k w0 = 9e153: the position closed form and quantum bound are inf
+        "{k: 1e150, w0: 9e3m}",
+        # k xi = 1e157: the polarization closed form squares it
+        "{wavelength: 633nm, w0: 1mm, xi: 1e150m}",
+    ],
+)
+def test_beam_past_the_quantum_bound_exits_2_from_every_command(tmp_path, capsys, beam):
+    cfg = write_config(
+        tmp_path,
+        f"beam: {beam}\n"
+        "run:\n"
+        "  - {scheme: position, theta: 1urad, z: 1z_R}\n"
+        "  - {scheme: quadrant, theta: 1urad, z: 1z_R}\n"
+        "  - {scheme: polarization, theta: 1urad}\n"
+        "montecarlo: {theta: 1urad, nu: 1000, trials: 10}\n",
+    )
+    out = ["--out", str(tmp_path / "out")]
+    for command in ("validate-config", "sweep", "montecarlo", "figure3", "figure4"):
+        argv = [command, "--config", cfg] + ([] if command == "validate-config" else out)
+        assert main(argv) == 2, command
+        assert "the quantum bound 16 k^2 (w0^2/4 + xi^2) must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["figure3", "figure4"])
+def test_figure_beam_past_the_quantum_bound_at_xi_1mm_exits_2(tmp_path, capsys, command):
+    # the config's beam (xi = 0) sits just below the bound; the figures' xi = 1 mm beam does not
+    cfg = write_config(tmp_path, "beam: {k: 3.3e153, w0: 2.0314860499913023m}\n")
+    assert main(["validate-config", "--config", cfg]) == 0
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "the figures place the beam at xi=0.001 m" in capsys.readouterr().err
+
+
+def test_joint_block_needs_the_diagonal_state(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm}\n"
+        "polarization: circular\n"
+        "run: {scheme: joint, theta: 1urad, z: 1z_R}\n"
+        "montecarlo: {theta: 1urad, nu: 1000, trials: 10}\n",
+    )
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["validate-config"], ["sweep", *out], ["montecarlo", *out]):
+        assert main([*argv, "--config", cfg]) == 2
+        assert (
+            "config error: run[0]: the joint scheme's closed-form analysis needs the diagonal"
+            in capsys.readouterr().err
+        )
 
 
 @pytest.mark.parametrize(

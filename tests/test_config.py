@@ -273,8 +273,8 @@ def test_rayleigh_range_must_be_positive_and_finite(size, field):
 
 
 def test_overflowing_k_w0_names_the_field():
-    # z_R is finite, but the polarization dephasing squares k w0 = 6.3e197
-    with pytest.raises(ConfigError, match=r"beam\.w0: k w0 must be below 1e154"):
+    # z_R is finite, but the quantum bound squares k w0 = 6.3e197
+    with pytest.raises(ConfigError, match=r"beam\.w0: the quantum bound 16 k\^2 \(w0\^2/4 \+ xi\^2\) must be finite"):
         parse_config_text("beam: {wavelength: 1e-200m, w0: 1mm}\n")
 
 

@@ -71,6 +71,12 @@ def test_command_loads_only_its_layers(tmp_path, command, absent):
     assert not _tiltsense_modules(modules) & absent
 
 
+def test_sweep_starts_no_worker_pool(tmp_path):
+    # --threads is accepted and read by no command; rows are computed in order
+    modules = _run_command(tmp_path, "sweep", "--threads", "4", "--out", str(tmp_path / "out"))
+    assert "concurrent.futures" not in modules
+
+
 @pytest.mark.parametrize("command", ["figure3", "figure4"])
 def test_figures_load_no_numpy(tmp_path, command):
     modules = _run_command(tmp_path, command, "--out", str(tmp_path / "out"))

@@ -8,7 +8,7 @@ import xml.dom.minidom
 import numpy as np
 
 from tiltsense.output import format_value, write_csv, write_json, write_sidecar
-from tiltsense.svgplot import LineChart, nice_ticks
+from tiltsense.svgplot import HEIGHT, WIDTH, LineChart, nice_ticks
 
 
 def test_format_value():
@@ -124,8 +124,8 @@ def test_write_csv_matches_the_row_by_row_writer(tmp_path):
 
 def _reference_points(chart):
     # per-point polylines, the loop that LineChart.to_svg's array code replaces
-    plot_w = chart.width - 86 - 24
-    plot_h = chart.height - 40 - 58
+    plot_w = WIDTH - 86 - 24
+    plot_h = HEIGHT - 40 - 58
     xs = [float(v) for c in chart.curves for v in c.x if math.isfinite(v)]
     ys = [float(v) for c in chart.curves for v in c.y if math.isfinite(v)]
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
