@@ -8,14 +8,22 @@ the reflected beam by ``2*theta``.  All quantities are SI (meters, radians).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class BeamParams:
+class _BeamFields(NamedTuple):
+    k: float
+    w0: float
+    xi: float = 0.0
+
+
+class BeamParams(_BeamFields):
     """Monochromatic Gaussian beam, waist at the reflecting surface.
+
+    An immutable record compared by value; the constructor refuses a beam
+    whose Rayleigh range or quantum bound is not finite.
 
     Parameters
     ----------
@@ -27,30 +35,30 @@ class BeamParams:
         Transverse displacement of the beam center [m].
     """
 
-    k: float
-    w0: float
-    xi: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise ValueError(f"wavenumber must be positive and finite, got {self.k}")
-        if not (math.isfinite(self.w0) and self.w0 > 0.0):
-            raise ValueError(f"waist must be positive and finite, got {self.w0}")
-        if not math.isfinite(self.xi):
-            raise ValueError(f"beam displacement must be finite, got {self.xi}")
+    def __new__(cls, k: float, w0: float, xi: float = 0.0):
+        self = super().__new__(cls, k, w0, xi)
+        if not (math.isfinite(k) and k > 0.0):
+            raise ValueError(f"wavenumber must be positive and finite, got {k}")
+        if not (math.isfinite(w0) and w0 > 0.0):
+            raise ValueError(f"waist must be positive and finite, got {w0}")
+        if not math.isfinite(xi):
+            raise ValueError(f"beam displacement must be finite, got {xi}")
         # widths, densities and Fisher information divide by z_R; w0 ** 2 in
         # rayleigh_range raises OverflowError from w0 = 1.3e154 m on
-        if not (self.w0 < 1e154 and 0.0 < self.rayleigh_range < math.inf):
+        if not (w0 < 1e154 and 0.0 < self.rayleigh_range < math.inf):
             raise ValueError(
-                f"Rayleigh range k w0^2/2 must be positive and finite, got k={self.k!r}, w0={self.w0!r}"
+                f"Rayleigh range k w0^2/2 must be positive and finite, got k={k!r}, w0={w0!r}"
             )
         # qfi_sagnac's balanced-state bound: every scheme's Fisher information and
         # every square the closed forms and figures take stay below it (** would raise)
-        if not math.isfinite(16.0 * self.k * self.k * (0.25 * self.w0 * self.w0 + self.xi * self.xi)):
+        if not math.isfinite(16.0 * k * k * (0.25 * w0 * w0 + xi * xi)):
             raise ValueError(
                 "the quantum bound 16 k^2 (w0^2/4 + xi^2) must be finite, "
-                f"got k={self.k!r}, w0={self.w0!r}, xi={self.xi!r}"
+                f"got k={k!r}, w0={w0!r}, xi={xi!r}"
             )
+        return self
 
     @classmethod
     def from_wavelength(cls, wavelength: float, w0: float, xi: float = 0.0) -> "BeamParams":

@@ -281,7 +281,7 @@ def _write_figure(args, config, command, panels) -> int:
     its x and columns lists of floats.
     """
     for name, *_, columns, _ in panels:
-        if not all(math.isfinite(v) for column in columns for v in column):
+        if not all(all(map(math.isfinite, column)) for column in columns):
             raise _not_finite(config, name)
     out = Path(args.out)
     outputs = []
@@ -310,12 +310,13 @@ def cmd_figure3(args) -> int:
     zr = _figure_beam(config, 0.0).rayleigh_range
     ylabel = "conditional Fisher / k^2 [m^2]"
 
-    # panel (a): information per detected photon vs x at z = 5 z_R
+    # panel (a): information per detected photon vs x at z = 5 z_R, one column per call
     x = linspace(-3e-3, 3e-3, 601).tolist()
     beams = [_figure_beam(config, xi) for xi in (0.0, 1e-3)]
-    columns_a = [
-        [fisher_conditioned(beam, 5.0 * zr, xx, 0.0) / beam.k ** 2 for xx in x] for beam in beams
-    ]
+    columns_a = []
+    for beam in beams:
+        k2 = beam.k ** 2
+        columns_a.append([f / k2 for f in fisher_conditioned(beam, 5.0 * zr, x, 0.0)])
 
     # panel (b): same quantity vs z at fixed detection points, xi = 1 mm
     beam_b = beams[1]
@@ -347,34 +348,34 @@ def cmd_figure4(args) -> int:
     zr = _figure_beam(config, 0.0).rayleigh_range
     z_values = (0.0, 5.0 * zr)
     panels = []
-    for name, xi, scaled in (
-        ("figure4a", 0.0, True),
-        ("figure4b", 0.0, False),
-        ("figure4c", 1e-3, True),
-        ("figure4d", 1e-3, False),
+    # per beam, the scaled panel and the density panel share one x grid and its densities
+    for xi, scaled_name, density_name in (
+        (0.0, "figure4a", "figure4b"),
+        (1e-3, "figure4c", "figure4d"),
     ):
         beam = _figure_beam(config, xi)
         w_far = beam.width(z_values[-1])
         if not w_far < 1e154:  # the densities square it
-            raise _not_finite(config, name)
+            raise _not_finite(config, scaled_name)
         x = linspace(xi - 5.0 * w_far, xi + 5.0 * w_far, 2001).tolist()
-        columns = [intensity_profile(beam, 0.0, z, x) for z in z_values]
-        if scaled:
-            columns = [
-                [
-                    d * fisher_conditioned(beam, z, xx, 0.0) / beam.k ** 2
-                    for d, xx in zip(density, x)
-                ]
-                for density, z in zip(columns, z_values)
-            ]
-            title = f"Scaled information per detection (xi = {xi * 1e3:g} mm)"
-            ylabel = "P(x) x conditional Fisher / k^2 [m]"
-            header = ("x_m", "p_cond_fisher_over_k2_z_0", "p_cond_fisher_over_k2_z_5zR")
-        else:
-            title = f"Detection probability density (xi = {xi * 1e3:g} mm)"
-            ylabel = "P(x) [1/m]"
-            header = ("x_m", "p_density_z_0", "p_density_z_5zR")
-        panels.append((name, title, "x [m]", ylabel, header, x, columns, ("z = 0", "z = 5 z_R")))
+        densities = [intensity_profile(beam, 0.0, z, x) for z in z_values]
+        k2 = beam.k ** 2
+        scaled = [
+            [d * f / k2 for d, f in zip(density, fisher_conditioned(beam, z, x, 0.0))]
+            for density, z in zip(densities, z_values)
+        ]
+        labels = ("z = 0", "z = 5 z_R")
+        panels.append((
+            scaled_name, f"Scaled information per detection (xi = {xi * 1e3:g} mm)",
+            "x [m]", "P(x) x conditional Fisher / k^2 [m]",
+            ("x_m", "p_cond_fisher_over_k2_z_0", "p_cond_fisher_over_k2_z_5zR"),
+            x, scaled, labels,
+        ))
+        panels.append((
+            density_name, f"Detection probability density (xi = {xi * 1e3:g} mm)",
+            "x [m]", "P(x) [1/m]", ("x_m", "p_density_z_0", "p_density_z_5zR"),
+            x, densities, labels,
+        ))
     return _write_figure(args, config, "figure4", panels)
 
 

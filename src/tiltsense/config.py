@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import yaml
 
@@ -207,8 +206,7 @@ def _parse_polarization(section, where="polarization") -> PolarizationState:
         raise ConfigError(f"{where}: {exc}")
 
 
-@dataclass(frozen=True)
-class RunBlock:
+class RunBlock(NamedTuple):
     """One scheme with its evaluation grids."""
 
     scheme: str
@@ -217,8 +215,7 @@ class RunBlock:
     split: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class MonteCarloBlock:
+class MonteCarloBlock(NamedTuple):
     theta: float
     nu: int
     trials: int
@@ -226,8 +223,7 @@ class MonteCarloBlock:
     interval: Optional[tuple[float, float]] = None
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     beam: BeamParams
     polarization: PolarizationState
     runs: tuple[RunBlock, ...]

@@ -9,8 +9,7 @@ so runs are reproducible and trial order is irrelevant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -72,8 +71,7 @@ def log_likelihood(model, outcomes, theta: float) -> float:
     return float(np.sum(np.log(np.maximum(density, LOG_FLOOR))))
 
 
-@dataclass(frozen=True)
-class MleResult:
+class MleResult(NamedTuple):
     theta_hat: float
     at_boundary: bool  # the likelihood peaked at an interval end, or within END_INSET of it
     one_port: bool  # all outcomes of a two-outcome scheme fell in one port
@@ -153,8 +151,7 @@ def _score_root(score, low, high, tol: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(NamedTuple):
     scheme: str
     theta_true: float
     nu: int
@@ -181,7 +178,8 @@ def default_search_interval(model, theta_true: float, nu: int) -> tuple[float, f
 
     For schemes whose statistics are even in theta only the magnitude of the
     tilt is identifiable, so the interval is additionally restricted to the
-    sign branch of theta_true.
+    sign branch of theta_true.  An interval that rounds to the single point
+    theta_true (10 sigma below half an ulp of it) is refused.
     """
     sigma = cramer_rao_bound(analytic_fisher(model, theta_true), nu)
     half = 10.0 * sigma
@@ -197,6 +195,11 @@ def default_search_interval(model, theta_true: float, nu: int) -> tuple[float, f
             lo = max(lo, 0.0)
         else:
             hi = min(hi, 0.0)
+    if not lo < hi:
+        raise ValueError(
+            f"theta_true={theta_true!r} rad +- 10 Cramer-Rao sigma ({half:.3e} rad at nu={nu}) "
+            "rounds to a search interval of zero width"
+        )
     return lo, hi
 
 

@@ -140,17 +140,21 @@ def interference_coefficients(beam: BeamParams, z: float, x):
         b = 4 k z z_R (x - xi) / (z^2 + z_R^2),
 
     so that (1/2)[1 pm cos(a theta)/cosh(b theta)] reproduces
-    ``conditioned_polarization_probabilities``.  z is a scalar; x is a float or
-    an ndarray, and (a, b) are of the same kind.
+    ``conditioned_polarization_probabilities``.  z is a scalar; x is a float, an
+    ndarray or a list (a figure's column), and (a, b) are of the same kind.  The
+    constants of z are formed once, so a list gives, bit for bit, the values
+    of one call per point.
     """
     # z and z_R scaled as in ``fisher_position``: the rates depend only on their
     # ratio, and k z_R^2 x, which overflows for a very short wavelength, is not formed
     _, exponent = math.frexp(max(abs(z), beam.rayleigh_range))
     z, zr = math.ldexp(z, -exponent), math.ldexp(beam.rayleigh_range, -exponent)
-    denom = z * z + zr * zr
-    a = 4.0 * beam.k * (zr * zr * x + z * z * beam.xi) / denom
-    b = 4.0 * beam.k * z * zr * (x - beam.xi) / denom
-    return a, b
+    # the operations and their order are those of the formulas above
+    k4, xi = 4.0 * beam.k, beam.xi
+    zr2, zzxi, kzz, denom = zr * zr, z * z * xi, k4 * z * zr, z * z + zr * zr
+    if isinstance(x, list):
+        return [k4 * (zr2 * v + zzxi) / denom for v in x], [kzz * (v - xi) / denom for v in x]
+    return k4 * (zr2 * x + zzxi) / denom, kzz * (x - xi) / denom
 
 
 def fisher_conditioned(beam: BeamParams, z: float, x, theta: float):
@@ -163,10 +167,14 @@ def fisher_conditioned(beam: BeamParams, z: float, x, theta: float):
 
     a form with no cancelling differences that stays finite up to COSH_CUTOFF.  At
     theta = 0 it equals the limit a^2 + b^2 = 16 k^2 (z_R^2 x^2 + z^2 xi^2)/(z^2 + z_R^2),
-    which is returned directly, with no numpy, for a float or an ndarray x.
+    which is returned directly, with no numpy.  x is a float, an ndarray or a list
+    (a figure's column), and F is of the same kind; a list gives, bit for bit,
+    the values of one call per point.
     """
     a, b = interference_coefficients(beam, z, x)
     if theta == 0.0:
+        if isinstance(x, list):
+            return [p * p + q * q for p, q in zip(a, b)]
         return a * a + b * b
     import numpy as np  # here, so that the figures, which plot theta = 0, load no numpy
 
@@ -188,6 +196,8 @@ def fisher_conditioned(beam: BeamParams, z: float, x, theta: float):
     # where F equals the limit to double precision
     val = np.where(s2 < sys.float_info.min, limit, val)
     val = np.where(qa > COSH_CUTOFF, 0.0, val)
+    if isinstance(x, list):
+        return val.tolist()
     if np.ndim(x) == 0:
         return float(val)
     return val

@@ -4,27 +4,31 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PolarizationState:
-    """Pure polarization state alpha|H> + beta|V>.
+class _StateFields(NamedTuple):
+    alpha: complex
+    beta: complex
+
+
+class PolarizationState(_StateFields):
+    """Pure polarization state alpha|H> + beta|V>, an immutable record compared by value.
 
     The interference visibility of the diagonal-basis measurement is set by
     the coherence alpha* beta = d e^{i phi}; `coherence_magnitude` is d and
     `coherence_phase` is phi.
     """
 
-    alpha: complex
-    beta: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+    def __new__(cls, alpha: complex, beta: complex):
+        norm = abs(alpha) ** 2 + abs(beta) ** 2
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state must be normalized: |alpha|^2 + |beta|^2 = {norm!r}")
+        return super().__new__(cls, alpha, beta)
 
     @classmethod
     def from_bloch(cls, polar: float, azimuth: float = 0.0) -> "PolarizationState":

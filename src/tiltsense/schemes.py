@@ -19,8 +19,7 @@ position-dependent phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -268,8 +267,20 @@ def _sample_mixture(model, theta: float, nu: int, rng: np.random.Generator):
     return means.take(component) + sigmas.take(component) * rng.standard_normal(nu)
 
 
-class _DeflectionScheme:
+class _SchemeModel:
+    """Base of the scheme models, whose fields are the names in their ``__slots__``."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _DeflectionScheme(_SchemeModel):
     """Protocol shared by the schemes that image the deflected beam directly."""
+
+    __slots__ = ()
 
     @property
     def even_in_theta(self) -> bool:
@@ -289,8 +300,10 @@ class _DeflectionScheme:
         return False
 
 
-class _InterferometricScheme:
+class _InterferometricScheme(_SchemeModel):
     """Protocol shared by the polarization schemes of the common-path interferometer."""
+
+    __slots__ = ()
 
     @property
     def even_in_theta(self) -> bool:
@@ -325,6 +338,8 @@ class _TwoOutcomeScheme:
     ``plus_slope(theta)`` = dP_plus/dtheta for the score.
     """
 
+    __slots__ = ()
+
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
         return _sample_signs(float(self.probabilities(theta)[0]), nu, rng)
 
@@ -342,12 +357,14 @@ class _TwoOutcomeScheme:
         return 0 in stat
 
 
-@dataclass(frozen=True)
 class PositionModel(_DeflectionScheme):
     """Imaging detector at plane z; outcome is the continuous position x."""
 
-    beam: BeamParams
-    z: float
+    __slots__ = ("beam", "z")
+
+    def __init__(self, beam: BeamParams, z: float):
+        self.beam = beam
+        self.z = z
 
     def mean(self, theta: float) -> float:
         return self.beam.xi + 2.0 * theta * self.z
@@ -391,13 +408,15 @@ class PositionModel(_DeflectionScheme):
         return 8.0 * n * self.z * (mean - self.mean(theta)) / self.beam.width(self.z) ** 2
 
 
-@dataclass(frozen=True)
 class QuadrantModel(_TwoOutcomeScheme, _DeflectionScheme):
     """Sign detector at plane z; outcomes are +1/-1 for x above/below the split."""
 
-    beam: BeamParams
-    z: float
-    split: Optional[float] = None
+    __slots__ = ("beam", "z", "split")
+
+    def __init__(self, beam: BeamParams, z: float, split: Optional[float] = None):
+        self.beam = beam
+        self.z = z
+        self.split = split
 
     def probabilities(self, theta: float):
         return np.array(quadrant_probabilities(self.beam, theta, self.z, self.split))
@@ -412,12 +431,14 @@ class QuadrantModel(_TwoOutcomeScheme, _DeflectionScheme):
         return fisher_quadrant(self.beam, theta, self.z, self.split)
 
 
-@dataclass(frozen=True)
 class PolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
     """Position-integrated diagonal polarization measurement; outcomes +1/-1."""
 
-    beam: BeamParams
-    pol: PolarizationState
+    __slots__ = ("beam", "pol")
+
+    def __init__(self, beam: BeamParams, pol: PolarizationState):
+        self.beam = beam
+        self.pol = pol
 
     def probabilities(self, theta: float):
         return np.array(sagnac_polarization_probabilities(self.beam, self.pol, theta))
@@ -442,7 +463,6 @@ class PolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
         return fisher_sagnac_polarization(self.beam, self.pol, theta)
 
 
-@dataclass(frozen=True)
 class ConditionedPolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
     """Diagonal polarization statistics of a point detector at fixed x.
 
@@ -451,11 +471,14 @@ class ConditionedPolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
     complete measurement.
     """
 
-    beam: BeamParams
-    z: float
-    x: float
+    __slots__ = ("beam", "z", "x")
     # the conditioned probabilities are those of the diagonal input state
-    pol: ClassVar[PolarizationState] = PolarizationState.diagonal()
+    pol = PolarizationState.diagonal()
+
+    def __init__(self, beam: BeamParams, z: float, x: float):
+        self.beam = beam
+        self.z = z
+        self.x = x
 
     def probabilities(self, theta: float):
         p_plus, p_minus = conditioned_polarization_probabilities(
@@ -511,13 +534,15 @@ class JointStatistic(NamedTuple):
         return self.half_far, self.half_near
 
 
-@dataclass(frozen=True)
 class PositionPolarizationModel(_InterferometricScheme):
     """Joint measurement of diagonal polarization and position at plane z."""
 
-    beam: BeamParams
-    pol: PolarizationState
-    z: float
+    __slots__ = ("beam", "pol", "z")
+
+    def __init__(self, beam: BeamParams, pol: PolarizationState, z: float):
+        self.beam = beam
+        self.pol = pol
+        self.z = z
 
     @property
     def even_in_theta(self) -> bool:

@@ -1,14 +1,16 @@
 """Minimal SVG line charts built from primitives; no plotting dependency.
 
 The CSV files are the normative output of the CLI; these renderings exist so
-the curve shapes can be eyeballed directly.
+the curve shapes can be eyeballed directly.  A chart holds each curve as lists
+of floats and writes its points in one pass of plain float arithmetic, so
+rendering needs neither numpy nor a plotting library.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 COLORS = ("#000000", "#c0392b", "#2a6fb0", "#1e8a4c", "#8a6d1e", "#7d3bb0")
 DASHES = ("", "8 4", "2 3", "8 3 2 3", "5 2", "1 2")
@@ -46,8 +48,7 @@ def _fmt_tick(value: float) -> str:
     return f"{value:.2e}"
 
 
-@dataclass
-class Curve:
+class Curve(NamedTuple):
     x: list
     y: list
     label: str
@@ -55,19 +56,19 @@ class Curve:
     dash: str
 
 
-@dataclass
 class LineChart:
-    title: str
-    xlabel: str
-    ylabel: str
-    curves: list = field(default_factory=list)
+    def __init__(self, title: str, xlabel: str, ylabel: str):
+        self.title = title
+        self.xlabel = xlabel
+        self.ylabel = ylabel
+        self.curves = []
 
     def add(self, x, y, label=""):
         index = len(self.curves)
         self.curves.append(
             Curve(
-                x=[float(v) for v in x],
-                y=[float(v) for v in y],
+                x=list(map(float, x)),
+                y=list(map(float, y)),
                 label=label,
                 color=COLORS[index % len(COLORS)],
                 dash=DASHES[index % len(DASHES)],
@@ -93,12 +94,15 @@ class LineChart:
             pad = 0.04 * (y_hi - y_lo)
             y_lo, y_hi = y_lo - pad, y_hi + pad
 
-        # one expression for ticks and curve points keeps their rounding alike
+        # ticks and curve points share these expressions (inlined for the points),
+        # which keeps their rounding alike
+        x_span, y_span, y_base = x_hi - x_lo, y_hi - y_lo, margin_t + plot_h
+
         def px(v):
-            return margin_l + (v - x_lo) / (x_hi - x_lo) * plot_w
+            return margin_l + (v - x_lo) / x_span * plot_w
 
         def py(v):
-            return margin_t + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
+            return y_base - (v - y_lo) / y_span * plot_h
 
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -147,11 +151,15 @@ class LineChart:
             f'transform="rotate(-90 20 {margin_t + plot_h / 2:.1f})">{self.ylabel}</text>'
         )
 
+        isfinite = math.isfinite
         for curve in self.curves:
             points = " ".join(
-                "%.2f,%.2f" % (px(x), py(y))
+                "%.2f,%.2f" % (
+                    margin_l + (x - x_lo) / x_span * plot_w,
+                    y_base - (y - y_lo) / y_span * plot_h,
+                )
                 for x, y in zip(curve.x, curve.y)
-                if math.isfinite(x) and math.isfinite(y)
+                if isfinite(x) and isfinite(y)
             )
             dash = f' stroke-dasharray="{curve.dash}"' if curve.dash else ""
             parts.append(

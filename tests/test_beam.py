@@ -27,6 +27,41 @@ def test_validation():
     assert BeamParams(k=1e7, w0=1e146).rayleigh_range == pytest.approx(5e298)
 
 
+def test_validation_messages():
+    cases = (
+        ({"k": -1.0, "w0": 1e-3}, "wavenumber must be positive and finite, got -1.0"),
+        ({"k": 1e7, "w0": 0.0}, "waist must be positive and finite, got 0.0"),
+        ({"k": 1e7, "w0": 1e-3, "xi": math.inf}, "beam displacement must be finite, got inf"),
+        (
+            {"k": 1e7, "w0": 1e-300},
+            "Rayleigh range k w0^2/2 must be positive and finite, got k=10000000.0, w0=1e-300",
+        ),
+        (
+            {"k": 6.3e200, "w0": 1e-3},
+            "the quantum bound 16 k^2 (w0^2/4 + xi^2) must be finite, "
+            "got k=6.3e+200, w0=0.001, xi=0.0",
+        ),
+    )
+    for fields, message in cases:
+        with pytest.raises(ValueError) as info:
+            BeamParams(**fields)
+        assert str(info.value) == message
+    # positional arguments are validated the same way
+    with pytest.raises(ValueError, match="waist must be positive"):
+        BeamParams(1e7, -1e-3)
+
+
+def test_beam_is_an_immutable_value(beam):
+    for name in ("k", "w0", "xi", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(beam, name, 1.0)
+    same = BeamParams(k=beam.k, w0=beam.w0, xi=beam.xi)
+    assert same == beam and hash(same) == hash(beam)
+    assert BeamParams(k=beam.k, w0=beam.w0, xi=0.0) != beam
+    assert repr(beam) == f"BeamParams(k={beam.k!r}, w0={beam.w0!r}, xi={beam.xi!r})"
+    assert BeamParams(k=1e7, w0=1e-3).xi == 0.0
+
+
 def test_wavelength_roundtrip(beam):
     assert beam.wavelength == pytest.approx(WAVELENGTH, rel=1e-15)
     assert beam.rayleigh_range == pytest.approx(math.pi * WAIST ** 2 / WAVELENGTH, rel=1e-14)

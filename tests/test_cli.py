@@ -520,6 +520,25 @@ def test_montecarlo_refuses_zero_information(tmp_path, capsys, setup):
     assert "run[0]: scheme carries no information at this working point" in capsys.readouterr().err
 
 
+def test_montecarlo_search_interval_below_an_ulp_of_theta_exits_2(tmp_path, capsys):
+    # 10 Cramer-Rao sigma (3.6e-29 rad) is below half an ulp of theta = 1 urad,
+    # so theta +- 10 sigma rounds to the single point theta
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 1e-30m, w0: 1mm}\n"
+        "run: {scheme: position, theta: 1urad, z: 1z_R}\n"
+        "montecarlo: {theta: 1urad, nu: 1000, trials: 10}\n",
+    )
+    assert main(["validate-config", "--config", cfg]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m"
+    assert main(["montecarlo", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "run[0]: theta_true=1e-06 rad" in err
+    assert "at nu=1000) rounds to a search interval of zero width" in err
+    assert not out.exists()
+
+
 def test_montecarlo_all_outcomes_in_one_port_exits_4(tmp_path, capsys):
     # at theta = 0 the diagonal state sends every photon to the + port: P- = 0
     # is not a regular point, so no trial may enter the saturation statistics

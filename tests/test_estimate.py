@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate, stats
 
 from tiltsense import (
+    BeamParams,
     ConditionedPolarizationModel,
     PolarizationModel,
     PolarizationState,
@@ -401,6 +402,17 @@ def test_default_search_interval_guard(beam):
     assert lo < 1e-6 < hi
     with pytest.raises(ValueError):
         default_search_interval(model, 1e-3, 10 ** 4)
+
+
+def test_default_search_interval_refuses_zero_width():
+    # 10 Cramer-Rao sigma is 3.6e-29 rad, below half an ulp of 1 urad
+    beam = BeamParams.from_wavelength(1e-30, 1e-3)
+    model = PositionModel(beam, beam.rayleigh_range)
+    with pytest.raises(ValueError, match="rounds to a search interval of zero width"):
+        default_search_interval(model, 1e-6, 1000)
+    # at theta = 0 the same sigma still spans an interval
+    lo, hi = default_search_interval(model, 0.0, 1000)
+    assert lo < 0.0 < hi
 
 
 def test_default_search_interval_keeps_the_sign_branch_of_even_statistics(centered_beam):

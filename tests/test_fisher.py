@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tiltsense import (
@@ -23,6 +23,7 @@ from tiltsense import (
     qfi_mach_zehnder,
     qfi_sagnac,
 )
+from tiltsense.config import linspace
 
 from conftest import WAIST, WAVELENGTH, gauss_quad
 
@@ -274,6 +275,68 @@ def test_conditioned_limit_equals_coefficient_quadrature(beam):
     zr = beam.rayleigh_range
     reduced = 16.0 * beam.k ** 2 * (zr ** 2 * x ** 2 + z ** 2 * beam.xi ** 2) / (z ** 2 + zr ** 2)
     assert limit == pytest.approx(reduced, rel=1e-12)
+
+
+def _figure_grids():
+    """(beam, z, x list) of each column that figure3 (a) and figure4 evaluate in one call."""
+    for xi in (0.0, 1e-3):
+        beam = BeamParams.from_rayleigh_range(1.0, WAVELENGTH, xi)
+        zr = beam.rayleigh_range
+        yield beam, 5.0 * zr, linspace(-3e-3, 3e-3, 601).tolist()
+        w_far = beam.width(5.0 * zr)
+        x = linspace(xi - 5.0 * w_far, xi + 5.0 * w_far, 2001).tolist()
+        yield beam, 0.0, x
+        yield beam, 5.0 * zr, x
+
+
+def _formula_rates(beam, z, x):
+    # the docstring's formulas in their written order, z and z_R scaled by a power of two
+    _, exponent = math.frexp(max(abs(z), beam.rayleigh_range))
+    z, zr = math.ldexp(z, -exponent), math.ldexp(beam.rayleigh_range, -exponent)
+    denom = z * z + zr * zr
+    a = 4.0 * beam.k * (zr * zr * x + z * z * beam.xi) / denom
+    b = 4.0 * beam.k * z * zr * (x - beam.xi) / denom
+    return a, b
+
+
+def _assert_list_is_per_point(beam, z, xs):
+    # == on lists of floats: bit for bit, with no tolerance
+    values = fisher_conditioned(beam, z, xs, 0.0)
+    assert type(values) is list
+    assert values == [fisher_conditioned(beam, z, x, 0.0) for x in xs]
+    a, b = interference_coefficients(beam, z, xs)
+    per_point = [interference_coefficients(beam, z, x) for x in xs]
+    assert type(a) is list and type(b) is list
+    assert a == [p for p, _ in per_point] and b == [q for _, q in per_point]
+    assert per_point == [_formula_rates(beam, z, x) for x in xs]
+
+
+def test_conditioned_list_is_the_per_point_values_on_the_figure_grids():
+    for beam, z, xs in _figure_grids():
+        _assert_list_is_per_point(beam, z, xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.floats(min_value=1e-3, max_value=1e20),
+    w0=st.floats(min_value=1e-9, max_value=10.0),
+    xi=st.floats(min_value=-1.0, max_value=1.0),
+    z=st.floats(min_value=0.0, max_value=1e6),
+    xs=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=20),
+)
+def test_conditioned_list_is_the_per_point_values(k, w0, xi, z, xs):
+    try:
+        beam = BeamParams(k=k, w0=w0, xi=xi)
+    except ValueError:
+        assume(False)
+    _assert_list_is_per_point(beam, z, xs)
+
+
+def test_conditioned_list_at_a_tilt_is_the_array_values(beam):
+    xs = linspace(-3e-3, 3e-3, 61).tolist()
+    values = fisher_conditioned(beam, 2.0, xs, 1e-6)
+    assert type(values) is list
+    assert values == fisher_conditioned(beam, 2.0, np.array(xs), 1e-6).tolist()
 
 
 def test_conditioned_matches_finite_difference_of_probabilities(beam):

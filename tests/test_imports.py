@@ -77,6 +77,15 @@ def test_sweep_starts_no_worker_pool(tmp_path):
     assert "concurrent.futures" not in modules
 
 
+@pytest.mark.parametrize("command", ["validate-config", "figure3", "figure4"])
+def test_cold_start_commands_load_no_dataclasses_or_inspect(tmp_path, command):
+    # the records are named tuples and plain classes: dataclasses imports inspect
+    # and compiles generated source for each class, a cost every command paid
+    argv = (command,) if command == "validate-config" else (command, "--out", str(tmp_path / "out"))
+    modules = _run_command(tmp_path, *argv)
+    assert not {"dataclasses", "inspect"} & set(modules)
+
+
 @pytest.mark.parametrize("command", ["figure3", "figure4"])
 def test_figures_load_no_numpy(tmp_path, command):
     modules = _run_command(tmp_path, command, "--out", str(tmp_path / "out"))

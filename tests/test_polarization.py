@@ -9,8 +9,23 @@ from tiltsense import PolarizationState
 
 
 def test_normalization_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         PolarizationState(1.0 + 0.0j, 1.0 + 0.0j)
+    assert str(info.value) == "state must be normalized: |alpha|^2 + |beta|^2 = 2.0"
+    with pytest.raises(ValueError, match="state must be normalized"):
+        PolarizationState(alpha=0.5, beta=0.5j)
+
+
+def test_state_is_an_immutable_value():
+    state = PolarizationState.diagonal()
+    for name in ("alpha", "beta", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, 1.0 + 0.0j)
+    r = math.sqrt(0.5)
+    same = PolarizationState(alpha=complex(r), beta=complex(r))
+    assert same == state and hash(same) == hash(state)
+    assert PolarizationState.horizontal() != PolarizationState.vertical()
+    assert repr(state) == f"PolarizationState(alpha={state.alpha!r}, beta={state.beta!r})"
 
 
 def test_presets():

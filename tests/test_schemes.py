@@ -409,3 +409,33 @@ def test_even_in_theta_matches_the_statistics():
     # every class but the conditioned (always diagonal) one shows both verdicts
     assert verdicts.pop("ConditionedPolarizationModel") == {True}
     assert all(v == {True, False} for v in verdicts.values()), verdicts
+
+
+# ---------------------------------------------------------------------------
+# model records
+# ---------------------------------------------------------------------------
+
+
+def test_models_keep_their_keyword_constructors(beam):
+    # the benchmark's self-test builds the models positionally, and its tracer
+    # derives counting subclasses with type(); both read the same fields
+    pol = PolarizationState.from_bloch(1.2, 0.4)
+    z = 2.0 * beam.rayleigh_range
+    models = (
+        (PositionModel, {"beam": beam, "z": z}),
+        (QuadrantModel, {"beam": beam, "z": z, "split": 2e-4}),
+        (PolarizationModel, {"beam": beam, "pol": pol}),
+        (ConditionedPolarizationModel, {"beam": beam, "z": z, "x": 1.3e-3}),
+        (PositionPolarizationModel, {"beam": beam, "pol": pol, "z": z}),
+    )
+    for cls, fields in models:
+        subclass = type("Counting" + cls.__name__, (cls,), {})
+        for model in (cls(**fields), cls(*fields.values()), subclass(**fields)):
+            for name, value in fields.items():
+                assert getattr(model, name) is value
+            # no tuple methods join the attribute probes the oracle and tracer make
+            assert not hasattr(model, "count") and not hasattr(model, "index")
+        fields_text = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(cls(**fields)) == f"{cls.__name__}({fields_text})"
+    assert QuadrantModel(beam=beam, z=z).split is None
+    assert ConditionedPolarizationModel(beam=beam, z=z, x=0.0).pol == PolarizationState.diagonal()
