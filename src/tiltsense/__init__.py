@@ -17,12 +17,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
+        ("_integrate", ("ConvergenceError",)),
         ("beam", ("BeamParams", "intensity_profile")),
         (
             "estimate",
             (
-                "MleResult", "SaturationReport", "log_likelihood", "mle", "run_saturation",
-                "sample_outcomes", "trial_rng",
+                "MleResult", "SaturationReport", "default_search_interval", "log_likelihood",
+                "mle", "run_saturation", "sample_outcomes", "trial_rng",
             ),
         ),
         (
@@ -44,6 +45,7 @@ _EXPORTS = {
                 "sagnac_joint_density", "sagnac_polarization_probabilities", "small_angle_flags",
             ),
         ),
+        ("svgplot", ("LineChart",)),
     )
     for name in names
 }

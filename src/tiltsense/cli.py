@@ -8,7 +8,6 @@ failure, 4 statistical-check failure.
 from __future__ import annotations
 
 import argparse
-import importlib
 import math
 import sys
 from pathlib import Path
@@ -18,23 +17,10 @@ from .config import SEED_LIMIT, ConfigError, ScenarioConfig, linspace, load_conf
 from .output import write_csv, write_json, write_sidecar
 
 _MODELS = ("PolarizationModel", "PositionModel", "PositionPolarizationModel", "QuadrantModel")
-# The names this module takes from the other layers, and the module of each.
-# A command binds the names it runs into this module's globals before it
-# starts (``_bind``), so that it imports only its own layers; attribute
+# The names each command takes from the other layers.  A command binds its
+# names into this module's globals before it starts (``_bind``), each from the
+# package's lazy exports, so that it imports only its own layers; attribute
 # access from outside (``cli.LineChart``) binds a name the same way.
-_LAYERS = {
-    name: module
-    for module, names in (
-        (".beam", ("BeamParams", "intensity_profile")),
-        (".fisher", ("analytic_fisher", "cramer_rao_bound", "fisher_conditioned", "qfi_for_model")),
-        (".svgplot", ("LineChart",)),
-        (".schemes", _MODELS),
-        (".oracle", ("OracleError", "numeric_fisher_oracle")),
-        ("._integrate", ("ConvergenceError",)),
-        (".estimate", ("default_search_interval", "run_saturation")),
-    )
-    for name in names
-}
 _TABLE_NAMES = (
     *_MODELS, "analytic_fisher", "cramer_rao_bound", "qfi_for_model",
     "numeric_fisher_oracle", "OracleError", "ConvergenceError",
@@ -46,18 +32,19 @@ _FIGURE_NAMES = ("BeamParams", "intensity_profile", "fisher_conditioned", "LineC
 
 
 def _bind(names):
-    """Bind each of ``names`` that is not yet bound here to its layer's object.
+    """Bind each of ``names`` that is not yet bound here to the package's export.
 
     A bound name is kept, so a replacement set from outside stays in force.
     """
     scope = globals()
+    package = sys.modules[__package__]
     for name in names:
         if name not in scope:
-            scope[name] = getattr(importlib.import_module(_LAYERS[name], __package__), name)
+            scope[name] = getattr(package, name)
 
 
 def __getattr__(name):
-    if name not in _LAYERS:
+    if name not in _TABLE_NAMES + _MONTECARLO_NAMES + _FIGURE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind((name,))
     return globals()[name]

@@ -144,12 +144,17 @@ def parse_grid(spec, *, rayleigh: Optional[float] = None, where: str = "grid") -
     return values
 
 
-def _parse_beam(section, where="beam") -> BeamParams:
+def _check_keys(section, where: str, keys) -> None:
+    """Refuse a ``section`` that is not a mapping, or that has a key outside ``keys``."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected a mapping")
-    unknown = set(section) - {"wavelength", "k", "w0", "z_R", "xi"}
+    unknown = set(section) - keys
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _parse_beam(section, where="beam") -> BeamParams:
+    _check_keys(section, where, {"wavelength", "k", "w0", "z_R", "xi"})
     if "k" in section:
         k = parse_quantity(section["k"], where=f"{where}.k")
         if k <= 0.0:
@@ -195,9 +200,7 @@ def _parse_polarization(section, where="polarization") -> PolarizationState:
         return presets[section]()
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected a mapping or preset name")
-    unknown = set(section) - {"polar", "azimuth"}
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    _check_keys(section, where, {"polar", "azimuth"})
     polar = parse_quantity(section.get("polar", math.pi / 2), where=f"{where}.polar")
     azimuth = parse_quantity(section.get("azimuth", 0.0), where=f"{where}.azimuth")
     try:
@@ -233,11 +236,7 @@ class ScenarioConfig(NamedTuple):
 
 def _parse_run(block, beam, pol, index) -> RunBlock:
     where = f"run[{index}]"
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where}: expected a mapping")
-    unknown = set(block) - {"scheme", "theta", "z", "split"}
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    _check_keys(block, where, {"scheme", "theta", "z", "split"})
     scheme = block.get("scheme")
     if scheme not in SCHEMES:
         raise ConfigError(f"{where}.scheme: must be one of {SCHEMES}, got {scheme!r}")
@@ -287,11 +286,7 @@ def _parse_run(block, beam, pol, index) -> RunBlock:
 
 def _parse_montecarlo(section, wavelength) -> MonteCarloBlock:
     where = "montecarlo"
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected a mapping")
-    unknown = set(section) - {"theta", "nu", "energy", "trials", "seed", "interval"}
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    _check_keys(section, where, {"theta", "nu", "energy", "trials", "seed", "interval"})
     if "theta" not in section:
         raise ConfigError(f"{where}: needs theta")
     theta = parse_quantity(section["theta"], where=f"{where}.theta")

@@ -152,16 +152,12 @@ def _score_root(score, low, high, tol: float) -> float:
 
 
 class SaturationReport(NamedTuple):
-    scheme: str
-    theta_true: float
-    nu: int
     trials: int
     used_trials: int
     at_boundary: int
     one_port: int
     empirical_variance: float
     cr_variance: float
-    seed: int
 
     @property
     def non_interior(self) -> int:
@@ -244,14 +240,10 @@ def run_saturation(
         empirical = math.nan
     cr = 1.0 / (nu * analytic_fisher(model, theta_true))
     return SaturationReport(
-        scheme=scheme,
-        theta_true=theta_true,
-        nu=nu,
         trials=trials,
         used_trials=len(estimates),
         at_boundary=at_boundary,
         one_port=one_port,
         empirical_variance=empirical,
         cr_variance=cr,
-        seed=seed,
     )

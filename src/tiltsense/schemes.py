@@ -276,6 +276,9 @@ class _SchemeModel:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
+    def one_port(self, stat) -> bool:
+        return False
+
 
 class _DeflectionScheme(_SchemeModel):
     """Protocol shared by the schemes that image the deflected beam directly."""
@@ -295,9 +298,6 @@ class _DeflectionScheme(_SchemeModel):
 
     def small_angle_guard(self) -> float:
         return math.inf
-
-    def one_port(self, stat) -> bool:
-        return False
 
 
 class _InterferometricScheme(_SchemeModel):
@@ -326,9 +326,6 @@ class _InterferometricScheme(_SchemeModel):
         if beam.xi != 0.0:
             limits.append(math.sqrt(SMALL_ANGLE_LIMIT) / (4.0 * beam.k * abs(beam.xi)))
         return min(limits)
-
-    def one_port(self, stat) -> bool:
-        return False
 
 
 class _TwoOutcomeScheme:
@@ -555,28 +552,23 @@ class PositionPolarizationModel(_InterferometricScheme):
         """The pair of densities (p_plus(x), p_minus(x))."""
         return sagnac_joint_density(self.beam, self.pol, theta, self.z, x)
 
+    def _marginal(self, theta: float, x):
+        """(P, dP/dtheta) of ``total_pdf`` from one evaluation of its two path Gaussians.
+
+        The H and V components of ``gaussian_mixture`` move with their centers
+        xi -+ 2 theta z, at -+2z per unit theta.
+        """
+        (weight_h, weight_v), (mean_h, mean_v), (sigma, _) = self.gaussian_mixture(theta)
+        x = np.asarray(x, dtype=float)
+        norm = sigma * math.sqrt(2.0 * math.pi)
+        offset_h, offset_v = x - mean_h, x - mean_v
+        g_h = weight_h * np.exp(-0.5 * (offset_h / sigma) ** 2) / norm
+        g_v = weight_v * np.exp(-0.5 * (offset_v / sigma) ** 2) / norm
+        return g_h + g_v, (2.0 * self.z / sigma ** 2) * (g_v * offset_v - g_h * offset_h)
+
     def total_pdf(self, theta: float, x):
         """Position marginal: the interference term cancels, leaving a mixture."""
-        weights, means, sigmas = self.gaussian_mixture(theta)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        for wgt, mu, sg in zip(weights, means, sigmas):
-            out += wgt * np.exp(-0.5 * ((x - mu) / sg) ** 2) / (sg * math.sqrt(2.0 * math.pi))
-        return out
-
-    def total_pdf_dtheta(self, theta: float, x):
-        """Analytic d/dtheta of the position marginal."""
-        x = np.asarray(x, dtype=float)
-        w2 = self.beam.width(self.z) ** 2
-        amp = math.sqrt(2.0 / (math.pi * w2))
-        u = x - self.beam.xi
-        shift = 2.0 * theta * self.z
-        pa = abs(self.pol.alpha) ** 2
-        pb = abs(self.pol.beta) ** 2
-        g_h = amp * np.exp(-2.0 * (u + shift) ** 2 / w2)
-        g_v = amp * np.exp(-2.0 * (u - shift) ** 2 / w2)
-        # d(shift)/dtheta = 2z, d g/dtheta = -+ 8 z (u +- shift) g / w^2
-        return (8.0 * self.z / w2) * (pb * (u - shift) * g_v - pa * (u + shift) * g_h)
+        return self._marginal(theta, x)[0]
 
     def conditional_plus(self, theta: float, x):
         """P(outcome=+1 | detected at x).
@@ -646,8 +638,7 @@ class PositionPolarizationModel(_InterferometricScheme):
             raise ValueError("closed-form decomposition is defined for the diagonal input state")
 
         def integrand(xx):
-            p = self.total_pdf(theta, xx)
-            dp = self.total_pdf_dtheta(theta, xx)
+            p, dp = self._marginal(theta, xx)
             dead = p < 1e-300
             return np.stack([
                 p * fisher_conditioned(self.beam, self.z, xx, theta),

@@ -20,6 +20,8 @@ import json
 import sys
 from pathlib import Path
 
+from tiltsense.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 PINS = Path(__file__).with_name("output_pins.json")
 
@@ -65,8 +67,6 @@ def _digest(path):
 
 def hashes(case, workdir):
     """{file name: sha256} of what the case's commands write into ``workdir``/out."""
-    from tiltsense.cli import main
-
     config_text, commands = cases()[case]
     workdir = Path(workdir)
     config = workdir / "config.yaml"

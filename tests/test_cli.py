@@ -446,6 +446,15 @@ def test_numerical_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_commands_bind_only_package_exports():
+    import tiltsense
+    from tiltsense import cli
+
+    assert {*cli._TABLE_NAMES, *cli._MONTECARLO_NAMES, *cli._FIGURE_NAMES} <= set(tiltsense.__all__)
+    with pytest.raises(AttributeError, match=r"'tiltsense\.cli' has no attribute 'no_such_name'"):
+        getattr(cli, "no_such_name")
+
+
 def test_shipped_sample_configs_validate():
     from pathlib import Path
 

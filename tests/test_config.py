@@ -104,6 +104,25 @@ def test_beam_validation_errors():
         parse_config_text("beam: {wavelength: 633nm, w0: 1mm, waist: 2mm}\n")
 
 
+BEAM = "beam: {wavelength: 633nm, w0: 1mm}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("beam: 5", "beam: expected a mapping"),
+        (BEAM + "run: [5]", r"run\[0\]: expected a mapping"),
+        (BEAM + "run: {scheme: position, bad: 1}", r"run\[0\]: unknown keys \['bad'\]"),
+        (BEAM + "montecarlo: 5", "montecarlo: expected a mapping"),
+        (BEAM + "montecarlo: {theta: 1urad, zz: 1}", r"montecarlo: unknown keys \['zz'\]"),
+        (BEAM + "polarization: {polar: 1, q: 1}", r"polarization: unknown keys \['q'\]"),
+    ],
+)
+def test_sections_refuse_other_shapes_and_keys(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(text)
+
+
 def test_polarization_forms():
     config = parse_config_text(BASE + "polarization: circular\n")
     assert config.polarization.coherence_phase == pytest.approx(math.pi / 2)
