@@ -4,6 +4,26 @@ Quantities are strings like ``"633nm"``, ``"1.5 mm"``, ``"2urad"`` or
 ``"5z_R"`` (lengths relative to the beam's Rayleigh range); bare numbers are
 taken as SI.  Unit bugs are the dominant failure mode in this domain, so
 resolution happens once, at parse time, and everything downstream is SI.
+
+The text is read by ``read_yaml``, a small reader of the YAML that configs
+use, so that no command imports a YAML library:
+
+* block mappings and block sequences, with ``- key: value`` entries and
+  sequences that start at their key's column;
+* flow mappings and flow sequences, nested, over one or more lines;
+* plain, single-quoted and double-quoted scalars, each on one line;
+* full-line and trailing ``#`` comments; an empty document reads as None.
+
+Plain scalars resolve as the YAML 1.1 ``SafeLoader`` of PyYAML resolves them:
+``1e-6`` and ``1.0e6`` stay strings (``parse_quantity`` reads them), while
+``1.0e+6``, ``.5`` and ``1.`` are floats; ``010`` is 8, ``0x1A`` is 26,
+``0b101`` is 5 and ``1_000`` is 1000; ``yes``/``On`` are True and ``~`` is
+None; ``.nan`` and ``.inf`` are the float specials.  Every other form is
+refused with its line and column: anchors, aliases and tags, document markers,
+``|`` and ``>`` block scalars, scalars that run over several lines, tabs in
+the indentation, a key given twice in one mapping, plain scalars that start
+with ``?`` or ``:``, and the sexagesimal numbers (``1:30``), dates
+(``2001-01-01``) and ``<<``/``=`` keys that YAML 1.1 gives a meaning.
 """
 
 from __future__ import annotations
@@ -12,8 +32,6 @@ import math
 import re
 from array import array
 from typing import NamedTuple, Optional
-
-import yaml
 
 from .beam import BeamParams
 from .polarization import PolarizationState
@@ -47,6 +65,154 @@ _QUANTITY_RE = re.compile(
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; the message names the offending field."""
+
+
+# -- the YAML reader (see the module docstring) -------------------------------
+
+_ENDS = ("", " ", "\n")  # what follows the ":" of a block key and the "-" of an entry
+_WORDS = dict.fromkeys(("~", "null", "Null", "NULL"))
+_WORDS.update(dict.fromkeys("yes Yes YES true True TRUE on On ON".split(), True))
+_WORDS.update(dict.fromkeys("no No NO false False FALSE off Off OFF".split(), False))
+_FLOAT = re.compile(r"[-+]?(?:[0-9][0-9_]*\.[0-9_]*(?:[eE][-+][0-9]+)?|\.(?:inf|Inf|INF))"
+                    r"|\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?|\.(?:nan|NaN|NAN)")
+_INT = re.compile(r"[-+]?(?:0b[01_]+|0[0-7_]+|0|[1-9][0-9_]*|0x[0-9a-fA-F_]+)")
+_OCTAL = re.compile(r"^([-+]?)0(?=[0-7])")  # YAML 1.1 writes 0o10 as 010
+# sexagesimal numbers, timestamps, and the merge and value keys of YAML 1.1
+_REFUSED = re.compile(r"[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+(?:\.[0-9_]*)?"
+                      r"|[0-9]{4}-[0-9]{1,2}-[0-9]{1,2}(?:[Tt ].*)?|<<|=")
+# a plain scalar on one line, by context (block, flow): words split by spaces,
+# ending before ": " and " #", in flow context also before ",[]{}?" and ":]"
+_PLAIN = [
+    re.compile(rf"{word}(?: +(?!#){word})*")
+    for word in (r"(?:[^ \t\n:]|:(?=[^ \t\n]))+", r"(?:[^ \t\n:,?\[\]{}]|:(?=[^ \t\n,\[\]{}]))+")
+]
+_ESCAPES = dict(zip('0abt\tnvfre "\\/N_LP', '\0\a\b\t\t\n\v\f\r\x1b "\\/\x85\xa0\u2028\u2029'))
+_ESCAPE = re.compile(r"\\(?:[xuU]((?<=x)[0-9a-fA-F]{2}|(?<=u)[0-9a-fA-F]{4}|(?<=U)[0-9a-fA-F]{8})"
+                     r'|([0abt\tnvfre "\\/N_LP]))')
+_QUOTED = {"'": re.compile(r"'((?:[^'\n]|'')*)'"),
+           '"': re.compile(rf'"((?:[^"\\\n]|{_ESCAPE.pattern})*)"')}
+_GAP = re.compile(r" *(?:#[^\n]*)?")  # spaces, then perhaps a comment
+_BAD_TEXT = re.compile(r"(?m)^(?P<document_markers>---|\.\.\.)(?=[ \t\n]|$)"
+                       r"|(?P<special_characters>"
+                       r"[\x00-\x08\x0b-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff])")
+
+
+class _Reader:
+    def __init__(self, text):
+        self.text, self.pos = text, 0
+
+    def fail(self, why, pos=None):
+        pos = self.pos if pos is None else pos
+        line, column = self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
+        raise ConfigError(f"not valid YAML: line {line}, column {column}: {why}")
+
+    def peek(self, ahead=0):
+        return self.text[self.pos + ahead:self.pos + ahead + 1]
+
+    def column(self):
+        return self.pos - self.text.rfind("\n", 0, self.pos) - 1
+
+    def skip(self, lines=True):
+        """Step over spaces, a comment and with ``lines`` line breaks; return the next character."""
+        self.pos = _GAP.match(self.text, self.pos).end()
+        while lines and self.peek() == "\n":
+            self.pos = _GAP.match(self.text, self.pos + 1).end()
+        return self.peek()
+
+    def entry(self, column):
+        """Whether a block sequence entry "- " at ``column`` comes next."""
+        return self.skip() == "-" and self.column() == column and self.peek(1) in _ENDS
+
+    def block(self, indent, inline=False):
+        """The node from here at a column >= ``indent``; ``inline``: on a key's line."""
+        if not self.skip() or self.column() < indent:
+            return None
+        column, start = self.column(), self.pos
+        if not inline and self.entry(column):  # a block sequence
+            items = []
+            while self.entry(column):
+                self.pos += 1
+                items.append(self.block(column + 1))
+            return items
+        node = self.node(False)
+        if inline or self.skip(False) != ":" or self.peek(1) not in _ENDS:
+            if self.skip(False) not in ("", "\n"):
+                self.fail(f"expected the end of the line, found {self.peek()!r}")
+            return node
+        self.pos, mapping = start, {}  # a block mapping
+        while self.skip() and self.column() == column:
+            key = self.key(mapping, False)
+            below = self.skip(False) in ("", "\n")  # a sequence below may start at the key's column
+            at = column if below and self.entry(column) else column + 1
+            mapping[key] = self.block(at, inline=not below)
+        if self.peek() and self.column() > column:
+            self.fail("unexpected indentation")
+        return mapping
+
+    def key(self, mapping, flow):
+        start, key = self.pos, self.node(flow)
+        colon = self.skip(False) == ":" and (flow or self.peek(1) in _ENDS)
+        if isinstance(key, (list, dict)) or not colon:
+            self.fail("expected a scalar key followed by ': '", start)
+        if key in mapping:
+            self.fail(f"duplicate key {key!r}", start)
+        self.pos += 1
+        return key
+
+    def collection(self, close):
+        items = [] if close == "]" else {}
+        self.pos += 1
+        while self.skip() != close:
+            if close == "]":
+                items.append(self.node(True))
+            else:
+                key = self.key(items, True)
+                items[key] = None if self.skip() in (",", "}") else self.node(True)
+            if self.skip() == ",":
+                self.pos += 1
+            elif self.peek() != close:
+                self.fail(f"expected ',' or {close!r}, found {self.peek() or 'the end'!r}")
+        self.pos += 1
+        return items
+
+    def node(self, flow):
+        char, start = self.peek(), self.pos
+        if char in ("[", "{"):
+            return self.collection("]" if char == "[" else "}")
+        if char in _QUOTED:
+            quoted = _QUOTED[char].match(self.text, start)
+            if not quoted:
+                self.fail("a quoted scalar must end on its line, with YAML's escapes only")
+            self.pos = quoted.end()
+            if char == "'":
+                return quoted[1].replace("''", "'")
+            return _ESCAPE.sub(lambda m: chr(int(m[1], 16)) if m[1] else _ESCAPES[m[2]], quoted[1])
+        plain = _PLAIN[flow].match(self.text, start)
+        if not plain or char in "-?:,[]{}#&*!|>%@`" and (char != "-" or self.peek(1) in _ENDS):
+            self.fail(f"expected a value, found {char or 'the end'!r}")
+        text, value = plain[0], plain[0].replace("_", "")
+        if _REFUSED.fullmatch(text):
+            self.fail(f"{text!r} reads as a sexagesimal number, date or merge key; quote it")
+        self.pos = plain.end()
+        if text in _WORDS:
+            return _WORDS[text]
+        if _FLOAT.fullmatch(text):  # float() reads .inf and .nan without the dot
+            return float(value.replace(".", "") if value[-1] in "fFnN" else value)
+        if _INT.fullmatch(text):
+            return int(_OCTAL.sub(r"\g<1>0o", value), 0)
+        return text
+
+
+def read_yaml(text: str):
+    """The data of a config, as PyYAML's ``safe_load`` reads it; other forms raise ConfigError."""
+    reader = _Reader(text.removeprefix("\ufeff").replace("\r\n", "\n"))
+    bad = _BAD_TEXT.search(reader.text)
+    if bad:
+        reader.fail(f"{bad.lastgroup.replace('_', ' ')} are refused", bad.start(bad.lastgroup))
+    data = reader.block(0)
+    if reader.skip():
+        reader.fail(f"expected the end of the document, found {reader.peek()!r}")
+    return data
 
 
 def parse_quantity(value, *, rayleigh: Optional[float] = None, where: str = "value") -> float:
@@ -330,10 +496,11 @@ def _parse_montecarlo(section, wavelength) -> MonteCarloBlock:
 
 def parse_config_text(text: str) -> ScenarioConfig:
     try:
-        # libyaml's parser when PyYAML was built with it, several times faster than pure Python
-        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"not valid YAML: {exc}")
+        data = read_yaml(text)
+    except ConfigError:
+        raise
+    except RecursionError:  # the reader descends one call per level of nesting
+        raise ConfigError("not valid YAML: collections nested too deeply")
     except ValueError as exc:  # e.g. an integer past Python's 4300-digit conversion limit
         raise ConfigError(f"not a usable YAML value: {exc}")
     if data is None:

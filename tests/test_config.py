@@ -1,9 +1,7 @@
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -311,21 +309,6 @@ def test_z_far_past_the_rayleigh_range_names_the_field(size):
 def test_wavelength_without_a_finite_wavenumber_names_the_field(source):
     with pytest.raises(ConfigError, match=rf"beam\.{source.split(':')[0]}: gives no finite wavenumber"):
         parse_config_text(f"beam: {{{source}, w0: 1mm}}\n")
-
-
-@pytest.mark.parametrize("name", ["scenario.sample.yaml", "montecarlo.sample.yaml"])
-def test_libyaml_and_pure_python_loaders_read_the_same_data(name, monkeypatch):
-    text = (Path(__file__).resolve().parent.parent / name).read_text(encoding="utf-8")
-    fast = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    assert fast == yaml.load(text, Loader=yaml.SafeLoader)
-    # without libyaml the parse falls back to the pure-Python loader
-    config = parse_config_text(text)
-    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    fallback = parse_config_text(text)
-    assert (fallback.beam, fallback.polarization, fallback.montecarlo) == (
-        config.beam, config.polarization, config.montecarlo
-    )
-    assert len(fallback.runs) == len(config.runs)
 
 
 def _log_uniform(low_exponent, high_exponent):

@@ -1,0 +1,328 @@
+"""The config reader against PyYAML's ``safe_load``, which it replaces.
+
+Every config inside the reader's part of YAML must read to the same data as
+PyYAML's YAML 1.1 ``SafeLoader`` gives; every form outside it is refused with
+exit code 2 and a line and column.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from output_pins import _inputs as perfbench_inputs
+
+from tiltsense.cli import main
+from tiltsense.config import ConfigError, parse_config_text, read_yaml
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def same(a, b):
+    """Equal data of equal types, with NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same(a[key], b[key]) for key in a)
+    return a == b
+
+
+def assert_reads_as_pyyaml(text):
+    try:
+        expected = yaml.safe_load(text)
+    except ValueError:  # int() refuses "0x_" or 5000 digits under both readers
+        with pytest.raises(ValueError) as refused:
+            read_yaml(text)
+        assert not isinstance(refused.value, ConfigError), text
+        return
+    assert same(read_yaml(text), expected), text
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1e-6", "1e-6"),  # YAML 1.1 floats need a dot and a signed exponent
+        ("1.0e6", "1.0e6"),
+        ("1.0e+6", 1.0e6),
+        ("6.33e-07", 6.33e-07),
+        (".5", 0.5),
+        ("1.", 1.0),
+        ("+.5", "+.5"),
+        ("08", "08"),
+        ("010", 8),
+        ("-010", -8),
+        ("0x1A", 26),
+        ("0b101", 5),
+        ("1_000", 1000),
+        ("-0", 0),
+        ("1" + "0" * 400, 10 ** 400),
+        ("yes", True),
+        ("On", True),
+        ("NO", False),
+        ("~", None),
+        ("null", None),
+        ("", None),
+        (".inf", math.inf),
+        ("-.inf", -math.inf),
+        (".NaN", math.nan),
+        ("633nm", "633nm"),
+        ("1 urad", "1 urad"),
+        ("'010'", "010"),
+        ("'it''s'", "it's"),
+        ('"\\x41\\u00b5m \\"q\\" \\\\"', 'Aµm "q" \\'),
+    ],
+)
+def test_scalars_resolve_as_yaml_1_1(text, value):
+    document = f"a: {text}\n"
+    assert same(read_yaml(document), {"a": value})
+    assert_reads_as_pyyaml(document)
+
+
+def test_empty_documents_read_as_none():
+    for text in ("", "\n\n", "# a comment\n", "  # indented\n\n# two\n"):
+        assert read_yaml(text) is None
+        assert_reads_as_pyyaml(text)
+
+
+def test_integer_past_the_digit_limit_is_a_value_error():
+    # int() refuses more than 4300 decimal digits; parse_config_text reports it
+    with pytest.raises(ValueError, match="4300 digits"):
+        read_yaml("a: 1" + "0" * 5000)
+
+
+@pytest.mark.parametrize("name", ["scenario.sample.yaml", "montecarlo.sample.yaml"])
+def test_reader_reads_the_sample_files_as_pyyaml_does(name):
+    assert_reads_as_pyyaml((ROOT / name).read_text(encoding="utf-8"))
+
+
+def _config_strings():
+    """Every string literal in tests/ that PyYAML reads as a config mapping."""
+    sections = {"beam", "polarization", "run", "montecarlo"}
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        if path.name == Path(__file__).name:  # the refused forms below
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+                continue
+            try:
+                data = yaml.safe_load(node.value)
+            except (yaml.YAMLError, ValueError):
+                continue
+            if isinstance(data, dict) and data and set(data) <= sections:
+                found.append(node.value)
+    return found
+
+
+def test_reader_reads_every_config_string_in_the_tests_as_pyyaml_does():
+    texts = _config_strings()
+    assert len(texts) >= 40
+    for text in texts:
+        assert_reads_as_pyyaml(text)
+
+
+def test_reader_reads_the_benchmark_configs_as_pyyaml_does():
+    inputs = perfbench_inputs()  # perfbench/inputs.py, loaded by path
+    for workload in inputs.WORKLOADS:
+        for seed in range(21):
+            assert_reads_as_pyyaml(inputs.make_plan(workload, seed).config)
+
+
+# -- generated configs ---------------------------------------------------------
+
+# plain scalars that YAML 1.1 resolves in surprising ways
+SURPRISES = [
+    "1e-6", "1.0e6", "1.0e+6", "6.33e-07", ".5", "1.", "+.5", "-.5", "08", "010", "0x1A",
+    "0b101", "1_000", "-1_0.5_0", "+12", "0", "-0", "00", "yes", "No", "On", "OFF", "true",
+    "FALSE", "~", "null", "Null", ".nan", ".NaN", ".inf", "-.Inf", "+.INF", "1urad",
+    "633 nm", "0.5z_R", "-3e-2rad", "a:b", "http://x.org/a#b", "a-b", "-x", "x y  z",
+    "1" + "0" * 30, "-0x_F_f",
+]
+
+
+def _in_grammar(text):
+    """Neither a "- " sequence entry nor a date, which the reader refuses."""
+    return text != "-" and text[:2] != "- " and not (text[:1].isdigit() and "-" in text)
+
+
+plain_scalars = st.one_of(
+    st.sampled_from(SURPRISES),
+    st.builds(
+        lambda sign, words: sign + " ".join(words),
+        st.sampled_from(["", "-", "+"]),
+        st.lists(st.text("0123456789._+eExbAaNnz-", min_size=1, max_size=6), min_size=1, max_size=3),
+    ).filter(_in_grammar),
+)
+single_quoted = st.text(st.sampled_from(list("az09 .:#,[]{}-?&*!|>'\"%@`\\µé")), max_size=8).map(
+    lambda text: "'" + text.replace("'", "''") + "'"
+)
+double_quoted = st.lists(
+    st.one_of(
+        st.text(st.sampled_from(list("az09 .:#,[]{}-?&*!|>'%@`µé")), min_size=1, max_size=4),
+        st.sampled_from(["\\n", "\\t", "\\\\", '\\"', "\\/", "\\ ", "\\x41", "\\u00e9", "\\U0001F600", "\\0"]),
+    ),
+    max_size=4,
+).map(lambda parts: '"' + "".join(parts) + '"')
+scalars = st.one_of(plain_scalars, single_quoted, double_quoted)
+
+
+def keys(min_size):
+    """Distinct keys, each plain, single-quoted or double-quoted."""
+    names = st.lists(st.from_regex(r"k[a-z0-9_]{0,5}", fullmatch=True), min_size=min_size, max_size=4, unique=True)
+    styles = st.lists(st.sampled_from(["{}", "'{}'", '"{}"']), min_size=4, max_size=4)
+    return st.builds(lambda names, styles: [s.format(n) for n, s in zip(names, styles)], names, styles)
+
+
+separators = st.sampled_from([", ", ",", " , ", ",\n    ", ",  # note\n  "])
+
+
+def flow(children):
+    """Flow sequences and mappings of ``children``, some with a trailing comma."""
+    sequences = st.builds(
+        lambda items, sep, trailing: "[" + sep.join(items) + ("," if trailing and items else "") + "]",
+        st.lists(children, max_size=4), separators, st.booleans(),
+    )
+    mappings = st.builds(
+        lambda names, values, sep: "{" + sep.join(f"{k}: {v}" for k, v in zip(names, values)) + "}",
+        keys(0), st.lists(children, min_size=4, max_size=4), separators,
+    )
+    return st.one_of(sequences, mappings)
+
+
+# "" leaves a mapping value or a sequence entry empty, which reads as None
+leaves = st.one_of(st.recursive(scalars, flow, max_leaves=8), st.just("")).map(lambda text: ("leaf", text))
+comments = st.sampled_from(["", " # c", "   #: c, [x]", "\n# full line", "\n\n", "\n      # deeper"])
+
+
+def block(children):
+    """Block sequences of (child, compact) and mappings of (key, (child, comment, at_key_column))."""
+    flags = st.lists(st.booleans(), min_size=4, max_size=4)
+    return st.one_of(
+        st.tuples(st.just("seq"), st.lists(st.tuples(children, st.booleans()), min_size=1, max_size=3)),
+        st.builds(
+            lambda names, children, notes, flags: ("map", list(zip(names, zip(children, notes, flags)))),
+            keys(1), st.lists(children, min_size=4, max_size=4),
+            st.lists(comments, min_size=4, max_size=4), flags,
+        ),
+    )
+
+
+def render(node, indent):
+    """The lines of a block collection whose entries start at column ``indent``."""
+    kind, body = node
+    pad, lines = " " * indent, []
+    if kind == "seq":
+        for child, compact in body:
+            if child[0] == "leaf":
+                lines.append(f"{pad}- {child[1]}".rstrip())
+            elif compact:  # "- key: value" and "- - item" start the child on the entry's line
+                first, *rest = render(child, indent + 2)
+                lines += [f"{pad}- {first.lstrip()}", *rest]
+            else:
+                lines += [f"{pad}-", *render(child, indent + 2)]
+    else:
+        for key, (child, comment, at_key_column) in body:
+            if child[0] == "leaf":
+                lines.append(f"{pad}{key}: {child[1]}".rstrip() + comment)
+            else:
+                lines.append(f"{pad}{key}:{comment}")
+                # a sequence below its key may start at the key's own column
+                lines += render(child, indent if at_key_column and child[0] == "seq" else indent + 2)
+    return lines
+
+
+documents = st.builds(
+    lambda node, indent: node[1] if node[0] == "leaf" else "\n".join(render(node, indent)) + "\n",
+    st.recursive(leaves, block, max_leaves=10), st.sampled_from([0, 0, 1, 2]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents)
+def test_reader_reads_generated_configs_as_pyyaml_does(text):
+    assert_reads_as_pyyaml(text)
+
+
+# -- refused forms -------------------------------------------------------------
+
+BEAM = "beam: {wavelength: 633nm, w0: 1mm}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        pytest.param("beam: &b {wavelength: 633nm, w0: 1mm}\n", 1, 7, id="anchor"),
+        pytest.param(BEAM + "polarization: *p\n", 2, 15, id="alias"),
+        pytest.param("beam: !!map {wavelength: 633nm, w0: 1mm}\n", 1, 7, id="tag"),
+        pytest.param("---\n" + BEAM, 1, 1, id="document-start"),
+        pytest.param(BEAM + "...\n", 2, 1, id="document-end"),
+        pytest.param(BEAM + "polarization: |\n  diagonal\n", 2, 15, id="literal-block-scalar"),
+        pytest.param(BEAM + "polarization: >\n  diagonal\n", 2, 15, id="folded-block-scalar"),
+        pytest.param(BEAM + "polarization: diag\n  onal\n", 3, 3, id="multi-line-plain-scalar"),
+        pytest.param(BEAM + "polarization: 'diag\n  onal'\n", 2, 15, id="multi-line-quoted-scalar"),
+        pytest.param("beam:\n\twavelength: 633nm\n", 2, 1, id="tab-indentation"),
+        pytest.param(BEAM + "montecarlo: {theta: 1:30, nu: 10}\n", 2, 21, id="sexagesimal"),
+        pytest.param(BEAM + "montecarlo: {theta: 1urad, nu: 10, seed: 2001-01-01}\n", 2, 42, id="date"),
+        pytest.param("beam: {wavelength: [unclosed\n", 2, 1, id="unclosed-flow"),
+    ],
+)
+def test_refused_forms_exit_2_with_line_and_column(tmp_path, capsys, text, line, column):
+    config = tmp_path / "config.yaml"
+    config.write_text(text, encoding="utf-8")
+    assert main(["validate-config", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"not valid YAML: line {line}, column {column}: " in err
+    assert "Traceback" not in err
+
+
+# pieces of YAML syntax, valid and not, for arbitrary texts
+PIECES = list(" \n\t-:?,[]{}#&*!|>'\"%@`\\~.0189abexN_+=<\r\x85\ufeff") + [
+    "---", "...", "beam:", "run:", "- ", ": ", "\n  ", "\\x4", "\\u00e",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+def test_any_text_reads_or_raises_a_config_error(text):
+    # parse_config_text turns only these into exit 2; anything else would be a traceback
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        pass
+
+
+def test_deep_nesting_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("beam: " + "[" * 5000 + "]" * 5000 + "\n", encoding="utf-8")
+    assert main(["validate-config", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "not valid YAML: collections nested too deeply" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        pytest.param(
+            BEAM + "run:\n  - scheme: polarization\n    theta: 1urad\n    theta: 2urad\n", "theta", 5,
+            id="block",
+        ),
+        pytest.param(BEAM + "montecarlo: {theta: 1urad, nu: 10, nu: 20}\n", "nu", 2, id="flow"),
+        pytest.param(BEAM + "beam: {wavelength: 633nm, w0: 2mm}\n", "beam", 2, id="top-level"),
+    ],
+)
+def test_duplicate_keys_are_refused(tmp_path, capsys, text, key, line):
+    # PyYAML keeps the last value without a word, dropping the first
+    config = tmp_path / "config.yaml"
+    config.write_text(text, encoding="utf-8")
+    assert main(["validate-config", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"not valid YAML: line {line}, " in err
+    assert f"duplicate key {key!r}" in err

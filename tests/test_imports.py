@@ -144,3 +144,69 @@ def test_unexpected_error_in_validate_config_is_not_a_name_error(tmp_path):
         "    print(json.dumps([type(exc).__name__, 'numpy' in sys.modules]))\n"
     )
     assert _python(code, cwd=tmp_path) == ["RuntimeError", False]
+
+
+# every command with the arguments it runs on in the checks below
+COMMANDS = {
+    "validate-config": (),
+    "fisher": ("--out", "out"),
+    "sweep": ("--out", "out"),
+    "montecarlo": ("--out", "out"),
+    "figure3": ("--out", "out"),
+    "figure4": ("--out", "out"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_commands_do_not_import_yaml(tmp_path, command):
+    # configs are read by tiltsense.config's own reader
+    modules = _run_command(tmp_path, command, *COMMANDS[command])
+    assert "yaml" not in modules
+
+
+# runs cli.main like RUN_MAIN, and prints the modules it loaded beyond those of start-up
+RUN_MAIN_NEW_MODULES = (
+    "import json, sys; before = set(sys.modules); from tiltsense.cli import main; "
+    "code = main(sys.argv[1:]); print(json.dumps([code, sorted(set(sys.modules) - before)]))"
+)
+
+
+@pytest.mark.parametrize("command", ["validate-config", "figure3", "figure4"])
+def test_cold_start_commands_load_only_the_standard_library(tmp_path, command):
+    config = tmp_path / "config.yaml"
+    config.write_text(CONFIG, encoding="utf-8")
+    argv = (command, "--config", str(config), *COMMANDS[command])
+    code, modules = _python(RUN_MAIN_NEW_MODULES, *argv, cwd=tmp_path)
+    assert code == 0
+    outside = {
+        name for name in modules
+        if name.partition(".")[0] not in sys.stdlib_module_names and name.partition(".")[0] != "tiltsense"
+    }
+    assert outside == set()
+
+
+# every command on the sample configs, in an interpreter where `import yaml` raises
+# ImportError, as on a host without PyYAML; prints each command's exit code
+RUN_WITHOUT_YAML = """
+import json, sys
+sys.modules["yaml"] = None
+from tiltsense.cli import main
+scenario, montecarlo = sys.argv[1:]
+runs = [
+    ["validate-config", "--config", scenario],
+    ["validate-config", "--config", montecarlo],
+    ["fisher", "--config", scenario, "--out", "out"],
+    ["sweep", "--config", scenario, "--out", "out"],
+    ["montecarlo", "--config", montecarlo, "--out", "out"],
+    ["figure3", "--config", scenario, "--out", "out"],
+    ["figure4", "--config", montecarlo, "--out", "out"],
+]
+print(json.dumps([main(argv) for argv in runs]))
+"""
+
+
+def test_commands_run_where_yaml_cannot_be_imported(tmp_path):
+    samples = (str(ROOT / "scenario.sample.yaml"), str(ROOT / "montecarlo.sample.yaml"))
+    assert _python(RUN_WITHOUT_YAML, *samples, cwd=tmp_path) == [0] * 7
+    tables = {"fisher", "sweep", "montecarlo", "figure3a", "figure3b"} | {f"figure4{p}" for p in "abcd"}
+    assert {path.stem for path in (tmp_path / "out").glob("*.csv")} == tables
