@@ -89,7 +89,26 @@ class BeamParams(_BeamFields):
         return w * w / 4.0
 
 
-def intensity_profile(beam: BeamParams, theta: float, z: float, x):
+def per_plane(constants, z):
+    """constants(z) at one plane z (a float), or at each plane of a column of planes.
+
+    A column is an ndarray of z values of shape (planes, 1).  It is taken one
+    plane at a time through the scalar code, so that each plane gets the bits
+    of a one-plane call, and what ``constants`` returns, a float or a tuple of
+    floats, comes back as columns of that shape.  Broadcast against positions
+    x of shape (planes, nodes), they give each plane's row its own constants.
+    """
+    if getattr(z, "ndim", 0) == 0:
+        return constants(z)
+    import numpy as np
+
+    values = np.array([constants(v) for v in z.ravel().tolist()])
+    if values.ndim == 1:
+        return values.reshape(z.shape)
+    return tuple(values.T.reshape((-1,) + z.shape))
+
+
+def intensity_profile(beam: BeamParams, theta: float, z, x):
     """Probability density of detecting the reflected photon at position x.
 
     The reflected beam center sits at ``xi + 2*theta*z`` in the plane z, so
@@ -99,11 +118,16 @@ def intensity_profile(beam: BeamParams, theta: float, z: float, x):
 
     which integrates to 1 over x.  A list of x (a figure grid) is evaluated
     point by point with ``math.exp`` and gives a list; any other x (a float or
-    an ndarray of quadrature nodes) goes through numpy.
+    an ndarray of quadrature nodes) goes through numpy.  z is one plane (a
+    float) or, for x of shape (planes, nodes), a column of planes (see
+    ``per_plane``).
     """
-    w2 = beam.width(z) ** 2
-    amp = math.sqrt(2.0 / (math.pi * w2))
-    center = beam.xi + 2.0 * theta * z
+
+    def constants(z):
+        w2 = beam.width(z) ** 2
+        return w2, math.sqrt(2.0 / (math.pi * w2)), beam.xi + 2.0 * theta * z
+
+    w2, amp, center = per_plane(constants, z)
     if isinstance(x, list):
         exp = math.exp
         return [amp * exp(-2.0 * (v - center) * (v - center) / w2) for v in x]

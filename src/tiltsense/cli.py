@@ -76,7 +76,11 @@ class NumericalFailure(RuntimeError):
     """The oracle or a quadrature failed; the message names the run block (and row)."""
 
 
-def build_model(scheme: str, config: ScenarioConfig, z: float | None, split):
+# the schemes whose models take several planes z at once (a list of z values)
+PLANE_SCHEMES = ("position", "joint")
+
+
+def build_model(scheme: str, config: ScenarioConfig, z, split):
     beam, pol = config.beam, config.polarization
     if scheme == "position":
         return PositionModel(beam, z)
@@ -92,28 +96,52 @@ def build_model(scheme: str, config: ScenarioConfig, z: float | None, split):
 # ---------------------------------------------------------------------------
 
 
+def _plane_values(config, block, theta, zs):
+    """(analytic, oracle) lists over the planes ``zs`` at ``theta``, or None.
+
+    A scheme of ``PLANE_SCHEMES`` integrates all planes of a theta in the
+    same quadrature passes.  None means one row at a time: another scheme, a
+    single plane, or a failure, which the one-plane rows then name.
+    """
+    if block.scheme not in PLANE_SCHEMES or len(zs) < 2:
+        return None
+    model = build_model(block.scheme, config, zs, block.split)
+    try:
+        analytic = analytic_fisher(model, theta)
+        oracle = numeric_fisher_oracle(model, theta)
+    except (OracleError, ConvergenceError):
+        return None
+    return analytic.tolist(), oracle.tolist()
+
+
 def _run_block_rows(config, run_index, block, nu):
     """One Fisher row per (theta, z) point of a run block, in grid order."""
-    zs = block.z if block.z is not None else [None]
+    zs = [None] if block.z is None else [float(z) for z in block.z]
     rows = []
-    for point_index, (theta, z) in enumerate((t, z) for t in block.theta for z in zs):
-        theta, z = float(theta), None if z is None else float(z)
-        try:
-            model = build_model(block.scheme, config, z, block.split)
-            analytic = analytic_fisher(model, theta)
-            oracle = numeric_fisher_oracle(model, theta)
-            qfi = qfi_for_model(model)
-            flags = "; ".join(model.regime_flags(theta))
-        except (OracleError, ConvergenceError) as exc:
-            at = f"theta={theta!r} rad" + ("" if z is None else f", z={z!r} m")
-            raise NumericalFailure(
-                f"run[{run_index}] row {point_index} ({block.scheme}, {at}): {exc}"
-            ) from exc
-        rows.append((
-            run_index, point_index, block.scheme, theta, "" if z is None else z,
-            analytic, oracle, qfi, analytic / qfi if qfi > 0.0 else math.nan,
-            cramer_rao_bound(analytic, nu), flags,
-        ))
+    for theta_index, theta in enumerate(block.theta):
+        theta = float(theta)
+        planes = _plane_values(config, block, theta, zs)
+        for plane, z in enumerate(zs):
+            point_index = theta_index * len(zs) + plane
+            try:
+                model = build_model(block.scheme, config, z, block.split)
+                if planes is None:
+                    analytic = analytic_fisher(model, theta)
+                    oracle = numeric_fisher_oracle(model, theta)
+                else:
+                    analytic, oracle = planes[0][plane], planes[1][plane]
+                qfi = qfi_for_model(model)
+                flags = "; ".join(model.regime_flags(theta))
+            except (OracleError, ConvergenceError) as exc:
+                at = f"theta={theta!r} rad" + ("" if z is None else f", z={z!r} m")
+                raise NumericalFailure(
+                    f"run[{run_index}] row {point_index} ({block.scheme}, {at}): {exc}"
+                ) from exc
+            rows.append((
+                run_index, point_index, block.scheme, theta, "" if z is None else z,
+                analytic, oracle, qfi, analytic / qfi if qfi > 0.0 else math.nan,
+                cramer_rao_bound(analytic, nu), flags,
+            ))
     return rows
 
 

@@ -15,7 +15,7 @@ import math
 import sys
 from typing import Optional
 
-from .beam import BeamParams
+from .beam import BeamParams, per_plane
 from .polarization import PolarizationState
 
 # Largest |q| = |b theta| at which the interference ratio cos(p)/cosh(q) is
@@ -130,7 +130,7 @@ def fisher_sagnac_polarization(beam: BeamParams, pol: PolarizationState, theta: 
     return num / den
 
 
-def interference_coefficients(beam: BeamParams, z: float, x):
+def interference_coefficients(beam: BeamParams, z, x):
     """Per-radian rates (a, b) of the conditioned interference signal at x.
 
     ``a`` multiplies theta inside the cosine (polarization-rotation phase) and
@@ -140,24 +140,29 @@ def interference_coefficients(beam: BeamParams, z: float, x):
         b = 4 k z z_R (x - xi) / (z^2 + z_R^2),
 
     so that (1/2)[1 pm cos(a theta)/cosh(b theta)] reproduces
-    ``conditioned_polarization_probabilities``.  z is a scalar; x is a float, an
-    ndarray or a list (a figure's column), and (a, b) are of the same kind.  The
-    constants of z are formed once, so a list gives, bit for bit, the values
-    of one call per point.
+    ``conditioned_polarization_probabilities``.  z is one plane (a float) and x
+    a float, an ndarray or a list (a figure's column), and (a, b) are of the
+    same kind; or z is a column of planes for x of shape (planes, nodes) (see
+    ``per_plane``).  The constants of z are formed once per plane, so a list
+    or a column gives, bit for bit, the values of one call per point.
     """
-    # z and z_R scaled as in ``fisher_position``: the rates depend only on their
-    # ratio, and k z_R^2 x, which overflows for a very short wavelength, is not formed
-    _, exponent = math.frexp(max(abs(z), beam.rayleigh_range))
-    z, zr = math.ldexp(z, -exponent), math.ldexp(beam.rayleigh_range, -exponent)
-    # the operations and their order are those of the formulas above
     k4, xi = 4.0 * beam.k, beam.xi
-    zr2, zzxi, kzz, denom = zr * zr, z * z * xi, k4 * z * zr, z * z + zr * zr
+
+    def constants(z):
+        # z and z_R scaled as in ``fisher_position``: the rates depend only on their
+        # ratio, and k z_R^2 x, which overflows for a very short wavelength, is not formed
+        _, exponent = math.frexp(max(abs(z), beam.rayleigh_range))
+        z, zr = math.ldexp(z, -exponent), math.ldexp(beam.rayleigh_range, -exponent)
+        # the operations and their order are those of the formulas above
+        return zr * zr, z * z * xi, k4 * z * zr, z * z + zr * zr
+
+    zr2, zzxi, kzz, denom = per_plane(constants, z)
     if isinstance(x, list):
         return [k4 * (zr2 * v + zzxi) / denom for v in x], [kzz * (v - xi) / denom for v in x]
     return k4 * (zr2 * x + zzxi) / denom, kzz * (x - xi) / denom
 
 
-def fisher_conditioned(beam: BeamParams, z: float, x, theta: float):
+def fisher_conditioned(beam: BeamParams, z, x, theta: float):
     """Fisher information of the polarization measurement at a point detector x.
 
     Exact value from the conditioned probabilities (1/2)[1 pm cos(a th)/cosh(b th)]:
@@ -169,7 +174,8 @@ def fisher_conditioned(beam: BeamParams, z: float, x, theta: float):
     theta = 0 it equals the limit a^2 + b^2 = 16 k^2 (z_R^2 x^2 + z^2 xi^2)/(z^2 + z_R^2),
     which is returned directly, with no numpy.  x is a float, an ndarray or a list
     (a figure's column), and F is of the same kind; a list gives, bit for bit,
-    the values of one call per point.
+    the values of one call per point.  z is one plane, or a column of planes for
+    x of shape (planes, nodes), as in ``interference_coefficients``.
     """
     a, b = interference_coefficients(beam, z, x)
     if theta == 0.0:

@@ -23,7 +23,7 @@ MASS_TOL = 1e-6
 DENSITY_FLOOR = 1e-30
 
 # the two central-difference estimates (steps h and h/2) must agree this well,
-# relative to the largest |derivative| of the pass
+# relative to the largest |derivative| of the pass at the same plane
 DERIV_RTOL = 1e-3
 
 
@@ -38,16 +38,21 @@ def default_step(theta: float) -> float:
 def _derivative(values, theta, h, floor, x=None):
     """p = values(theta) and its Richardson derivative from central steps h and h/2.
 
-    Their gap must stay within DERIV_RTOL of the pass's largest |derivative| or
-    within the rounding noise ~eps p/h; entries below ``floor`` go unchecked.
-    ``x``, a density's quadrature nodes, locates a failure.
+    Their gap must stay within DERIV_RTOL of the largest |derivative| of the
+    pass at the same plane, or within the rounding noise ~eps p/h; entries
+    below ``floor`` go unchecked.  ``x``, a density's quadrature nodes, locates
+    a failure.  values(th) is an array of outcomes (discrete), of (branches,
+    nodes) for one plane, or of (branches, planes, nodes) for x of shape
+    (planes, nodes): each plane is then measured against its own derivative,
+    as in a one-plane pass.
     """
     p0 = values(theta)
     d_h = (values(theta + h) - values(theta - h)) / (2.0 * h)
     d_half = (values(theta + 0.5 * h) - values(theta - 0.5 * h)) / h  # spacing h
     deriv = (4.0 * d_half - d_h) / 3.0
     gap = np.abs(deriv - d_half)
-    tol = np.maximum(DERIV_RTOL * np.max(np.abs(deriv)), 1e4 * np.finfo(float).eps * p0 / h)
+    peak = np.max(np.abs(deriv), axis=(0, -1) if deriv.ndim > 1 else None, keepdims=True)
+    tol = np.maximum(DERIV_RTOL * peak, 1e4 * np.finfo(float).eps * p0 / h)
     # NaN fails every comparison here; the caller's sum carries it
     bad = np.argwhere(~(p0 < floor) & (gap > tol))
     if bad.size:
@@ -58,28 +63,31 @@ def _derivative(values, theta, h, floor, x=None):
                 f"exceeds {tol[at]:.3e}"
             )
         raise OracleError(
-            f"density derivative not converged at x={float(x[at[-1]])!r}: "
+            f"density derivative not converged at x={float(x[at[1:]])!r}: "
             f"step-halving gap {gap[at]:.3e}"
         )
     return p0, deriv
 
 
-def numeric_fisher_oracle(model, theta: float, step: float | None = None) -> float:
+def numeric_fisher_oracle(model, theta: float, step: float | None = None):
     """Finite-difference Fisher information of ``model`` at ``theta``.
 
     Works on any model exposing ``probabilities(theta)`` (discrete outcomes),
     ``pdf(theta, x)`` (continuous), or ``branch_pdf(theta, x)`` (joint
     discrete-and-continuous), the latter two together with
-    ``domain(theta)``/``breakpoints(theta)``.
+    ``domain(theta)``/``breakpoints(theta)``.  A continuous model whose domain
+    gives one bound per plane also exposes ``at_planes(index)``, the model at
+    those planes only; the result is then an array over its planes, each
+    entry with the bits of that plane's own model.
     """
     h = default_step(theta) if step is None else float(step)
     if h <= 0.0:
         raise ValueError("step must be positive")
     if hasattr(model, "probabilities"):
         return _discrete_fisher(model, theta, h)
-    density = getattr(model, "branch_pdf", None) or getattr(model, "pdf", None)
-    if density is not None:
-        return _continuous_fisher(model, theta, h, density)
+    for density in ("branch_pdf", "pdf"):
+        if hasattr(model, density):
+            return _continuous_fisher(model, theta, h, density)
     raise TypeError(f"{type(model).__name__} exposes no outcome probabilities")
 
 
@@ -97,14 +105,21 @@ def _discrete_fisher(model, theta, h):
 
 def _continuous_fisher(model, theta, h, density):
     lows, highs = zip(*(model.domain(t) for t in (theta, theta + h, theta - h)))
+    if np.ndim(lows[0]):  # one bound per plane
+        lo = np.array([min(bounds) for bounds in zip(*map(np.ravel, lows))])
+        hi = np.array([max(bounds) for bounds in zip(*map(np.ravel, highs))])
+    else:
+        lo, hi = min(lows), max(highs)
     points = tuple(model.breakpoints(theta)) if hasattr(model, "breakpoints") else ()
 
-    def integrand(x):
+    def integrand(x, planes=None):
+        pdf = getattr(model if planes is None else model.at_planes(planes), density)
+
         def branches(th):
-            return np.reshape(density(th, x), (-1, x.size))
+            return np.reshape(pdf(th, x), (-1,) + x.shape)
 
         p0, deriv = _derivative(branches, theta, h, DENSITY_FLOOR, x)
         dead = p0 < DENSITY_FLOOR  # NaN stays in, so the quadrature cannot converge on it
         return np.sum(np.where(dead, 0.0, deriv * deriv / np.where(dead, 1.0, p0)), axis=0)
 
-    return integrate_interval(integrand, min(lows), max(highs), points, rtol=1e-9, atol=1e-12)
+    return integrate_interval(integrand, lo, hi, points, rtol=1e-9, atol=1e-12)

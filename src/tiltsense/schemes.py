@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from ._integrate import integrate_interval
-from .beam import BeamParams, intensity_profile
+from .beam import BeamParams, intensity_profile, per_plane
 from .fisher import (
     COSH_CUTOFF,
     fisher_conditioned,
@@ -79,7 +79,7 @@ def quadrant_probabilities(
 
 
 def _path_terms(pol: PolarizationState, q: np.ndarray):
-    """(gap, 2 d t) of ``sagnac_joint_density`` at q = 4 u s / w^2 (a 1-d array).
+    """(gap, 2 d t) of ``sagnac_joint_density`` at q = 4 u s / w^2 (an array of 1 or 2 dims).
 
     gap = (sqrt(near) - sqrt(far) t)^2 / 2 and t = e^{-|q|}; both are >= 0.
     """
@@ -108,9 +108,7 @@ def _path_terms(pol: PolarizationState, q: np.ndarray):
     return gap, t
 
 
-def sagnac_joint_density(
-    beam: BeamParams, pol: PolarizationState, theta: float, z: float, x
-):
+def sagnac_joint_density(beam: BeamParams, pol: PolarizationState, theta: float, z, x):
     """Joint densities (p_plus, p_minus) of diagonal-basis outcome and position.
 
     Projecting the interferometer output onto (|H> pm |V>)/sqrt(2) and then on
@@ -131,27 +129,36 @@ def sagnac_joint_density(
     where ``near`` is the weight of the path whose center lies on x's side
     (|beta|^2 for q >= 0) and far = 1 - near.  Since d^2 = near * far, both
     terms are non-negative and nothing cancels at a dark fringe.
-    """
-    x = np.asarray(x, dtype=float)
-    w2 = beam.width(z) ** 2
-    amp = math.sqrt(2.0 / (math.pi * w2))
-    u = x.reshape(-1) - beam.xi  # at least 1-d, so that the ufuncs below can write in place
-    shift = 2.0 * theta * z
 
-    phi = pol.coherence_phase
+    z is one plane (a float), or a column of planes for x of shape (planes,
+    nodes) (see ``per_plane``).
+    """
+
+    def constants(z):
+        w2 = beam.width(z) ** 2
+        shift = 2.0 * theta * z
+        return (
+            abs(shift), -2.0 / w2, math.sqrt(2.0 / (math.pi * w2)), 4.0 * shift / w2,
+            beam.k * theta * beam.w0 ** 2 / w2,
+        )
+
+    reach, spread, amp, path_rate, phase_rate = per_plane(constants, z)
+    x = np.asarray(x, dtype=float)
+    # at least 1-d, so that the ufuncs below can write in place
+    u = (x if x.ndim == 2 else x.reshape(-1)) - beam.xi
 
     # in place: with more live temporaries glibc trims and refaults them every call
     envelope = np.abs(u)
-    envelope -= abs(shift)
+    envelope -= reach
     envelope *= envelope
-    envelope *= -2.0 / w2
+    envelope *= spread
     np.exp(envelope, out=envelope)
     envelope *= amp
-    gap, t = _path_terms(pol, u * (4.0 * shift / w2))
+    gap, t = _path_terms(pol, u * path_rate)
     # {cos^2, sin^2}(psi/2) = {(1 - tau^2)^2, 4 tau^2} / (1 + tau^2)^2 with
     # tau = tan(psi/4): one transcendental, and each part keeps its own zero
-    tau = u * (beam.k * theta * beam.w0 ** 2 / w2)
-    tau += beam.k * theta * beam.xi - 0.25 * phi
+    tau = u * phase_rate
+    tau += beam.k * theta * beam.xi - 0.25 * pol.coherence_phase
     np.tan(tau, out=tau)
     tau *= tau
     scale = tau + 1.0
@@ -280,6 +287,34 @@ class _SchemeModel:
         return False
 
 
+class _PlaneScheme(_SchemeModel):
+    """A model at one detector plane z (a float) or at several.
+
+    Several planes are given as a sequence of z values and held as a float
+    column of shape (planes, 1).  The densities then take positions x of shape
+    (planes, nodes), and ``domain``, ``breakpoints``, ``fisher`` and the
+    quadratures give one value per plane, each with the bits of its one-plane
+    model.  Sampling, the score and the warnings take one plane only.
+    """
+
+    __slots__ = ()
+
+    def _set_z(self, z):
+        if isinstance(z, (list, tuple)) or getattr(z, "ndim", 0) > 0:
+            z = np.array(z, dtype=float).reshape(-1, 1)
+        self.z = z
+
+    def at_planes(self, planes):
+        """The same model at the planes of index ``planes`` (a 1-d array) only."""
+        if len(planes) == len(self.z):
+            return self
+        model = object.__new__(type(self))  # a subclass's overrides stay in force
+        for name in self.__slots__:
+            setattr(model, name, getattr(self, name))
+        model.z = self.z[planes]
+        return model
+
+
 class _DeflectionScheme(_SchemeModel):
     """Protocol shared by the schemes that image the deflected beam directly."""
 
@@ -354,14 +389,14 @@ class _TwoOutcomeScheme:
         return 0 in stat
 
 
-class PositionModel(_DeflectionScheme):
-    """Imaging detector at plane z; outcome is the continuous position x."""
+class PositionModel(_PlaneScheme, _DeflectionScheme):
+    """Imaging detector at plane z (or at several, see ``_PlaneScheme``); outcome is the position x."""
 
     __slots__ = ("beam", "z")
 
-    def __init__(self, beam: BeamParams, z: float):
+    def __init__(self, beam: BeamParams, z):
         self.beam = beam
-        self.z = z
+        self._set_z(z)
 
     def mean(self, theta: float) -> float:
         return self.beam.xi + 2.0 * theta * self.z
@@ -381,14 +416,16 @@ class PositionModel(_DeflectionScheme):
         )
 
     def domain(self, theta: float):
-        w = self.beam.width(self.z)
+        w = per_plane(self.beam.width, self.z)
         c = self.mean(theta)
         return c - DOMAIN_WIDTHS * w, c + DOMAIN_WIDTHS * w
 
     def breakpoints(self, theta: float):
         return (self.mean(theta),)
 
-    def fisher(self, theta: float) -> float:
+    def fisher(self, theta: float):
+        if np.ndim(self.z):
+            return per_plane(lambda z: fisher_position(self.beam, z), self.z).ravel()
         return fisher_position(self.beam, self.z)
 
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
@@ -531,15 +568,15 @@ class JointStatistic(NamedTuple):
         return self.half_far, self.half_near
 
 
-class PositionPolarizationModel(_InterferometricScheme):
-    """Joint measurement of diagonal polarization and position at plane z."""
+class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
+    """Joint measurement of diagonal polarization and position at plane z (or at several)."""
 
     __slots__ = ("beam", "pol", "z")
 
-    def __init__(self, beam: BeamParams, pol: PolarizationState, z: float):
+    def __init__(self, beam: BeamParams, pol: PolarizationState, z):
         self.beam = beam
         self.pol = pol
-        self.z = z
+        self._set_z(z)
 
     @property
     def even_in_theta(self) -> bool:
@@ -558,13 +595,21 @@ class PositionPolarizationModel(_InterferometricScheme):
         The H and V components of ``gaussian_mixture`` move with their centers
         xi -+ 2 theta z, at -+2z per unit theta.
         """
-        (weight_h, weight_v), (mean_h, mean_v), (sigma, _) = self.gaussian_mixture(theta)
+        xi = self.beam.xi
+
+        def constants(z):
+            shift = 2.0 * theta * z
+            sigma = 0.5 * self.beam.width(z)
+            return xi - shift, xi + shift, sigma, 2.0 * z / sigma ** 2
+
+        mean_h, mean_v, sigma, rate = per_plane(constants, self.z)
+        weight_h, weight_v = abs(self.pol.alpha) ** 2, abs(self.pol.beta) ** 2
         x = np.asarray(x, dtype=float)
         norm = sigma * math.sqrt(2.0 * math.pi)
         offset_h, offset_v = x - mean_h, x - mean_v
         g_h = weight_h * np.exp(-0.5 * (offset_h / sigma) ** 2) / norm
         g_v = weight_v * np.exp(-0.5 * (offset_v / sigma) ** 2) / norm
-        return g_h + g_v, (2.0 * self.z / sigma ** 2) * (g_v * offset_v - g_h * offset_h)
+        return g_h + g_v, rate * (g_v * offset_v - g_h * offset_h)
 
     def total_pdf(self, theta: float, x):
         """Position marginal: the interference term cancels, leaving a mixture."""
@@ -613,7 +658,7 @@ class PositionPolarizationModel(_InterferometricScheme):
         )
 
     def domain(self, theta: float):
-        w = self.beam.width(self.z)
+        w = per_plane(self.beam.width, self.z)
         shift = abs(2.0 * theta * self.z)
         return (
             self.beam.xi - shift - DOMAIN_WIDTHS * w,
@@ -633,15 +678,18 @@ class PositionPolarizationModel(_InterferometricScheme):
 
         with P(x) the position marginal.  In the small-angle regime the first term
         carries everything (16 k^2 [w0^2/4 + xi^2]) and the second vanishes.
+        A model of several planes integrates them in the same passes, each to
+        its own convergence, and its parts are arrays over the planes.
         """
         if not self.pol.is_diagonal:
             raise ValueError("closed-form decomposition is defined for the diagonal input state")
 
-        def integrand(xx):
-            p, dp = self._marginal(theta, xx)
+        def integrand(xx, planes=None):
+            model = self if planes is None else self.at_planes(planes)
+            p, dp = model._marginal(theta, xx)
             dead = p < 1e-300
             return np.stack([
-                p * fisher_conditioned(self.beam, self.z, xx, theta),
+                p * fisher_conditioned(model.beam, model.z, xx, theta),
                 np.where(dead, 0.0, dp * dp / np.where(dead, 1.0, p)),
             ])
 
@@ -652,9 +700,11 @@ class PositionPolarizationModel(_InterferometricScheme):
             integrand, lo, hi, self.breakpoints(theta),
             rtol=DECOMPOSITION_RTOL, atol=DECOMPOSITION_RTOL * self.qfi(),
         )
-        return FisherDecomposition(float(avg), float(pos), float(avg + pos))
+        if avg.ndim == 0:
+            avg, pos = float(avg), float(pos)
+        return FisherDecomposition(avg, pos, avg + pos)
 
-    def fisher(self, theta: float) -> float:
+    def fisher(self, theta: float):
         """Total of ``decomposition`` (diagonal input state only)."""
         return self.decomposition(theta).total
 

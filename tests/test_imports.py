@@ -71,6 +71,14 @@ def test_command_loads_only_its_layers(tmp_path, command, absent):
     assert not _tiltsense_modules(modules) & absent
 
 
+@pytest.mark.parametrize("command", ["sweep", "montecarlo"])
+def test_quadrature_loads_no_numpy_polynomial(tmp_path, command):
+    # the Gauss-Legendre nodes are a stored table, not np.polynomial.legendre.leggauss
+    modules = _run_command(tmp_path, command, "--out", str(tmp_path / "out"))
+    assert "tiltsense._integrate" in modules
+    assert not [name for name in modules if name.startswith("numpy.polynomial")]
+
+
 def test_sweep_starts_no_worker_pool(tmp_path):
     # --threads is accepted and read by no command; rows are computed in order
     modules = _run_command(tmp_path, "sweep", "--threads", "4", "--out", str(tmp_path / "out"))

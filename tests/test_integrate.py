@@ -204,3 +204,96 @@ def test_one_panel_start_matches_a_dense_rule(point):
 @given(joint_points)
 def test_one_panel_start_matches_a_dense_rule_widely(point):
     check_against_dense_rule(point)
+
+
+def test_node_table_is_numpys_leggauss_bit_for_bit():
+    from tiltsense import _integrate
+
+    nodes, weights = np.polynomial.legendre.leggauss(ORDER)
+    assert _integrate._NODES.tobytes() == nodes.tobytes()
+    assert _integrate._WEIGHTS.tobytes() == weights.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# several planes: array bounds, one integral per plane
+# ---------------------------------------------------------------------------
+
+
+def plane_gaussians(widths, sizes=None):
+    """f(x, planes) of unit Gaussians of the given widths, one per plane, centred at 0."""
+    widths = np.asarray(widths, dtype=float).reshape(-1, 1)
+
+    def f(x, planes):
+        if sizes is not None:
+            sizes.append(x.shape)
+        s = widths[planes]
+        return np.stack([np.exp(-0.5 * (x / s) ** 2) / (s * math.sqrt(2.0 * math.pi)), x * x])
+
+    return f
+
+
+def test_each_plane_matches_its_one_plane_call_bit_for_bit():
+    widths = [0.5, 1.0, 3.0]
+    lo, hi = np.array([-6.0, -12.0, -30.0]), np.array([6.0, 12.0, 40.0])
+    f = plane_gaussians(widths)
+    values = integrate_interval(f, lo, hi, breakpoints=(0.0,))
+    assert values.shape == (2, 3)
+    for plane in range(3):
+        single = integrate_interval(
+            lambda x: f(x[None, :], np.array([plane]))[:, 0], lo[plane], hi[plane], breakpoints=(0.0,)
+        )
+        assert values[:, plane].tolist() == single.tolist()
+
+
+def test_converged_planes_drop_out_of_later_passes():
+    sizes = []
+
+    def f(x, planes):
+        sizes.append(x.shape)
+        # plane 1 is a kink that needs many doublings, plane 0 a constant
+        return np.where(planes[:, None] == 1, np.abs(x - 1.0 / math.sqrt(2.0)), 1.0)
+
+    values = integrate_interval(f, np.zeros(2), np.ones(2), rtol=1e-8)
+    assert values[0] == 1.0
+    assert values[1] == pytest.approx(0.25 + (1.0 / math.sqrt(2.0) - 0.5) ** 2, rel=1e-8)
+    assert sizes[:2] == [(2, ORDER), (2, 2 * ORDER)]
+    assert all(shape[0] == 1 for shape in sizes[2:]) and len(sizes) > 2
+
+
+def test_planes_with_different_segment_counts_integrate_apart():
+    # the breakpoint 2 lies inside the first plane's interval only
+    sizes = []
+    values = integrate_interval(
+        plane_gaussians([1.0, 1.0], sizes), np.array([-12.0, -12.0]), np.array([12.0, 1.0]),
+        breakpoints=(np.array([2.0, 2.0]),),
+    )
+    assert sorted(shape[0] for shape in sizes) == [1, 1, 1, 1]
+    assert values[0, 0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_planes_share_a_pass_in_groups_of_at_most_max_planes():
+    from tiltsense._integrate import MAX_PLANES
+
+    sizes = []
+    count = 2 * MAX_PLANES + 3
+    values = integrate_interval(
+        plane_gaussians(np.linspace(0.5, 2.0, count), sizes),
+        np.full(count, -30.0), np.full(count, 30.0), breakpoints=(0.0,),
+    )
+    assert values[0] == pytest.approx(np.ones(count), rel=1e-12)
+    assert max(shape[0] for shape in sizes) == MAX_PLANES
+    assert sum(shape[0] * shape[1] for shape in sizes) == count * (2 + 4) * ORDER
+
+
+def test_plane_failures_name_the_plane():
+    def f(x, planes):
+        return np.where(planes[:, None] == 2, np.nan, np.ones_like(x))
+
+    with pytest.raises(ConvergenceError, match=r"\(plane 2\): the integrand is not finite there"):
+        integrate_interval(f, np.zeros(3), np.ones(3))
+
+    def step(x, planes):
+        return np.where((planes[:, None] == 1) & (x < 1.0 / math.sqrt(2.0)), 0.0, 1.0)
+
+    with pytest.raises(ConvergenceError, match=r"\(plane 1\) with 512 panels per segment"):
+        integrate_interval(step, np.zeros(3), np.ones(3), rtol=1e-11)
