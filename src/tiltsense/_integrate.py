@@ -43,14 +43,10 @@ class ConvergenceError(RuntimeError):
 def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
     """Integrate f over [lo, hi], split at the interior breakpoints.
 
-    Every segment gets the same number of equal panels.  The panel count
-    doubles until two successive sums agree within max(atol, rtol |sum|) in
-    every component.  f may return an array whose last axis runs over the
-    nodes, one integral per component.
-
-    With float bounds this is one integral: each pass calls f(x) once on the
-    1-d array of all nodes, and the result is a float, or an array over f's
-    components.
+    Every segment gets the same number of equal panels, and a breakpoint given
+    more than once is one edge.  The panel count doubles until two successive
+    sums agree within max(atol, rtol |sum|) in every component.  f may return
+    an array whose last axis runs over the nodes, one integral per component.
 
     With array bounds, one entry per plane, each plane is its own integral,
     with its own edges (each breakpoint a float or one value per plane) and
@@ -61,16 +57,20 @@ def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
     sum of the pass at which it converged and drops out of the later passes,
     so it is evaluated at exactly the nodes of a one-plane call and its sum
     has the same bits.  Planes share passes in groups of at most MAX_PLANES.
+
+    Float bounds are the one-plane batch: f(x) then takes the 1-d array of
+    the plane's nodes, and the result is a float, or an array over f's
+    components.
     """
     if np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        edges = np.array([[lo, *sorted(p for p in breakpoints if lo < p < hi), hi]], dtype=float)
-        total = _passes(lambda x, planes: f(x[0])[..., None, :], edges, np.zeros(1, int), rtol, atol)
-        total = total[..., 0]
+        total = integrate_interval(
+            lambda x, planes: f(x[0])[..., None, :], [lo], [hi], breakpoints, rtol, atol
+        )[..., 0]
         return float(total) if total.ndim == 0 else total
 
     columns = np.broadcast_arrays(*(np.ravel(v) for v in (lo, hi, *breakpoints)))
     rows = [
-        [low, *sorted(p for p in points if low < p < high), high]
+        [low, *sorted({p for p in points if low < p < high}), high]
         for low, high, *points in zip(*(c.tolist() for c in columns))
     ]
     # planes with the same number of segments share a pass
@@ -82,7 +82,7 @@ def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
         for start in range(0, len(members), MAX_PLANES):
             planes = members[start:start + MAX_PLANES]
             total = _passes(
-                f, np.array([rows[i] for i in planes]), np.array(planes), rtol, atol, many=True
+                f, np.array([rows[i] for i in planes]), np.array(planes), rtol, atol, len(rows) > 1
             )
             if result is None:
                 result = np.empty(total.shape[:-1] + (len(rows),))
@@ -90,10 +90,10 @@ def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
     return result
 
 
-def _passes(f, edges, planes, rtol, atol, many=False):
+def _passes(f, edges, planes, rtol, atol, many):
     """Sums over the planes ``planes`` whose segment edges are the rows of ``edges``.
 
-    A ConvergenceError names the plane when ``many`` is set.
+    A ConvergenceError names the plane when ``many`` is set: the call has several planes.
     """
     result = None  # the sums of the planes converged so far, once a plane is left open
     pending = np.arange(len(planes))  # the planes still open, as indices into ``planes``

@@ -96,31 +96,32 @@ def build_model(scheme: str, config: ScenarioConfig, z, split):
 # ---------------------------------------------------------------------------
 
 
-def _plane_values(config, block, theta, zs):
-    """(analytic, oracle) lists over the planes ``zs`` at ``theta``, or None.
+def _plane_values(model, theta):
+    """(analytic, oracle) lists over the planes of ``model`` at ``theta``, or None.
 
-    A scheme of ``PLANE_SCHEMES`` integrates all planes of a theta in the
-    same quadrature passes.  None means one row at a time: another scheme, a
-    single plane, or a failure, which the one-plane rows then name.
+    All planes of a theta share the same quadrature passes.  None means a
+    failure, which the block's one-plane rows then rerun and name.
     """
-    if block.scheme not in PLANE_SCHEMES or len(zs) < 2:
-        return None
-    model = build_model(block.scheme, config, zs, block.split)
     try:
-        analytic = analytic_fisher(model, theta)
-        oracle = numeric_fisher_oracle(model, theta)
+        return analytic_fisher(model, theta).tolist(), numeric_fisher_oracle(model, theta).tolist()
     except (OracleError, ConvergenceError):
         return None
-    return analytic.tolist(), oracle.tolist()
 
 
 def _run_block_rows(config, run_index, block, nu):
-    """One Fisher row per (theta, z) point of a run block, in grid order."""
+    """One Fisher row per (theta, z) point of a run block, in grid order.
+
+    A ``PLANE_SCHEMES`` block, of one plane or many, takes its values from one
+    model of all its planes; another scheme computes each row on its own.
+    """
     zs = [None] if block.z is None else [float(z) for z in block.z]
+    batch = None
+    if block.scheme in PLANE_SCHEMES:
+        batch = build_model(block.scheme, config, zs, block.split)
     rows = []
     for theta_index, theta in enumerate(block.theta):
         theta = float(theta)
-        planes = _plane_values(config, block, theta, zs)
+        planes = None if batch is None else _plane_values(batch, theta)
         for plane, z in enumerate(zs):
             point_index = theta_index * len(zs) + plane
             try:

@@ -105,11 +105,7 @@ def _discrete_fisher(model, theta, h):
 
 def _continuous_fisher(model, theta, h, density):
     lows, highs = zip(*(model.domain(t) for t in (theta, theta + h, theta - h)))
-    if np.ndim(lows[0]):  # one bound per plane
-        lo = np.array([min(bounds) for bounds in zip(*map(np.ravel, lows))])
-        hi = np.array([max(bounds) for bounds in zip(*map(np.ravel, highs))])
-    else:
-        lo, hi = min(lows), max(highs)
+    lo, hi = np.min(lows, axis=0), np.max(highs, axis=0)  # a float, or one per plane
     points = tuple(model.breakpoints(theta)) if hasattr(model, "breakpoints") else ()
 
     def integrand(x, planes=None):

@@ -9,7 +9,8 @@ the pins with
 
     PYTHONPATH=src python tests/output_pins.py
 
-and say in CHANGES.md which pin moved and why.
+which prints, before it writes, one line per pin whose hash changes (or
+``no pin moved``), and say in CHANGES.md which pin moved and why.
 """
 
 import contextlib
@@ -82,6 +83,23 @@ def hashes(case, workdir):
     return {path.name: _digest(path) for path in sorted(out.iterdir())}
 
 
+def moved(old, new):
+    """One line per pin whose hash differs between ``old`` and ``new``.
+
+    Each names the case, the file and the old and new 12-hex prefixes ("-" for
+    a pin that is missing on one side).
+    """
+    lines = []
+    for case in sorted(old.keys() | new.keys()):
+        before, after = old.get(case, {}), new.get(case, {})
+        for name in sorted(before.keys() | after.keys()):
+            if before.get(name) != after.get(name):
+                lines.append(
+                    f"{case} {name}: {before.get(name, '-')[:12]} -> {after.get(name, '-')[:12]}"
+                )
+    return lines
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -89,5 +107,7 @@ if __name__ == "__main__":
     for case in cases():
         with tempfile.TemporaryDirectory() as tmp:
             pins[case] = hashes(case, tmp)
+    old = json.loads(PINS.read_text(encoding="utf-8")) if PINS.exists() else {}
+    print("\n".join(moved(old, pins)) or "no pin moved")
     PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {PINS} ({sum(map(len, pins.values()))} files)")

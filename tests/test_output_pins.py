@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from output_pins import PINS, cases, hashes
+from output_pins import PINS, cases, hashes, moved
 
 PINNED = json.loads(PINS.read_text(encoding="utf-8"))
 
@@ -23,3 +23,14 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_outputs_match_their_pins(tmp_path, case):
     assert hashes(case, tmp_path) == PINNED[case]
+
+
+def test_moved_names_each_changed_pin():
+    old = {"a": {"x.csv": "0" * 64, "y.csv": "1" * 64}, "b": {"z.svg": "2" * 64}}
+    new = {"a": {"x.csv": "0" * 64, "y.csv": "3" * 64}, "c": {"z.svg": "2" * 64}}
+    assert moved(old, old) == []
+    assert moved(old, new) == [
+        f"a y.csv: {'1' * 12} -> {'3' * 12}",
+        f"b z.svg: {'2' * 12} -> -",
+        f"c z.svg: - -> {'2' * 12}",
+    ]
