@@ -1,9 +1,13 @@
 """Scenario configuration: YAML with explicit units on every physical quantity.
 
-Quantities are strings like ``"633nm"``, ``"1.5 mm"``, ``"2urad"`` or
-``"5z_R"`` (lengths relative to the beam's Rayleigh range); bare numbers are
-taken as SI.  Unit bugs are the dominant failure mode in this domain, so
-resolution happens once, at parse time, and everything downstream is SI.
+Quantities are strings like ``"633nm"``, ``"1.5 mm"`` or ``"2urad"``; bare
+numbers are taken as SI.  Unit bugs are the dominant failure mode in this
+domain, so resolution happens once, at parse time, and everything downstream
+is SI.  Each field resolves its unit in the table of its own dimension and
+refuses any other: ``LENGTH_UNITS`` for ``wavelength``, ``w0``, ``z_R`` and
+``xi``, these plus ``z_R``/``zR`` (the beam's Rayleigh range) for ``z`` and
+``split``, ``ANGLE_UNITS`` for ``theta``, ``interval``, ``polar`` and
+``azimuth``, ``ENERGY_UNITS`` for ``energy``; ``k`` is a bare number in rad/m.
 
 The text is read by ``read_yaml``, a small reader of the YAML that configs
 use, so that no command imports a YAML library:
@@ -50,13 +54,11 @@ NU_LIMIT = 10 ** 8  # photons per trial; one float64 array of that many is 0.8 G
 # an hour; a larger count would only exhaust memory while the grid is built
 GRID_LIMIT = 10 ** 6
 
-UNIT_SCALES = {
-    "m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12,
-    "rad": 1.0, "mrad": 1e-3, "urad": 1e-6, "µrad": 1e-6, "nrad": 1e-9,
-    "deg": math.pi / 180.0,
-    "J": 1.0, "mJ": 1e-3, "uJ": 1e-6, "µJ": 1e-6, "nJ": 1e-9, "pJ": 1e-12,
-    "fJ": 1e-15, "aJ": 1e-18,
-}
+LENGTH_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12}
+ANGLE_UNITS = {"rad": 1.0, "mrad": 1e-3, "urad": 1e-6, "µrad": 1e-6, "nrad": 1e-9,
+               "deg": math.pi / 180.0}
+ENERGY_UNITS = {"J": 1.0, "mJ": 1e-3, "uJ": 1e-6, "µJ": 1e-6, "nJ": 1e-9, "pJ": 1e-12,
+                "fJ": 1e-15, "aJ": 1e-18}
 
 _QUANTITY_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-zµ_]*)\s*$"
@@ -215,8 +217,8 @@ def read_yaml(text: str):
     return data
 
 
-def parse_quantity(value, *, rayleigh: Optional[float] = None, where: str = "value") -> float:
-    """Resolve a number-with-unit into SI; infinities and NaN are refused."""
+def parse_quantity(value, units: dict, *, where: str = "value") -> float:
+    """Resolve a number-with-unit into SI by ``units``, {unit: scale}; refuse infinities and NaN."""
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected a quantity, got boolean")
     if isinstance(value, (int, float)):
@@ -231,14 +233,11 @@ def parse_quantity(value, *, rayleigh: Optional[float] = None, where: str = "val
         number, unit = float(match.group(1)), match.group(2)
     else:
         raise ConfigError(f"{where}: expected a number or quantity string, got {value!r}")
-    if unit in ("z_R", "zR"):
-        if rayleigh is None:
-            raise ConfigError(f"{where}: {value!r} needs a beam to resolve z_R units")
-        number *= rayleigh
-    elif unit:
-        if unit not in UNIT_SCALES:
-            raise ConfigError(f"{where}: unknown unit {unit!r} in {value!r}")
-        number *= UNIT_SCALES[unit]
+    if unit:
+        if unit not in units:
+            allowed = f"the units {', '.join(units)}" if units else "a bare number in SI"
+            raise ConfigError(f"{where}: takes {allowed}, not the unit {unit!r} in {value!r}")
+        number *= units[unit]
     if not math.isfinite(number):
         raise ConfigError(f"{where}: must be finite, got {value!r}")
     return number
@@ -272,7 +271,7 @@ def linspace(start: float, stop: float, count: int) -> array:
     return values
 
 
-def parse_grid(spec, *, rayleigh: Optional[float] = None, where: str = "grid") -> array:
+def parse_grid(spec, units: dict, *, where: str = "grid") -> array:
     """A grid is either an explicit list of quantities or {start, stop, count}.
 
     Returns the points as an ``array('d')``.
@@ -282,8 +281,8 @@ def parse_grid(spec, *, rayleigh: Optional[float] = None, where: str = "grid") -
         if unknown:
             raise ConfigError(f"{where}: unknown grid keys {sorted(unknown)}")
         try:
-            start = parse_quantity(spec["start"], rayleigh=rayleigh, where=f"{where}.start")
-            stop = parse_quantity(spec["stop"], rayleigh=rayleigh, where=f"{where}.stop")
+            start = parse_quantity(spec["start"], units, where=f"{where}.start")
+            stop = parse_quantity(spec["stop"], units, where=f"{where}.stop")
             count = parse_integer(spec["count"], where=f"{where}.count")
         except KeyError as missing:
             raise ConfigError(f"{where}: grid needs start/stop/count, missing {missing}")
@@ -295,10 +294,10 @@ def parse_grid(spec, *, rayleigh: Optional[float] = None, where: str = "grid") -
     elif isinstance(spec, list):
         values = array(
             "d",
-            [parse_quantity(v, rayleigh=rayleigh, where=f"{where}[{i}]") for i, v in enumerate(spec)],
+            [parse_quantity(v, units, where=f"{where}[{i}]") for i, v in enumerate(spec)],
         )
     else:
-        values = array("d", [parse_quantity(spec, rayleigh=rayleigh, where=where)])
+        values = array("d", [parse_quantity(spec, units, where=where)])
     if not values:
         raise ConfigError(f"{where}: grid must be nonempty")
     if not all(a < b for a, b in zip(values, values[1:])):
@@ -319,29 +318,33 @@ def _check_keys(section, where: str, keys) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _either(section, where: str, first: str, second: str) -> str:
+    """The one of the fields ``first`` and ``second`` that ``section`` gives."""
+    given = [field for field in (first, second) if field in section]
+    if len(given) == 2:
+        raise ConfigError(f"{where}: give {first} or {second}, not both")
+    if not given:
+        raise ConfigError(f"{where}: needs {first} or {second}")
+    return given[0]
+
+
 def _parse_beam(section, where="beam") -> BeamParams:
     _check_keys(section, where, {"wavelength", "k", "w0", "z_R", "xi"})
-    if "k" in section:
-        k = parse_quantity(section["k"], where=f"{where}.k")
+    source = _either(section, where, "wavelength", "k")
+    if source == "k":
+        k = parse_quantity(section["k"], {}, where=f"{where}.k")
         if k <= 0.0:
             raise ConfigError(f"{where}.k: wavenumber must be positive, got {k}")
         wavelength = 2.0 * math.pi / k
-    elif "wavelength" in section:
-        wavelength = parse_quantity(section["wavelength"], where=f"{where}.wavelength")
+    else:
+        wavelength = parse_quantity(section["wavelength"], LENGTH_UNITS, where=f"{where}.wavelength")
         if wavelength <= 0.0:
             raise ConfigError(f"{where}.wavelength: must be positive, got {wavelength}")
-    else:
-        raise ConfigError(f"{where}: needs wavelength or k")
     if not 0.0 < 2.0 * math.pi / wavelength < math.inf:
-        source = "k" if "k" in section else "wavelength"
         raise ConfigError(f"{where}.{source}: gives no finite wavenumber and wavelength")
-    xi = parse_quantity(section.get("xi", 0.0), where=f"{where}.xi")
-    if "w0" in section and "z_R" in section:
-        raise ConfigError(f"{where}: give w0 or z_R, not both")
-    if "w0" not in section and "z_R" not in section:
-        raise ConfigError(f"{where}: needs w0 or z_R")
-    field = "z_R" if "z_R" in section else "w0"
-    size = parse_quantity(section[field], where=f"{where}.{field}")
+    xi = parse_quantity(section.get("xi", 0.0), LENGTH_UNITS, where=f"{where}.xi")
+    field = _either(section, where, "w0", "z_R")
+    size = parse_quantity(section[field], LENGTH_UNITS, where=f"{where}.{field}")
     try:
         if field == "z_R":
             return BeamParams.from_rayleigh_range(size, wavelength, xi)
@@ -367,8 +370,8 @@ def _parse_polarization(section, where="polarization") -> PolarizationState:
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected a mapping or preset name")
     _check_keys(section, where, {"polar", "azimuth"})
-    polar = parse_quantity(section.get("polar", math.pi / 2), where=f"{where}.polar")
-    azimuth = parse_quantity(section.get("azimuth", 0.0), where=f"{where}.azimuth")
+    polar = parse_quantity(section.get("polar", math.pi / 2), ANGLE_UNITS, where=f"{where}.polar")
+    azimuth = parse_quantity(section.get("azimuth", 0.0), ANGLE_UNITS, where=f"{where}.azimuth")
     try:
         return PolarizationState.from_bloch(polar, azimuth)
     except ValueError as exc:
@@ -412,13 +415,14 @@ def _parse_run(block, beam, pol, index) -> RunBlock:
         )
     if "theta" not in block:
         raise ConfigError(f"{where}: needs a theta value or grid")
-    theta = parse_grid(block["theta"], rayleigh=beam.rayleigh_range, where=f"{where}.theta")
+    theta = parse_grid(block["theta"], ANGLE_UNITS, where=f"{where}.theta")
+    lengths = {**LENGTH_UNITS, "z_R": beam.rayleigh_range, "zR": beam.rayleigh_range}
     needs_z = scheme in ("position", "quadrant", "joint")
     z = None
     if needs_z:
         if "z" not in block:
             raise ConfigError(f"{where}: scheme {scheme!r} needs a z value or grid")
-        z = parse_grid(block["z"], rayleigh=beam.rayleigh_range, where=f"{where}.z")
+        z = parse_grid(block["z"], lengths, where=f"{where}.z")
         if z[0] < 0.0:
             raise ConfigError(f"{where}.z: detector positions must be >= 0")
         # widths square z/z_R, which raises OverflowError from 1.3e154 on
@@ -446,7 +450,7 @@ def _parse_run(block, beam, pol, index) -> RunBlock:
     if "split" in block:
         if scheme != "quadrant":
             raise ConfigError(f"{where}.split: only the quadrant scheme has a split line")
-        split = parse_quantity(block["split"], rayleigh=beam.rayleigh_range, where=f"{where}.split")
+        split = parse_quantity(block["split"], lengths, where=f"{where}.split")
     return RunBlock(scheme=scheme, theta=theta, z=z, split=split)
 
 
@@ -455,24 +459,19 @@ def _parse_montecarlo(section, wavelength) -> MonteCarloBlock:
     _check_keys(section, where, {"theta", "nu", "energy", "trials", "seed", "interval"})
     if "theta" not in section:
         raise ConfigError(f"{where}: needs theta")
-    theta = parse_quantity(section["theta"], where=f"{where}.theta")
-    if "nu" in section and "energy" in section:
-        raise ConfigError(f"{where}: give nu or energy, not both")
-    if "nu" in section:
-        source = "nu"
+    theta = parse_quantity(section["theta"], ANGLE_UNITS, where=f"{where}.theta")
+    source = _either(section, where, "nu", "energy")
+    if source == "nu":
         nu = parse_integer(section["nu"], where=f"{where}.nu")
-    elif "energy" in section:
-        source = "energy"
+    else:
         # one detected photon per quantum hbar*omega = h c / lambda
-        energy = parse_quantity(section["energy"], where=f"{where}.energy")
+        energy = parse_quantity(section["energy"], ENERGY_UNITS, where=f"{where}.energy")
         photons = energy * wavelength / (PLANCK * LIGHT_SPEED)
         if not math.isfinite(photons):
             raise ConfigError(f"{where}.energy: {energy!r} J gives a photon count beyond the float range")
         nu = int(photons)
         if nu < 1:
             raise ConfigError(f"{where}.energy: nu must be >= 1, got {nu}")
-    else:
-        raise ConfigError(f"{where}: needs nu (photon count) or energy")
     if nu > NU_LIMIT:
         raise ConfigError(
             f"{where}.{source}: {nu} photons per trial exceed the limit of {NU_LIMIT} "
@@ -486,8 +485,8 @@ def _parse_montecarlo(section, wavelength) -> MonteCarloBlock:
         pair = section["interval"]
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"{where}.interval: expected [low, high]")
-        lo = parse_quantity(pair[0], where=f"{where}.interval[0]")
-        hi = parse_quantity(pair[1], where=f"{where}.interval[1]")
+        lo = parse_quantity(pair[0], ANGLE_UNITS, where=f"{where}.interval[0]")
+        hi = parse_quantity(pair[1], ANGLE_UNITS, where=f"{where}.interval[1]")
         if not lo < hi:
             raise ConfigError(f"{where}.interval: low must be < high")
         interval = (lo, hi)

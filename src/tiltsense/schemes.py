@@ -51,10 +51,10 @@ def small_angle_flags(beam: BeamParams, theta: float) -> tuple[str, ...]:
     flags = []
     dephasing = 2.0 * (beam.k * beam.w0) ** 2 * theta * theta
     if dephasing >= SMALL_ANGLE_LIMIT:
-        flags.append(f"dephasing argument 2(k w0 theta)^2 = {dephasing:.3e} >= 0.01")
+        flags.append(f"dephasing argument 2(k w0 theta)^2 = {dephasing:.3e} >= {SMALL_ANGLE_LIMIT}")
     offset_phase = (4.0 * beam.k * beam.xi * theta) ** 2
     if offset_phase >= SMALL_ANGLE_LIMIT:
-        flags.append(f"displacement phase (4 k xi theta)^2 = {offset_phase:.3e} >= 0.01")
+        flags.append(f"displacement phase (4 k xi theta)^2 = {offset_phase:.3e} >= {SMALL_ANGLE_LIMIT}")
     return tuple(flags)
 
 

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from tiltsense import config as config_module
 from tiltsense.config import (
+    ANGLE_UNITS,
     GRID_LIMIT,
+    LENGTH_UNITS,
     NU_LIMIT,
     ConfigError,
     parse_config_text,
@@ -17,44 +19,44 @@ from tiltsense.config import (
 
 
 def test_parse_quantity_units():
-    assert parse_quantity("633nm") == pytest.approx(633e-9, rel=1e-15)
-    assert parse_quantity("1mm") == pytest.approx(1e-3, rel=1e-15)
-    assert parse_quantity("2 urad") == pytest.approx(2e-6, rel=1e-15)
-    assert parse_quantity("1.5µm") == pytest.approx(1.5e-6, rel=1e-15)
-    assert parse_quantity("90deg") == pytest.approx(math.pi / 2, rel=1e-15)
-    assert parse_quantity("-3e-2rad") == pytest.approx(-0.03, rel=1e-15)
-    assert parse_quantity(2.5) == 2.5
-    assert parse_quantity("42") == 42.0
+    assert parse_quantity("633nm", LENGTH_UNITS) == pytest.approx(633e-9, rel=1e-15)
+    assert parse_quantity("1mm", LENGTH_UNITS) == pytest.approx(1e-3, rel=1e-15)
+    assert parse_quantity("2 urad", ANGLE_UNITS) == pytest.approx(2e-6, rel=1e-15)
+    assert parse_quantity("1.5µm", LENGTH_UNITS) == pytest.approx(1.5e-6, rel=1e-15)
+    assert parse_quantity("90deg", ANGLE_UNITS) == pytest.approx(math.pi / 2, rel=1e-15)
+    assert parse_quantity("-3e-2rad", ANGLE_UNITS) == pytest.approx(-0.03, rel=1e-15)
+    assert parse_quantity(2.5, LENGTH_UNITS) == 2.5
+    assert parse_quantity("42", LENGTH_UNITS) == 42.0
 
 
 def test_parse_quantity_rayleigh_relative():
-    assert parse_quantity("5z_R", rayleigh=2.0) == 10.0
+    assert parse_quantity("5z_R", {"z_R": 2.0}) == 10.0
     with pytest.raises(ConfigError, match="z_R"):
-        parse_quantity("5z_R")
+        parse_quantity("5z_R", LENGTH_UNITS)
 
 
 @pytest.mark.parametrize("bad", ["1 parsec", "abc", "", "1..2mm", True, None, [1]])
 def test_parse_quantity_rejects(bad):
     with pytest.raises(ConfigError):
-        parse_quantity(bad)
+        parse_quantity(bad, LENGTH_UNITS)
 
 
 def test_parse_grid_forms():
-    assert parse_grid(["1mm", "2mm"]).tolist() == [1e-3, 2e-3]
-    lin = parse_grid({"start": 0, "stop": "1m", "count": 5})
+    assert parse_grid(["1mm", "2mm"], LENGTH_UNITS).tolist() == [1e-3, 2e-3]
+    lin = parse_grid({"start": 0, "stop": "1m", "count": 5}, LENGTH_UNITS)
     assert np.allclose(lin, np.linspace(0, 1, 5))
-    assert parse_grid("3mm").tolist() == [3e-3]
+    assert parse_grid("3mm", LENGTH_UNITS).tolist() == [3e-3]
 
 
 def test_parse_grid_rejects():
     with pytest.raises(ConfigError, match="nonempty"):
-        parse_grid([])
+        parse_grid([], LENGTH_UNITS)
     with pytest.raises(ConfigError, match="increasing"):
-        parse_grid(["2mm", "1mm"])
+        parse_grid(["2mm", "1mm"], LENGTH_UNITS)
     with pytest.raises(ConfigError, match="count"):
-        parse_grid({"start": 0, "stop": 1, "count": 0})
+        parse_grid({"start": 0, "stop": 1, "count": 0}, LENGTH_UNITS)
     with pytest.raises(ConfigError, match="grid keys"):
-        parse_grid({"start": 0, "stop": 1, "count": 3, "step": 1})
+        parse_grid({"start": 0, "stop": 1, "count": 3, "step": 1}, LENGTH_UNITS)
 
 
 BASE = """
@@ -185,7 +187,7 @@ def test_top_level_validation():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1e999", "1e999mm", "1e308z_R"])
 def test_parse_quantity_rejects_non_finite(bad):
     with pytest.raises(ConfigError, match="theta: must be finite"):
-        parse_quantity(bad, rayleigh=10.0, where="theta")
+        parse_quantity(bad, {**LENGTH_UNITS, "z_R": 10.0}, where="theta")
 
 
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
@@ -224,8 +226,8 @@ def test_integer_fields_are_not_truncated(text, field):
 
 def test_grid_count_must_be_whole():
     with pytest.raises(ConfigError, match=r"grid\.count: expected a whole number"):
-        parse_grid({"start": 0, "stop": 1, "count": 2.5})
-    assert parse_grid({"start": 0, "stop": 1, "count": 3.0}).tolist() == [0.0, 0.5, 1.0]
+        parse_grid({"start": 0, "stop": 1, "count": 2.5}, LENGTH_UNITS)
+    assert parse_grid({"start": 0, "stop": 1, "count": 3.0}, LENGTH_UNITS).tolist() == [0.0, 0.5, 1.0]
 
 
 def test_integral_values_are_accepted_in_every_form():
@@ -343,13 +345,13 @@ def test_start_stop_count_grid_is_numpy_linspace_bit_for_bit(ends, count):
     spec = {"start": start, "stop": stop, "count": count}
     if not increasing:
         with pytest.raises(ConfigError, match="grid: grid must be strictly increasing"):
-            parse_grid(spec)
+            parse_grid(spec, LENGTH_UNITS)
     elif not np.isfinite(expected).all():
         # a lone point of an overflowing stop - start is nan in numpy
         with pytest.raises(ConfigError, match="grid: stop - start overflows the float range"):
-            parse_grid(spec)
+            parse_grid(spec, LENGTH_UNITS)
     else:
-        assert parse_grid(spec).tobytes() == expected.tobytes()
+        assert parse_grid(spec, LENGTH_UNITS).tobytes() == expected.tobytes()
 
 
 def test_grid_count_above_the_limit_names_the_field():

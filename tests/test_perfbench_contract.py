@@ -6,7 +6,6 @@ methods) before it runs a command.  Each workload's tiny config runs here under
 it, so that removing or renaming one of those names fails in this suite.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -14,17 +13,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from output_pins import _inputs
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-
-
-def _inputs():
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks its module up there
-    spec.loader.exec_module(module)
-    return module
 
 
 # the workload, and a span its commands must record: the tracer's wrappers ran
