@@ -219,12 +219,12 @@ def cmd_montecarlo(args) -> int:
             if not information > 0.0:
                 raise ConfigError(f"run[{index}]: scheme carries no information at this working point")
             try:
-                interval = mc.interval or default_search_interval(model, mc.theta, mc.nu)
+                interval = mc.interval or default_search_interval(model, mc.theta, mc.nu, information)
             except ValueError as exc:
                 raise ConfigError(f"run[{index}]: {exc}")
             report = run_saturation(
                 model, mc.theta, mc.nu, mc.trials, seed,
-                search_interval=interval, scheme=block.scheme,
+                search_interval=interval, scheme=block.scheme, information=information,
             )
         except ConvergenceError as exc:
             raise NumericalFailure(f"run[{index}] ({block.scheme}): {exc}") from exc

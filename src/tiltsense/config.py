@@ -47,7 +47,7 @@ SCHEMES = ("position", "quadrant", "polarization", "joint")
 
 SEED_LIMIT = 2 ** 64  # seeds key a Philox stream through one uint64
 
-NU_LIMIT = 10 ** 8  # photons per trial; one float64 array of that many is 0.8 GB
+NU_LIMIT = 10 ** 8  # photons per trial; only the joint sampler holds arrays of them
 
 # points per {start, stop, count} grid: 8 MB of doubles, built in Python in
 # about 0.2 s, and a sweep of ~1 ms rows over them already takes a quarter of

@@ -14,10 +14,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .fisher import analytic_fisher, cramer_rao_bound
-from .schemes import LOG_FLOOR
+from .schemes import LOG_FLOOR, JointStatistic, PolarizationModel
 
 END_INSET = 1e-3  # the end scores are read this fraction of the interval inside its ends
 SCORE_TOL = 1e-12  # rad; the score root is refined until a step is this small
+COUNT_ROOT_TOL, COUNT_SHARE = 1e-4, 0.9  # the joint MLE's start, see ``_count_root``
 # a cap well above what bisection needs to narrow any practical bracket to SCORE_TOL
 MAX_SCORE_STEPS = 200
 
@@ -34,10 +35,10 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 
 def sample_outcomes(model, theta: float, nu: int, rng: np.random.Generator):
-    """Draw nu independent outcomes from the model at tilt theta.
+    """``model.statistic`` of nu independent outcomes at tilt theta.
 
-    Two-outcome models return +1/-1 signs, the position model positions, and
-    the joint model a (signs, positions) pair.
+    The counts (n+, n-) and the position model's (nu, mean) are drawn
+    directly; the joint model draws its (signs, positions) and reduces them.
     """
     if nu < 1:
         raise ValueError("nu must be at least 1")
@@ -82,23 +83,23 @@ class MleResult(NamedTuple):
         return not (self.at_boundary or self.one_port)
 
 
-def mle(model, outcomes, search_interval: tuple[float, float]) -> MleResult:
+def mle(model, stat, search_interval: tuple[float, float], information=None) -> MleResult:
     """Maximum-likelihood tilt estimate over a bracketing interval, from scores only.
 
-    The outcomes are reduced once to the model's statistic.  The end scores are
+    ``stat`` is the outcomes' statistic (``model.statistic``).  The end scores are
     one-sided limits read ``END_INSET`` of the width inside each end (at an even
     interval's theta = 0 end the joint score is exactly 0).  A score <= 0 at the
     low end or >= 0 at the high end puts the maximum at that end or within the
     inset of it: the trial returns that end, flagged ``at_boundary``.  Otherwise
-    the end scores bracket the root, refined by ``_score_root``.  A two-outcome
-    trial with all outcomes in one port (P+ or P- at 0, where the Cramer-Rao
-    bound does not apply) is flagged ``one_port``.  Flagged trials are left out
-    of the saturation statistics.
+    the end scores bracket the root, refined by ``_score_root``; given F per
+    outcome, a joint trial starts at ``_count_root`` with one Fisher-scoring
+    step.  A two-outcome trial with all outcomes in one port (P+ or P- at 0,
+    where the Cramer-Rao bound does not apply) is flagged ``one_port``.
+    Flagged trials are left out of the saturation statistics.
     """
     lo, hi = search_interval
     if not lo < hi:
         raise ValueError("search interval must have positive width")
-    stat = model.statistic(outcomes)
     one_port = model.one_port(stat)
     low, high = lo + END_INSET * (hi - lo), hi - END_INSET * (hi - lo)
     s_low = model.score(stat, low)
@@ -107,28 +108,49 @@ def mle(model, outcomes, search_interval: tuple[float, float]) -> MleResult:
     s_high = model.score(stat, high)
     if s_high >= 0.0:
         return MleResult(float(hi), at_boundary=True, one_port=one_port)
-    theta_hat = _score_root(lambda t: model.score(stat, t), (low, s_low), (high, s_high), SCORE_TOL)
+    start = _count_root(model, stat, low, high, information)
+    slope = None if start is None else -sum(stat.counts) * information  # Fisher scoring
+    theta_hat = _score_root(
+        lambda t: model.score(stat, t), (low, s_low), (high, s_high), SCORE_TOL, start, slope
+    )
     return MleResult(theta_hat, at_boundary=False, one_port=one_port)
 
 
-def _score_root(score, low, high, tol: float) -> float:
+def _count_root(model, stat, low: float, high: float, information) -> Optional[float]:
+    """Root in (low, high) of the polarization score of a joint trial's sign counts, or None
+    without F, with no root bracketed (one port, the other branch of an even model) or where
+    the counts carry under 0.9 F, which keeps the root within sqrt(1/0.9 - 1) = 0.33 sigma."""
+    if information is None or not isinstance(stat, JointStatistic):
+        return None
+    marginal, counts = PolarizationModel(model.beam, model.pol), stat.counts
+    s_low, s_high = marginal.score(counts, low), marginal.score(counts, high)
+    if not s_low > 0.0 > s_high:
+        return None
+    tol = COUNT_ROOT_TOL * (high - low)
+    root = _score_root(lambda t: marginal.score(counts, t), (low, s_low), (high, s_high), tol)
+    return root if marginal.fisher(root) >= COUNT_SHARE * information else None
+
+
+def _score_root(score, low, high, tol: float, start=None, slope=None) -> float:
     """Root of the score between (theta, score) ends with scores > 0 and < 0.
 
-    The first iterate is the false-position point of the ends; each later step
-    is a secant through the last two points, the first through ``high``.  Every
-    score sign moves one end of the bracket.  A step that leaves the bracket,
-    or that is not under half the step before the last one (the bracket is then
-    shrinking too slowly), becomes a bisection.  Stops once a step is <= ``tol``.
+    The first iterate is ``start`` or else the false-position point of the ends;
+    each step is a secant through the last two points, the first through ``high``
+    or on ``slope`` if given.  Every score sign moves one end of the bracket.  A
+    step that leaves the bracket, or that is not under half the step before the
+    last one (the bracket is then shrinking too slowly), becomes a bisection.
+    Stops once a step is <= ``tol``.
     """
     (a, s_a), (b, s_b) = low, high
-    x = a - s_a * (b - a) / (s_b - s_a)
+    x = a - s_a * (b - a) / (s_b - s_a) if start is None else start
     if not a < x < b:  # rounding, where one end score dwarfs the other
         x = 0.5 * (a + b)
     previous = high
     steps = [math.inf, math.inf]
     for _ in range(MAX_SCORE_STEPS):
         s = score(x)
-        slope = (s - previous[1]) / (x - previous[0])
+        if slope is None:
+            slope = (s - previous[1]) / (x - previous[0])
         if s > 0.0:
             a = x
         elif s < 0.0:
@@ -141,7 +163,7 @@ def _score_root(score, low, high, tol: float) -> float:
         if abs(new - x) <= tol:
             return new
         steps = [steps[1], abs(new - x)]
-        previous = (x, s)
+        previous, slope = (x, s), None
         x = new
     return x
 
@@ -168,16 +190,16 @@ class SaturationReport(NamedTuple):
         return self.empirical_variance / self.cr_variance
 
 
-def default_search_interval(model, theta_true: float, nu: int) -> tuple[float, float]:
+def default_search_interval(model, theta_true: float, nu: int, information=None):
     """theta_true +- 10 Cramer-Rao sigma, clipped to the model's small-angle
-    guard region.
+    guard region; ``information`` is F at theta_true, computed if not given.
 
     For schemes whose statistics are even in theta only the magnitude of the
     tilt is identifiable, so the interval is additionally restricted to the
     sign branch of theta_true.  An interval that rounds to the single point
     theta_true (10 sigma below half an ulp of it) is refused.
     """
-    sigma = cramer_rao_bound(analytic_fisher(model, theta_true), nu)
+    sigma = cramer_rao_bound(information or analytic_fisher(model, theta_true), nu)
     half = 10.0 * sigma
     guard = model.small_angle_guard()
     if abs(theta_true) >= guard:
@@ -207,10 +229,11 @@ def run_trial(
     seed: int,
     trial_index: int,
     search_interval: tuple[float, float],
+    information=None,
 ) -> MleResult:
     """One sample-and-estimate trial; ``scheme`` only labels it (perfbench's tracer tags it)."""
-    outcomes = sample_outcomes(model, theta_true, nu, trial_rng(seed, trial_index))
-    return mle(model, outcomes, search_interval)
+    stat = sample_outcomes(model, theta_true, nu, trial_rng(seed, trial_index))
+    return mle(model, stat, search_interval, information)
 
 
 def run_saturation(
@@ -221,24 +244,23 @@ def run_saturation(
     seed: int,
     search_interval: Optional[tuple[float, float]] = None,
     scheme: str = "",
+    information: Optional[float] = None,
 ) -> SaturationReport:
-    """Repeated sample-and-estimate trials against the Cramer-Rao variance."""
+    """Trials against the Cramer-Rao variance; F at theta_true is computed once if not given."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    interval = search_interval or default_search_interval(model, theta_true, nu)
+    information = information or analytic_fisher(model, theta_true)
+    interval = search_interval or default_search_interval(model, theta_true, nu, information)
     estimates = []
     at_boundary = one_port = 0
     for index in range(trials):
-        trial = run_trial(model, scheme, theta_true, nu, seed, index, interval)
+        trial = run_trial(model, scheme, theta_true, nu, seed, index, interval, information)
         if trial.interior:
             estimates.append(trial.theta_hat)
         at_boundary += trial.at_boundary
         one_port += trial.one_port
-    if len(estimates) >= 2:
-        empirical = float(np.var(np.array(estimates), ddof=1))
-    else:
-        empirical = math.nan
-    cr = 1.0 / (nu * analytic_fisher(model, theta_true))
+    empirical = float(np.var(np.array(estimates), ddof=1)) if len(estimates) >= 2 else math.nan
+    cr = 1.0 / (nu * information)
     return SaturationReport(
         trials=trials,
         used_trials=len(estimates),

@@ -74,11 +74,11 @@ def numeric_fisher_oracle(model, theta: float, step: float | None = None):
 
     Works on any model exposing ``probabilities(theta)`` (discrete outcomes),
     ``pdf(theta, x)`` (continuous), or ``branch_pdf(theta, x)`` (joint
-    discrete-and-continuous), the latter two together with
-    ``domain(theta)``/``breakpoints(theta)``.  A continuous model whose domain
-    gives one bound per plane also exposes ``at_planes(index)``, the model at
-    those planes only; the result is then an array over its planes, each
-    entry with the bits of that plane's own model.
+    discrete-and-continuous), the latter two with ``domain(theta)``/``breakpoints(theta)``
+    and ``qfi()``, whose bound scales the quadrature's absolute tolerance.  A continuous
+    model whose domain gives one bound per plane also exposes ``at_planes(index)``, the
+    model at those planes only; the result is then an array over its planes, each entry
+    with the bits of that plane's own model.
     """
     h = default_step(theta) if step is None else float(step)
     if h <= 0.0:
@@ -118,4 +118,5 @@ def _continuous_fisher(model, theta, h, density):
         dead = p0 < DENSITY_FLOOR  # NaN stays in, so the quadrature cannot converge on it
         return np.sum(np.where(dead, 0.0, deriv * deriv / np.where(dead, 1.0, p0)), axis=0)
 
-    return integrate_interval(integrand, lo, hi, points, rtol=1e-9, atol=1e-12)
+    atol = 1e-12 * float(np.max(model.qfi()))  # on the model's scale, as in the decomposition
+    return integrate_interval(integrand, lo, hi, points, rtol=1e-9, atol=atol)

@@ -19,7 +19,7 @@ position-dependent phase.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -234,8 +234,8 @@ def conditioned_polarization_probabilities(beam: BeamParams, theta: float, z: fl
 #   regime_flags(theta)              warnings for points outside the first-order regime
 #   even_in_theta                    True when only |theta| is identifiable
 #   small_angle_guard()              largest |theta| an estimate may take (inf: none)
-#   sample(theta, nu, rng)           nu independent outcomes
-#   statistic(outcomes)              the outcomes reduced once to what the score needs
+#   sample(theta, nu, rng)           the statistic of nu independent outcomes
+#   statistic(outcomes)              outcomes reduced once to what the score needs
 #   score(stat, theta)               analytic d/dtheta of the summed log probability
 #   one_port(stat)                   True when all outcomes fell in one port of a
 #                                    two-outcome scheme (P+ or P- at 0: not a regular point)
@@ -262,8 +262,7 @@ def _sample_mixture(model, theta: float, nu: int, rng: np.random.Generator):
 
     The component draw is that of ``rng.choice(len(weights), nu, p=...)`` with
     p = weights / weights.sum(): one uniform per outcome against the normalized
-    cumulative weights, cdf = [p0, 1] or [1].  It is taken for a single
-    component too, so that the normal draws stay where they were.
+    cumulative weights, cdf = [p0, 1] or [1].
     """
     weights, means, sigmas = model.gaussian_mixture(theta)
     cdf = np.cumsum(weights / weights.sum())
@@ -366,14 +365,15 @@ class _InterferometricScheme(_SchemeModel):
 class _TwoOutcomeScheme:
     """Sampling and score of +1/-1 outcomes given by probabilities(theta).
 
-    The counts (n_plus, n_minus) are sufficient; each model supplies
-    ``plus_slope(theta)`` = dP_plus/dtheta for the score.
+    The counts (n_plus, n_minus) are sufficient, and ``sample`` draws n_plus ~
+    Binomial(nu, P_plus); each model supplies ``plus_slope(theta)`` = dP_plus/dtheta.
     """
 
     __slots__ = ()
 
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
-        return _sample_signs(float(self.probabilities(theta)[0]), nu, rng)
+        n_plus = int(rng.binomial(nu, float(self.probabilities(theta)[0])))
+        return n_plus, nu - n_plus
 
     def statistic(self, outcomes):
         signs = np.asarray(outcomes)
@@ -407,14 +407,6 @@ class PositionModel(_PlaneScheme, _DeflectionScheme):
     def pdf(self, theta: float, x):
         return intensity_profile(self.beam, theta, self.z, x)
 
-    def gaussian_mixture(self, theta: float):
-        """(weights, means, sigmas) of the exact mixture representation."""
-        return (
-            np.array([1.0]),
-            np.array([self.mean(theta)]),
-            np.array([self.sigma()]),
-        )
-
     def domain(self, theta: float):
         w = per_plane(self.beam.width, self.z)
         c = self.mean(theta)
@@ -429,7 +421,7 @@ class PositionModel(_PlaneScheme, _DeflectionScheme):
         return fisher_position(self.beam, self.z)
 
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
-        return _sample_mixture(self, theta, nu, rng)
+        return nu, float(rng.normal(self.mean(theta), self.sigma() / math.sqrt(nu)))  # the mean
 
     def statistic(self, outcomes):
         """(n, sample mean): all the Gaussian location score reads."""
@@ -542,30 +534,20 @@ class FisherDecomposition(NamedTuple):
 class JointStatistic(NamedTuple):
     """Per-photon factors of the joint score, fixed once by the outcomes.
 
-    With u = x - xi, q = 8 theta z u / w^2 and psi = theta * phase_rate - phi,
-    the density of ``sagnac_joint_density`` factors as
-
-        p_pm = A e^{-2 u^2 / w^2 - 8 theta^2 z^2 / w^2}
-               [(|alpha|^2 e^{-q} + |beta|^2 e^{q}) / 2  pm  d cos psi]
-             = A e^{-2 u^2 / w^2 - 8 theta^2 z^2 / w^2 + |q|} I,
-        I    = (near + far t^2) / 2  pm  d t cos psi,     t = e^{-|q|},
-
-    where ``near`` is the weight of the path whose center lies on the
-    photon's side (|beta|^2 for q >= 0) and far = 1 - near.  Nothing in
-    this form overflows, whatever theta.
+    A photon's density is ``sagnac_joint_density``'s envelope times
+    I = gap + 2 d t cos^2(psi'/2), with psi' = psi for "+" and psi + pi for "-".
+    psi'/2 = a - b with a = theta phase_rate / 2 and b = phi/2 (+ pi/2) = k pi/2 + beta,
+    |beta| <= pi/4: w = tan(a - beta) is accurate, and tan(psi'/2) is w for even k
+    and -1/w for odd k.  The photons of even k come first.
     """
 
-    signed_d: np.ndarray  # d for a "+" outcome, -d for a "-" outcome
-    path_rate: np.ndarray  # |8 z u / w^2| = |q| / |theta|
+    counts: tuple  # (n_plus, n_minus)
+    n_even: int
+    beta: float
+    path_rate: np.ndarray  # |8 z u / w^2| = |q| / |theta|, with u = x - xi
     phase_rate: np.ndarray  # 4 k (w0^2 / w^2) u + 4 k xi
-    half_near: Union[float, np.ndarray]  # near / 2 for theta >= 0
-    half_far: Union[float, np.ndarray]
-
-    def halves(self, theta: float):
-        """(near / 2, far / 2) at theta: the paths swap sides with the sign of theta."""
-        if theta >= 0.0:
-            return self.half_near, self.half_far
-        return self.half_far, self.half_near
+    roots: Optional[tuple]  # (sqrt(near), sqrt(far)) / sqrt(max weight), theta >= 0; None if equal
+    lam: float  # max(|alpha|^2, |beta|^2) / (4 d); 1 for d = 0
 
 
 class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
@@ -709,68 +691,83 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         return self.decomposition(theta).total
 
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
-        """(signs, positions): positions from the mixture, then each sign given x."""
+        """The statistic of nu photons: positions from the mixture, then each sign given x."""
         x = _sample_mixture(self, theta, nu, rng)
-        return _sample_signs(self.conditional_plus(theta, x), nu, rng), x
+        return self.statistic((_sample_signs(self.conditional_plus(theta, x), nu, rng), x))
 
     def statistic(self, outcomes) -> JointStatistic:
         signs, x = outcomes
-        beam = self.beam
+        beam, pol = self.beam, self.pol
+        plus = np.asarray(signs) > 0
+        half = 0.5 * pol.coherence_phase
+        k = round(half / (0.5 * math.pi))
+        even = plus if k % 2 == 0 else ~plus
+        x = np.asarray(x, dtype=float)
+        u = np.concatenate([x[even], x[~even]]) - beam.xi
+        n_even, n_plus = int(np.count_nonzero(even)), int(np.count_nonzero(plus))
         w2 = beam.width(self.z) ** 2
-        u = np.asarray(x, dtype=float) - beam.xi
-        d = self.pol.coherence_magnitude
-        pa, pb = abs(self.pol.alpha) ** 2, abs(self.pol.beta) ** 2
         rate = (8.0 * self.z / w2) * u
-        half_near = half_far = 0.5 * pa
-        if pa != pb:
-            toward_v = rate >= 0.0
-            half_near = 0.5 * np.where(toward_v, pb, pa)
-            half_far = 0.5 * np.where(toward_v, pa, pb)
+        phase_rate = (4.0 * beam.k * beam.w0 ** 2 / w2) * u + 4.0 * beam.k * beam.xi
+        pa, pb = abs(pol.alpha) ** 2, abs(pol.beta) ** 2
+        scale, d = 1.0 / max(pa, pb), pol.coherence_magnitude
         return JointStatistic(
-            signed_d=np.where(np.asarray(signs) > 0, d, -d),
+            counts=(n_plus, u.size - n_plus),
+            n_even=n_even,
+            beta=(half - k * (0.5 * math.pi)) - k * 6.123233995736766e-17,  # pi/2 - math.pi/2
             path_rate=np.abs(rate),
-            phase_rate=(4.0 * beam.k * beam.w0 ** 2 / w2) * u + 4.0 * beam.k * beam.xi,
-            half_near=half_near,
-            half_far=half_far,
+            phase_rate=phase_rate,
+            roots=None if pa == pb else tuple(  # |beta|^2 is near where rate >= 0
+                np.sqrt(scale * np.where(rate >= 0.0, *weights)) for weights in ((pb, pa), (pa, pb))
+            ),
+            lam=0.25 / (d * scale) if d else 1.0,
         )
 
     def score(self, stat: JointStatistic, theta: float) -> float:
         """d/dtheta of the summed log density; photons with I = 0 add nothing.
 
-        Per photon, d log p / dtheta = -16 theta z^2 / w^2
-            + [sgn(theta) path_rate (near - far t^2) / 2 -+ d t phase_rate sin psi] / I,
-        with sgn(0) = +1 to match ``JointStatistic.halves``.
+        Per photon (see ``JointStatistic``), with sgn(0) = +1,
+            d log p / dtheta = -16 theta z^2 / w^2
+                + [sgn(theta) path_rate (near - far t^2) / 2 - d t phase_rate sin psi'] / I.
+        Times (1 + w^2) / (2 d), I is c (root_near - root_far t)^2 + t {1, w^2} for even,
+        odd k, and the bracket c sgn(theta) path_rate (root_near^2 - root_far^2 t^2) -+
+        t phase_rate w, with c = lam (1 + w^2): sums of products of accurate factors,
+        1 - t = -expm1(-|q|) as in ``sagnac_joint_density`` and w, whatever theta and phi.
         """
-        half_near, half_far = stat.halves(theta)
-        t = np.exp(stat.path_rate * -abs(theta))
-        # cos psi = (1 - tau^2) / (1 + tau^2) and sin psi = 2 tau / (1 + tau^2) from one
-        # tau = tan(psi/2); at psi = pi the rounded pi/2 gives |tau| ~ 1e16, and tau^2
-        # stays finite
-        tau = stat.phase_rate * (0.5 * theta)
-        tau -= 0.5 * self.pol.coherence_phase
-        np.tan(tau, out=tau)
-        bracket = tau * tau
-        bracket += 1.0
-        dt = t * stat.signed_d
-        dt /= bracket  # +-d t / (1 + tau^2)
-        tau *= dt
-        tau *= stat.phase_rate  # +-d t phase_rate sin(psi) / 2
-        np.subtract(2.0, bracket, out=bracket)  # 1 - tau^2
-        bracket *= dt  # +-d t cos psi
-        t *= t
-        t *= half_far
-        bracket += t
-        bracket += half_near
-        np.subtract(half_near, t, out=t)
-        t *= stat.path_rate
-        if theta < 0.0:
-            t *= -1.0
-        t -= tau
-        t -= tau
-        if bracket.min() > 0.0:
-            ratio = np.divide(t, bracket, out=t)
+        m, w, c, gap, p = (np.empty(stat.path_rate.size) for _ in range(5))  # a 2-d block is slower
+        np.multiply(stat.path_rate, -abs(theta), out=m)
+        np.expm1(m, out=m)  # t - 1
+        np.multiply(stat.phase_rate, 0.5 * theta, out=w)
+        if stat.beta:
+            w -= stat.beta
+        np.tan(w, out=w)
+        np.square(w, out=c)
+        c *= stat.lam
+        c += stat.lam
+        np.square(m, out=gap)
+        np.add(m, 2.0, out=p)
+        p *= m  # t^2 - 1
+        if stat.roots is not None:  # (root_near - root_far t)^2 and root_far^2 t^2 - root_near^2
+            near, far = stat.roots if theta >= 0.0 else stat.roots[::-1]
+            np.square(m * far - (near - far), out=gap)
+            p *= far * far
+            p -= near * near - far * far
+        gap *= c
+        p *= stat.path_rate
+        p *= c if theta >= 0.0 else -c
+        m += 1.0  # t
+        if not self.pol.coherence_magnitude:
+            m *= 0.0  # no interference term
+        n = stat.n_even
+        gap[:n] += m[:n]
+        gap[n:] += np.square(w[n:]) * m[n:]  # I
+        w *= m
+        w *= stat.phase_rate
+        w[n:] *= -1.0
+        p += w  # minus the numerator
+        if gap.min() > 0.0:
+            ratio = np.divide(p, gap, out=p)
         else:  # photons with I = 0 keep a 0
-            ratio = np.divide(t, bracket, out=np.zeros_like(t), where=bracket > 0.0)
+            ratio = np.divide(p, gap, out=np.zeros_like(p), where=gap > 0.0)
         w2 = self.beam.width(self.z) ** 2
-        return float(ratio.sum()) - ratio.size * 16.0 * theta * self.z ** 2 / w2
+        return -float(ratio.sum()) - ratio.size * 16.0 * theta * self.z ** 2 / w2
 

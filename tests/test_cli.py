@@ -565,6 +565,28 @@ def test_montecarlo_all_outcomes_in_one_port_exits_4(tmp_path, capsys):
     assert (row["used_trials"], row["non_interior"]) == ("0", "10")
 
 
+def test_montecarlo_evaluates_the_joint_fisher_information_once_per_block(tmp_path, monkeypatch):
+    # the search interval, the Cramer-Rao variance and each trial's Fisher-scoring
+    # step share one evaluation of the joint quadrature
+    from tiltsense import PositionPolarizationModel
+
+    calls = []
+    decomposition = PositionPolarizationModel.decomposition
+    monkeypatch.setattr(
+        PositionPolarizationModel,
+        "decomposition",
+        lambda self, theta: calls.append(theta) or decomposition(self, theta),
+    )
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n"
+        "run: [{scheme: joint, theta: 1urad, z: 1z_R}, {scheme: joint, theta: 1urad, z: 2z_R}]\n"
+        "montecarlo: {theta: 1urad, nu: 10000, trials: 3, seed: 3}\n",
+    )
+    assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
+    assert len(calls) == 2
+
+
 def test_montecarlo_single_trial_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, MC_CONFIG.replace("trials: 60", "trials: 1"))
     for command in (["validate-config"], ["montecarlo", "--out", str(tmp_path / "m")]):

@@ -22,7 +22,15 @@ from tiltsense import (
     sample_outcomes,
     trial_rng,
 )
-from tiltsense.estimate import END_INSET, MleResult, _score_root, default_search_interval, run_trial
+from tiltsense.estimate import (
+    END_INSET,
+    SCORE_TOL,
+    MleResult,
+    _score_root,
+    default_search_interval,
+    run_trial,
+)
+from tiltsense.oracle import numeric_fisher_oracle
 from tiltsense.schemes import _sample_mixture, _sample_signs
 
 
@@ -41,38 +49,109 @@ def test_trial_rng_streams_are_reproducible_and_distinct():
 # ---------------------------------------------------------------------------
 
 
+class _Mixture:
+    def __init__(self, weights, means, sigmas):
+        self.parts = tuple(np.array(v, dtype=float) for v in (weights, means, sigmas))
+
+    def gaussian_mixture(self, theta):
+        return self.parts
+
+
+def _photons(model, theta, nu, rng):
+    """nu outcomes of the model, which ``model.statistic`` reduces to what ``sample`` draws.
+
+    The joint draw is the joint sampler's own stream (see
+    ``test_joint_sample_is_the_statistic_of_its_photons``).
+    """
+    if hasattr(model, "probabilities"):
+        return _sample_signs(float(model.probabilities(theta)[0]), nu, rng)
+    if isinstance(model, PositionModel):
+        return _sample_mixture(_Mixture([1.0], [model.mean(theta)], [model.sigma()]), theta, nu, rng)
+    x = _sample_mixture(model, theta, nu, rng)
+    return _sample_signs(model.conditional_plus(theta, x), nu, rng), x
+
+
+def _same_statistic(a, b):
+    """Field-wise identity of two statistics."""
+    return type(a) is type(b) and all(
+        (x is None and y is None) or np.array_equal(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        for x, y in zip(a, b)
+    )
+
+
 def test_quadrant_sampling_balanced(beam):
     model = QuadrantModel(beam, beam.rayleigh_range)
     nu = 10 ** 6
-    signs = sample_outcomes(model, 0.0, nu, trial_rng(7, 0))
-    n_plus = int(np.count_nonzero(signs > 0))
+    n_plus, n_minus = sample_outcomes(model, 0.0, nu, trial_rng(7, 0))
     sigma = math.sqrt(nu * 0.25)
+    assert n_plus + n_minus == nu
     assert abs(n_plus - nu / 2) < 5.0 * sigma
-    assert set(np.unique(signs)) <= {-1, 1}
 
 
 def test_polarization_sampling_pure_bright_port(beam):
     model = PolarizationModel(beam, PolarizationState.diagonal())
-    signs = sample_outcomes(model, 0.0, 10 ** 4, trial_rng(7, 1))
-    assert np.all(signs == 1)
+    assert sample_outcomes(model, 0.0, 10 ** 4, trial_rng(7, 1)) == (10 ** 4, 0)
+
+
+# false-alarm rate of each moment check of the statistic samplers below
+MOMENT_ALPHA = 1e-6
+
+
+def _assert_moments(values, mean, variance):
+    """The draws' mean and variance match, each checked two-sided at MOMENT_ALPHA.
+
+    The mean by its normal limit, the variance by the chi-square law of
+    (draws - 1) s^2 / variance.
+    """
+    draws = len(values)
+    bound = stats.norm.isf(MOMENT_ALPHA / 2)
+    assert abs(values.mean() - mean) < bound * math.sqrt(variance / draws)
+    dof = draws - 1
+    scaled = dof * values.var(ddof=1) / variance
+    assert stats.chi2.ppf(MOMENT_ALPHA / 2, dof) < scaled < stats.chi2.isf(MOMENT_ALPHA / 2, dof)
 
 
 def test_position_sampling_moments(beam):
+    # the sample mean ~ Normal(xi + 2 theta z, w / (2 sqrt(nu))): variance w^2 / (4 nu)
     z = beam.rayleigh_range
     model = PositionModel(beam, z)
-    theta, nu = 2e-6, 200_000
-    xs = sample_outcomes(model, theta, nu, trial_rng(11, 0))
-    sigma = model.sigma()
-    mean_err = abs(xs.mean() - model.mean(theta))
-    assert mean_err < 5.0 * sigma / math.sqrt(nu)
-    assert abs(xs.std(ddof=1) - sigma) < 5.0 * sigma / math.sqrt(2 * nu)
+    theta, nu = 2e-6, 1000
+    samples = [sample_outcomes(model, theta, nu, trial_rng(11, i)) for i in range(4000)]
+    assert all(n == nu for n, _ in samples)
+    values = np.array([mean for _, mean in samples])
+    _assert_moments(values, model.mean(theta), beam.width(z) ** 2 / (4 * nu))
+
+
+@pytest.mark.parametrize(
+    "name, theta", [("quadrant", 1.5e-6), ("polarization", 1.5e-6), ("polarization", 3e-7)]
+)
+def test_count_sampling_moments(beam, name, theta):
+    # n+ ~ Binomial(nu, P+): mean nu P+, variance nu P+ P-
+    model = {
+        "quadrant": QuadrantModel(beam, beam.rayleigh_range),
+        "polarization": PolarizationModel(beam, PolarizationState.diagonal()),
+    }[name]
+    nu = 1000
+    samples = [sample_outcomes(model, theta, nu, trial_rng(12, i)) for i in range(4000)]
+    assert all(n_plus + n_minus == nu for n_plus, n_minus in samples)
+    p_plus, p_minus = model.probabilities(theta)
+    _assert_moments(np.array([n for n, _ in samples], dtype=float), nu * p_plus, nu * p_plus * p_minus)
+
+
+def test_joint_sample_is_the_statistic_of_its_photons(beam):
+    for pol in (PolarizationState.diagonal(), PolarizationState.from_bloch(0.3, 3.0)):
+        model = PositionPolarizationModel(beam, pol, beam.rayleigh_range)
+        photons = _photons(model, 1.5e-6, 3000, trial_rng(14, 0))
+        got = sample_outcomes(model, 1.5e-6, 3000, trial_rng(14, 0))
+        assert _same_statistic(got, model.statistic(photons))
+        assert got.counts == (int(np.count_nonzero(photons[0] > 0)), int(np.count_nonzero(photons[0] < 0)))
 
 
 def test_joint_sampling_ks_against_quadrature_cdf(beam):
     theta, nu = 2e-6, 100_000
     z = beam.rayleigh_range
     model = PositionPolarizationModel(beam, PolarizationState.diagonal(), z)
-    signs, xs = sample_outcomes(model, theta, nu, trial_rng(13, 0))
+    signs, xs = _photons(model, theta, nu, trial_rng(13, 0))
 
     lo, hi = model.domain(theta)
     grid = np.linspace(lo, hi, 20001)
@@ -102,14 +181,6 @@ def _choice_mixture(weights, means, sigmas, nu, rng):
 def _where_signs(p_plus, nu, rng):
     """The sign sampler as first written, with np.where: the stream to keep."""
     return np.where(rng.random(nu) < p_plus, 1, -1).astype(np.int8)
-
-
-class _Mixture:
-    def __init__(self, weights, means, sigmas):
-        self.parts = tuple(np.array(v, dtype=float) for v in (weights, means, sigmas))
-
-    def gaussian_mixture(self, theta):
-        return self.parts
 
 
 @pytest.mark.parametrize(
@@ -148,18 +219,20 @@ def test_joint_sampler_draws_what_the_old_samplers_drew(beam):
         x = _choice_mixture(*model.gaussian_mixture(1.5e-6), 5000, rng)
         p_plus, p_minus = model.branch_pdf(1.5e-6, x)
         signs = _where_signs(p_plus / (p_plus + p_minus), 5000, rng)
-        got_signs, got_x = sample_outcomes(model, 1.5e-6, 5000, trial_rng(10, 0))
-        assert np.array_equal(got_x, x) and np.array_equal(got_signs, signs)
+        got = sample_outcomes(model, 1.5e-6, 5000, trial_rng(10, 0))
+        assert _same_statistic(got, model.statistic((signs, x)))
 
 
-# sha256 of the outcomes of (seed 2020, trial 3) at theta = 1.5 urad, nu = 1000,
-# recorded with numpy 2.4.6 before the samplers stopped calling rng.choice and
-# np.where.  A sampler edit that moves the stream fails here, instead of quietly
-# moving every seeded Monte Carlo result
+# sha256 of what the samplers draw for (seed 2020, trial 3) at theta = 1.5 urad,
+# under numpy 2.4.6: the float64 statistic of the position, quadrant and
+# polarization schemes at nu = 1e6 (some 1,400 dark-port counts), and the joint
+# photons (signs, positions) at nu = 1000, first recorded before the samplers
+# stopped calling rng.choice and np.where.  A sampler edit that moves a stream
+# fails here, instead of quietly moving every seeded Monte Carlo result
 PINNED_STREAMS = {
-    "position": "d9937ac0bd2fb684df0b4f94976ade514b8771c532c856c2f13fab0384db30a2",
-    "quadrant": "c67f77919e457c975c8f08f824988d8a157337e05d56a92fae30d73cead54328",
-    "polarization": "353c38352a855c80f4ecb0793a76493228541b5fab5ef7af26effac91e77ec46",
+    "position": "5f221d8beeedcd91bc4992bc9906e704ae1831838c3fb9e6838f85ec48506128",
+    "quadrant": "dae33df4814bbe255068582725c924b6efdb5bb6be7eb97b93ccb054646f841a",
+    "polarization": "ec18b30bfd9fbb1b2b0a104b05bab85ac11c20235be7477419c57cb937bd184c",
     "joint": "a3241a90a6761dd4b01d431478f3fa10e39ce89880521a02a7e7b430db7b8638",
     "joint-elliptical": "3a441d1f0b5f4fcb6f3a56b5155694da3c4624b8b553da8881aaf0def6e9614b",
 }
@@ -178,10 +251,13 @@ def test_outcome_stream_is_pinned(beam, name):
             beam, PolarizationState.from_bloch(1.1, 0.4), 2.0 * z
         ),
     }[name]
-    outcomes = sample_outcomes(model, 1.5e-6, 1000, trial_rng(2020, 3))
     digest = hashlib.sha256()
-    for part in outcomes if isinstance(outcomes, tuple) else (outcomes,):
-        digest.update(np.ascontiguousarray(part).tobytes())
+    if name.startswith("joint"):
+        for part in _photons(model, 1.5e-6, 1000, trial_rng(2020, 3)):
+            digest.update(np.ascontiguousarray(part).tobytes())
+    else:
+        stat = sample_outcomes(model, 1.5e-6, 10 ** 6, trial_rng(2020, 3))
+        digest.update(np.array(stat, dtype=float).tobytes())
     assert digest.hexdigest() == PINNED_STREAMS[name]
 
 
@@ -210,9 +286,9 @@ def test_mle_recovers_position_mean_exactly(beam):
     # in theta, so the score root lands on (mean(x) - xi)/(2z)
     z = beam.rayleigh_range
     model = PositionModel(beam, z)
-    xs = sample_outcomes(model, 1e-6, 5000, trial_rng(21, 0))
-    closed_form = (xs.mean() - beam.xi) / (2.0 * z)
-    result = mle(model, xs, (-2e-5, 2e-5))
+    stat = sample_outcomes(model, 1e-6, 5000, trial_rng(21, 0))
+    closed_form = (stat[1] - beam.xi) / (2.0 * z)
+    result = mle(model, stat, (-2e-5, 2e-5))
     assert result.interior
     assert result.theta_hat == pytest.approx(closed_form, abs=1e-11)
 
@@ -255,9 +331,17 @@ SCORE_CASES = {
 
 
 def _case(beam, name, nu=2000, index=0):
+    """(model, theta_true, photon outcomes, search interval) of a score case."""
     model, theta, interval = SCORE_CASES[name](beam)
-    outcomes = sample_outcomes(model, theta, nu, trial_rng(77, index))
+    outcomes = _photons(model, theta, nu, trial_rng(77, index))
     return model, theta, outcomes, interval or default_search_interval(model, theta, nu)
+
+
+def _information(model, theta):
+    """Fisher information per outcome, from the oracle for the joint states without a closed form."""
+    if isinstance(model, PositionPolarizationModel) and not model.pol.is_diagonal:
+        return numeric_fisher_oracle(model, theta)
+    return model.fisher(theta)
 
 
 @pytest.mark.parametrize("name", SCORE_CASES)
@@ -273,11 +357,54 @@ def test_score_matches_likelihood_difference(beam, name):
         assert model.score(stat, t) == pytest.approx(difference, rel=1e-6), t
 
 
+def _exact_joint_score(model, outcomes, theta):
+    """d/dtheta of the summed log density of the photons, summed with 50-digit mpmath.
+
+    The density is the path-and-interference form of ``sagnac_joint_density``,
+    with the model's path weights and coherence phase and d = sqrt(|alpha|^2 |beta|^2).
+    """
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    beam, pol = model.beam, model.pol
+    pa, pb = mp.mpf(abs(pol.alpha) ** 2), mp.mpf(abs(pol.beta) ** 2)
+    d, phi = mp.sqrt(pa * pb), mp.mpf(pol.coherence_phase)
+    k, w0, xi, z, th = (mp.mpf(v) for v in (beam.k, beam.w0, beam.xi, model.z, theta))
+    w2 = w0 ** 2 * (1 + (2 * z / (k * w0 ** 2)) ** 2)
+    s = 2 * th * z
+    total = mp.mpf(0)
+    for sign, x in zip(outcomes[0].tolist(), outcomes[1].tolist()):
+        u = mp.mpf(x) - xi
+        g_h, g_v = mp.exp(-2 * (u + s) ** 2 / w2), mp.exp(-2 * (u - s) ** 2 / w2)
+        envelope = mp.exp(-2 * (u * u + s * s) / w2)
+        rate = 4 * k * (w0 ** 2 / w2) * u + 4 * k * xi
+        psi = th * rate - phi
+        p = pa / 2 * g_h + pb / 2 * g_v + sign * d * envelope * mp.cos(psi)
+        dp = (
+            -pa * g_h * 4 * (u + s) * z / w2
+            + pb * g_v * 4 * (u - s) * z / w2
+            - sign * d * envelope * (8 * s * z / w2 * mp.cos(psi) + rate * mp.sin(psi))
+        )
+        total += dp / p
+    return total
+
+
+def test_joint_score_near_a_dark_fringe_matches_a_50_digit_sum(beam):
+    # at the anti-diagonal case's low-end inset every "+" photon lies near its
+    # dark fringe, where the bracket (near + far t^2)/2 + d t cos psi cancelled
+    # to a score 1.4e-9 off
+    model, _, outcomes, (lo, hi) = _case(beam, "joint-anti-diagonal")
+    theta = lo + END_INSET * (hi - lo)
+    assert theta == pytest.approx(2.52e-9, rel=1e-3)
+    exact = _exact_joint_score(model, outcomes, theta)
+    score = model.score(model.statistic(outcomes), theta)
+    assert abs(score - exact) <= 1e-12 * abs(exact)
+
+
 @pytest.mark.parametrize("name", SCORE_CASES)
 def test_mle_beats_a_dense_grid(beam, name):
     for index in range(3):
-        model, _, outcomes, (lo, hi) = _case(beam, name, index=index)
-        result = mle(model, outcomes, (lo, hi))
+        model, theta, outcomes, (lo, hi) = _case(beam, name, index=index)
+        result = mle(model, model.statistic(outcomes), (lo, hi), _information(model, theta))
         best = log_likelihood(model, outcomes, result.theta_hat)
         dense = max(log_likelihood(model, outcomes, t) for t in np.linspace(lo, hi, 2001))
         assert best >= dense - 1e-12 * abs(dense)
@@ -301,10 +428,23 @@ def test_mle_uses_only_a_few_score_evaluations(beam, name, monkeypatch):
     monkeypatch.setattr(model_class, "score", counted)
     monkeypatch.setattr("tiltsense.estimate.log_likelihood", forbidden)
     for index in range(3):
-        model, _, outcomes, interval = _case(beam, name, index=index)
+        model, theta, outcomes, interval = _case(beam, name, index=index)
+        stat, information = model.statistic(outcomes), _information(model, theta)
         calls = 0
-        mle(model, outcomes, interval)
-        assert 1 <= calls <= 12
+        mle(model, stat, interval, information)
+        # a joint trial starts from the root of its sign counts' score
+        assert 1 <= calls <= (6 if name.startswith("joint") else 12)
+
+
+@pytest.mark.parametrize("name", [name for name in SCORE_CASES if name.startswith("joint")])
+def test_joint_start_from_the_sign_counts_finds_the_same_root(beam, name):
+    for index in range(3):
+        model, theta, outcomes, interval = _case(beam, name, index=index)
+        stat = model.statistic(outcomes)
+        started = mle(model, stat, interval, _information(model, theta))
+        plain = mle(model, stat, interval)
+        assert started.interior == plain.interior
+        assert abs(started.theta_hat - plain.theta_hat) <= SCORE_TOL
 
 
 def test_maximum_within_the_end_inset_is_at_the_boundary(beam):
@@ -312,15 +452,15 @@ def test_maximum_within_the_end_inset_is_at_the_boundary(beam):
     # that root half an inset inside each end in turn
     z = beam.rayleigh_range
     model = PositionModel(beam, z)
-    xs = sample_outcomes(model, 1e-6, 5000, trial_rng(21, 0))
-    root = (xs.mean() - beam.xi) / (2.0 * z)
+    stat = sample_outcomes(model, 1e-6, 5000, trial_rng(21, 0))
+    root = (stat[1] - beam.xi) / (2.0 * z)
     width = 4e-6
     offset = 0.5 * END_INSET * width
     lo, hi = root - offset, root + offset
-    assert mle(model, xs, (lo, lo + width)) == MleResult(lo, at_boundary=True, one_port=False)
-    assert mle(model, xs, (hi - width, hi)) == MleResult(hi, at_boundary=True, one_port=False)
+    assert mle(model, stat, (lo, lo + width)) == MleResult(lo, at_boundary=True, one_port=False)
+    assert mle(model, stat, (hi - width, hi)) == MleResult(hi, at_boundary=True, one_port=False)
     # three half-insets inside the end, the root is interior
-    result = mle(model, xs, (root - 3 * offset, root - 3 * offset + width))
+    result = mle(model, stat, (root - 3 * offset, root - 3 * offset + width))
     assert result.interior
     assert result.theta_hat == pytest.approx(root, abs=1e-11)
 
@@ -351,18 +491,18 @@ def test_mle_flags_all_outcomes_in_one_port(beam):
     # at theta = 0 the diagonal state sends every photon to the + port; the
     # maximum is interior to the interval but P- = 0 is not a regular point
     model = PolarizationModel(beam, PolarizationState.diagonal())
-    signs = sample_outcomes(model, 0.0, 1000, trial_rng(3, 0))
-    result = mle(model, signs, (-1e-6, 1e-6))
+    counts = sample_outcomes(model, 0.0, 1000, trial_rng(3, 0))
+    result = mle(model, counts, (-1e-6, 1e-6))
     assert result.one_port and not result.at_boundary and not result.interior
-    mixed = mle(model, np.array([1, -1], dtype=np.int8), (-1e-6, 1e-6))
+    mixed = mle(model, model.statistic(np.array([1, -1], dtype=np.int8)), (-1e-6, 1e-6))
     assert not mixed.one_port
 
 
 def test_mle_is_deterministic(beam):
     model = QuadrantModel(beam, beam.rayleigh_range)
-    signs = sample_outcomes(model, 1e-6, 2000, trial_rng(5, 4))
-    r1 = mle(model, signs, (-1e-5, 1e-5))
-    r2 = mle(model, signs, (-1e-5, 1e-5))
+    counts = sample_outcomes(model, 1e-6, 2000, trial_rng(5, 4))
+    r1 = mle(model, counts, (-1e-5, 1e-5))
+    r2 = mle(model, counts, (-1e-5, 1e-5))
     assert r1 == r2
 
 
@@ -371,7 +511,7 @@ def test_mle_single_outcome_hits_boundary(beam):
     # the right interval end, flagged non-interior
     model = QuadrantModel(beam, beam.rayleigh_range)
     outcome = np.array([1], dtype=np.int8)
-    result = mle(model, outcome, (-1e-5, 1e-5))
+    result = mle(model, model.statistic(outcome), (-1e-5, 1e-5))
     assert not result.interior
     assert result.theta_hat == 1e-5
 
@@ -438,8 +578,8 @@ def test_run_trial_record(beam):
     model = QuadrantModel(beam, beam.rayleigh_range)
     interval = (-2e-5, 2e-5)
     trial = run_trial(model, "quadrant", 1e-6, 1000, 99, 3, interval)
-    outcomes = sample_outcomes(model, 1e-6, 1000, trial_rng(99, 3))
-    assert trial == mle(model, outcomes, interval)
+    counts = sample_outcomes(model, 1e-6, 1000, trial_rng(99, 3))
+    assert trial == mle(model, counts, interval)
     assert math.isfinite(trial.theta_hat)
 
 

@@ -86,6 +86,9 @@ def test_oracle_keeps_nan_densities_in_the_integral():
         def domain(self, theta):
             return -1.0, 1.0
 
+        def qfi(self):
+            return 1.0
+
     with pytest.raises(ConvergenceError):
         numeric_fisher_oracle(NanDensity(), 0.0)
 

@@ -1,5 +1,6 @@
 """Closed-form Fisher expressions against the scheme-agnostic finite-difference oracle."""
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from tiltsense import (
     numeric_fisher_oracle,
     qfi_beam_deflection,
 )
+from tiltsense.cli import main
 
 
 
@@ -187,7 +189,7 @@ def test_joint_oracle_with_general_state(beam):
 
 
 def test_continuous_pdf_path(beam):
-    # a model exposing only pdf/domain goes through the generic continuous path
+    # a model exposing only pdf/domain/qfi goes through the generic continuous path
     @dataclass(frozen=True)
     class BareDensity:
         inner: PositionModel
@@ -198,9 +200,32 @@ def test_continuous_pdf_path(beam):
         def domain(self, theta):
             return self.inner.domain(theta)
 
+        def qfi(self):
+            return self.inner.qfi()
+
     model = BareDensity(PositionModel(beam, beam.rayleigh_range))
     oracle = numeric_fisher_oracle(model, 1e-6)
     assert relerr(fisher_position(beam, beam.rayleigh_range), oracle, 1.0) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "theta, z", [("1urad", "1e-4m"), ("1mrad", "1um"), ("1mrad", "0.1mm"), ("1mrad", "1mm")]
+)
+def test_position_rows_far_below_the_bound_converge(tmp_path, capsys, theta, z):
+    # F is at most 4e-8 of the quantum bound here; an absolute quadrature floor of
+    # 1e-12, not scaled to the bound, sat under the finite differences' noise and
+    # the sweep ended with exit 3
+    config = tmp_path / "position.yaml"
+    config.write_text(
+        f"beam: {{wavelength: 633nm, w0: 1mm}}\nrun: {{scheme: position, theta: {theta}, z: {z}}}\n"
+    )
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0, (
+        capsys.readouterr().err
+    )
+    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    analytic, oracle = float(row["analytic_fisher"]), float(row["oracle_fisher"])
+    assert abs(oracle - analytic) <= 1e-12 * float(row["qfi"])
 
 
 def test_discrete_exclusion_bookkeeping():
