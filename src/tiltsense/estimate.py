@@ -117,9 +117,9 @@ def mle(model, stat, search_interval: tuple[float, float], information=None) -> 
 
 
 def _count_root(model, stat, low: float, high: float, information) -> Optional[float]:
-    """Root in (low, high) of the polarization score of a joint trial's sign counts, or None
-    without F, with no root bracketed (one port, the other branch of an even model) or where
-    the counts carry under 0.9 F, which keeps the root within sqrt(1/0.9 - 1) = 0.33 sigma."""
+    """Root in (low, high) of the polarization score of a joint trial's sign counts; None without
+    F, with no root bracketed (one port, the other branch of an even model), or where the counts
+    carry under 0.9 F (above it the root is within sqrt(1/0.9 - 1) = 0.33 sigma of the joint one)."""
     if information is None or not isinstance(stat, JointStatistic):
         return None
     marginal, counts = PolarizationModel(model.beam, model.pol), stat.counts
@@ -190,7 +190,7 @@ class SaturationReport(NamedTuple):
         return self.empirical_variance / self.cr_variance
 
 
-def default_search_interval(model, theta_true: float, nu: int, information=None):
+def default_search_interval(model, theta_true: float, nu: int, information=None) -> tuple[float, float]:
     """theta_true +- 10 Cramer-Rao sigma, clipped to the model's small-angle
     guard region; ``information`` is F at theta_true, computed if not given.
 
