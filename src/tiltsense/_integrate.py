@@ -36,7 +36,15 @@ _NODES = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES])
 _WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 
 
-class ConvergenceError(RuntimeError):
+class PlaneError(RuntimeError):
+    """A failure at the plane of index ``plane``; ``reason`` is that plane's one-plane message."""
+
+    def __init__(self, reason, plane=0, message=None):
+        super().__init__(message or reason)
+        self.reason, self.plane = reason, plane
+
+
+class ConvergenceError(PlaneError):
     """The quadrature failed to reach the requested tolerance."""
 
 
@@ -50,7 +58,7 @@ def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
 
     With array bounds, one entry per plane, each plane is its own integral,
     with its own edges (each breakpoint a float or one value per plane) and
-    its own convergence, and the result's last axis runs over the planes.  A
+    its own convergence, and the result's last axes are the bounds' shape.  A
     pass calls f(x, planes) on the planes not yet converged: ``planes`` holds
     their indices and x, of shape (len(planes), nodes), their nodes; f
     returns an array whose last two axes are those of x.  A plane keeps the
@@ -62,12 +70,9 @@ def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
     the plane's nodes, and the result is a float, or an array over f's
     components.
     """
-    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        total = integrate_interval(
-            lambda x, planes: f(x[0])[..., None, :], [lo], [hi], breakpoints, rtol, atol
-        )[..., 0]
-        return float(total) if total.ndim == 0 else total
-
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:  # the one-plane batch, f taking that plane's nodes
+        one_plane = f
+        f = lambda x, planes: one_plane(x[0])[..., None, :]  # noqa: E731
     columns = np.broadcast_arrays(*(np.ravel(v) for v in (lo, hi, *breakpoints)))
     rows = [
         [low, *sorted({p for p in points if low < p < high}), high]
@@ -87,13 +92,14 @@ def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
             if result is None:
                 result = np.empty(total.shape[:-1] + (len(rows),))
             result[..., planes] = total
-    return result
+    result = result.reshape(result.shape[:-1] + np.broadcast_shapes(np.shape(lo), np.shape(hi)))
+    return float(result) if result.ndim == 0 else result
 
 
 def _passes(f, edges, planes, rtol, atol, many):
     """Sums over the planes ``planes`` whose segment edges are the rows of ``edges``.
 
-    A ConvergenceError names the plane when ``many`` is set: the call has several planes.
+    A ConvergenceError's message names the plane when ``many`` is set: the call has several planes.
     """
     result = None  # the sums of the planes converged so far, once a plane is left open
     pending = np.arange(len(planes))  # the planes still open, as indices into ``planes``
@@ -107,9 +113,9 @@ def _passes(f, edges, planes, rtol, atol, many):
         finite = np.isfinite(total).reshape(-1, len(pending)).all(axis=0)
         if not finite.all():
             at = int(np.argmin(finite))
-            raise ConvergenceError(
-                f"quadrature did not converge on {_where(edges[at], planes[pending[at]], many)}: "
-                f"the integrand is not finite there (sum {total[..., at]})"
+            raise _failure(
+                edges[at], planes[pending[at]], many,
+                f": the integrand is not finite there (sum {total[..., at]})",
             )
         if previous is not None:
             gap = np.abs(total - previous)
@@ -125,12 +131,14 @@ def _passes(f, edges, planes, rtol, atol, many):
             open_ = ~done
             edges, pending, total, gap = edges[open_], pending[open_], total[..., open_], gap[..., open_]
         previous, panels = total, 2 * panels
-    raise ConvergenceError(
-        f"quadrature did not converge on {_where(edges[0], planes[pending[0]], many)} with "
-        f"{MAX_PANELS} panels per segment; the last two sums differ by {np.max(gap[..., 0]):.3e}"
+    raise _failure(
+        edges[0], planes[pending[0]], many,
+        f" with {MAX_PANELS} panels per segment; the last two sums differ by "
+        f"{np.max(gap[..., 0]):.3e}",
     )
 
 
-def _where(edges, plane, many):
-    text = f"[{edges[0]:.6e}, {edges[-1]:.6e}]"
-    return f"{text} (plane {plane})" if many else text
+def _failure(edges, plane, many, detail):
+    span = f"quadrature did not converge on [{edges[0]:.6e}, {edges[-1]:.6e}]"
+    named = f"{span} (plane {plane}){detail}" if many else None
+    return ConvergenceError(span + detail, int(plane), named)

@@ -89,6 +89,13 @@ class BeamParams(_BeamFields):
         return w * w / 4.0
 
 
+def each_plane(value, z):
+    """value(z) at one plane z (a float), or the list of value(v) over the planes v of a column."""
+    if getattr(z, "ndim", 0) == 0:
+        return value(z)
+    return [value(v) for v in z.ravel().tolist()]
+
+
 def per_plane(constants, z):
     """constants(z) at one plane z (a float), or at each plane of a column of planes.
 
@@ -97,12 +104,13 @@ def per_plane(constants, z):
     of a one-plane call, and what ``constants`` returns, a float or a tuple of
     floats, comes back as columns of that shape.  Broadcast against positions
     x of shape (planes, nodes), they give each plane's row its own constants.
+    A float z (the figures pass one) loads no numpy.
     """
     if getattr(z, "ndim", 0) == 0:
         return constants(z)
     import numpy as np
 
-    values = np.array([constants(v) for v in z.ravel().tolist()])
+    values = np.array(each_plane(constants, z))
     if values.ndim == 1:
         return values.reshape(z.shape)
     return tuple(values.T.reshape((-1,) + z.shape))

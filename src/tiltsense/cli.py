@@ -76,10 +76,6 @@ class NumericalFailure(RuntimeError):
     """The oracle or a quadrature failed; the message names the run block (and row)."""
 
 
-# the schemes whose models take several planes z at once (a list of z values)
-PLANE_SCHEMES = ("position", "joint")
-
-
 def build_model(scheme: str, config: ScenarioConfig, z, split):
     beam, pol = config.beam, config.polarization
     if scheme == "position":
@@ -96,52 +92,37 @@ def build_model(scheme: str, config: ScenarioConfig, z, split):
 # ---------------------------------------------------------------------------
 
 
-def _plane_values(model, theta):
-    """(analytic, oracle) lists over the planes of ``model`` at ``theta``, or None.
-
-    All planes of a theta share the same quadrature passes.  None means a
-    failure, which the block's one-plane rows then rerun and name.
-    """
-    try:
-        return analytic_fisher(model, theta).tolist(), numeric_fisher_oracle(model, theta).tolist()
-    except (OracleError, ConvergenceError):
-        return None
-
-
 def _run_block_rows(config, run_index, block, nu):
-    """One Fisher row per (theta, z) point of a run block, in grid order.
+    """One Fisher row per (theta, z) point of a run block, in grid order, from one model.
 
-    A ``PLANE_SCHEMES`` block, of one plane or many, takes its values from one
-    model of all its planes; another scheme computes each row on its own.
+    The model holds the block's planes as a column (a polarization block has
+    none); a failure names the row of the failing plane with that plane's own message.
     """
-    zs = [None] if block.z is None else [float(z) for z in block.z]
-    batch = None
-    if block.scheme in PLANE_SCHEMES:
-        batch = build_model(block.scheme, config, zs, block.split)
+    import numpy as np
+
+    planeless = block.z is None
+    zs = [""] if planeless else block.z.tolist()
+    column = None if planeless else np.reshape(block.z, (-1, 1))
+    model = build_model(block.scheme, config, column, block.split)
+    qfi = qfi_for_model(model)
     rows = []
-    for theta_index, theta in enumerate(block.theta):
-        theta = float(theta)
-        planes = None if batch is None else _plane_values(batch, theta)
+    for theta_index, theta in enumerate(block.theta.tolist()):
+        first = theta_index * len(zs)
+        try:
+            analytic = np.ravel(analytic_fisher(model, theta)).tolist()
+            oracle = np.ravel(numeric_fisher_oracle(model, theta)).tolist()
+        except (OracleError, ConvergenceError) as exc:
+            at = f"theta={theta!r} rad" + ("" if planeless else f", z={zs[exc.plane]!r} m")
+            raise NumericalFailure(
+                f"run[{run_index}] row {first + exc.plane} ({block.scheme}, {at}): {exc.reason}"
+            ) from exc
+        flags = model.regime_flags(theta)
         for plane, z in enumerate(zs):
-            point_index = theta_index * len(zs) + plane
-            try:
-                model = build_model(block.scheme, config, z, block.split)
-                if planes is None:
-                    analytic = analytic_fisher(model, theta)
-                    oracle = numeric_fisher_oracle(model, theta)
-                else:
-                    analytic, oracle = planes[0][plane], planes[1][plane]
-                qfi = qfi_for_model(model)
-                flags = "; ".join(model.regime_flags(theta))
-            except (OracleError, ConvergenceError) as exc:
-                at = f"theta={theta!r} rad" + ("" if z is None else f", z={z!r} m")
-                raise NumericalFailure(
-                    f"run[{run_index}] row {point_index} ({block.scheme}, {at}): {exc}"
-                ) from exc
+            value = analytic[plane]
             rows.append((
-                run_index, point_index, block.scheme, theta, "" if z is None else z,
-                analytic, oracle, qfi, analytic / qfi if qfi > 0.0 else math.nan,
-                cramer_rao_bound(analytic, nu), flags,
+                run_index, first + plane, block.scheme, theta, z, value, oracle[plane], qfi,
+                value / qfi if qfi > 0.0 else math.nan, cramer_rao_bound(value, nu),
+                "; ".join(flags if planeless else flags[plane]),
             ))
     return rows
 

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._integrate import integrate_interval
+from ._integrate import PlaneError, integrate_interval
 
-# outcomes with less probability than this are dropped from the discrete sum;
-# the dropped mass is tracked and must stay below MASS_TOL
+# outcomes with less probability than this are dropped from the discrete sum
 PROB_FLOOR = 1e-300
-MASS_TOL = 1e-6
 
 # continuous integrand points below this density contribute (dp/dtheta)^2/p
 # only through Gaussian tails; they are returned as 0
@@ -27,7 +25,7 @@ DENSITY_FLOOR = 1e-30
 DERIV_RTOL = 1e-3
 
 
-class OracleError(RuntimeError):
+class OracleError(PlaneError):
     """The finite-difference oracle could not produce a trustworthy value."""
 
 
@@ -35,16 +33,16 @@ def default_step(theta: float) -> float:
     return max(1e-9, 1e-6 * abs(theta))
 
 
-def _derivative(values, theta, h, floor, x=None):
+def _derivative(values, theta, h, floor, x=None, planes=None):
     """p = values(theta) and its Richardson derivative from central steps h and h/2.
 
     Their gap must stay within DERIV_RTOL of the largest |derivative| of the
     pass at the same plane, or within the rounding noise ~eps p/h; entries
     below ``floor`` go unchecked.  ``x``, a density's quadrature nodes, locates
-    a failure.  values(th) is an array of outcomes (discrete), of (branches,
-    nodes) for one plane, or of (branches, planes, nodes) for x of shape
-    (planes, nodes): each plane is then measured against its own derivative,
-    as in a one-plane pass.
+    a failure.  values(th) is an array of outcomes or of (branches, nodes), or
+    at a column of planes of (outcomes, planes, 1) or (branches, planes,
+    nodes): each plane is measured against its own derivative, as in a
+    one-plane pass, and names a failure (through ``planes``, x's planes).
     """
     p0 = values(theta)
     d_h = (values(theta + h) - values(theta - h)) / (2.0 * h)
@@ -57,14 +55,15 @@ def _derivative(values, theta, h, floor, x=None):
     bad = np.argwhere(~(p0 < floor) & (gap > tol))
     if bad.size:
         at = tuple(bad[0])
+        plane = int(0 if len(at) < 3 else at[1] if planes is None else planes[at[1]])
         if x is None:
             raise OracleError(
                 f"probability derivative not converged: step-halving gap {gap[at]:.3e} "
-                f"exceeds {tol[at]:.3e}"
+                f"exceeds {tol[at]:.3e}", plane,
             )
         raise OracleError(
             f"density derivative not converged at x={float(x[at[1:]])!r}: "
-            f"step-halving gap {gap[at]:.3e}"
+            f"step-halving gap {gap[at]:.3e}", plane,
         )
     return p0, deriv
 
@@ -75,10 +74,10 @@ def numeric_fisher_oracle(model, theta: float, step: float | None = None):
     Works on any model exposing ``probabilities(theta)`` (discrete outcomes),
     ``pdf(theta, x)`` (continuous), or ``branch_pdf(theta, x)`` (joint
     discrete-and-continuous), the latter two with ``domain(theta)``/``breakpoints(theta)``
-    and ``qfi()``, whose bound scales the quadrature's absolute tolerance.  A continuous
-    model whose domain gives one bound per plane also exposes ``at_planes(index)``, the
-    model at those planes only; the result is then an array over its planes, each entry
-    with the bits of that plane's own model.
+    and ``qfi()``, whose bound scales the quadrature's absolute tolerance.  A model at a
+    column of planes gives its probabilities as (outcomes, planes, 1), or its domain one
+    bound per plane and ``at_planes(index)``, the model at those planes only; the result
+    is then a column over its planes, each entry with the bits of that plane's own model.
     """
     h = default_step(theta) if step is None else float(step)
     if h <= 0.0:
@@ -97,10 +96,8 @@ def _discrete_fisher(model, theta, h):
 
     p0, deriv = _derivative(probabilities, theta, h, PROB_FLOOR)
     keep = p0 >= PROB_FLOOR
-    excluded = float(p0[~keep].sum())
-    if excluded > MASS_TOL:
-        raise OracleError(f"excluded outcome mass {excluded:.3e} exceeds {MASS_TOL:.1e}")
-    return float(np.sum(deriv[keep] ** 2 / p0[keep]))
+    # a sum over the outcomes of each plane
+    return np.sum(np.where(keep, deriv ** 2 / np.where(keep, p0, 1.0), 0.0), axis=0)
 
 
 def _continuous_fisher(model, theta, h, density):
@@ -114,7 +111,7 @@ def _continuous_fisher(model, theta, h, density):
         def branches(th):
             return np.reshape(pdf(th, x), (-1,) + x.shape)
 
-        p0, deriv = _derivative(branches, theta, h, DENSITY_FLOOR, x)
+        p0, deriv = _derivative(branches, theta, h, DENSITY_FLOOR, x, planes)
         dead = p0 < DENSITY_FLOOR  # NaN stays in, so the quadrature cannot converge on it
         return np.sum(np.where(dead, 0.0, deriv * deriv / np.where(dead, 1.0, p0)), axis=0)
 

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._integrate import integrate_interval
-from .beam import BeamParams, intensity_profile, per_plane
+from .beam import BeamParams, each_plane, intensity_profile, per_plane
 from .fisher import (
     COSH_CUTOFF,
     fisher_conditioned,
@@ -287,21 +287,16 @@ class _SchemeModel:
 
 
 class _PlaneScheme(_SchemeModel):
-    """A model at one detector plane z (a float) or at several.
+    """A model at a column of detector planes z, a float ndarray of shape (planes, 1).
 
-    Several planes are given as a sequence of z values and held as a float
-    column of shape (planes, 1).  The densities then take positions x of shape
-    (planes, nodes), and ``domain``, ``breakpoints``, ``fisher`` and the
-    quadratures give one value per plane, each with the bits of its one-plane
-    model.  Sampling, the score and the warnings take one plane only.
+    One plane is a column of one row, or a float z.  What depends on z takes
+    its shape, each plane with the bits of its one-plane model: probabilities,
+    ``fisher``, ``domain``, ``breakpoints``, ``even_in_theta``, the warnings
+    and the quadratures.  The densities take positions x of shape (planes,
+    nodes).  Sampling and the score take a float z only.
     """
 
     __slots__ = ()
-
-    def _set_z(self, z):
-        if isinstance(z, (list, tuple)) or getattr(z, "ndim", 0) > 0:
-            z = np.array(z, dtype=float).reshape(-1, 1)
-        self.z = z
 
     def at_planes(self, planes):
         """The same model at the planes of index ``planes`` (a 1-d array) only."""
@@ -320,15 +315,15 @@ class _DeflectionScheme(_SchemeModel):
     __slots__ = ()
 
     @property
-    def even_in_theta(self) -> bool:
+    def even_in_theta(self):
         # the deflection 2 theta z is odd in theta; at z = 0 nothing depends on theta
         return self.z == 0.0
 
     def qfi(self) -> float:
         return qfi_beam_deflection(self.beam)
 
-    def regime_flags(self, theta: float) -> tuple[str, ...]:
-        return ()
+    def regime_flags(self, theta: float):
+        return each_plane(lambda z: (), self.z)
 
     def small_angle_guard(self) -> float:
         return math.inf
@@ -347,11 +342,12 @@ class _InterferometricScheme(_SchemeModel):
     def qfi(self) -> float:
         return qfi_sagnac(self.beam, self.pol)
 
-    def regime_flags(self, theta: float) -> tuple[str, ...]:
+    def regime_flags(self, theta: float):
+        """A tuple of warnings; at a column of planes, a list of one tuple per plane."""
         flags = small_angle_flags(self.beam, theta)
-        if theta == 0.0 and self.even_in_theta:
-            flags += ("theta=0 stationary point: finite differences see only the even part",)
-        return flags
+        stationary = flags + ("theta=0 stationary point: finite differences see only the even part",)
+        at_zero = theta == 0.0
+        return each_plane(lambda even: stationary if even and at_zero else flags, self.even_in_theta)
 
     def small_angle_guard(self) -> float:
         """Largest |theta| inside the first-order regime of ``small_angle_flags``."""
@@ -382,23 +378,23 @@ class _TwoOutcomeScheme:
 
     def score(self, stat, theta: float) -> float:
         n_plus, n_minus = stat
-        p = np.maximum(np.asarray(self.probabilities(theta), dtype=float), LOG_FLOOR)
-        return float(self.plus_slope(theta) * (n_plus / p[0] - n_minus / p[1]))
+        p_plus, p_minus = (max(p, LOG_FLOOR) for p in self.probabilities(theta).tolist())
+        return self.plus_slope(theta) * (n_plus / p_plus - n_minus / p_minus)
 
     def one_port(self, stat) -> bool:
         return 0 in stat
 
 
 class PositionModel(_PlaneScheme, _DeflectionScheme):
-    """Imaging detector at plane z (or at several, see ``_PlaneScheme``); outcome is the position x."""
+    """Imaging detector at plane z (or at a column, see ``_PlaneScheme``); outcome is the position x."""
 
     __slots__ = ("beam", "z")
 
     def __init__(self, beam: BeamParams, z):
         self.beam = beam
-        self._set_z(z)
+        self.z = z
 
-    def mean(self, theta: float) -> float:
+    def mean(self, theta: float):
         return self.beam.xi + 2.0 * theta * self.z
 
     def sigma(self) -> float:
@@ -416,9 +412,7 @@ class PositionModel(_PlaneScheme, _DeflectionScheme):
         return (self.mean(theta),)
 
     def fisher(self, theta: float):
-        if np.ndim(self.z):
-            return per_plane(lambda z: fisher_position(self.beam, z), self.z).ravel()
-        return fisher_position(self.beam, self.z)
+        return per_plane(lambda z: fisher_position(self.beam, z), self.z)
 
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
         return nu, float(rng.normal(self.mean(theta), self.sigma() / math.sqrt(nu)))  # the mean
@@ -434,18 +428,20 @@ class PositionModel(_PlaneScheme, _DeflectionScheme):
         return 8.0 * n * self.z * (mean - self.mean(theta)) / self.beam.width(self.z) ** 2
 
 
-class QuadrantModel(_TwoOutcomeScheme, _DeflectionScheme):
-    """Sign detector at plane z; outcomes are +1/-1 for x above/below the split."""
+class QuadrantModel(_PlaneScheme, _TwoOutcomeScheme, _DeflectionScheme):
+    """Sign detector at plane z (or at a column); outcomes are +1/-1 for x above/below the split."""
 
     __slots__ = ("beam", "z", "split")
 
-    def __init__(self, beam: BeamParams, z: float, split: Optional[float] = None):
+    def __init__(self, beam: BeamParams, z, split: Optional[float] = None):
         self.beam = beam
         self.z = z
         self.split = split
 
     def probabilities(self, theta: float):
-        return np.array(quadrant_probabilities(self.beam, theta, self.z, self.split))
+        return np.array(
+            per_plane(lambda z: quadrant_probabilities(self.beam, theta, z, self.split), self.z)
+        )
 
     def plus_slope(self, theta: float) -> float:
         split = self.beam.xi if self.split is None else self.split
@@ -453,8 +449,8 @@ class QuadrantModel(_TwoOutcomeScheme, _DeflectionScheme):
         arg = math.sqrt(2.0) * (self.beam.xi + 2.0 * theta * self.z - split) / w
         return 2.0 * math.sqrt(2.0 / math.pi) * self.z / w * math.exp(-arg * arg)
 
-    def fisher(self, theta: float) -> float:
-        return fisher_quadrant(self.beam, theta, self.z, self.split)
+    def fisher(self, theta: float):
+        return per_plane(lambda z: fisher_quadrant(self.beam, theta, z, self.split), self.z)
 
 
 class PolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
@@ -551,21 +547,21 @@ class JointStatistic(NamedTuple):
 
 
 class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
-    """Joint measurement of diagonal polarization and position at plane z (or at several)."""
+    """Joint measurement of diagonal polarization and position at plane z (or at a column)."""
 
     __slots__ = ("beam", "pol", "z")
 
     def __init__(self, beam: BeamParams, pol: PolarizationState, z):
         self.beam = beam
         self.pol = pol
-        self._set_z(z)
+        self.z = z
 
     @property
-    def even_in_theta(self) -> bool:
+    def even_in_theta(self):
         # theta -> -theta also swaps the two path centers xi -+ 2 theta z, which
         # changes nothing only with balanced populations or at z = 0
         balanced = abs(self.pol.sigma_z_mean) <= NORM_TOL
-        return (balanced or self.z == 0.0) and super().even_in_theta
+        return (balanced | (self.z == 0.0)) & super().even_in_theta
 
     def branch_pdf(self, theta: float, x):
         """The pair of densities (p_plus(x), p_minus(x))."""
@@ -660,8 +656,8 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
 
         with P(x) the position marginal.  In the small-angle regime the first term
         carries everything (16 k^2 [w0^2/4 + xi^2]) and the second vanishes.
-        A model of several planes integrates them in the same passes, each to
-        its own convergence, and its parts are arrays over the planes.
+        A model of a column of planes integrates them in the same passes, each
+        to its own convergence, and its parts are columns over the planes.
         """
         if not self.pol.is_diagonal:
             raise ValueError("closed-form decomposition is defined for the diagonal input state")
@@ -682,8 +678,6 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
             integrand, lo, hi, self.breakpoints(theta),
             rtol=DECOMPOSITION_RTOL, atol=DECOMPOSITION_RTOL * self.qfi(),
         )
-        if avg.ndim == 0:
-            avg, pos = float(avg), float(pos)
         return FisherDecomposition(avg, pos, avg + pos)
 
     def fisher(self, theta: float):

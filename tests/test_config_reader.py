@@ -173,11 +173,14 @@ double_quoted = st.lists(
 scalars = st.one_of(plain_scalars, single_quoted, double_quoted)
 
 
-def keys(min_size):
-    """Distinct keys, each plain, single-quoted or double-quoted."""
+def keyed(min_size, *values):
+    """Entries (key, one draw of each of ``values``) under distinct keys, each key plain,
+    single-quoted or double-quoted; the values are drawn per key, so none is drawn in vain."""
     names = st.lists(st.from_regex(r"k[a-z0-9_]{0,5}", fullmatch=True), min_size=min_size, max_size=4, unique=True)
-    styles = st.lists(st.sampled_from(["{}", "'{}'", '"{}"']), min_size=4, max_size=4)
-    return st.builds(lambda names, styles: [s.format(n) for n, s in zip(names, styles)], names, styles)
+    styles = st.sampled_from(["{}", "'{}'", '"{}"'])
+    return names.flatmap(lambda names: st.tuples(*(
+        st.tuples(styles.map(lambda style, name=name: style.format(name)), *values) for name in names
+    )))
 
 
 separators = st.sampled_from([", ", ",", " , ", ",\n    ", ",  # note\n  "])
@@ -190,8 +193,8 @@ def flow(children):
         st.lists(children, max_size=4), separators, st.booleans(),
     )
     mappings = st.builds(
-        lambda names, values, sep: "{" + sep.join(f"{k}: {v}" for k, v in zip(names, values)) + "}",
-        keys(0), st.lists(children, min_size=4, max_size=4), separators,
+        lambda entries, sep: "{" + sep.join(f"{k}: {v}" for k, v in entries) + "}",
+        keyed(0, children), separators,
     )
     return st.one_of(sequences, mappings)
 
@@ -203,13 +206,10 @@ comments = st.sampled_from(["", " # c", "   #: c, [x]", "\n# full line", "\n\n",
 
 def block(children):
     """Block sequences of (child, compact) and mappings of (key, (child, comment, at_key_column))."""
-    flags = st.lists(st.booleans(), min_size=4, max_size=4)
     return st.one_of(
         st.tuples(st.just("seq"), st.lists(st.tuples(children, st.booleans()), min_size=1, max_size=3)),
-        st.builds(
-            lambda names, children, notes, flags: ("map", list(zip(names, zip(children, notes, flags)))),
-            keys(1), st.lists(children, min_size=4, max_size=4),
-            st.lists(comments, min_size=4, max_size=4), flags,
+        keyed(1, children, comments, st.booleans()).map(
+            lambda entries: ("map", [(key, tuple(rest)) for key, *rest in entries])
         ),
     )
 
