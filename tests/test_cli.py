@@ -1,8 +1,11 @@
 import csv
+import gc
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import trapezoid
@@ -456,20 +459,46 @@ def test_commands_bind_only_package_exports():
 
 
 def test_shipped_sample_configs_validate():
-    from pathlib import Path
-
     root = Path(__file__).resolve().parent.parent
     for name in ("scenario.sample.yaml", "montecarlo.sample.yaml"):
         assert main(["validate-config", "--config", str(root / name)]) == 0
 
 
-def test_console_entry_point_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "tiltsense", "--version"],
-        capture_output=True, text=True,
-    )
+def test_console_entry_point_runs(tmp_path, monkeypatch):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def entry(*argv, cwd=None):
+        return subprocess.run(
+            [sys.executable, "-m", "tiltsense", *argv], capture_output=True, text=True, cwd=cwd, env=env,
+        )
+
+    result = entry("--version")
     assert result.returncode == 0
     assert "tiltsense" in result.stdout
+
+    # the entry writes the bytes cli.main writes in-process, argv and all
+    argv = ("sweep", "--config", "scenario.yaml", "--out", "out")
+    process, in_process = tmp_path / "process", tmp_path / "in_process"
+    for directory in (process, in_process):
+        directory.mkdir()
+        write_config(directory, BASE_CONFIG)
+    assert entry(*argv, cwd=process).returncode == 0
+    monkeypatch.chdir(in_process)
+    assert main(list(argv)) == 0
+    written = sorted(path.name for path in (process / "out").iterdir())
+    assert written == ["sweep.csv", "sweep.meta.json"]
+    assert written == sorted(path.name for path in (in_process / "out").iterdir())
+    for name in written:
+        assert (process / "out" / name).read_bytes() == (in_process / "out" / name).read_bytes()
+
+    # and cli.main leaves the caller's collector as it found it
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+    write_config(process, "beam: {wavelength: 633nm, w0: 1mm}\nrun: {scheme: position, theta: 0, z: []}\n")
+    result = entry("validate-config", "--config", "scenario.yaml", cwd=process)
+    assert result.returncode == 2
+    assert "config error" in result.stderr and "run[0].z" in result.stderr
 
 
 def test_non_finite_theta_exits_2_naming_the_field(tmp_path, capsys):

@@ -124,6 +124,15 @@ def test_figures_run_where_numpy_cannot_be_imported(tmp_path, command):
     assert len(list(out.glob(f"{command}?.svg"))) == (2 if command == "figure3" else 4)
 
 
+def test_importing_the_entry_runs_nothing():
+    # the module once ran the CLI on import: argparse exited 2 with its usage text
+    code = (
+        "import gc, json, pydoc, tiltsense.__main__; pydoc.render_doc('tiltsense.__main__'); "
+        "print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))"
+    )
+    assert _python(code) == [True, 0]
+
+
 def test_config_module_loads_no_numpy():
     modules = _python("import json, sys, tiltsense.config; print(json.dumps(sorted(sys.modules)))")
     assert "numpy" not in modules
@@ -218,3 +227,28 @@ def test_commands_run_where_yaml_cannot_be_imported(tmp_path):
     assert _python(RUN_WITHOUT_YAML, *samples, cwd=tmp_path) == [0] * 7
     tables = {"fisher", "sweep", "montecarlo", "figure3a", "figure3b"} | {f"figure4{p}" for p in "abcd"}
     assert {path.stem for path in (tmp_path / "out").glob("*.csv")} == tables
+
+
+# runs the process entry on the arguments after -c, then prints its exit code and the loaded modules
+RUN_ENTRY = """
+import json, sys
+from tiltsense.__main__ import main
+try:
+    main()
+except SystemExit as exc:
+    print(json.dumps([exc.code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("command", ["validate-config", "figure4", "montecarlo"])
+def test_entry_loads_nothing_beyond_the_command(tmp_path, command):
+    config = tmp_path / "config.yaml"
+    config.write_text(CONFIG, encoding="utf-8")
+    argv = (command, "--config", str(config), *COMMANDS[command])
+    code, through_entry = _python(RUN_ENTRY, *argv, cwd=tmp_path)
+    assert code == 0
+    code, through_main = _python(RUN_MAIN, *argv, cwd=tmp_path)
+    assert code == 0
+    # gc is compiled into the interpreter: importing it reads no file
+    assert set(through_entry) - set(through_main) == {"gc", "tiltsense.__main__"}
+    assert "gc" in sys.builtin_module_names
