@@ -2,7 +2,12 @@
 
 The beam propagates along z, reflects off a tilting surface at z = 0 and is
 observed in one transverse dimension x.  A surface tilt of ``theta`` deflects
-the reflected beam by ``2*theta``.  All quantities are SI (meters, radians).
+the reflected beam by ``2*theta``.  ``BeamParams`` and the functions here take
+SI (meters, radians); the scheme models compute in beam units, the position
+u = (x - xi)/w(z) and the tilt t = k w0 theta, and a plane z enters only
+through the ratios of ``BeamParams.plane(z)``.  No length is squared, and a
+result depends on the beam only through t, z/z_R and xi/w0 (a Fisher
+information through (k w0)^2 times a function of them).
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import math
 from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
+ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)  # peak of the profile in u, sqrt(2/pi) e^{-2 u^2}
 
 
 class _BeamFields(NamedTuple):
@@ -22,8 +28,8 @@ class _BeamFields(NamedTuple):
 class BeamParams(_BeamFields):
     """Monochromatic Gaussian beam, waist at the reflecting surface.
 
-    An immutable record compared by value; the constructor refuses a beam
-    whose Rayleigh range or quantum bound is not finite.
+    An immutable record compared by value, in SI; the constructor refuses a
+    beam whose Rayleigh range or quantum bound is 0 or not finite.
 
     Parameters
     ----------
@@ -45,18 +51,17 @@ class BeamParams(_BeamFields):
             raise ValueError(f"waist must be positive and finite, got {w0}")
         if not math.isfinite(xi):
             raise ValueError(f"beam displacement must be finite, got {xi}")
-        # widths, densities and Fisher information divide by z_R; w0 ** 2 in
-        # rayleigh_range raises OverflowError from w0 = 1.3e154 m on
-        if not (w0 < 1e154 and 0.0 < self.rayleigh_range < math.inf):
+        if not 0.0 < self.rayleigh_range < math.inf:
             raise ValueError(
                 f"Rayleigh range k w0^2/2 must be positive and finite, got k={k!r}, w0={w0!r}"
             )
-        # qfi_sagnac's balanced-state bound: every scheme's Fisher information and
-        # every square the closed forms and figures take stay below it (** would raise)
-        if not math.isfinite(16.0 * k * k * (0.25 * w0 * w0 + xi * xi)):
+        # qfi_sagnac's balanced-state bound: every Fisher information and every square
+        # the closed forms and figures take stay below it; the oracle's step is set by it
+        bound = 16.0 * k * k * (0.25 * w0 * w0 + xi * xi)
+        if not 0.0 < bound < math.inf:
             raise ValueError(
-                "the quantum bound 16 k^2 (w0^2/4 + xi^2) must be finite, "
-                f"got k={k!r}, w0={w0!r}, xi={xi!r}"
+                "the quantum bound 16 k^2 (w0^2/4 + xi^2) must be "
+                f"{'finite' if bound else 'positive'}, got k={k!r}, w0={w0!r}, xi={xi!r}"
             )
         return self
 
@@ -77,16 +82,24 @@ class BeamParams(_BeamFields):
     @property
     def rayleigh_range(self) -> float:
         """z_R = k*w0^2/2, the near-field/far-field boundary."""
-        return 0.5 * self.k * self.w0 ** 2
+        return 0.5 * self.k * (self.w0 * self.w0)
+
+    def plane(self, z: float) -> tuple[float, float, float]:
+        """(c, s, w) = (w0/w(z), (z/z_R) w0/w(z), w(z)) at one plane z, from z/z_R or,
+        past z_R, from z_R/z, so that no ratio leaves the float range.  The deflection
+        2 theta z is t s beam widths, with t = k w0 theta."""
+        zr = self.rayleigh_range
+        if abs(z) <= zr:
+            zeta = z / zr
+            rho = math.hypot(1.0, zeta)  # w/w0
+            return 1.0 / rho, zeta / rho, self.w0 * rho
+        eta = zr / z
+        rho = math.hypot(1.0, eta)  # w z_R/(w0 |z|)
+        return abs(eta) / rho, math.copysign(1.0 / rho, z), abs(z) * (self.w0 / zr) * rho
 
     def width(self, z: float) -> float:
         """Beam width w(z) = w0*sqrt(1 + z^2/z_R^2) at one plane z."""
-        return self.w0 * math.sqrt(1.0 + (z / self.rayleigh_range) ** 2)
-
-    def variance(self, z: float = 0.0) -> float:
-        """Transverse variance of the intensity profile, w(z)^2/4."""
-        w = self.width(z)
-        return w * w / 4.0
+        return self.plane(z)[2]
 
 
 def each_plane(value, z):
@@ -103,7 +116,7 @@ def per_plane(constants, z):
     plane at a time through the scalar code, so that each plane gets the bits
     of a one-plane call, and what ``constants`` returns, a float or a tuple of
     floats, comes back as columns of that shape.  Broadcast against positions
-    x of shape (planes, nodes), they give each plane's row its own constants.
+    of shape (planes, nodes), they give each plane's row its own constants.
     A float z (the figures pass one) loads no numpy.
     """
     if getattr(z, "ndim", 0) == 0:
@@ -124,22 +137,22 @@ def intensity_profile(beam: BeamParams, theta: float, z, x):
         P(x) = A * exp(-2 (x - xi - 2 theta z)^2 / w(z)^2),
         A    = sqrt(2 / (pi w(z)^2)),
 
-    which integrates to 1 over x.  A list of x (a figure grid) is evaluated
+    which integrates to 1 over x, evaluated as sqrt(2/pi)/w e^{-2 (u - t s)^2} in
+    the terms of ``beam.plane(z)``.  A list of x (a figure grid) is evaluated
     point by point with ``math.exp`` and gives a list; any other x (a float or
-    an ndarray of quadrature nodes) goes through numpy.  z is one plane (a
-    float) or, for x of shape (planes, nodes), a column of planes (see
-    ``per_plane``).
+    an ndarray) goes through numpy.  z is one plane (a float) or, for x of
+    shape (planes, nodes), a column of planes (see ``per_plane``).
     """
 
     def constants(z):
-        w2 = beam.width(z) ** 2
-        return w2, math.sqrt(2.0 / (math.pi * w2)), beam.xi + 2.0 * theta * z
+        _, s, w = beam.plane(z)
+        return w, ROOT_2_OVER_PI / w, beam.k * beam.w0 * s * theta
 
-    w2, amp, center = per_plane(constants, z)
+    w, amp, center = per_plane(constants, z)
     if isinstance(x, list):
-        exp = math.exp
-        return [amp * exp(-2.0 * (v - center) * (v - center) / w2) for v in x]
+        exp, xi = math.exp, beam.xi
+        return [amp * exp(-2.0 * d * d) for d in ((v - xi) / w - center for v in x)]
     import numpy as np
 
-    u = np.asarray(x, dtype=float) - center
-    return amp * np.exp(-2.0 * u * u / w2)
+    u = (np.asarray(x, dtype=float) - beam.xi) / w - center
+    return amp * np.exp(-2.0 * u * u)

@@ -18,23 +18,26 @@ from typing import Optional
 from .beam import BeamParams, per_plane
 from .polarization import PolarizationState
 
-# Largest |q| = |b theta| at which the interference ratio cos(p)/cosh(q) is
-# evaluated; beyond it the ratio is taken as exactly 0.  The conditioned Fisher
-# information squares sinh(q), which stays finite only for |q| < ~355, and past
-# 350 the ratio is below 2e-152, so 1 +- ratio already rounds to exactly 1.
+# Largest |q| = |b theta| at which cos(p)/cosh(q) is evaluated, and 0 beyond: the
+# information squares sinh(q), finite only for |q| < ~355, and past 350 the ratio
+# is below 2e-152, so 1 +- ratio already rounds to exactly 1.
 COSH_CUTOFF = 350.0
 
-# below this, the polarization Fisher denominator is treated as the degenerate
-# maximal-visibility working point and the analytic theta->0 limit is returned
+# a polarization Fisher denominator below this at the degenerate maximal-visibility
+# working point gives the analytic theta->0 limit
 DEGENERATE_DEN = 1e-14
 
 # largest x with a finite e^x
 EXP_LIMIT = math.log(sys.float_info.max)
 
 
+# the bounds are formed from k w0 and k xi, so that no length is squared (Var(x) = w0^2/4)
+
+
 def qfi_beam_deflection(beam: BeamParams) -> float:
     """Quantum bound for direct deflection sensing: 16 k^2 Var(x) at the object."""
-    return 16.0 * beam.k ** 2 * beam.variance(0.0)
+    kw0 = beam.k * beam.w0
+    return 4.0 * kw0 * kw0
 
 
 def qfi_sagnac(beam: BeamParams, pol: PolarizationState) -> float:
@@ -44,7 +47,8 @@ def qfi_sagnac(beam: BeamParams, pol: PolarizationState) -> float:
     information whenever the polarization populations are balanced.
     """
     sz = pol.sigma_z_mean
-    return 16.0 * beam.k ** 2 * (beam.variance(0.0) + (1.0 - sz * sz) * beam.xi ** 2)
+    kxi = beam.k * beam.xi
+    return qfi_beam_deflection(beam) + 16.0 * (1.0 - sz * sz) * kxi * kxi
 
 
 def qfi_mach_zehnder(beam: BeamParams, pol: PolarizationState) -> float:
@@ -53,12 +57,8 @@ def qfi_mach_zehnder(beam: BeamParams, pol: PolarizationState) -> float:
     8 k^2 (1 - <sz>) [Var(x) + (1 + <sz>) xi^2 / 2].
     """
     sz = pol.sigma_z_mean
-    return (
-        8.0
-        * beam.k ** 2
-        * (1.0 - sz)
-        * (beam.variance(0.0) + 0.5 * (1.0 + sz) * beam.xi ** 2)
-    )
+    kxi = beam.k * beam.xi
+    return 0.5 * (1.0 - sz) * (qfi_beam_deflection(beam) + 8.0 * (1.0 + sz) * kxi * kxi)
 
 
 def fisher_position(beam: BeamParams, z: float) -> float:
@@ -67,12 +67,20 @@ def fisher_position(beam: BeamParams, z: float) -> float:
     16 k^2 (w0^2/4) z^2/(z^2 + z_R^2): grows with the lever arm and saturates
     the deflection QFI in the far field.  Independent of theta and xi.
     """
-    # z and z_R scaled by one power of two so that the larger is in [1/2, 1): no
-    # square under- or overflows, the QFI is only scaled down, and the rounding
-    # is exactly that of the unscaled expression
-    _, exponent = math.frexp(max(abs(z), beam.rayleigh_range))
-    z, zr = math.ldexp(z, -exponent), math.ldexp(beam.rayleigh_range, -exponent)
-    return qfi_beam_deflection(beam) * z * z / (z * z + zr * zr)
+    s = beam.plane(z)[1]  # z/sqrt(z^2 + z_R^2)
+    return qfi_beam_deflection(beam) * s * s
+
+
+def quadrant_argument(beam: BeamParams, theta: float, z: float, split: Optional[float] = None):
+    """(g, 2 z/w(z)) of the quadrant scheme at plane z, so that dg/dtheta = sqrt(2) 2 z/w.
+
+    g = sqrt(2) (xi + 2 theta z - split) / w(z) = sqrt(2) (t s + c (xi - split)/w0),
+    with t = k w0 theta and (c, s) of ``beam.plane(z)``; the split defaults to x = xi.
+    """
+    c, s, _ = beam.plane(z)
+    slope = beam.k * beam.w0 * s  # 2 z/w
+    offset = 0.0 if split is None else c * (beam.xi - split) / beam.w0
+    return math.sqrt(2.0) * (slope * theta + offset), slope
 
 
 def fisher_quadrant(
@@ -85,16 +93,13 @@ def fisher_quadrant(
 
     with the split defaulting to x = xi so that g = 2 sqrt(2) theta z / w(z).
     """
-    if split is None:
-        split = beam.xi
-    w = beam.width(z)
-    g = math.sqrt(2.0) * (beam.xi + 2.0 * theta * z - split) / w
+    g, slope = quadrant_argument(beam, theta, z, split)
     # 1 - erf^2 = erfc(g) (2 - erfc(g)), stable in the tails
     erfc = math.erfc(g)
     complement = erfc * (2.0 - erfc)
     if complement <= 0.0:
         return 0.0
-    return 32.0 * z * z * math.exp(-2.0 * g * g) / (math.pi * w * w * complement)
+    return 8.0 * slope * slope * math.exp(-2.0 * g * g) / (math.pi * complement)
 
 
 def fisher_sagnac_polarization(beam: BeamParams, pol: PolarizationState, theta: float) -> float:
@@ -113,21 +118,21 @@ def fisher_sagnac_polarization(beam: BeamParams, pol: PolarizationState, theta: 
     d = min(pol.coherence_magnitude, 0.5)
     if d == 0.0:
         return 0.0
-    phi = pol.coherence_phase
-    b_coeff = 2.0 * (beam.k * beam.w0) ** 2
-    dephasing = 2.0 * b_coeff * theta * theta
+    kw0, kxi = beam.k * beam.w0, beam.k * beam.xi
+    t = kw0 * theta  # B theta^2 = 2 t^2
+    dephasing = 4.0 * t * t
     if dephasing > EXP_LIMIT:
         # e^{2B th^2} is past the float range; the numerator grows only as B^2 th^2
         return 0.0
-    ph = 4.0 * beam.k * beam.xi * theta - phi
-    c = math.cos(ph)
-    s = math.sin(ph)
-    num = 16.0 * d * d * (b_coeff * theta * c + 2.0 * beam.k * beam.xi * s) ** 2
+    offset = 4.0 * kxi * theta
+    c, s = math.cos(offset - pol.coherence_phase), math.sin(offset - pol.coherence_phase)
     # e^{2B th^2} - 4 d^2 c^2 rewritten with only non-cancelling terms
     den = math.expm1(dephasing) + (1.0 - 4.0 * d * d) + 4.0 * d * d * s * s
-    if den <= 0.0 or (abs(theta) < 1e-12 and den < DEGENERATE_DEN):
-        return 16.0 * beam.k ** 2 * (beam.variance(0.0) + beam.xi ** 2)
-    return num / den
+    # the theta -> 0 limit where both phases are below rounding against den
+    if den <= 0.0 or (den < DEGENERATE_DEN and dephasing + offset * offset < DEGENERATE_DEN):
+        return qfi_beam_deflection(beam) + 16.0 * kxi * kxi
+    root = kw0 * t * c + kxi * s  # (B theta c + 2 k xi s) / 2
+    return 64.0 * d * d * root * (root / den)
 
 
 def interference_coefficients(beam: BeamParams, z, x):
@@ -139,72 +144,74 @@ def interference_coefficients(beam: BeamParams, z, x):
         a = 4 k (z_R^2 x + z^2 xi) / (z^2 + z_R^2),
         b = 4 k z z_R (x - xi) / (z^2 + z_R^2),
 
-    so that (1/2)[1 pm cos(a theta)/cosh(b theta)] reproduces
-    ``conditioned_polarization_probabilities``.  z is one plane (a float) and x
-    a float, an ndarray or a list (a figure's column), and (a, b) are of the
-    same kind; or z is a column of planes for x of shape (planes, nodes) (see
-    ``per_plane``).  The constants of z are formed once per plane, so a list
-    or a column gives, bit for bit, the values of one call per point.
+    formed as 4 k (c^2 x + s^2 xi) and 4 k c s (x - xi) from ``beam.plane(z)``.
+    z is one plane (a float) and x a float, an ndarray or a list (a figure's
+    column), and (a, b) are of the same kind; or z is a column of planes for x
+    of shape (planes, nodes) (see ``per_plane``).  The constants of z are formed
+    once per plane, so a list or a column gives, bit for bit, the values of one
+    call per point.
     """
     k4, xi = 4.0 * beam.k, beam.xi
 
     def constants(z):
-        # z and z_R scaled as in ``fisher_position``: the rates depend only on their
-        # ratio, and k z_R^2 x, which overflows for a very short wavelength, is not formed
-        _, exponent = math.frexp(max(abs(z), beam.rayleigh_range))
-        z, zr = math.ldexp(z, -exponent), math.ldexp(beam.rayleigh_range, -exponent)
-        # the operations and their order are those of the formulas above
-        return zr * zr, z * z * xi, k4 * z * zr, z * z + zr * zr
+        c, s, _ = beam.plane(z)
+        return c * c, s * s * xi, k4 * c * s
 
-    zr2, zzxi, kzz, denom = per_plane(constants, z)
+    cc, ssxi, kcs = per_plane(constants, z)
     if isinstance(x, list):
-        return [k4 * (zr2 * v + zzxi) / denom for v in x], [kzz * (v - xi) / denom for v in x]
-    return k4 * (zr2 * x + zzxi) / denom, kzz * (x - xi) / denom
+        return [k4 * (cc * v + ssxi) for v in x], [kcs * (v - xi) for v in x]
+    return k4 * (cc * x + ssxi), kcs * (x - xi)
 
 
 def fisher_conditioned(beam: BeamParams, z, x, theta: float):
     """Fisher information of the polarization measurement at a point detector x.
+
+    ``information_from_rates`` of ``interference_coefficients(beam, z, x)``, with
+    z and x as there; at theta = 0 it loads no numpy, and a list of x gives, bit
+    for bit, the values of one call per point.
+    """
+    return information_from_rates(*interference_coefficients(beam, z, x), theta)
+
+
+def information_from_rates(a, b, theta: float):
+    """Conditioned Fisher information from the rates (a, b) of ``interference_coefficients``.
 
     Exact value from the conditioned probabilities (1/2)[1 pm cos(a th)/cosh(b th)]:
 
         F = [a sin(p) + b cos(p) tanh(q)]^2 / [sinh^2(q) + sin^2(p)],
         p = a theta, q = b theta,
 
-    a form with no cancelling differences that stays finite up to COSH_CUTOFF.  At
-    theta = 0 it equals the limit a^2 + b^2 = 16 k^2 (z_R^2 x^2 + z^2 xi^2)/(z^2 + z_R^2),
-    which is returned directly, with no numpy.  x is a float, an ndarray or a list
-    (a figure's column), and F is of the same kind; a list gives, bit for bit,
-    the values of one call per point.  z is one plane, or a column of planes for
-    x of shape (planes, nodes), as in ``interference_coefficients``.
+    divided through by theta^2: [a^2 S(p) + b^2 cos(p) T(q)]^2 / [b^2 H(q)^2 + a^2 S(p)^2],
+    with S, T, H = sin(v)/v, tanh(v)/v, sinh(v)/v (1 at v = 0).  No difference
+    cancels, no square of theta underflows, and it is finite up to COSH_CUTOFF;
+    at theta = 0, and where a = b = 0, it is the limit a^2 + b^2 =
+    16 k^2 (z_R^2 x^2 + z^2 xi^2)/(z^2 + z_R^2).  a and b are floats, ndarrays or
+    lists, and F is of the same kind.
     """
-    a, b = interference_coefficients(beam, z, x)
     if theta == 0.0:
-        if isinstance(x, list):
+        if isinstance(a, list):
             return [p * p + q * q for p, q in zip(a, b)]
         return a * a + b * b
     import numpy as np  # here, so that the figures, which plot theta = 0, load no numpy
 
+    kind = a
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     p = a * theta
-    q = b * theta
-    qa = np.abs(q)
+    qa = np.abs(b * theta)
     qc = np.minimum(qa, COSH_CUTOFF)
-    sp = np.sin(p)
-    cp = np.cos(p)
-    sh = np.sinh(qc) * np.sign(q)
-    th = np.tanh(qc) * np.sign(q)
-    s2 = sh * sh + sp * sp
-    limit = a * a + b * b
-    with np.errstate(invalid="ignore", divide="ignore"):
-        val = (a * sp + b * cp * th) ** 2 / s2
-    # a subnormal s2 has lost its digits; it needs |p| and |q| below 1.5e-154,
-    # where F equals the limit to double precision
-    val = np.where(s2 < sys.float_info.min, limit, val)
+    aa, bb = a * a, b * b
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        sinc = np.where(p == 0.0, 1.0, np.sin(p) / p)
+        tanhc, sinhc = (np.where(qc == 0.0, 1.0, f(qc) / qc) for f in (np.tanh, np.sinh))
+        num = aa * sinc + bb * np.cos(p) * tanhc
+        den = bb * sinhc * sinhc + aa * sinc * sinc
+        val = num * (num / den)
+    val = np.where(den > 0.0, val, aa + bb)
     val = np.where(qa > COSH_CUTOFF, 0.0, val)
-    if isinstance(x, list):
+    if isinstance(kind, list):
         return val.tolist()
-    if np.ndim(x) == 0:
+    if np.ndim(kind) == 0:
         return float(val)
     return val
 

@@ -16,9 +16,15 @@ from ._integrate import PlaneError, integrate_interval
 # outcomes with less probability than this are dropped from the discrete sum
 PROB_FLOOR = 1e-300
 
-# continuous integrand points below this density contribute (dp/dtheta)^2/p
-# only through Gaussian tails; they are returned as 0
+# continuous integrand points below this density (per beam width, in u = (x - xi)/w)
+# contribute (dp/dtheta)^2/p only through Gaussian tails; they are returned as 0
 DENSITY_FLOOR = 1e-30
+
+# the step is STEP_FRACTION of the one-photon quantum width 1/sqrt(qfi), and at
+# least STEP_THETA_RTOL |theta|, below which theta +- h keeps too few digits of h
+STEP_FRACTION, STEP_THETA_RTOL = 2e-5, 1e-6
+
+NORM_TOL = 1e-6  # a density integrates to 1 this well, or the quadrature did not resolve it
 
 # the two central-difference estimates (steps h and h/2) must agree this well,
 # relative to the largest |derivative| of the pass at the same plane
@@ -29,8 +35,9 @@ class OracleError(PlaneError):
     """The finite-difference oracle could not produce a trustworthy value."""
 
 
-def default_step(theta: float) -> float:
-    return max(1e-9, 1e-6 * abs(theta))
+def default_step(theta: float, qfi: float) -> float:
+    """The step at theta for a model of quantum bound ``qfi``: 1e-9 rad on a 633 nm, 1 mm beam."""
+    return max(STEP_FRACTION * qfi ** -0.5, STEP_THETA_RTOL * abs(theta))
 
 
 def _derivative(values, theta, h, floor, x=None, planes=None):
@@ -74,20 +81,21 @@ def numeric_fisher_oracle(model, theta: float, step: float | None = None):
     Works on any model exposing ``probabilities(theta)`` (discrete outcomes),
     ``pdf(theta, x)`` (continuous), or ``branch_pdf(theta, x)`` (joint
     discrete-and-continuous), the latter two with ``domain(theta)``/``breakpoints(theta)``
-    and ``qfi()``, whose bound scales the quadrature's absolute tolerance.  A model at a
-    column of planes gives its probabilities as (outcomes, planes, 1), or its domain one
-    bound per plane and ``at_planes(index)``, the model at those planes only; the result
-    is then a column over its planes, each entry with the bits of that plane's own model.
+    and ``qfi()``, whose bound scales the step and the quadrature's absolute tolerance;
+    a density must integrate to 1, or no step resolves it.  A model at a column of planes
+    gives its probabilities as (outcomes, planes, 1), or its domain one bound per plane
+    and ``at_planes(index)``, the model at those planes only; the result is then a column
+    over its planes, each entry with the bits of that plane's own model.
     """
-    h = default_step(theta) if step is None else float(step)
+    kinds = [name for name in ("probabilities", "branch_pdf", "pdf") if hasattr(model, name)]
+    if not kinds:
+        raise TypeError(f"{type(model).__name__} exposes no outcome probabilities")
+    h = default_step(theta, model.qfi()) if step is None else float(step)
     if h <= 0.0:
         raise ValueError("step must be positive")
-    if hasattr(model, "probabilities"):
+    if kinds[0] == "probabilities":
         return _discrete_fisher(model, theta, h)
-    for density in ("branch_pdf", "pdf"):
-        if hasattr(model, density):
-            return _continuous_fisher(model, theta, h, density)
-    raise TypeError(f"{type(model).__name__} exposes no outcome probabilities")
+    return _continuous_fisher(model, theta, h, kinds[0])
 
 
 def _discrete_fisher(model, theta, h):
@@ -113,7 +121,12 @@ def _continuous_fisher(model, theta, h, density):
 
         p0, deriv = _derivative(branches, theta, h, DENSITY_FLOOR, x, planes)
         dead = p0 < DENSITY_FLOOR  # NaN stays in, so the quadrature cannot converge on it
-        return np.sum(np.where(dead, 0.0, deriv * deriv / np.where(dead, 1.0, p0)), axis=0)
+        information = np.sum(np.where(dead, 0.0, deriv * deriv / np.where(dead, 1.0, p0)), axis=0)
+        return np.stack([information, np.sum(p0, axis=0)])
 
     atol = 1e-12 * float(np.max(model.qfi()))  # on the model's scale, as in the decomposition
-    return integrate_interval(integrand, lo, hi, points, rtol=1e-9, atol=atol)
+    information, norm = integrate_interval(integrand, lo, hi, points, rtol=1e-9, atol=atol)
+    bad = np.flatnonzero(np.abs(np.ravel(norm) - 1.0) > NORM_TOL)  # the quadrature refuses NaN
+    if bad.size:
+        raise OracleError(f"density not resolved: it integrates to {norm.flat[bad[0]]:.6e}", int(bad[0]))
+    return information

@@ -24,17 +24,20 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._integrate import integrate_interval
-from .beam import BeamParams, each_plane, intensity_profile, per_plane
+from .beam import ROOT_2_OVER_PI, BeamParams, each_plane, per_plane
 from .fisher import (
     COSH_CUTOFF,
     fisher_conditioned,
     fisher_position,
     fisher_quadrant,
     fisher_sagnac_polarization,
+    information_from_rates,
     interference_coefficients,
     qfi_beam_deflection,
     qfi_sagnac,
+    quadrant_argument,
 )
+from .oracle import default_step
 from .polarization import NORM_TOL, PolarizationState
 
 # beyond these the first-order (small-angle) saturation statements degrade,
@@ -49,10 +52,12 @@ def small_angle_flags(beam: BeamParams, theta: float) -> tuple[str, ...]:
     rows; nothing is raised and no global state is touched.
     """
     flags = []
-    dephasing = 2.0 * (beam.k * beam.w0) ** 2 * theta * theta
+    t = beam.k * beam.w0 * theta
+    dephasing = 2.0 * t * t
     if dephasing >= SMALL_ANGLE_LIMIT:
         flags.append(f"dephasing argument 2(k w0 theta)^2 = {dephasing:.3e} >= {SMALL_ANGLE_LIMIT}")
-    offset_phase = (4.0 * beam.k * beam.xi * theta) ** 2
+    offset_phase = 4.0 * beam.k * beam.xi * theta
+    offset_phase *= offset_phase
     if offset_phase >= SMALL_ANGLE_LIMIT:
         flags.append(f"displacement phase (4 k xi theta)^2 = {offset_phase:.3e} >= {SMALL_ANGLE_LIMIT}")
     return tuple(flags)
@@ -70,10 +75,7 @@ def quadrant_probabilities(
 
     Passing ``split`` moves the line elsewhere for sensitivity studies.
     """
-    if split is None:
-        split = beam.xi
-    w = beam.width(z)
-    arg = math.sqrt(2.0) * (beam.xi + 2.0 * theta * z - split) / w
+    arg = quadrant_argument(beam, theta, z, split)[0]
     # erfc on both sides keeps the small outcome accurate in the tails
     return 0.5 * math.erfc(-arg), 0.5 * math.erfc(arg)
 
@@ -120,45 +122,49 @@ def sagnac_joint_density(beam: BeamParams, pol: PolarizationState, theta: float,
                 pm A d e^{-8 theta^2 z^2/w^2} e^{-2(x-xi)^2/w^2} cos(psi),
         psi     = 4 k theta (w0^2/w^2)(x-xi) + 4 k theta xi - phi,
 
-    with A = sqrt(2/(pi w^2(z))) and d e^{i phi} = alpha* beta.  With u = x - xi,
-    s = 2 theta z, q = 4 u s / w^2 and t = e^{-|q|} it is evaluated as
+    with A = sqrt(2/(pi w^2(z))) and d e^{i phi} = alpha* beta.  In the beam
+    units u = (x - xi)/w and t = k w0 theta, with (c, s) of ``beam.plane(z)``,
+    the paths sit at u = -+ t s, and with q = 4 u t s and t' = e^{-|q|} it is
 
-        p_pm = A e^{-2(|u| - |s|)^2/w^2}
-               [(sqrt(near) - sqrt(far) t)^2 / 2 + 2 d t {cos^2, sin^2}(psi/2)],
+        w p_pm = sqrt(2/pi) e^{-2(|u| - |t s|)^2}
+                 [(sqrt(near) - sqrt(far) t')^2 / 2 + 2 d t' {cos^2, sin^2}(psi/2)],
+        psi    = 4 t c u + 4 k xi theta - phi,
 
-    where ``near`` is the weight of the path whose center lies on x's side
+    where ``near`` is the weight of the path whose center lies on u's side
     (|beta|^2 for q >= 0) and far = 1 - near.  Since d^2 = near * far, both
-    terms are non-negative and nothing cancels at a dark fringe.
-
-    z is one plane (a float), or a column of planes for x of shape (planes,
-    nodes) (see ``per_plane``).
+    terms are non-negative and nothing cancels at a dark fringe.  z is one
+    plane (a float), or a column of planes for x of shape (planes, nodes)
+    (see ``per_plane``).
     """
+    w = per_plane(beam.width, z)
+    p_plus, p_minus = _joint_density(beam, pol, theta, z, (np.asarray(x, dtype=float) - beam.xi) / w)
+    return p_plus / w, p_minus / w
+
+
+def _joint_density(beam: BeamParams, pol: PolarizationState, theta: float, z, u):
+    """The densities w p_pm of ``sagnac_joint_density`` at u = (x - xi)/w(z)."""
+    t = beam.k * beam.w0 * theta
 
     def constants(z):
-        w2 = beam.width(z) ** 2
-        shift = 2.0 * theta * z
-        return (
-            abs(shift), -2.0 / w2, math.sqrt(2.0 / (math.pi * w2)), 4.0 * shift / w2,
-            beam.k * theta * beam.w0 ** 2 / w2,
-        )
+        c, s, _ = beam.plane(z)
+        return abs(t * s), 4.0 * t * s, t * c
 
-    reach, spread, amp, path_rate, phase_rate = per_plane(constants, z)
-    x = np.asarray(x, dtype=float)
-    # at least 1-d, so that the ufuncs below can write in place
-    u = (x if x.ndim == 2 else x.reshape(-1)) - beam.xi
+    reach, path_rate, phase_rate = per_plane(constants, z)
+    shape = np.shape(u)  # u is taken at least 1-d, so that the ufuncs below can write in place
+    u = np.asarray(u, dtype=float).reshape(shape if len(shape) == 2 else -1)
 
     # in place: with more live temporaries glibc trims and refaults them every call
     envelope = np.abs(u)
     envelope -= reach
     envelope *= envelope
-    envelope *= spread
+    envelope *= -2.0
     np.exp(envelope, out=envelope)
-    envelope *= amp
+    envelope *= ROOT_2_OVER_PI
     gap, t = _path_terms(pol, u * path_rate)
     # {cos^2, sin^2}(psi/2) = {(1 - tau^2)^2, 4 tau^2} / (1 + tau^2)^2 with
     # tau = tan(psi/4): one transcendental, and each part keeps its own zero
     tau = u * phase_rate
-    tau += beam.k * theta * beam.xi - 0.25 * pol.coherence_phase
+    tau += beam.k * beam.xi * theta - 0.25 * pol.coherence_phase
     np.tan(tau, out=tau)
     tau *= tau
     scale = tau + 1.0
@@ -173,8 +179,8 @@ def sagnac_joint_density(beam: BeamParams, pol: PolarizationState, theta: float,
     p_plus *= t
     p_plus += gap
     p_plus *= envelope
-    # [()] turns the 0-d results of a scalar x back into scalars
-    return p_plus.reshape(x.shape)[()], p_minus.reshape(x.shape)[()]
+    # [()] turns the 0-d results of a scalar u back into scalars
+    return p_plus.reshape(shape)[()], p_minus.reshape(shape)[()]
 
 
 def sagnac_polarization_probabilities(beam: BeamParams, pol: PolarizationState, theta: float):
@@ -185,14 +191,12 @@ def sagnac_polarization_probabilities(beam: BeamParams, pol: PolarizationState, 
         P_pm = (1/2) [1 pm 2 d e^{-B theta^2} cos(4 k theta xi - phi)],
         B    = 2 k^2 w0^2.
     """
-    d = pol.coherence_magnitude
-    phi = pol.coherence_phase
-    b_coeff = 2.0 * (beam.k * beam.w0) ** 2
+    t = beam.k * beam.w0 * theta  # B theta^2 = 2 t^2
     contrast = (
         2.0
-        * d
-        * math.exp(-b_coeff * theta * theta)
-        * math.cos(4.0 * beam.k * beam.xi * theta - phi)
+        * pol.coherence_magnitude
+        * math.exp(-2.0 * t * t)
+        * math.cos(4.0 * beam.k * beam.xi * theta - pol.coherence_phase)
     )
     # visibility cannot exceed 1; clip the normalization rounding of d
     contrast = max(-1.0, min(1.0, contrast))
@@ -207,17 +211,13 @@ def conditioned_polarization_probabilities(beam: BeamParams, theta: float, z: fl
         P(pm | x) = (1/2) [1 pm cos(4 k theta (w0^2/w^2)(x-xi) + 4 k theta xi)
                                / cosh(8 theta z (x-xi) / w^2)],
 
-    which sums to 1 exactly.  For |cosh argument| > COSH_CUTOFF the ratio is
-    returned as 0 (both outcomes equally likely) to avoid overflow.
+    which sums to 1 exactly, with the rates of ``interference_coefficients``.  For
+    |cosh argument| > COSH_CUTOFF the ratio is 0 (both outcomes equally likely).
     """
-    x = np.asarray(x, dtype=float)
-    w2 = beam.width(z) ** 2
-    u = x - beam.xi
-    p = 4.0 * beam.k * theta * (beam.w0 ** 2 / w2) * u + 4.0 * beam.k * theta * beam.xi
-    q = 8.0 * theta * z * u / w2
-    qa = np.abs(q)
+    a, b = interference_coefficients(beam, z, np.asarray(x, dtype=float))
+    qa = np.abs(b * theta)
     ratio = np.where(
-        qa > COSH_CUTOFF, 0.0, np.cos(p) / np.cosh(np.minimum(qa, COSH_CUTOFF))
+        qa > COSH_CUTOFF, 0.0, np.cos(a * theta) / np.cosh(np.minimum(qa, COSH_CUTOFF))
     )
     return 0.5 * (1.0 + ratio), 0.5 * (1.0 - ratio)
 
@@ -226,7 +226,7 @@ def conditioned_polarization_probabilities(beam: BeamParams, theta: float, z: fl
 # Probability models: a scheme bound to beam (+ polarization), exposing its
 # outcome distribution as a function of theta.  Discrete models implement
 # probabilities(theta); continuous ones pdf/branch_pdf plus an integration
-# domain.  Every model also implements the same estimation protocol:
+# domain, in u = (x - xi)/w(z).  Every model also implements the same protocol:
 #
 #   fisher(theta)                    closed-form Fisher information
 #   decomposition(theta)             (joint model only) its polarization and spatial parts
@@ -241,7 +241,7 @@ def conditioned_polarization_probabilities(beam: BeamParams, theta: float, z: fl
 #                                    two-outcome scheme (P+ or P- at 0: not a regular point)
 # ---------------------------------------------------------------------------
 
-DOMAIN_WIDTHS = 10.0  # integration window, in local beam widths around the centers
+DOMAIN_WIDTHS = 10.0  # integration window, in beam widths (units of u) around the centers
 
 LOG_FLOOR = 1e-300  # densities are floored here before taking logarithms
 
@@ -292,11 +292,16 @@ class _PlaneScheme(_SchemeModel):
     One plane is a column of one row, or a float z.  What depends on z takes
     its shape, each plane with the bits of its one-plane model: probabilities,
     ``fisher``, ``domain``, ``breakpoints``, ``even_in_theta``, the warnings
-    and the quadratures.  The densities take positions x of shape (planes,
+    and the quadratures.  The densities take positions u of shape (planes,
     nodes).  Sampling and the score take a float z only.
     """
 
     __slots__ = ()
+
+    def _slope(self):
+        """2 z/w = k w0 s per plane: the rate in u per unit theta of the deflected center."""
+        kw0 = self.beam.k * self.beam.w0
+        return per_plane(lambda z: kw0 * self.beam.plane(z)[1], self.z)
 
     def at_planes(self, planes):
         """The same model at the planes of index ``planes`` (a 1-d array) only."""
@@ -346,8 +351,8 @@ class _InterferometricScheme(_SchemeModel):
         """A tuple of warnings; at a column of planes, a list of one tuple per plane."""
         flags = small_angle_flags(self.beam, theta)
         stationary = flags + ("theta=0 stationary point: finite differences see only the even part",)
-        at_zero = theta == 0.0
-        return each_plane(lambda even: stationary if even and at_zero else flags, self.even_in_theta)
+        near_zero = abs(theta) < default_step(theta, self.qfi())  # the oracle's stencil straddles 0
+        return each_plane(lambda even: stationary if even and near_zero else flags, self.even_in_theta)
 
     def small_angle_guard(self) -> float:
         """Largest |theta| inside the first-order regime of ``small_angle_flags``."""
@@ -386,7 +391,7 @@ class _TwoOutcomeScheme:
 
 
 class PositionModel(_PlaneScheme, _DeflectionScheme):
-    """Imaging detector at plane z (or at a column, see ``_PlaneScheme``); outcome is the position x."""
+    """Imaging detector at plane z (or at a column, see ``_PlaneScheme``); outcome is the position u."""
 
     __slots__ = ("beam", "z")
 
@@ -395,18 +400,15 @@ class PositionModel(_PlaneScheme, _DeflectionScheme):
         self.z = z
 
     def mean(self, theta: float):
-        return self.beam.xi + 2.0 * theta * self.z
+        return self._slope() * theta
 
-    def sigma(self) -> float:
-        return 0.5 * self.beam.width(self.z)
-
-    def pdf(self, theta: float, x):
-        return intensity_profile(self.beam, theta, self.z, x)
+    def pdf(self, theta: float, u):
+        offset = np.asarray(u, dtype=float) - self.mean(theta)
+        return ROOT_2_OVER_PI * np.exp(-2.0 * offset * offset)
 
     def domain(self, theta: float):
-        w = per_plane(self.beam.width, self.z)
         c = self.mean(theta)
-        return c - DOMAIN_WIDTHS * w, c + DOMAIN_WIDTHS * w
+        return c - DOMAIN_WIDTHS, c + DOMAIN_WIDTHS
 
     def breakpoints(self, theta: float):
         return (self.mean(theta),)
@@ -415,17 +417,18 @@ class PositionModel(_PlaneScheme, _DeflectionScheme):
         return per_plane(lambda z: fisher_position(self.beam, z), self.z)
 
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
-        return nu, float(rng.normal(self.mean(theta), self.sigma() / math.sqrt(nu)))  # the mean
+        return nu, float(rng.normal(self.mean(theta), 0.5 / math.sqrt(nu)))  # the mean; sigma is w/2
 
     def statistic(self, outcomes):
         """(n, sample mean): all the Gaussian location score reads."""
-        x = np.asarray(outcomes, dtype=float)
-        return x.size, float(x.mean())
+        u = np.asarray(outcomes, dtype=float)
+        return u.size, float(u.mean())
 
     def score(self, stat, theta: float) -> float:
-        # linear in theta, with its root at (mean - xi) / (2 z)
+        # linear in theta, with its root at mean / slope
         n, mean = stat
-        return 8.0 * n * self.z * (mean - self.mean(theta)) / self.beam.width(self.z) ** 2
+        slope = self._slope()
+        return 4.0 * n * slope * (mean - slope * theta)
 
 
 class QuadrantModel(_PlaneScheme, _TwoOutcomeScheme, _DeflectionScheme):
@@ -444,10 +447,8 @@ class QuadrantModel(_PlaneScheme, _TwoOutcomeScheme, _DeflectionScheme):
         )
 
     def plus_slope(self, theta: float) -> float:
-        split = self.beam.xi if self.split is None else self.split
-        w = self.beam.width(self.z)
-        arg = math.sqrt(2.0) * (self.beam.xi + 2.0 * theta * self.z - split) / w
-        return 2.0 * math.sqrt(2.0 / math.pi) * self.z / w * math.exp(-arg * arg)
+        g, slope = quadrant_argument(self.beam, theta, self.z, self.split)
+        return math.sqrt(2.0 / math.pi) * slope * math.exp(-g * g)
 
     def fisher(self, theta: float):
         return per_plane(lambda z: fisher_quadrant(self.beam, theta, z, self.split), self.z)
@@ -466,14 +467,14 @@ class PolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
         return np.array(sagnac_polarization_probabilities(self.beam, self.pol, theta))
 
     def plus_slope(self, theta: float) -> float:
-        beam = self.beam
-        b_coeff = 2.0 * (beam.k * beam.w0) ** 2
-        rate = 4.0 * beam.k * beam.xi
+        kw0 = self.beam.k * self.beam.w0
+        t = kw0 * theta
+        rate = 4.0 * self.beam.k * self.beam.xi
         phase = rate * theta - self.pol.coherence_phase
         return (
             self.pol.coherence_magnitude
-            * math.exp(-b_coeff * theta * theta)
-            * (-2.0 * b_coeff * theta * math.cos(phase) - rate * math.sin(phase))
+            * math.exp(-2.0 * t * t)
+            * (-4.0 * kw0 * t * math.cos(phase) - rate * math.sin(phase))
         )
 
     @property
@@ -540,8 +541,8 @@ class JointStatistic(NamedTuple):
     counts: tuple  # (n_plus, n_minus)
     n_even: int
     beta: float
-    path_rate: np.ndarray  # |8 z u / w^2| = |q| / |theta|, with u = x - xi
-    phase_rate: np.ndarray  # 4 k (w0^2 / w^2) u + 4 k xi
+    path_rate: np.ndarray  # |4 k w0 s u| = |q| / |theta|, with u = (x - xi)/w
+    phase_rate: np.ndarray  # 4 k w0 c u + 4 k xi
     roots: Optional[tuple]  # (sqrt(near), sqrt(far)) / sqrt(max weight), theta >= 0; None if equal
     lam: float  # max(|alpha|^2, |beta|^2) / (4 d); 1 for d = 0
 
@@ -563,59 +564,53 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         balanced = abs(self.pol.sigma_z_mean) <= NORM_TOL
         return (balanced | (self.z == 0.0)) & super().even_in_theta
 
-    def branch_pdf(self, theta: float, x):
-        """The pair of densities (p_plus(x), p_minus(x))."""
-        return sagnac_joint_density(self.beam, self.pol, theta, self.z, x)
+    def branch_pdf(self, theta: float, u):
+        """The pair of densities (p_plus(u), p_minus(u))."""
+        return _joint_density(self.beam, self.pol, theta, self.z, u)
 
-    def _marginal(self, theta: float, x):
-        """(P, dP/dtheta) of ``total_pdf`` from one evaluation of its two path Gaussians.
+    def _rates(self):
+        """(4 k w0 c, 4 k w0 s) per plane: at u the rates are a = 4 k w0 c u + 4 k xi, b = 4 k w0 s u."""
+        k4w0 = 4.0 * self.beam.k * self.beam.w0
+        return per_plane(lambda z: tuple(k4w0 * r for r in self.beam.plane(z)[:2]), self.z)
 
-        The H and V components of ``gaussian_mixture`` move with their centers
-        xi -+ 2 theta z, at -+2z per unit theta.
-        """
-        xi = self.beam.xi
-
-        def constants(z):
-            shift = 2.0 * theta * z
-            sigma = 0.5 * self.beam.width(z)
-            return xi - shift, xi + shift, sigma, 2.0 * z / sigma ** 2
-
-        mean_h, mean_v, sigma, rate = per_plane(constants, self.z)
-        weight_h, weight_v = abs(self.pol.alpha) ** 2, abs(self.pol.beta) ** 2
-        x = np.asarray(x, dtype=float)
-        norm = sigma * math.sqrt(2.0 * math.pi)
-        offset_h, offset_v = x - mean_h, x - mean_v
-        g_h = weight_h * np.exp(-0.5 * (offset_h / sigma) ** 2) / norm
-        g_v = weight_v * np.exp(-0.5 * (offset_v / sigma) ** 2) / norm
+    def _marginal(self, theta: float, u):
+        """(P, dP/dtheta) of ``total_pdf``: the path Gaussians of ``gaussian_mixture``,
+        of variance 1/4, with centers -+ t s that move at -+ k w0 s per unit theta."""
+        slope = self._slope()
+        shift, rate = slope * theta, 4.0 * slope
+        u = np.asarray(u, dtype=float)
+        offset_h, offset_v = u + shift, u - shift
+        g_h = (abs(self.pol.alpha) ** 2 * ROOT_2_OVER_PI) * np.exp(-2.0 * offset_h * offset_h)
+        g_v = (abs(self.pol.beta) ** 2 * ROOT_2_OVER_PI) * np.exp(-2.0 * offset_v * offset_v)
         return g_h + g_v, rate * (g_v * offset_v - g_h * offset_h)
 
-    def total_pdf(self, theta: float, x):
+    def total_pdf(self, theta: float, u):
         """Position marginal: the interference term cancels, leaving a mixture."""
-        return self._marginal(theta, x)[0]
+        return self._marginal(theta, u)[0]
 
-    def conditional_plus(self, theta: float, x):
-        """P(outcome=+1 | detected at x).
+    def conditional_plus(self, theta: float, u):
+        """P(outcome=+1 | detected at u).
 
-        With gap and t as in ``sagnac_joint_density``, p_plus + p_minus is its
-        envelope times 2 gap + 2 d t, so the envelope cancels:
+        With gap and t' as in ``_joint_density``, p_plus + p_minus is its
+        envelope times 2 gap + 2 d t', so the envelope cancels:
 
-            P(+|x) = [gap + 2 d t cos^2(psi/2)] / (2 gap + 2 d t),
+            P(+|u) = [gap + 2 d t' cos^2(psi/2)] / (2 gap + 2 d t'),
             cos^2(psi/2) = 1 / (1 + tan^2(psi/2)).
 
-        Each rounded step keeps the numerator at or below the denominator, so
-        the result stays in [0, 1], also where the envelope underflows.  A pure
-        H or V state (d = 0) has no interference, P(+|x) = 1/2, and is returned
-        as such: far out on its empty side gap and t^2 underflow together (0/0).
+        Each rounded step keeps the numerator at or below the denominator, so the
+        result stays in [0, 1], also where the envelope underflows.  A pure H or V
+        state (d = 0) gives 1/2, where gap and t'^2 underflow together (0/0).
         """
         beam, pol = self.beam, self.pol
-        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
         if pol.coherence_magnitude == 0.0:
-            return np.full(x.shape, 0.5)[()]
-        w2 = beam.width(self.z) ** 2
-        u = x.reshape(-1) - beam.xi
-        gap, p_plus = _path_terms(pol, u * (8.0 * theta * self.z / w2))  # p_plus = 2 d t
-        tau = u * (2.0 * beam.k * theta * beam.w0 ** 2 / w2)
-        tau += 2.0 * beam.k * theta * beam.xi - 0.5 * pol.coherence_phase  # psi / 2
+            return np.full(u.shape, 0.5)[()]
+        c, s, _ = beam.plane(self.z)
+        t = beam.k * beam.w0 * theta
+        flat = u.reshape(-1)
+        gap, p_plus = _path_terms(pol, flat * (4.0 * t * s))  # p_plus = 2 d t'
+        tau = flat * (2.0 * t * c)
+        tau += 2.0 * beam.k * beam.xi * theta - 0.5 * pol.coherence_phase  # psi / 2
         np.tan(tau, out=tau)
         tau *= tau
         tau += 1.0  # 1 / cos^2(psi/2)
@@ -624,37 +619,34 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         p_plus /= tau
         p_plus += gap
         p_plus /= total
-        return p_plus.reshape(x.shape)[()]
+        return p_plus.reshape(u.shape)[()]
 
     def gaussian_mixture(self, theta: float):
-        shift = 2.0 * theta * self.z
-        sigma = 0.5 * self.beam.width(self.z)
+        shift = self._slope() * theta
         return (
             np.array([abs(self.pol.alpha) ** 2, abs(self.pol.beta) ** 2]),
-            np.array([self.beam.xi - shift, self.beam.xi + shift]),
-            np.array([sigma, sigma]),
+            np.array([-shift, shift]),
+            np.array([0.5, 0.5]),
         )
 
     def domain(self, theta: float):
-        w = per_plane(self.beam.width, self.z)
-        shift = abs(2.0 * theta * self.z)
-        return (
-            self.beam.xi - shift - DOMAIN_WIDTHS * w,
-            self.beam.xi + shift + DOMAIN_WIDTHS * w,
-        )
+        reach = abs(self._slope() * theta) + DOMAIN_WIDTHS
+        return -reach, reach
 
     def breakpoints(self, theta: float):
-        shift = 2.0 * theta * self.z
-        return (self.beam.xi - shift, self.beam.xi, self.beam.xi + shift)
+        # the path centers, and the inner edges of their windows once these no longer meet at 0
+        shift = self._slope() * theta
+        inner = np.maximum(abs(shift) - DOMAIN_WIDTHS, 0.0)
+        return (-shift, -inner, 0.0, inner, shift)
 
     def decomposition(self, theta: float) -> FisherDecomposition:
         """Split the Fisher information into polarization and spatial parts.
 
         For the diagonal input state:
 
-            total = integral dx P(x) F_cond(x)  +  integral dx (dP/dtheta)^2 / P,
+            total = integral du P(u) F_cond(u)  +  integral du (dP/dtheta)^2 / P,
 
-        with P(x) the position marginal.  In the small-angle regime the first term
+        with P(u) the position marginal.  In the small-angle regime the first term
         carries everything (16 k^2 [w0^2/4 + xi^2]) and the second vanishes.
         A model of a column of planes integrates them in the same passes, each
         to its own convergence, and its parts are columns over the planes.
@@ -662,12 +654,15 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         if not self.pol.is_diagonal:
             raise ValueError("closed-form decomposition is defined for the diagonal input state")
 
-        def integrand(xx, planes=None):
+        k4xi = 4.0 * self.beam.k * self.beam.xi
+
+        def integrand(u, planes=None):
             model = self if planes is None else self.at_planes(planes)
-            p, dp = model._marginal(theta, xx)
+            p, dp = model._marginal(theta, u)
+            a_rate, b_rate = model._rates()
             dead = p < 1e-300
             return np.stack([
-                p * fisher_conditioned(model.beam, model.z, xx, theta),
+                p * information_from_rates(a_rate * u + k4xi, b_rate * u, theta),
                 np.where(dead, 0.0, dp * dp / np.where(dead, 1.0, p)),
             ])
 
@@ -685,23 +680,23 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         return self.decomposition(theta).total
 
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
-        """The statistic of nu photons: positions from the mixture, then each sign given x."""
-        x = _sample_mixture(self, theta, nu, rng)
-        return self.statistic((_sample_signs(self.conditional_plus(theta, x), nu, rng), x))
+        """The statistic of nu photons: positions u from the mixture, then each sign given u."""
+        u = _sample_mixture(self, theta, nu, rng)
+        return self.statistic((_sample_signs(self.conditional_plus(theta, u), nu, rng), u))
 
     def statistic(self, outcomes) -> JointStatistic:
-        signs, x = outcomes
-        beam, pol = self.beam, self.pol
+        signs, u = outcomes
+        pol = self.pol
         plus = np.asarray(signs) > 0
         half = 0.5 * pol.coherence_phase
         k = round(half / (0.5 * math.pi))
         even = plus if k % 2 == 0 else ~plus
-        x = np.asarray(x, dtype=float)
-        u = np.concatenate([x[even], x[~even]]) - beam.xi
+        u = np.asarray(u, dtype=float)
+        u = np.concatenate([u[even], u[~even]])
         n_even, n_plus = int(np.count_nonzero(even)), int(np.count_nonzero(plus))
-        w2 = beam.width(self.z) ** 2
-        rate = (8.0 * self.z / w2) * u
-        phase_rate = (4.0 * beam.k * beam.w0 ** 2 / w2) * u + 4.0 * beam.k * beam.xi
+        a_rate, b_rate = self._rates()
+        rate = b_rate * u
+        phase_rate = a_rate * u + 4.0 * self.beam.k * self.beam.xi
         pa, pb = abs(pol.alpha) ** 2, abs(pol.beta) ** 2
         scale, d = 1.0 / max(pa, pb), pol.coherence_magnitude
         return JointStatistic(
@@ -720,12 +715,12 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         """d/dtheta of the summed log density; photons with I = 0 add nothing.
 
         Per photon (see ``JointStatistic``), with sgn(0) = +1,
-            d log p / dtheta = -16 theta z^2 / w^2
+            d log p / dtheta = -4 theta (k w0 s)^2
                 + [sgn(theta) path_rate (near - far t^2) / 2 - d t phase_rate sin psi'] / I.
         Times (1 + w^2) / (2 d), I is c (root_near - root_far t)^2 + t {1, w^2} for even,
         odd k, and the bracket c sgn(theta) path_rate (root_near^2 - root_far^2 t^2) -+
         t phase_rate w, with c = lam (1 + w^2): sums of products of accurate factors,
-        1 - t = -expm1(-|q|) as in ``sagnac_joint_density`` and w, whatever theta and phi.
+        1 - t = -expm1(-|q|) as in ``_joint_density`` and w, whatever theta and phi.
         """
         m, w, c, gap, p = (np.empty(stat.path_rate.size) for _ in range(5))  # a 2-d block is slower
         np.multiply(stat.path_rate, -abs(theta), out=m)
@@ -762,6 +757,6 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
             ratio = np.divide(p, gap, out=p)
         else:  # photons with I = 0 keep a 0
             ratio = np.divide(p, gap, out=np.zeros_like(p), where=gap > 0.0)
-        w2 = self.beam.width(self.z) ** 2
-        return -float(ratio.sum()) - ratio.size * 16.0 * theta * self.z ** 2 / w2
+        slope = self._slope()  # 2 z/w
+        return -float(ratio.sum()) - ratio.size * 4.0 * theta * slope * slope
 

@@ -129,4 +129,3 @@ def test_profile_normalization_and_moments(beam, theta, z_factor):
         epsabs=1e-18, epsrel=1e-13, limit=200,
     )
     assert second == pytest.approx(w * w / 4.0, rel=1e-10)
-    assert second == pytest.approx(beam.variance(z), rel=1e-10)

@@ -216,29 +216,41 @@ def test_joint_rows_at_nanoradian_tilts_converge(tmp_path):
         assert float(row["oracle_fisher"]) == pytest.approx(float(row["analytic_fisher"]), rel=1e-4)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracle's density at z_R = 1e300 m
 @pytest.mark.parametrize(
-    "beam",
+    "beam, z_r",
     [
-        "wavelength: 633nm, w0: 1e-150m",
-        "wavelength: 633nm, z_R: 1e300m",
-        "wavelength: 1e-150m, w0: 1mm",
+        ("wavelength: 633nm, w0: 1e-150m", None),
+        ("wavelength: 633nm, z_R: 1e300m", "1e+300"),
+        ("wavelength: 1e-150m, w0: 1mm", "3.141592653589793e+144"),
     ],
     ids=["tiny-w0", "huge-z_R", "tiny-wavelength"],
 )
-def test_position_rows_stay_finite_at_extreme_lengths(tmp_path, beam):
-    # z_R = 5e-294 m, 1e300 m and 3e144 m: z^2 and z_R^2 under- or overflow, and so
-    # does QFI z^2, unless the lengths are scaled first
+def test_position_rows_stay_finite_at_extreme_lengths(tmp_path, capsys, beam, z_r):
+    # z_R = 5e-294 m, 1e300 m and 3e144 m: z^2 and z_R^2 under- or overflow unless the
+    # planes enter as ratios.  The oracle's step is scaled to the beam, so it agrees
+    # with the closed form (it read 0 with a step of 1e-9 rad), or, where the beam
+    # moves 4e147 or 6e141 widths at 1 urad and no step resolves its density, the
+    # row exits 3 instead of a row with oracle 0
     cfg = write_config(
         tmp_path,
         f"beam: {{{beam}}}\n"
         "run: {scheme: position, theta: 1urad, z: [0, 1z_R, 10z_R]}\n",
     )
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")])
+    if z_r is not None:
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            f"numerical failure: run[0] row 1 (position, theta=1e-06 rad, z={z_r} m): "
+            "density not resolved: it integrates to 0.000000e+00"
+        )
+        return
+    assert code == 0
     rows = read_rows(tmp_path / "s" / "sweep.csv")
-    assert all(math.isfinite(float(row["analytic_fisher"])) for row in rows)
     ratios = [float(row["ratio_to_qfi"]) for row in rows]
     assert ratios == pytest.approx([0.0, 0.5, 100.0 / 101.0], rel=1e-12)
+    for row in rows:
+        analytic, oracle = float(row["analytic_fisher"]), float(row["oracle_fisher"])
+        assert abs(oracle - analytic) <= 1e-6 * max(analytic, 1e-6 * float(row["qfi"]))
 
 
 def test_joint_rows_stay_finite_at_a_tiny_wavelength(tmp_path):
@@ -701,35 +713,6 @@ def test_joint_block_needs_the_diagonal_state(tmp_path, capsys):
         )
 
 
-@pytest.mark.parametrize(
-    "beam, scheme",
-    [("z_R: 1e-300m", "joint"), ("w0: 1e-160m", "position")],
-)
-def test_z_far_past_the_rayleigh_range_exits_2(tmp_path, capsys, beam, scheme):
-    cfg = write_config(
-        tmp_path,
-        f"beam: {{wavelength: 633nm, {beam}}}\n"
-        f"run: {{scheme: {scheme}, theta: 1urad, z: 1m}}\n",
-    )
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
-    assert "run[0].z: z/z_R must be below 1e154" in capsys.readouterr().err
-    assert not (tmp_path / "s").exists()
-
-
-@pytest.mark.parametrize("scheme", ["position", "joint"])
-def test_beam_wider_than_1e154_m_exits_2(tmp_path, capsys, scheme):
-    # the densities square w(z), which raises OverflowError from 1.3e154 m on
-    cfg = write_config(
-        tmp_path,
-        "beam: {wavelength: 633nm, w0: 10m}\n"
-        f"run: {{scheme: {scheme}, theta: 1nrad, z: 5e153z_R}}\n",
-    )
-    for command in (["validate-config"], ["sweep", "--out", str(tmp_path / "s")]):
-        assert main([*command, "--config", cfg]) == 2
-        assert "run[0].z: the beam width w(z) must be below 1e154 m" in capsys.readouterr().err
-    assert not (tmp_path / "s").exists()
-
-
 def test_overflowing_polarization_dephasing_gives_a_clean_row(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -744,11 +727,12 @@ def test_overflowing_polarization_dephasing_gives_a_clean_row(tmp_path):
 
 
 def test_numerical_failure_names_the_row(tmp_path, capsys):
-    # 1 km beam offset: the oracle's density derivative cannot converge at
-    # 1 urad, while the theta = 0 row converges
+    # 10 km beam offset: at 1 urad the step's floor of 1e-6 |theta| is 4 rad of the
+    # phase 4 k xi theta, so the oracle's density derivative cannot converge, while
+    # the theta = 0 row converges (at 1 km both rows now do)
     cfg = write_config(
         tmp_path,
-        "beam: {wavelength: 633nm, w0: 1mm, xi: 1e3m}\n"
+        "beam: {wavelength: 633nm, w0: 1mm, xi: 1e4m}\n"
         "run:\n"
         "  - {scheme: position, theta: 1urad, z: 1z_R}\n"
         "  - {scheme: joint, theta: [0, 1urad], z: 1z_R}\n",
@@ -791,31 +775,15 @@ def test_config_missing_what_the_command_needs_exits_2(tmp_path, capsys, setup, 
     assert not (tmp_path / "o").exists()
 
 
-def test_overflowing_density_amplitude_exits_2(tmp_path, capsys):
-    # z_R = 5e-314 m is subnormal and sqrt(2/(pi w0^2)) overflows at w0 = 1e-160 m
-    cfg = write_config(
-        tmp_path,
-        "beam: {wavelength: 633nm, w0: 1e-160m}\n"
-        "run: {scheme: position, theta: 1urad, z: 0m}\n",
-    )
-    for command in (["validate-config"], ["sweep", "--out", str(tmp_path / "s")]):
-        assert main([*command, "--config", cfg]) == 2
-        assert "beam.w0: the waist must be above 1e-154 m" in capsys.readouterr().err
-    assert not (tmp_path / "s").exists()
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "command, beam, message",
     [
-        ("figure3", "wavelength: 633nm, w0: 1e-160m", "beam.w0: the waist must be above 1e-154 m"),
-        ("figure4", "wavelength: 633nm, w0: 1e-160m", "beam.w0: the waist must be above 1e-154 m"),
         # the offsets of a 4e146 m waist overflow the conditional Fisher 16 k^2 x^2 itself
         ("figure4", "wavelength: 633nm, z_R: 1e300m", "(z_R=1e+300 m)"),
         # the density squares the width at 5 z_R, 2.5e154 m
         ("figure4", "k: 1, w0: 5e153m", "the figure4a curves are not finite"),
     ],
-    ids=["tiny-w0-figure3", "tiny-w0-figure4", "huge-z_R-figure4", "huge-w0-figure4"],
+    ids=["huge-z_R-figure4", "huge-w0-figure4"],
 )
 def test_figure_beam_without_finite_curves_exits_2(tmp_path, capsys, command, beam, message):
     cfg = write_config(tmp_path, f"beam: {{{beam}}}\n")
@@ -831,12 +799,18 @@ def test_figure_beam_without_finite_curves_exits_2(tmp_path, capsys, command, be
         ("figure3", "wavelength: 1e-150m, w0: 1mm"),
         ("figure4", "wavelength: 1e-150m, w0: 1mm"),
         ("figure3", "wavelength: 633nm, z_R: 1e300m"),
+        ("figure3", "wavelength: 633nm, w0: 1e-160m"),
+        ("figure4", "wavelength: 633nm, w0: 1e-160m"),
     ],
-    ids=["tiny-wavelength-figure3", "tiny-wavelength-figure4", "huge-z_R-figure3"],
+    ids=[
+        "tiny-wavelength-figure3", "tiny-wavelength-figure4", "huge-z_R-figure3",
+        "tiny-w0-figure3", "tiny-w0-figure4",
+    ],
 )
 def test_figure_curves_of_extreme_lengths_are_finite(tmp_path, command, beam):
     # k z_R^2 x and z_R^2 overflowed in the interference rates before z and z_R
-    # were scaled; the figures were refused then
+    # were scaled, and sqrt(2/(pi w0^2)) in the density at w0 = 1e-160 m (z_R =
+    # 5e-314 m) before it was taken as sqrt(2/pi)/w; the figures were refused then
     cfg = write_config(tmp_path, f"beam: {{{beam}}}\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     tables = sorted((tmp_path / "o").glob("*.csv"))

@@ -298,13 +298,14 @@ def test_overflowing_k_w0_names_the_field():
 
 
 @pytest.mark.parametrize("size", ["z_R: 1e-300m", "w0: 1e-160m"])
-def test_z_far_past_the_rayleigh_range_names_the_field(size):
-    # widths square z/z_R; at w0 = 1e-160 m, z_R is subnormal and z/z_R overflows
-    text = f"beam: {{wavelength: 633nm, {size}}}\nrun: {{scheme: position, theta: 1urad, z: [0, 1m]}}\n"
-    with pytest.raises(ConfigError, match=r"run\[0\]\.z: z/z_R must be below 1e154, got z=1\.0 m"):
-        parse_config_text(text)
-    config = parse_config_text(text.replace("[0, 1m]", "[0, 1e-170m]"))
-    assert config.runs[0].z.tolist() == [0.0, 1e-170]
+def test_z_far_past_the_rayleigh_range_parses(size):
+    # at w0 = 1e-160 m z_R is subnormal, and z/z_R overflows at 1 m; the models take
+    # the plane as the ratios w0/w and (z/z_R) w0/w, so any z >= 0 is a plane
+    text = f"beam: {{wavelength: 633nm, {size}}}\nrun: {{scheme: position, theta: 1urad, z: [0, 1e-170m, 1m]}}\n"
+    config = parse_config_text(text)
+    assert config.runs[0].z.tolist() == [0.0, 1e-170, 1.0]
+    c, s, w = config.beam.plane(1.0)
+    assert s == 1.0 and 0.0 < c < 1e-299 and math.isfinite(w)
 
 
 @pytest.mark.parametrize("source", ["wavelength: 1e-320m", "k: 1e-320"])

@@ -66,7 +66,8 @@ def _photons(model, theta, nu, rng):
     if hasattr(model, "probabilities"):
         return _sample_signs(float(model.probabilities(theta)[0]), nu, rng)
     if isinstance(model, PositionModel):
-        return _sample_mixture(_Mixture([1.0], [model.mean(theta)], [model.sigma()]), theta, nu, rng)
+        # the profile's standard deviation is w/2: 1/2 in beam widths
+        return _sample_mixture(_Mixture([1.0], [model.mean(theta)], [0.5]), theta, nu, rng)
     x = _sample_mixture(model, theta, nu, rng)
     return _sample_signs(model.conditional_plus(theta, x), nu, rng), x
 
@@ -112,14 +113,14 @@ def _assert_moments(values, mean, variance):
 
 
 def test_position_sampling_moments(beam):
-    # the sample mean ~ Normal(xi + 2 theta z, w / (2 sqrt(nu))): variance w^2 / (4 nu)
+    # the sample mean ~ Normal(t s, 1 / (2 sqrt(nu))) in beam widths: variance 1 / (4 nu)
     z = beam.rayleigh_range
     model = PositionModel(beam, z)
     theta, nu = 2e-6, 1000
     samples = [sample_outcomes(model, theta, nu, trial_rng(11, i)) for i in range(4000)]
     assert all(n == nu for n, _ in samples)
     values = np.array([mean for _, mean in samples])
-    _assert_moments(values, model.mean(theta), beam.width(z) ** 2 / (4 * nu))
+    _assert_moments(values, model.mean(theta), 0.25 / nu)
 
 
 @pytest.mark.parametrize(
@@ -227,14 +228,16 @@ def test_joint_sampler_draws_what_the_old_samplers_drew(beam):
 # under numpy 2.4.6: the float64 statistic of the position, quadrant and
 # polarization schemes at nu = 1e6 (some 1,400 dark-port counts), and the joint
 # photons (signs, positions) at nu = 1000, first recorded before the samplers
-# stopped calling rng.choice and np.where.  A sampler edit that moves a stream
-# fails here, instead of quietly moving every seeded Monte Carlo result
+# stopped calling rng.choice and np.where.  Positions and the position scheme's
+# mean are in beam widths, u = (x - xi)/w: the same draws as the SI streams,
+# mapped by x = xi + w u, and the same signs.  A sampler edit that moves a
+# stream fails here, instead of quietly moving every seeded Monte Carlo result
 PINNED_STREAMS = {
-    "position": "5f221d8beeedcd91bc4992bc9906e704ae1831838c3fb9e6838f85ec48506128",
+    "position": "c046d1d88ce0773a0a7fdafc4862c9c0031ef6cc5c5343af59cbc6fdabf60029",
     "quadrant": "dae33df4814bbe255068582725c924b6efdb5bb6be7eb97b93ccb054646f841a",
     "polarization": "ec18b30bfd9fbb1b2b0a104b05bab85ac11c20235be7477419c57cb937bd184c",
-    "joint": "a3241a90a6761dd4b01d431478f3fa10e39ce89880521a02a7e7b430db7b8638",
-    "joint-elliptical": "3a441d1f0b5f4fcb6f3a56b5155694da3c4624b8b553da8881aaf0def6e9614b",
+    "joint": "33680dca92050af9aeb1c5c654d11abd6d539f4a0ec5dcb3371da3dde53d9ff4",
+    "joint-elliptical": "671259fb21ac0720242c393a3c2d191da3826464cc68d734a9b19b20643945ae",
 }
 
 
@@ -283,11 +286,11 @@ def test_loglik_discrete_matches_direct_sum(beam):
 
 def test_mle_recovers_position_mean_exactly(beam):
     # Gaussian location: the MLE is the sample mean, and the score is linear
-    # in theta, so the score root lands on (mean(x) - xi)/(2z)
+    # in theta, so the score root lands on mean(u) / (2 z/w), with mean(1) = 2 z/w
     z = beam.rayleigh_range
     model = PositionModel(beam, z)
     stat = sample_outcomes(model, 1e-6, 5000, trial_rng(21, 0))
-    closed_form = (stat[1] - beam.xi) / (2.0 * z)
+    closed_form = stat[1] / model.mean(1.0)
     result = mle(model, stat, (-2e-5, 2e-5))
     assert result.interior
     assert result.theta_hat == pytest.approx(closed_form, abs=1e-11)
@@ -361,7 +364,8 @@ def _exact_joint_score(model, outcomes, theta):
     """d/dtheta of the summed log density of the photons, summed with 50-digit mpmath.
 
     The density is the path-and-interference form of ``sagnac_joint_density``,
-    with the model's path weights and coherence phase and d = sqrt(|alpha|^2 |beta|^2).
+    with the model's path weights and coherence phase and d = sqrt(|alpha|^2 |beta|^2);
+    the photons' positions are the model's, u = (x - xi)/w.
     """
     mp = pytest.importorskip("mpmath").mp
     mp.dps = 50
@@ -373,7 +377,7 @@ def _exact_joint_score(model, outcomes, theta):
     s = 2 * th * z
     total = mp.mpf(0)
     for sign, x in zip(outcomes[0].tolist(), outcomes[1].tolist()):
-        u = mp.mpf(x) - xi
+        u = mp.mpf(x) * mp.sqrt(w2)  # x - xi
         g_h, g_v = mp.exp(-2 * (u + s) ** 2 / w2), mp.exp(-2 * (u - s) ** 2 / w2)
         envelope = mp.exp(-2 * (u * u + s * s) / w2)
         rate = 4 * k * (w0 ** 2 / w2) * u + 4 * k * xi
@@ -448,12 +452,12 @@ def test_joint_start_from_the_sign_counts_finds_the_same_root(beam, name):
 
 
 def test_maximum_within_the_end_inset_is_at_the_boundary(beam):
-    # the position score is linear, with its root at (mean(x) - xi)/(2z): put
+    # the position score is linear, with its root at mean(u) / (2 z/w): put
     # that root half an inset inside each end in turn
     z = beam.rayleigh_range
     model = PositionModel(beam, z)
     stat = sample_outcomes(model, 1e-6, 5000, trial_rng(21, 0))
-    root = (stat[1] - beam.xi) / (2.0 * z)
+    root = stat[1] / model.mean(1.0)
     width = 4e-6
     offset = 0.5 * END_INSET * width
     lo, hi = root - offset, root + offset

@@ -290,12 +290,17 @@ def _figure_grids():
 
 
 def _formula_rates(beam, z, x):
-    # the docstring's formulas in their written order, z and z_R scaled by a power of two
-    _, exponent = math.frexp(max(abs(z), beam.rayleigh_range))
-    z, zr = math.ldexp(z, -exponent), math.ldexp(beam.rayleigh_range, -exponent)
-    denom = z * z + zr * zr
-    a = 4.0 * beam.k * (zr * zr * x + z * z * beam.xi) / denom
-    b = 4.0 * beam.k * z * zr * (x - beam.xi) / denom
+    # the docstring's formulas in the plane's ratios c = w0/w and s = (z/z_R) w0/w,
+    # in their written order: 4 k (c^2 x + s^2 xi) and 4 k c s (x - xi)
+    c, s, _ = beam.plane(z)
+    a = 4.0 * beam.k * (c * c * x + s * s * beam.xi)
+    b = 4.0 * beam.k * c * s * (x - beam.xi)
+    zr = beam.rayleigh_range
+    if 1e-300 < zr * zr < 1e300 and z * z < 1e300:  # the textbook form, where its squares are in range
+        denom = z * z + zr * zr
+        scale = 4e-12 * beam.k * (abs(x) + abs(beam.xi))
+        assert abs(a - 4.0 * beam.k * (zr * zr * x + z * z * beam.xi) / denom) <= scale
+        assert abs(b - 4.0 * beam.k * z * zr * (x - beam.xi) / denom) <= scale
     return a, b
 
 

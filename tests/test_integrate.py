@@ -97,7 +97,7 @@ def test_quadrature_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     # the joint closed form integrates the conditioned information; make it
     # NaN so the real quadrature engine gives up
     monkeypatch.setattr(
-        "tiltsense.schemes.fisher_conditioned", lambda beam, z, x, theta: np.full_like(x, np.nan)
+        "tiltsense.schemes.information_from_rates", lambda a, b, theta: np.full_like(a, np.nan)
     )
     cfg = tmp_path / "joint.yaml"
     cfg.write_text(
@@ -111,7 +111,7 @@ def test_quadrature_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
 
 def test_montecarlo_quadrature_failure_names_the_block(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
-        "tiltsense.schemes.fisher_conditioned", lambda beam, z, x, theta: np.full_like(x, np.nan)
+        "tiltsense.schemes.information_from_rates", lambda a, b, theta: np.full_like(a, np.nan)
     )
     cfg = tmp_path / "joint.yaml"
     cfg.write_text(

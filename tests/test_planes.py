@@ -203,7 +203,7 @@ def test_a_failing_plane_is_reported_as_its_one_plane_row(tmp_path):
     assert (code, table) == (3, None)
     assert err == (
         "numerical failure: run[0] row 1 (joint, theta=-5.5808778302493416e-05 rad, "
-        "z=0.04825244687378284 m): quadrature did not converge on [-3.906546e-02, 3.906546e-02] "
+        "z=0.04825244687378284 m): quadrature did not converge on [-1.000138e+01, 1.000138e+01] "
         "with 512 panels per segment; the last two sums differ by 1.665e+00\n"
     )
     assert _sweep(tmp_path, text, one_plane=True, name="one")[:3] == (code, err, table)

@@ -245,20 +245,19 @@ def test_joint_conditional_plus_is_the_density_ratio():
             rng.uniform(400e-9, 2e-6), rng.uniform(3e-4, 5e-3), rng.uniform(-2e-3, 2e-3)
         )
         z = rng.uniform(0.0, 10.0) * beam.rayleigh_range
-        w = beam.width(z)
         polar, azimuth = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
         states = (PolarizationState.from_bloch(polar, azimuth),
                   PolarizationState.from_bloch(0.5 * math.pi, math.pi)) + pure
         for pol in states:
             model = PositionPolarizationModel(beam, pol, z)
             theta = rng.uniform(-1.0, 1.0) * model.small_angle_guard()
-            x = beam.xi + w * np.linspace(-8.0, 8.0, 161)
-            p_plus, p_minus = sagnac_joint_density(beam, pol, theta, z, x)
+            u = np.linspace(-8.0, 8.0, 161)  # beam widths from xi
+            p_plus, p_minus = model.branch_pdf(theta, u)
             ratio = p_plus / (p_plus + p_minus)
-            assert np.max(np.abs(model.conditional_plus(theta, x) - ratio)) <= 1e-15
-            # where the envelope underflows the ratio is 0/0; P(+|x) stays a probability
-            tail = beam.xi + w * np.array([-1e6, -1e3, -40.0, 40.0, 1e3, 1e6])
-            assert not np.any(sum(sagnac_joint_density(beam, pol, theta, z, tail)))
+            assert np.max(np.abs(model.conditional_plus(theta, u) - ratio)) <= 1e-15
+            # where the envelope underflows the ratio is 0/0; P(+|u) stays a probability
+            tail = np.array([-1e6, -1e3, -40.0, 40.0, 1e3, 1e6])
+            assert not np.any(sum(model.branch_pdf(theta, tail)))
             p_tail = model.conditional_plus(theta, tail)
             assert np.all((p_tail >= 0.0) & (p_tail <= 1.0))
             if pol in pure:
@@ -387,10 +386,10 @@ def _evenness_models():
 def _outcome_statistics(model, theta):
     if hasattr(model, "probabilities"):
         return np.asarray(model.probabilities(theta))
-    x = np.linspace(-4e-3, 5e-3, 901)
+    u = np.linspace(-4.0, 5.0, 901)  # beam widths from xi
     if hasattr(model, "branch_pdf"):
-        return np.concatenate(model.branch_pdf(theta, x))
-    return model.pdf(theta, x)
+        return np.concatenate(model.branch_pdf(theta, u))
+    return model.pdf(theta, u)
 
 
 def test_even_in_theta_matches_the_statistics():
