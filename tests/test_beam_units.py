@@ -91,10 +91,21 @@ CONFIGS = {
         "  - {scheme: polarization, theta: 1urad}\n",
         None,
     ),
-    "w0-10m-at-5e153z_R": (
-        "beam: {wavelength: 633nm, w0: 10m}\nrun:\n"
-        "  - {scheme: position, theta: 1nrad, z: 5e153z_R}\n"
-        "  - {scheme: joint, theta: 1nrad, z: 5e153z_R}\n",
+    # the blocks that the w0, z/z_R and w(z) guards refused, one block each
+    "w0-1e-160m-position-at-0": (
+        "beam: {wavelength: 633nm, w0: 1e-160m}\nrun: {scheme: position, theta: 1urad, z: 0m}\n",
+        None,
+    ),
+    "w0-1e-160m-position-at-1m": (
+        "beam: {wavelength: 633nm, w0: 1e-160m}\nrun: {scheme: position, theta: 1urad, z: 1m}\n",
+        None,
+    ),
+    "w0-10m-at-5e153z_R-position": (
+        "beam: {wavelength: 633nm, w0: 10m}\nrun: {scheme: position, theta: 1nrad, z: 5e153z_R}\n",
+        None,
+    ),
+    "w0-10m-at-5e153z_R-joint": (
+        "beam: {wavelength: 633nm, w0: 10m}\nrun: {scheme: joint, theta: 1nrad, z: 5e153z_R}\n",
         None,
     ),
     "z_R-1e-300m-at-1m": (

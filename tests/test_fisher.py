@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -295,12 +296,13 @@ def _formula_rates(beam, z, x):
     c, s, _ = beam.plane(z)
     a = 4.0 * beam.k * (c * c * x + s * s * beam.xi)
     b = 4.0 * beam.k * c * s * (x - beam.xi)
-    zr = beam.rayleigh_range
-    if 1e-300 < zr * zr < 1e300 and z * z < 1e300:  # the textbook form, where its squares are in range
-        denom = z * z + zr * zr
-        scale = 4e-12 * beam.k * (abs(x) + abs(beam.xi))
-        assert abs(a - 4.0 * beam.k * (zr * zr * x + z * z * beam.xi) / denom) <= scale
-        assert abs(b - 4.0 * beam.k * z * zr * (x - beam.xi) / denom) <= scale
+    # against the textbook form 4 k (z_R^2 x + z^2 xi) / (z^2 + z_R^2), 4 k z z_R (x - xi) / (z^2 + z_R^2),
+    # evaluated exactly; a product that leaves the normal range rounds to the subnormal grid, 5e-324 apart
+    k, zr, z, x, xi = map(Fraction, (beam.k, beam.rayleigh_range, z, x, beam.xi))
+    denom = z * z + zr * zr
+    scale = 4.0 * beam.k * (1e-12 * (abs(x) + abs(xi)) + 1e-322) + 1e-322
+    assert abs(a - float(4 * k * (zr * zr * x + z * z * xi) / denom)) <= scale
+    assert abs(b - float(4 * k * z * zr * (x - xi) / denom)) <= scale
     return a, b
 
 
