@@ -1,6 +1,6 @@
 """Command-line front end: Fisher tables, figure data, Monte Carlo runs.
 
-Subcommands: fisher, sweep, figure3, figure4, montecarlo, validate-config.
+Subcommands: sweep, figure3, figure4, montecarlo, validate-config.
 Exit codes: 0 success, 2 configuration error, 3 numerical-convergence
 failure, 4 statistical-check failure.
 """
@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import SEED_LIMIT, ConfigError, ScenarioConfig, linspace, load_config, parse_integer
+from .config import ConfigError, ScenarioConfig, linspace, load_config
 from .output import write_csv, write_json, write_sidecar
 
 _MODELS = ("PolarizationModel", "PositionModel", "PositionPolarizationModel", "QuadrantModel")
@@ -88,7 +88,7 @@ def build_model(scheme: str, config: ScenarioConfig, z, split):
 
 
 # ---------------------------------------------------------------------------
-# fisher / sweep
+# sweep
 # ---------------------------------------------------------------------------
 
 
@@ -147,22 +147,17 @@ def _emit_table(args, name, header, rows, config_text, seed=None):
     return table
 
 
-def cmd_table(args) -> int:
-    """``sweep`` tabulates every run block, ``fisher`` only block ``--run``."""
+def cmd_sweep(args) -> int:
+    """One Fisher row per grid point of every run block."""
     _bind(_TABLE_NAMES)
     config = load_config(args.config)
     if not config.runs:
         raise ConfigError("config has no run blocks")
-    indices = range(len(config.runs))
-    if args.run is not None:
-        if args.run not in indices:
-            raise ConfigError(f"--run {args.run} but config has {len(config.runs)} run block(s)")
-        indices = [args.run]
     nu = config.montecarlo.nu if config.montecarlo else 1
     rows = []
-    for run_index in indices:
-        rows.extend(_run_block_rows(config, run_index, config.runs[run_index], nu))
-    table = _emit_table(args, args.command, FISHER_HEADER, rows, config.raw_text)
+    for run_index, block in enumerate(config.runs):
+        rows.extend(_run_block_rows(config, run_index, block, nu))
+    table = _emit_table(args, "sweep", FISHER_HEADER, rows, config.raw_text)
     print(f"wrote {table} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -180,10 +175,6 @@ def cmd_montecarlo(args) -> int:
     if not config.runs:
         raise ConfigError("config has no run blocks")
     mc = config.montecarlo
-    seed = mc.seed
-    if args.seed is not None:
-        seed = parse_integer(args.seed, where="--seed", low=0, high=SEED_LIMIT)
-
     rows = []
     failures = []
     for index, block in enumerate(config.runs):
@@ -200,11 +191,11 @@ def cmd_montecarlo(args) -> int:
             if not information > 0.0:
                 raise ConfigError(f"run[{index}]: scheme carries no information at this working point")
             try:
-                interval = mc.interval or default_search_interval(model, mc.theta, mc.nu, information)
+                interval = default_search_interval(model, mc.theta, mc.nu, information)
             except ValueError as exc:
                 raise ConfigError(f"run[{index}]: {exc}")
             report = run_saturation(
-                model, mc.theta, mc.nu, mc.trials, seed,
+                model, mc.theta, mc.nu, mc.trials, mc.seed,
                 search_interval=interval, scheme=block.scheme, information=information,
             )
         except ConvergenceError as exc:
@@ -238,7 +229,7 @@ def cmd_montecarlo(args) -> int:
                 )
             failures.append(f"run[{index}] ({block.scheme}): " + " and ".join(causes))
 
-    table = _emit_table(args, "montecarlo", MC_HEADER, rows, config.raw_text, seed=seed)
+    table = _emit_table(args, "montecarlo", MC_HEADER, rows, config.raw_text, seed=mc.seed)
     print(f"wrote {table} ({len(rows)} rows)")
     if failures:
         raise StatisticalCheckError("; ".join(failures))
@@ -411,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tiltsense {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, config_required=True, seed=False, table=False):
+    def command(name, func, summary, config_required=True, table=False):
         p = sub.add_parser(name, help=summary)
         p.add_argument(
             "--config", required=config_required, default=None, help="scenario YAML file"
@@ -419,17 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         # read by no command; kept while every perfbench command passes it (ROADMAP item 1)
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-        if seed:
-            p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
         if table:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(func=func)
         return p
 
-    p_fisher = command("fisher", cmd_table, "Fisher table for one run block", table=True)
-    p_fisher.add_argument("--run", type=int, default=0, help="run block index")
-    p_sweep = command("sweep", cmd_table, "Fisher table for every run block", table=True)
-    p_sweep.set_defaults(run=None)
+    command("sweep", cmd_sweep, "Fisher table for every run block", table=True)
     command(
         "figure3", cmd_figure3, "information-per-photon curves (CSV + SVG)",
         config_required=False,
@@ -438,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figure4", cmd_figure4, "probability-scaled information curves (CSV + SVG)",
         config_required=False,
     )
-    command("montecarlo", cmd_montecarlo, "Cramer-Rao saturation runs", seed=True, table=True)
+    command("montecarlo", cmd_montecarlo, "Cramer-Rao saturation runs", table=True)
 
     p_val = sub.add_parser("validate-config", help="parse and validate a config file")
     p_val.add_argument("--config", required=True)

@@ -7,8 +7,8 @@ work in beam units, :mod:`tiltsense.beam`).  Each field resolves its unit in
 the table of its own dimension and refuses any other: ``LENGTH_UNITS`` for
 ``wavelength``, ``w0``, ``z_R`` and ``xi``, these plus ``z_R``/``zR`` (the
 beam's Rayleigh range) for ``z`` and ``split``, ``ANGLE_UNITS`` for ``theta``,
-``interval``, ``polar`` and ``azimuth``, ``ENERGY_UNITS`` for ``energy``; ``k``
-is a bare number in rad/m.
+``polar`` and ``azimuth``, ``ENERGY_UNITS`` for ``energy``; ``k`` is a bare
+number in rad/m.
 
 The text is read by ``read_yaml``, a small reader of the YAML that configs
 use, so that no command imports a YAML library:
@@ -38,7 +38,7 @@ import re
 from array import array
 from typing import NamedTuple, Optional
 
-from .beam import BeamParams
+from .beam import TWO_PI, BeamParams
 from .polarization import PolarizationState
 
 PLANCK = 6.62607015e-34  # J s
@@ -336,12 +336,12 @@ def _parse_beam(section, where="beam") -> BeamParams:
         k = parse_quantity(section["k"], {}, where=f"{where}.k")
         if k <= 0.0:
             raise ConfigError(f"{where}.k: wavenumber must be positive, got {k}")
-        wavelength = 2.0 * math.pi / k
+        wavelength = TWO_PI / k
     else:
         wavelength = parse_quantity(section["wavelength"], LENGTH_UNITS, where=f"{where}.wavelength")
         if wavelength <= 0.0:
             raise ConfigError(f"{where}.wavelength: must be positive, got {wavelength}")
-    if not 0.0 < 2.0 * math.pi / wavelength < math.inf:
+    if not 0.0 < TWO_PI / wavelength < math.inf:
         raise ConfigError(f"{where}.{source}: gives no finite wavenumber and wavelength")
     xi = parse_quantity(section.get("xi", 0.0), LENGTH_UNITS, where=f"{where}.xi")
     field = _either(section, where, "w0", "z_R")
@@ -360,7 +360,6 @@ def _parse_polarization(section, where="polarization") -> PolarizationState:
     if isinstance(section, str):
         presets = {
             "diagonal": PolarizationState.diagonal,
-            "plus": PolarizationState.diagonal,
             "horizontal": PolarizationState.horizontal,
             "vertical": PolarizationState.vertical,
             "circular": PolarizationState.circular,
@@ -393,7 +392,6 @@ class MonteCarloBlock(NamedTuple):
     nu: int
     trials: int
     seed: int
-    interval: Optional[tuple[float, float]] = None
 
 
 class ScenarioConfig(NamedTuple):
@@ -444,7 +442,7 @@ def _parse_run(block, beam, pol, index) -> RunBlock:
 
 def _parse_montecarlo(section, wavelength) -> MonteCarloBlock:
     where = "montecarlo"
-    _check_keys(section, where, {"theta", "nu", "energy", "trials", "seed", "interval"})
+    _check_keys(section, where, {"theta", "nu", "energy", "trials", "seed"})
     if "theta" not in section:
         raise ConfigError(f"{where}: needs theta")
     theta = parse_quantity(section["theta"], ANGLE_UNITS, where=f"{where}.theta")
@@ -468,17 +466,7 @@ def _parse_montecarlo(section, wavelength) -> MonteCarloBlock:
     # an empirical variance needs two estimates
     trials = parse_integer(section.get("trials", 200), where=f"{where}.trials", low=2)
     seed = parse_integer(section.get("seed", 0), where=f"{where}.seed", low=0, high=SEED_LIMIT)
-    interval = None
-    if "interval" in section:
-        pair = section["interval"]
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"{where}.interval: expected [low, high]")
-        lo = parse_quantity(pair[0], ANGLE_UNITS, where=f"{where}.interval[0]")
-        hi = parse_quantity(pair[1], ANGLE_UNITS, where=f"{where}.interval[1]")
-        if not lo < hi:
-            raise ConfigError(f"{where}.interval: low must be < high")
-        interval = (lo, hi)
-    return MonteCarloBlock(theta=theta, nu=nu, trials=trials, seed=seed, interval=interval)
+    return MonteCarloBlock(theta=theta, nu=nu, trials=trials, seed=seed)
 
 
 def parse_config_text(text: str) -> ScenarioConfig:

@@ -24,7 +24,7 @@ DENSITY_FLOOR = 1e-30
 # least STEP_THETA_RTOL |theta|, below which theta +- h keeps too few digits of h
 STEP_FRACTION, STEP_THETA_RTOL = 2e-5, 1e-6
 
-NORM_TOL = 1e-6  # a density integrates to 1 this well, or the quadrature did not resolve it
+DENSITY_NORM_TOL = 1e-6  # a density integrates to 1 this well, or the quadrature did not resolve it
 
 # the two central-difference estimates (steps h and h/2) must agree this well,
 # relative to the largest |derivative| of the pass at the same plane
@@ -126,7 +126,7 @@ def _continuous_fisher(model, theta, h, density):
 
     atol = 1e-12 * float(np.max(model.qfi()))  # on the model's scale, as in the decomposition
     information, norm = integrate_interval(integrand, lo, hi, points, rtol=1e-9, atol=atol)
-    bad = np.flatnonzero(np.abs(np.ravel(norm) - 1.0) > NORM_TOL)  # the quadrature refuses NaN
+    bad = np.flatnonzero(np.abs(np.ravel(norm) - 1.0) > DENSITY_NORM_TOL)  # the quadrature refuses NaN
     if bad.size:
         raise OracleError(f"density not resolved: it integrates to {norm.flat[bad[0]]:.6e}", int(bad[0]))
     return information

@@ -37,7 +37,6 @@ from .fisher import (
     qfi_sagnac,
     quadrant_argument,
 )
-from .oracle import default_step
 from .polarization import NORM_TOL, PolarizationState
 
 # beyond these the first-order (small-angle) saturation statements degrade,
@@ -349,6 +348,8 @@ class _InterferometricScheme(_SchemeModel):
 
     def regime_flags(self, theta: float):
         """A tuple of warnings; at a column of planes, a list of one tuple per plane."""
+        from .oracle import default_step  # here, so that montecarlo does not load the oracle
+
         flags = small_angle_flags(self.beam, theta)
         stationary = flags + ("theta=0 stationary point: finite differences see only the even part",)
         near_zero = abs(theta) < default_step(theta, self.qfi())  # the oracle's stencil straddles 0

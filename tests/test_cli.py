@@ -1,8 +1,10 @@
+import argparse
 import csv
 import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from scipy.integrate import trapezoid
 import pytest
 
 from tiltsense import BeamParams, fisher_conditioned, intensity_profile
-from tiltsense.cli import main
+from tiltsense.cli import build_parser, main
 
 BASE_CONFIG = """
 beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}
@@ -55,14 +57,14 @@ def test_validate_config_error_names_field(tmp_path, capsys):
 
 
 def test_missing_config_file(tmp_path, capsys):
-    assert main(["fisher", "--config", str(tmp_path / "nope.yaml")]) == 2
+    assert main(["sweep", "--config", str(tmp_path / "nope.yaml")]) == 2
 
 
 def test_fisher_quadrant_sweep_peaks_at_two_over_pi(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"
-    assert main(["fisher", "--config", cfg, "--out", str(out)]) == 0
-    rows = read_rows(out / "fisher.csv")
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "sweep.csv")
     assert len(rows) == 12
     ratios = [float(r["ratio_to_qfi"]) for r in rows]
     zs = [float(r["z_m"]) for r in rows]
@@ -86,8 +88,8 @@ def test_fisher_polarization_offset_gain(tmp_path):
             name=f"{tag}.yaml",
         )
         out = tmp_path / tag
-        assert main(["fisher", "--config", cfg, "--out", str(out)]) == 0
-        row = read_rows(out / "fisher.csv")[0]
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        row = read_rows(out / "sweep.csv")[0]
         gains[tag] = float(row["analytic_fisher"])
         assert "stationary point" in row["warnings"]
     # F scales by (w0^2/4 + xi^2)/(w0^2/4) = 5 for xi = 1mm, w0 = 1mm
@@ -97,9 +99,9 @@ def test_fisher_polarization_offset_gain(tmp_path):
 def test_fisher_outputs_are_reproducible_and_threadsafe(tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["fisher", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["fisher", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
-    assert (out1 / "fisher.csv").read_bytes() == (out2 / "fisher.csv").read_bytes()
+    assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
+    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
 def test_fisher_json_format(tmp_path):
@@ -107,8 +109,8 @@ def test_fisher_json_format(tmp_path):
         tmp_path, "beam: {wavelength: 633nm, w0: 1mm}\nrun: {scheme: position, theta: 1urad, z: 1z_R}\n"
     )
     out = tmp_path / "json_out"
-    assert main(["fisher", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
-    records = json.loads((out / "fisher.json").read_text())
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    records = json.loads((out / "sweep.json").read_text())
     assert len(records) == 1
     assert records[0]["scheme"] == "position"
     assert records[0]["oracle_fisher"] == pytest.approx(records[0]["analytic_fisher"], rel=1e-6)
@@ -122,8 +124,8 @@ def test_fisher_row_invariants(tmp_path):
         "run: {scheme: position, theta: 1urad, z: 1z_R}\n"
         "montecarlo: {theta: 1urad, nu: 10000}\n",
     )
-    assert main(["fisher", "--config", cfg, "--out", str(tmp_path / "f")]) == 0
-    (row,) = read_rows(tmp_path / "f" / "fisher.csv")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "f")]) == 0
+    (row,) = read_rows(tmp_path / "f" / "sweep.csv")
     analytic, qfi = float(row["analytic_fisher"]), float(row["qfi"])
     assert 0.0 <= analytic <= qfi * (1.0 + 1e-6)
     assert abs(analytic - float(row["oracle_fisher"])) / analytic < 1e-4
@@ -133,34 +135,12 @@ def test_fisher_row_invariants(tmp_path):
     )
 
 
-def test_fisher_run_is_that_block_of_the_sweep(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n"
-        "run:\n"
-        "  - {scheme: quadrant, theta: 1urad, z: [1z_R, 2z_R]}\n"
-        "  - {scheme: polarization, theta: [0.5urad, 1urad]}\n"
-        "  - {scheme: position, theta: 1urad, z: 1z_R}\n",
-    )
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
-    assert main(["fisher", "--config", cfg, "--out", str(tmp_path / "f"), "--run", "1"]) == 0
-    sweep = [r for r in read_rows(tmp_path / "s" / "sweep.csv") if r["run"] == "1"]
-    assert read_rows(tmp_path / "f" / "fisher.csv") == sweep
-    assert len(sweep) == 2
-
-
-@pytest.mark.parametrize("run", ["3", "-1"])
-def test_fisher_run_out_of_range_exits_2(tmp_path, capsys, run):
-    cfg = write_config(tmp_path, BASE_CONFIG)
-    assert main(["fisher", "--config", cfg, "--out", str(tmp_path / "f"), "--run", run]) == 2
-    assert f"--run {run} but config has 1 run block(s)" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ["fisher", "--seed", "1"],
         ["sweep", "--seed", "1"],
+        ["sweep", "--run", "0"],
+        ["montecarlo", "--seed", "9"],
         ["figure3", "--seed", "1"],
         ["figure4", "--seed", "1"],
         ["figure3", "--format", "json"],
@@ -175,6 +155,60 @@ def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+COMMANDS = ["sweep", "figure3", "figure4", "montecarlo", "validate-config"]
+
+
+def test_help_lists_the_five_commands(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().out
+
+
+def test_the_fisher_command_is_gone(tmp_path, capsys):
+    # one run block's rows come from sweep on a config that holds only that block
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fisher", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'fisher'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (("nu: 10000,", "nu: 10000, interval: [0, 2urad],"), "montecarlo: unknown keys ['interval']"),
+        (("xi: 1mm}", "xi: 1mm}\npolarization: plus"), "polarization: unknown preset 'plus'"),
+    ],
+    ids=["montecarlo-interval", "plus-preset"],
+)
+def test_retired_config_knobs_exit_2(tmp_path, capsys, change, message):
+    cfg = write_config(tmp_path, MC_CONFIG.replace(*change))
+    out = ["--out", str(tmp_path / "o")]
+    for argv in (["validate-config"], ["sweep", *out], ["montecarlo", *out]):
+        assert main([*argv, "--config", cfg]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_cli_table_lists_every_command_and_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command ", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for line in table.splitlines()[2:]:
+        commands, flags = line.split(" | ", 1)
+        for command in re.findall(r"`([a-z0-9-]+)`", commands):
+            listed[command] = set(re.findall(r"`(--[a-z-]+)", flags))
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {
+        name: {option for action in sub._actions for option in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert listed == defined
+    assert sorted(defined) == sorted(COMMANDS)
 
 
 def test_sweep_covers_all_run_blocks(tmp_path):
@@ -297,7 +331,7 @@ def test_joint_scheme_requires_diagonal_polarization(tmp_path, capsys):
         "polarization: horizontal\n"
         "run: {scheme: joint, theta: 1urad, z: 1z_R}\n",
     )
-    assert main(["fisher", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "diagonal" in capsys.readouterr().err
 
 
@@ -322,15 +356,6 @@ def test_montecarlo_identical_bytes_on_rerun(tmp_path):
     assert main(["montecarlo", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["montecarlo", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "montecarlo.csv").read_bytes() == (out2 / "montecarlo.csv").read_bytes()
-
-
-def test_montecarlo_seed_flag_overrides(tmp_path):
-    cfg = write_config(tmp_path, MC_CONFIG)
-    out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    assert main(["montecarlo", "--config", cfg, "--out", str(out1), "--seed", "9"]) == 0
-    assert main(["montecarlo", "--config", cfg, "--out", str(out2)]) == 0
-    assert (out1 / "montecarlo.csv").read_bytes() != (out2 / "montecarlo.csv").read_bytes()
-    assert json.loads((out1 / "montecarlo.meta.json").read_text())["seed"] == 9
 
 
 def test_montecarlo_nu_one_smoke(tmp_path):
@@ -442,8 +467,8 @@ def test_quadrant_split_option(tmp_path):
         "run: {scheme: quadrant, theta: 1urad, z: 1z_R, split: 0.9mm}\n",
     )
     out = tmp_path / "split"
-    assert main(["fisher", "--config", cfg, "--out", str(out)]) == 0
-    row = read_rows(out / "fisher.csv")[0]
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    row = read_rows(out / "sweep.csv")[0]
     assert float(row["oracle_fisher"]) == pytest.approx(float(row["analytic_fisher"]), rel=1e-6)
 
 
@@ -457,7 +482,7 @@ def test_numerical_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     cfg = write_config(
         tmp_path, "beam: {wavelength: 633nm, w0: 1mm}\nrun: {scheme: position, theta: 0, z: 1z_R}\n"
     )
-    assert main(["fisher", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 
@@ -527,13 +552,11 @@ def test_non_finite_theta_exits_2_naming_the_field(tmp_path, capsys):
 
 
 def test_seed_out_of_range_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, MC_CONFIG)
-    for seed in ("-5", str(2 ** 64)):
-        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path), "--seed", seed]) == 2
-        assert "--seed: must be in [0, 18446744073709551616)" in capsys.readouterr().err
-    bad = write_config(tmp_path, MC_CONFIG.replace("seed: 424242", "seed: -1"), "bad.yaml")
-    assert main(["montecarlo", "--config", bad, "--out", str(tmp_path / "c")]) == 2
-    assert "montecarlo.seed" in capsys.readouterr().err
+    for seed in ("-1", str(2 ** 64)):
+        bad = write_config(tmp_path, MC_CONFIG.replace("seed: 424242", f"seed: {seed}"), "bad.yaml")
+        assert main(["montecarlo", "--config", bad, "--out", str(tmp_path / "c")]) == 2
+        assert "montecarlo.seed: must be in [0, 18446744073709551616)" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 def test_fractional_nu_exits_2(tmp_path, capsys):

@@ -128,8 +128,9 @@ def test_polarization_forms():
     assert config.polarization.coherence_phase == pytest.approx(math.pi / 2)
     config = parse_config_text(BASE + "polarization: {polar: 90deg, azimuth: 0.5rad}\n")
     assert config.polarization.coherence_phase == pytest.approx(0.5)
-    with pytest.raises(ConfigError, match="preset"):
-        parse_config_text(BASE + "polarization: elliptical\n")
+    for name in ("elliptical", "plus"):  # the diagonal state's preset is `diagonal` only
+        with pytest.raises(ConfigError, match=f"polarization: unknown preset '{name}'"):
+            parse_config_text(BASE + f"polarization: {name}\n")
 
 
 def test_run_block_validation():
@@ -167,12 +168,9 @@ def test_montecarlo_validation():
         parse_config_text(BASE + "montecarlo: {theta: 1urad}\n")
     with pytest.raises(ConfigError, match="not both"):
         parse_config_text(BASE + "montecarlo: {theta: 1urad, nu: 10, energy: 1pJ}\n")
-    with pytest.raises(ConfigError, match="interval"):
-        parse_config_text(BASE + "montecarlo: {theta: 1urad, nu: 10, interval: [2urad, 1urad]}\n")
-    config = parse_config_text(
-        BASE + "montecarlo: {theta: 1urad, nu: 100, interval: [0, 2urad]}\n"
-    )
-    assert config.montecarlo.interval == (0.0, 2e-6)
+    # the search interval is derived from F and nu, never read from the config
+    with pytest.raises(ConfigError, match=r"montecarlo: unknown keys \['interval'\]"):
+        parse_config_text(BASE + "montecarlo: {theta: 1urad, nu: 100, interval: [0, 2urad]}\n")
 
 
 def test_top_level_validation():

@@ -21,12 +21,11 @@ beam: {{wavelength: {wavelength}, {size}, xi: {xi}}}
 polarization: {{polar: {polar}, azimuth: {azimuth}}}
 run:
   - {{scheme: quadrant, theta: {theta}, z: {z}, split: {split}}}
-montecarlo: {{theta: {mc_theta}, {photons}, interval: [{interval}, 2urad]}}
+montecarlo: {{theta: {mc_theta}, {photons}}}
 """
 VALID = dict(
     wavelength="633nm", size="w0: 1mm", xi="1mm", polar="90deg", azimuth="0rad",
     theta="1urad", z="1z_R", split="0.1mm", mc_theta="1urad", photons="nu: 100",
-    interval="0urad",
 )
 
 # (template slot, the text before the value, the field's name, one value in each
@@ -43,7 +42,6 @@ FOREIGN = [
     ("split", "", "run[0].split", ["1nrad", "1fJ"]),
     ("mc_theta", "", "montecarlo.theta", ["1um", "1uJ"]),
     ("photons", "energy: ", "montecarlo.energy", ["1e-12mm", "1e-12urad"]),
-    ("interval", "", "montecarlo.interval[0]", ["0mm", "0J"]),
 ]
 
 

@@ -63,7 +63,7 @@ def test_validate_config_loads_no_numpy(tmp_path):
         ("figure3", {"schemes", "estimate", "oracle", "_integrate"}),
         ("figure4", {"schemes", "estimate", "oracle", "_integrate"}),
         ("sweep", {"estimate", "svgplot"}),
-        ("montecarlo", {"svgplot"}),
+        ("montecarlo", {"svgplot", "oracle"}),
     ],
 )
 def test_command_loads_only_its_layers(tmp_path, command, absent):
@@ -166,7 +166,6 @@ def test_unexpected_error_in_validate_config_is_not_a_name_error(tmp_path):
 # every command with the arguments it runs on in the checks below
 COMMANDS = {
     "validate-config": (),
-    "fisher": ("--out", "out"),
     "sweep": ("--out", "out"),
     "montecarlo": ("--out", "out"),
     "figure3": ("--out", "out"),
@@ -212,7 +211,6 @@ scenario, montecarlo = sys.argv[1:]
 runs = [
     ["validate-config", "--config", scenario],
     ["validate-config", "--config", montecarlo],
-    ["fisher", "--config", scenario, "--out", "out"],
     ["sweep", "--config", scenario, "--out", "out"],
     ["montecarlo", "--config", montecarlo, "--out", "out"],
     ["figure3", "--config", scenario, "--out", "out"],
@@ -224,8 +222,8 @@ print(json.dumps([main(argv) for argv in runs]))
 
 def test_commands_run_where_yaml_cannot_be_imported(tmp_path):
     samples = (str(ROOT / "scenario.sample.yaml"), str(ROOT / "montecarlo.sample.yaml"))
-    assert _python(RUN_WITHOUT_YAML, *samples, cwd=tmp_path) == [0] * 7
-    tables = {"fisher", "sweep", "montecarlo", "figure3a", "figure3b"} | {f"figure4{p}" for p in "abcd"}
+    assert _python(RUN_WITHOUT_YAML, *samples, cwd=tmp_path) == [0] * 6
+    tables = {"sweep", "montecarlo", "figure3a", "figure3b"} | {f"figure4{p}" for p in "abcd"}
     assert {path.stem for path in (tmp_path / "out").glob("*.csv")} == tables
 
 

@@ -104,7 +104,7 @@ def test_quadrature_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
         "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n"
         "run: {scheme: joint, theta: 1urad, z: 1z_R}\n"
     )
-    assert main(["fisher", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "quadrature did not converge" in err
 

@@ -49,14 +49,14 @@ def test_write_json_strict_on_nonfinite(tmp_path):
 def test_sidecar_contents(tmp_path):
     path = tmp_path / "run.meta.json"
     write_sidecar(
-        path, command="fisher", argv=["fisher", "--config", "c.yaml"],
-        version="0.1.0", seed=7, config_text="beam: {}", outputs=["fisher.csv"],
+        path, command="sweep", argv=["sweep", "--config", "c.yaml"],
+        version="0.1.0", seed=7, config_text="beam: {}", outputs=["sweep.csv"],
     )
     data = json.loads(path.read_text())
-    assert data["command"] == "fisher"
+    assert data["command"] == "sweep"
     assert data["seed"] == 7
     assert data["config"] == "beam: {}"
-    assert data["outputs"] == ["fisher.csv"]
+    assert data["outputs"] == ["sweep.csv"]
 
 
 def test_nice_ticks_cover_range():
