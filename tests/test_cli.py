@@ -177,6 +177,21 @@ def test_the_fisher_command_is_gone(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("run", ["3", "-1"])
+def test_fisher_run_out_of_range_exits_2(tmp_path, capsys, run):
+    # no command takes a run index any more: each such call stops in argparse
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    for command, message in (
+        ("fisher", "invalid choice: 'fisher'"),
+        ("sweep", f"unrecognized arguments: --run {run}"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", cfg, "--out", str(tmp_path / "f"), "--run", run])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
