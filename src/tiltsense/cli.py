@@ -100,6 +100,8 @@ def _run_block_rows(config, run_index, block, nu):
     """
     import numpy as np
 
+    from .oracle import default_step
+
     planeless = block.z is None
     zs = [""] if planeless else block.z.tolist()
     column = None if planeless else np.reshape(block.z, (-1, 1))
@@ -108,15 +110,16 @@ def _run_block_rows(config, run_index, block, nu):
     rows = []
     for theta_index, theta in enumerate(block.theta.tolist()):
         first = theta_index * len(zs)
+        step = default_step(theta, qfi)
         try:
             analytic = np.ravel(analytic_fisher(model, theta)).tolist()
-            oracle = np.ravel(numeric_fisher_oracle(model, theta)).tolist()
+            oracle = np.ravel(numeric_fisher_oracle(model, theta, step)).tolist()
         except (OracleError, ConvergenceError) as exc:
             at = f"theta={theta!r} rad" + ("" if planeless else f", z={zs[exc.plane]!r} m")
             raise NumericalFailure(
                 f"run[{run_index}] row {first + exc.plane} ({block.scheme}, {at}): {exc.reason}"
             ) from exc
-        flags = model.regime_flags(theta)
+        flags = model.regime_flags(theta, step)
         for plane, z in enumerate(zs):
             value = analytic[plane]
             rows.append((
@@ -190,6 +193,14 @@ def cmd_montecarlo(args) -> int:
             information = analytic_fisher(model, mc.theta)
             if not information > 0.0:
                 raise ConfigError(f"run[{index}]: scheme carries no information at this working point")
+            # the estimates lie within +-10 Cramer-Rao sigma, so the variance sums at most
+            # trials squared deviations of (20 sigma)^2 = 400 / (nu F) each
+            cr_variance = 1.0 / (mc.nu * information)
+            if not 400.0 * mc.trials * cr_variance < math.inf:
+                raise ConfigError(
+                    f"run[{index}]: the Cramer-Rao variance 1/(nu F) = {cr_variance:.3e} rad^2 at "
+                    f"this working point is too large for the variance of {mc.trials} estimates"
+                )
             try:
                 interval = default_search_interval(model, mc.theta, mc.nu, information)
             except ValueError as exc:

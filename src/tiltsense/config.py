@@ -55,6 +55,12 @@ NU_LIMIT = 10 ** 8  # photons per trial; only the joint sampler holds arrays of 
 # an hour; a larger count would only exhaust memory while the grid is built
 GRID_LIMIT = 10 ** 6
 
+# largest size of a tilt's phases: t = k w0 |theta| (the models form phases ~ t^2 over
+# windows of 10 beam widths), the displacement phase 4 k |xi| |theta|, and for the joint
+# model the rate of its phase per radian, 4 k w0 (t + 10) + 4 k |xi|; the models square
+# each, so that past this they would overflow
+TILT_LIMIT = 1e150
+
 LENGTH_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12}
 ANGLE_UNITS = {"rad": 1.0, "mrad": 1e-3, "urad": 1e-6, "µrad": 1e-6, "nrad": 1e-9,
                "deg": math.pi / 180.0}
@@ -310,6 +316,22 @@ def parse_grid(spec, units: dict, *, where: str = "grid") -> array:
     return values
 
 
+def _check_tilt(theta: float, beam: BeamParams, scheme: str, where: str) -> None:
+    """Refuse a tilt past ``TILT_LIMIT``, where the scheme's intermediates would overflow."""
+    t = beam.k * beam.w0 * abs(theta)
+    sizes = {"k w0 |theta|": t, "4 k |xi| |theta|": 4.0 * beam.k * abs(beam.xi * theta)}
+    if scheme == "joint":
+        sizes["the rate 4 k w0 (k w0 |theta| + 10) + 4 k |xi|"] = 4.0 * beam.k * (
+            beam.w0 * (t + 10.0) + abs(beam.xi)
+        )
+    over = [f"{name} = {size:.3e}" for name, size in sizes.items() if not size <= TILT_LIMIT]
+    if over:
+        raise ConfigError(
+            f"{where}: {theta!r} rad is past the tilts the {scheme} scheme represents: "
+            f"{', '.join(over)}, above {TILT_LIMIT:g}"
+        )
+
+
 def _check_keys(section, where: str, keys) -> None:
     """Refuse a ``section`` that is not a mapping, or that has a key outside ``keys``."""
     if not isinstance(section, dict):
@@ -415,6 +437,7 @@ def _parse_run(block, beam, pol, index) -> RunBlock:
     if "theta" not in block:
         raise ConfigError(f"{where}: needs a theta value or grid")
     theta = parse_grid(block["theta"], ANGLE_UNITS, where=f"{where}.theta")
+    _check_tilt(max(theta[0], theta[-1], key=abs), beam, scheme, f"{where}.theta")
     lengths = {**LENGTH_UNITS, "z_R": beam.rayleigh_range, "zR": beam.rayleigh_range}
     needs_z = scheme in ("position", "quadrant", "joint")
     z = None
@@ -500,6 +523,8 @@ def parse_config_text(text: str) -> ScenarioConfig:
     mc = None
     if "montecarlo" in data:
         mc = _parse_montecarlo(data["montecarlo"], beam.wavelength)
+        for block in runs:  # montecarlo runs every block at this tilt
+            _check_tilt(mc.theta, beam, block.scheme, "montecarlo.theta")
     return ScenarioConfig(beam=beam, polarization=pol, runs=runs, montecarlo=mc, raw_text=text)
 
 

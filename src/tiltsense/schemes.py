@@ -79,36 +79,6 @@ def quadrant_probabilities(
     return 0.5 * math.erfc(-arg), 0.5 * math.erfc(arg)
 
 
-def _path_terms(pol: PolarizationState, q: np.ndarray):
-    """(gap, 2 d t) of ``sagnac_joint_density`` at q = 4 u s / w^2 (an array of 1 or 2 dims).
-
-    gap = (sqrt(near) - sqrt(far) t)^2 / 2 and t = e^{-|q|}; both are >= 0.
-    """
-    pa = abs(pol.alpha) ** 2
-    pb = abs(pol.beta) ** 2
-    t = np.abs(q)
-    t *= -1.0  # -|q| until it is replaced by t itself below
-    if pa == pb:
-        # sqrt(near) - sqrt(far) t = sqrt(pa) (1 - t), with t - 1 = expm1(-|q|)
-        np.expm1(t, out=t)
-        gap = t * t
-        gap *= 0.5 * pa
-        t += 1.0
-    else:
-        # sqrt(near) - sqrt(far) t: through 1 - t = -expm1(-|q|) where t >= 1/2, so
-        # that it stays accurate for near ~ far, and through t itself in the tail
-        toward_v = q >= 0.0
-        root_near = np.where(toward_v, math.sqrt(pb), math.sqrt(pa))
-        root_far = np.where(toward_v, math.sqrt(pa), math.sqrt(pb))
-        m = np.expm1(t)
-        np.exp(t, out=t)
-        gap = np.where(m >= -0.5, (root_near - root_far) - root_far * m, root_near - root_far * t)
-        gap *= gap
-        gap *= 0.5
-    t *= 2.0 * pol.coherence_magnitude
-    return gap, t
-
-
 def sagnac_joint_density(beam: BeamParams, pol: PolarizationState, theta: float, z, x):
     """Joint densities (p_plus, p_minus) of diagonal-basis outcome and position.
 
@@ -141,25 +111,60 @@ def sagnac_joint_density(beam: BeamParams, pol: PolarizationState, theta: float,
 
 
 def _joint_density(beam: BeamParams, pol: PolarizationState, theta: float, z, u):
-    """The densities w p_pm of ``sagnac_joint_density`` at u = (x - xi)/w(z)."""
-    t = beam.k * beam.w0 * theta
-
-    def constants(z):
-        c, s, _ = beam.plane(z)
-        return abs(t * s), 4.0 * t * s, t * c
-
-    reach, path_rate, phase_rate = per_plane(constants, z)
+    """The densities w p_pm of ``sagnac_joint_density`` at u = (x - xi)/w(z): the branch
+    terms of ``_joint_terms`` times their envelope sqrt(2/pi) e^{-2(|u| - |t s|)^2}."""
     shape = np.shape(u)  # u is taken at least 1-d, so that the ufuncs below can write in place
     u = np.asarray(u, dtype=float).reshape(shape if len(shape) == 2 else -1)
-
     # in place: with more live temporaries glibc trims and refaults them every call
     envelope = np.abs(u)
-    envelope -= reach
+    envelope -= per_plane(lambda z: abs(beam.k * beam.w0 * theta * beam.plane(z)[1]), z)
     envelope *= envelope
     envelope *= -2.0
     np.exp(envelope, out=envelope)
     envelope *= ROOT_2_OVER_PI
-    gap, t = _path_terms(pol, u * path_rate)
+    p_plus, p_minus = _joint_terms(beam, pol, theta, z, u)
+    p_plus *= envelope
+    p_minus *= envelope
+    # [()] turns the 0-d results of a scalar u back into scalars
+    return p_plus.reshape(shape)[()], p_minus.reshape(shape)[()]
+
+
+def _joint_terms(beam: BeamParams, pol: PolarizationState, theta: float, z, u):
+    """The branch terms gap + 2 d t' {cos^2, sin^2}(psi/2) of ``sagnac_joint_density``,
+    w p_pm without their envelope, at u of shape (nodes,) or (planes, nodes).
+
+    gap = (sqrt(near) - sqrt(far) t')^2 / 2 and t' = e^{-|q|}, q = 4 u t s; both are >= 0.
+    """
+
+    def constants(z):
+        c, s, _ = beam.plane(z)
+        t = beam.k * beam.w0 * theta
+        return 4.0 * t * s, t * c
+
+    path_rate, phase_rate = per_plane(constants, z)
+    q = u * path_rate
+    pa = abs(pol.alpha) ** 2
+    pb = abs(pol.beta) ** 2
+    t = np.abs(q)
+    t *= -1.0  # -|q| until it is replaced by t' itself below
+    if pa == pb:
+        # sqrt(near) - sqrt(far) t' = sqrt(pa) (1 - t'), with t' - 1 = expm1(-|q|)
+        np.expm1(t, out=t)
+        gap = t * t
+        gap *= 0.5 * pa
+        t += 1.0
+    else:
+        # sqrt(near) - sqrt(far) t': through 1 - t' = -expm1(-|q|) where t' >= 1/2, so
+        # that it stays accurate for near ~ far, and through t' itself in the tail
+        toward_v = q >= 0.0
+        root_near = np.where(toward_v, math.sqrt(pb), math.sqrt(pa))
+        root_far = np.where(toward_v, math.sqrt(pa), math.sqrt(pb))
+        m = np.expm1(t)
+        np.exp(t, out=t)
+        gap = np.where(m >= -0.5, (root_near - root_far) - root_far * m, root_near - root_far * t)
+        gap *= gap
+        gap *= 0.5
+    t *= 2.0 * pol.coherence_magnitude  # 2 d t'
     # {cos^2, sin^2}(psi/2) = {(1 - tau^2)^2, 4 tau^2} / (1 + tau^2)^2 with
     # tau = tan(psi/4): one transcendental, and each part keeps its own zero
     tau = u * phase_rate
@@ -172,14 +177,11 @@ def _joint_density(beam: BeamParams, pol: PolarizationState, theta: float, z, u)
     p_minus = tau * t
     p_minus *= 4.0
     p_minus += gap
-    p_minus *= envelope
     p_plus = np.subtract(1.0, tau, out=tau)
     p_plus *= p_plus
     p_plus *= t
     p_plus += gap
-    p_plus *= envelope
-    # [()] turns the 0-d results of a scalar u back into scalars
-    return p_plus.reshape(shape)[()], p_minus.reshape(shape)[()]
+    return p_plus, p_minus
 
 
 def sagnac_polarization_probabilities(beam: BeamParams, pol: PolarizationState, theta: float):
@@ -230,7 +232,8 @@ def conditioned_polarization_probabilities(beam: BeamParams, theta: float, z: fl
 #   fisher(theta)                    closed-form Fisher information
 #   decomposition(theta)             (joint model only) its polarization and spatial parts
 #   qfi()                            the matching quantum bound
-#   regime_flags(theta)              warnings for points outside the first-order regime
+#   regime_flags(theta, step)        warnings for points outside the first-order regime, and
+#                                    the stationary point within an oracle step of theta
 #   even_in_theta                    True when only |theta| is identifiable
 #   small_angle_guard()              largest |theta| an estimate may take (inf: none)
 #   sample(theta, nu, rng)           the statistic of nu independent outcomes
@@ -326,7 +329,7 @@ class _DeflectionScheme(_SchemeModel):
     def qfi(self) -> float:
         return qfi_beam_deflection(self.beam)
 
-    def regime_flags(self, theta: float):
+    def regime_flags(self, theta: float, step: float):
         return each_plane(lambda z: (), self.z)
 
     def small_angle_guard(self) -> float:
@@ -346,13 +349,12 @@ class _InterferometricScheme(_SchemeModel):
     def qfi(self) -> float:
         return qfi_sagnac(self.beam, self.pol)
 
-    def regime_flags(self, theta: float):
-        """A tuple of warnings; at a column of planes, a list of one tuple per plane."""
-        from .oracle import default_step  # here, so that montecarlo does not load the oracle
-
+    def regime_flags(self, theta: float, step: float):
+        """A tuple of warnings (at a column of planes, a list of one per plane); an even
+        model is at its stationary point where the oracle's stencil theta -+ ``step`` straddles 0."""
         flags = small_angle_flags(self.beam, theta)
         stationary = flags + ("theta=0 stationary point: finite differences see only the even part",)
-        near_zero = abs(theta) < default_step(theta, self.qfi())  # the oracle's stencil straddles 0
+        near_zero = abs(theta) < step
         return each_plane(lambda even: stationary if even and near_zero else flags, self.even_in_theta)
 
     def small_angle_guard(self) -> float:
@@ -590,36 +592,16 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         return self._marginal(theta, u)[0]
 
     def conditional_plus(self, theta: float, u):
-        """P(outcome=+1 | detected at u).
-
-        With gap and t' as in ``_joint_density``, p_plus + p_minus is its
-        envelope times 2 gap + 2 d t', so the envelope cancels:
-
-            P(+|u) = [gap + 2 d t' cos^2(psi/2)] / (2 gap + 2 d t'),
-            cos^2(psi/2) = 1 / (1 + tan^2(psi/2)).
-
-        Each rounded step keeps the numerator at or below the denominator, so the
-        result stays in [0, 1], also where the envelope underflows.  A pure H or V
-        state (d = 0) gives 1/2, where gap and t'^2 underflow together (0/0).
-        """
-        beam, pol = self.beam, self.pol
+        """P(outcome=+1 | detected at u): p_plus / (p_plus + p_minus) of the branch terms
+        of ``_joint_terms``, whose envelope cancels.  The terms are non-negative, so it stays
+        in [0, 1] also where the envelope underflows; a pure H or V state (d = 0) gives 1/2,
+        where both terms underflow together (0/0)."""
         u = np.asarray(u, dtype=float)
-        if pol.coherence_magnitude == 0.0:
+        if self.pol.coherence_magnitude == 0.0:
             return np.full(u.shape, 0.5)[()]
-        c, s, _ = beam.plane(self.z)
-        t = beam.k * beam.w0 * theta
-        flat = u.reshape(-1)
-        gap, p_plus = _path_terms(pol, flat * (4.0 * t * s))  # p_plus = 2 d t'
-        tau = flat * (2.0 * t * c)
-        tau += 2.0 * beam.k * beam.xi * theta - 0.5 * pol.coherence_phase  # psi / 2
-        np.tan(tau, out=tau)
-        tau *= tau
-        tau += 1.0  # 1 / cos^2(psi/2)
-        total = gap + gap
-        total += p_plus  # (p_plus + p_minus) / envelope
-        p_plus /= tau
-        p_plus += gap
-        p_plus /= total
+        p_plus, p_minus = _joint_terms(self.beam, self.pol, theta, self.z, u.reshape(-1))
+        p_minus += p_plus
+        p_plus /= p_minus
         return p_plus.reshape(u.shape)[()]
 
     def gaussian_mixture(self, theta: float):
@@ -721,7 +703,7 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         Times (1 + w^2) / (2 d), I is c (root_near - root_far t)^2 + t {1, w^2} for even,
         odd k, and the bracket c sgn(theta) path_rate (root_near^2 - root_far^2 t^2) -+
         t phase_rate w, with c = lam (1 + w^2): sums of products of accurate factors,
-        1 - t = -expm1(-|q|) as in ``_joint_density`` and w, whatever theta and phi.
+        1 - t = -expm1(-|q|) as in ``_joint_terms`` and w, whatever theta and phi.
         """
         m, w, c, gap, p = (np.empty(stat.path_rate.size) for _ in range(5))  # a 2-d block is slower
         np.multiply(stat.path_rate, -abs(theta), out=m)

@@ -7,14 +7,22 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 from scipy.integrate import trapezoid
 import pytest
 
-from tiltsense import BeamParams, fisher_conditioned, intensity_profile
+from tiltsense import (
+    BeamParams,
+    PolarizationModel,
+    PolarizationState,
+    fisher_conditioned,
+    intensity_profile,
+)
 from tiltsense.cli import build_parser, main
+from tiltsense.oracle import default_step
 
 BASE_CONFIG = """
 beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}
@@ -319,6 +327,51 @@ def test_joint_rows_stay_finite_at_a_tiny_wavelength(tmp_path):
         assert float(row["ratio_to_qfi"]) == pytest.approx(1.0, rel=1e-9)
 
 
+ABSURD_BEAM = "wavelength: 633nm, z_R: 1m, xi: -1mm"
+
+
+@pytest.mark.parametrize(
+    "beam, run",
+    [
+        # k w0 |theta| = 1.2e217: the joint row printed numpy's overflow and invalid-value
+        # warnings, then exited 3; the position row an overflow, then "density not resolved"
+        (ABSURD_BEAM, "scheme: joint, theta: -2.698193939762969e+219urad, z: 0.1z_R"),
+        (ABSURD_BEAM, "scheme: position, theta: -2.698193939762969e+219urad, z: 0.1z_R"),
+        # the joint scheme's rates per radian, 4 k w0 (k w0 |theta| + 10) + 4 k |xi|,
+        # overflowed when squared: at k w0 = 6.3e147 from 1e-140 rad on, where a position
+        # row is still finite, and at k w0 = 3.1e153 already at theta = 0
+        ("wavelength: 1e-150m, w0: 1mm", "scheme: joint, theta: 1e-140, z: 1z_R"),
+        ("wavelength: 2e-153m, w0: 1m", "scheme: joint, theta: [0, 1e-160], z: [0, 1z_R]"),
+    ],
+    ids=["joint", "position", "joint-rates", "joint-rates-at-0"],
+)
+def test_tilt_past_the_models_exits_2_without_runtime_warnings(tmp_path, capsys, beam, run):
+    cfg = write_config(tmp_path, f"beam: {{{beam}}}\nrun: {{{run}}}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith("config error: run[0].theta: ")
+    assert not (tmp_path / "s").exists()
+
+
+def test_montecarlo_spread_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # found by tests/test_config_fuzz.py: at z = 2.2e-161 m the position scheme's F is
+    # 3.3e-315, the estimates spread over +-10 sigma = 2e157 rad, and np.var overflowed
+    # (a RuntimeWarning), writing an exit-0 row of inf variances and a nan ratio
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 7358.987441198978nm, z_R: 1.0m}\n"
+        "run: {scheme: position, theta: 0.04010242470254117urad, z: 2.1997213522687156e-161m}\n"
+        "montecarlo: {theta: -488.124280600798urad, nu: 72, trials: 3, seed: 332}\n",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: run[0]: the Cramer-Rao variance 1/(nu F) = inf rad^2 at this working point"
+    )
+
+
 def test_small_angle_warnings_only_on_polarization_rows(tmp_path):
     # at 1 mrad both polarization regime flags fire; the deflection schemes
     # have no such regime and their rows stay clean
@@ -337,6 +390,24 @@ def test_small_angle_warnings_only_on_polarization_rows(tmp_path):
     assert position["warnings"] == ""
     assert "dephasing argument" in polarization["warnings"]
     assert "displacement phase" in polarization["warnings"]
+
+
+def test_stationary_warning_follows_the_oracle_step(tmp_path):
+    # xi = 0: the polarization statistics are even in theta, and a row carries the
+    # stationary-point note exactly where the oracle's stencil theta -+ h straddles 0
+    beam = BeamParams.from_wavelength(633e-9, 1e-3, 0.0)
+    step = default_step(0.0, PolarizationModel(beam, PolarizationState.diagonal()).qfi())
+    thetas = [-1.001 * step, -0.999 * step, 0.999 * step, 1.001 * step]
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm}\n"
+        f"run: {{scheme: polarization, theta: [{', '.join(map(repr, thetas))}]}}\n",
+    )
+    out = tmp_path / "stationary"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "sweep.csv")
+    assert [float(row["theta_rad"]) for row in rows] == thetas
+    assert ["stationary point" in row["warnings"] for row in rows] == [False, True, True, False]
 
 
 def test_joint_scheme_requires_diagonal_polarization(tmp_path, capsys):

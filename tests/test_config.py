@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,25 @@ def test_overflowing_k_w0_names_the_field():
     # z_R is finite, but the quantum bound squares k w0 = 6.3e197
     with pytest.raises(ConfigError, match=r"beam\.w0: the quantum bound 16 k\^2 \(w0\^2/4 \+ xi\^2\) must be finite"):
         parse_config_text("beam: {wavelength: 1e-200m, w0: 1mm}\n")
+
+
+@pytest.mark.parametrize("scheme", ["position", "quadrant", "polarization", "joint"])
+def test_tilt_limit_names_the_field(scheme):
+    # k w0 = 1e7 and 4 k xi = 4e7: the displacement phase 4 k |xi| |theta| reaches 1e150
+    # at 2.5e142 rad, and the joint scheme's rate 4 k w0 (k w0 |theta| + 10) + 4 k |xi| at
+    # 2.5e135 rad
+    beam = "beam: {k: 1e7, w0: 1m, xi: 1m}\n"
+    z = "" if scheme == "polarization" else ", z: 1z_R"
+    edge = 2.5e135 if scheme == "joint" else 2.5e142
+    below, beyond = edge * (1.0 - 1e-15), edge * (1.0 + 1e-15)
+    parse_config_text(beam + f"run: {{scheme: {scheme}, theta: [{-below!r}, {below!r}]{z}}}\n")
+    message = re.escape(f"run[0].theta: {beyond!r} rad is past the tilts the {scheme} scheme")
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        parse_config_text(beam + f"run: {{scheme: {scheme}, theta: [0, {beyond!r}]{z}}}\n")
+    with pytest.raises(ConfigError, match=r"^montecarlo\.theta: .* above 1e\+150$"):
+        parse_config_text(
+            beam + f"run: {{scheme: {scheme}, theta: 0{z}}}\nmontecarlo: {{theta: {-beyond!r}, nu: 10}}\n"
+        )
 
 
 @pytest.mark.parametrize("size", ["z_R: 1e-300m", "w0: 1e-160m"])

@@ -1,9 +1,11 @@
 """Each CLI command loads only the layers it runs.
 
-Every check runs in a fresh interpreter: this one has already imported numpy
-and every tiltsense module.
+Every check that imports runs in a fresh interpreter: this one has already
+imported numpy and every tiltsense module.  The layering check parses the
+source instead, so that it also sees imports on paths no test runs.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -69,6 +71,47 @@ def test_validate_config_loads_no_numpy(tmp_path):
 def test_command_loads_only_its_layers(tmp_path, command, absent):
     modules = _run_command(tmp_path, command, "--out", str(tmp_path / "out"))
     assert not _tiltsense_modules(modules) & absent
+
+
+SOURCE = ROOT / "src" / "tiltsense"
+
+# each module, and the modules it must not reach through any chain of imports
+LAYERS = {
+    "schemes": {"oracle", "estimate", "cli"},  # so montecarlo, which runs no oracle, loads none
+    "fisher": {"schemes", "oracle", "estimate", "cli"},  # the closed forms know no scheme model
+    "oracle": {"schemes", "fisher", "estimate", "cli"},  # it checks the models, and uses none
+    "_integrate": {"schemes", "fisher", "oracle", "estimate", "cli"},
+}
+
+
+def _imports(module):
+    """The tiltsense modules that ``module``'s source imports, in function bodies too."""
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["tiltsense" if node.level else "", node.module]))
+            names.update([base] + [f"{base}.{alias.name}" for alias in node.names])
+    parts = (name.split(".") for name in names)
+    return {p[1] for p in parts if p[0] == "tiltsense" and len(p) > 1 and (SOURCE / f"{p[1]}.py").exists()}
+
+
+def _reach(module):
+    seen, todo = set(), [module]
+    while todo:
+        for name in _imports(todo.pop()) - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+def test_module_layers_point_one_way():
+    # the parse sees what is there: a module-level and a function-local import
+    assert "fisher" in _imports("schemes") and "oracle" in _imports("cli")
+    reached = {module: _reach(module) & forbidden for module, forbidden in LAYERS.items()}
+    assert reached == {module: set() for module in LAYERS}
 
 
 @pytest.mark.parametrize("command", ["sweep", "montecarlo"])

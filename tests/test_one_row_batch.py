@@ -97,9 +97,9 @@ def test_a_one_plane_block_takes_the_batched_call(tmp_path):
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         for name in ("analytic_fisher", "numeric_fisher_oracle"):
-            def recording(model, theta, _name=name, _fn=getattr(cli, name)):
+            def recording(model, theta, *step, _name=name, _fn=getattr(cli, name)):
                 calls.append((_name, np.ndim(model.z) > 0))
-                return _fn(model, theta)
+                return _fn(model, theta, *step)
 
             patch.setattr(cli, name, recording)
         code, _, table, counter = _sweep(tmp_path, text)

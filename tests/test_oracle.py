@@ -23,6 +23,7 @@ from tiltsense import (
     qfi_beam_deflection,
 )
 from tiltsense.cli import main
+from tiltsense.oracle import default_step
 
 
 
@@ -177,7 +178,7 @@ def test_model_protocol(beam, cls):
             assert analytic <= model.qfi()
     if cls in (PositionModel, QuadrantModel):
         for theta in [0.0, 1e-6, -1e-3, 1e-3]:
-            assert model.regime_flags(theta) == ()
+            assert model.regime_flags(theta, default_step(theta, model.qfi())) == ()
 
 
 def test_joint_oracle_with_general_state(beam):

@@ -21,7 +21,7 @@ from tiltsense import (
     BeamParams, PolarizationState, PositionModel, PositionPolarizationModel, QuadrantModel,
 )
 from tiltsense import cli, oracle, schemes
-from tiltsense.oracle import OracleError, numeric_fisher_oracle
+from tiltsense.oracle import OracleError, default_step, numeric_fisher_oracle
 from tiltsense._integrate import ConvergenceError
 
 from output_pins import cases
@@ -153,21 +153,21 @@ class NodeCounter:
 
 
 def _plane_by_plane(fn):
-    """fn(model, theta) taken plane by plane, each from a model at its plane z as a float.
+    """fn(model, theta, *step) taken plane by plane, each from a model at its plane z as a float.
 
     A model without planes is taken whole.  A failure names its plane, as the
     batched call does.
     """
 
-    def each(model, theta):
+    def each(model, theta, *step):
         if not hasattr(model, "z"):
-            return fn(model, theta)
+            return fn(model, theta, *step)
         values = []
         for plane, z in enumerate(model.z.ravel().tolist()):
             single = copy.copy(model)
             single.z = z
             try:
-                values.append(fn(single, theta))
+                values.append(fn(single, theta, *step))
             except FAILURES as exc:
                 exc.plane = plane
                 raise
@@ -276,8 +276,9 @@ def test_warnings_and_evenness_of_a_column_are_per_plane():
     ]:
         assert model.even_in_theta.tolist() == [[single(z).even_in_theta] for z in zs]
         for theta in (0.0, 1e-6):
-            assert model.regime_flags(theta) == [single(z).regime_flags(theta) for z in zs]
-    flags = PositionPolarizationModel(beam, pol, column(zs)).regime_flags(0.0)
+            step = default_step(theta, model.qfi())
+            assert model.regime_flags(theta, step) == [single(z).regime_flags(theta, step) for z in zs]
+    flags = PositionPolarizationModel(beam, pol, column(zs)).regime_flags(0.0, 1e-9)
     assert [any("stationary point" in f for f in plane) for plane in flags] == [True, False]
 
 

@@ -22,6 +22,7 @@ from tiltsense import (
     sagnac_polarization_probabilities,
     small_angle_flags,
 )
+from tiltsense.oracle import default_step
 
 from conftest import OFFSET, WAVELENGTH, WAIST
 from wave_oracle import branch_wavefunction, joint_density_wave
@@ -237,8 +238,12 @@ def test_conditioned_equals_joint_ratio(beam):
 
 
 def test_joint_conditional_plus_is_the_density_ratio():
-    # random beams, states (pure H and V among them) and planes, at tilts inside the guard
+    # P(+|u) against forms that share no code with it: the diagonal state's closed form
+    # (1/2)[1 + cos(a theta)/cosh(b theta)] at x = xi + u w(z), and for the other H/V
+    # superpositions the density ratio of the numerically propagated waves; random beams,
+    # states (pure H and V among them) and planes, at tilts inside the guard
     rng = np.random.default_rng(20)
+    diagonal = PolarizationState.diagonal()
     pure = (PolarizationState.horizontal(), PolarizationState.vertical())
     for _ in range(60):
         beam = BeamParams.from_wavelength(
@@ -246,15 +251,22 @@ def test_joint_conditional_plus_is_the_density_ratio():
         )
         z = rng.uniform(0.0, 10.0) * beam.rayleigh_range
         polar, azimuth = rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi)
-        states = (PolarizationState.from_bloch(polar, azimuth),
+        states = (diagonal, PolarizationState.from_bloch(polar, azimuth),
                   PolarizationState.from_bloch(0.5 * math.pi, math.pi)) + pure
         for pol in states:
             model = PositionPolarizationModel(beam, pol, z)
             theta = rng.uniform(-1.0, 1.0) * model.small_angle_guard()
-            u = np.linspace(-8.0, 8.0, 161)  # beam widths from xi
-            p_plus, p_minus = model.branch_pdf(theta, u)
-            ratio = p_plus / (p_plus + p_minus)
-            assert np.max(np.abs(model.conditional_plus(theta, u) - ratio)) <= 1e-15
+            if pol is diagonal:
+                u = np.linspace(-8.0, 8.0, 161)  # beam widths from xi
+                x = beam.xi + u * beam.width(z)
+                expected = conditioned_polarization_probabilities(beam, theta, z, x)[0]
+                assert np.max(np.abs(model.conditional_plus(theta, u) - expected)) <= 1e-15
+            elif pol not in pure:  # pure states are checked in the tails below
+                # where the waves' quadrature resolves the densities (to ~1e-8 of their peak)
+                u = np.linspace(-3.0, 3.0, 13)
+                wave_plus, wave_minus = joint_density_wave(beam, pol, theta, z, beam.xi + u * beam.width(z))
+                expected = wave_plus / (wave_plus + wave_minus)
+                assert np.max(np.abs(model.conditional_plus(theta, u) - expected)) <= 1e-10
             # where the envelope underflows the ratio is 0/0; P(+|u) stays a probability
             tail = np.array([-1e6, -1e3, -40.0, 40.0, 1e3, 1e6])
             assert not np.any(sum(model.branch_pdf(theta, tail)))
@@ -402,7 +414,8 @@ def test_even_in_theta_matches_the_statistics():
             plus, minus = _outcome_statistics(model, theta), _outcome_statistics(model, -theta)
             agree &= np.allclose(plus, minus, rtol=1e-9, atol=1e-12 * np.max(np.abs(plus)))
         assert model.even_in_theta == agree, model
-        flagged = any("stationary point" in f for f in model.regime_flags(0.0))
+        flags = model.regime_flags(0.0, default_step(0.0, model.qfi()))
+        flagged = any("stationary point" in f for f in flags)
         assert flagged == (agree and hasattr(model, "pol")), model
         verdicts.setdefault(type(model).__name__, set()).add(agree)
     # every class but the conditioned (always diagonal) one shows both verdicts
