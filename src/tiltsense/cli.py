@@ -193,16 +193,8 @@ def cmd_montecarlo(args) -> int:
             information = analytic_fisher(model, mc.theta)
             if not information > 0.0:
                 raise ConfigError(f"run[{index}]: scheme carries no information at this working point")
-            # the estimates lie within +-10 Cramer-Rao sigma, so the variance sums at most
-            # trials squared deviations of (20 sigma)^2 = 400 / (nu F) each
-            cr_variance = 1.0 / (mc.nu * information)
-            if not 400.0 * mc.trials * cr_variance < math.inf:
-                raise ConfigError(
-                    f"run[{index}]: the Cramer-Rao variance 1/(nu F) = {cr_variance:.3e} rad^2 at "
-                    f"this working point is too large for the variance of {mc.trials} estimates"
-                )
             try:
-                interval = default_search_interval(model, mc.theta, mc.nu, information)
+                interval = default_search_interval(model, mc.theta, mc.nu, information, mc.trials)
             except ValueError as exc:
                 raise ConfigError(f"run[{index}]: {exc}")
             report = run_saturation(

@@ -57,8 +57,8 @@ GRID_LIMIT = 10 ** 6
 
 # largest size of a tilt's phases: t = k w0 |theta| (the models form phases ~ t^2 over
 # windows of 10 beam widths), the displacement phase 4 k |xi| |theta|, and for the joint
-# model the rate of its phase per radian, 4 k w0 (t + 10) + 4 k |xi|; the models square
-# each, so that past this they would overflow
+# model the two parts 4 k w0 t and 4 k (10 w0 + |xi|) of its phase's rate per radian;
+# the models square each, so that past this they would overflow
 TILT_LIMIT = 1e150
 
 LENGTH_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12}
@@ -321,9 +321,7 @@ def _check_tilt(theta: float, beam: BeamParams, scheme: str, where: str) -> None
     t = beam.k * beam.w0 * abs(theta)
     sizes = {"k w0 |theta|": t, "4 k |xi| |theta|": 4.0 * beam.k * abs(beam.xi * theta)}
     if scheme == "joint":
-        sizes["the rate 4 k w0 (k w0 |theta| + 10) + 4 k |xi|"] = 4.0 * beam.k * (
-            beam.w0 * (t + 10.0) + abs(beam.xi)
-        )
+        sizes["the joint phase rate's part 4 k w0 k w0 |theta|"] = 4.0 * beam.k * beam.w0 * t
     over = [f"{name} = {size:.3e}" for name, size in sizes.items() if not size <= TILT_LIMIT]
     if over:
         raise ConfigError(
@@ -433,6 +431,12 @@ def _parse_run(block, beam, pol, index) -> RunBlock:
     if scheme == "joint" and not pol.is_diagonal:
         raise ConfigError(
             f"{where}: the joint scheme's closed-form analysis needs the diagonal input polarization"
+        )
+    rate = 4.0 * beam.k * (10.0 * beam.w0 + abs(beam.xi))  # the joint phase rate at theta = 0
+    if scheme == "joint" and not rate <= TILT_LIMIT:
+        raise ConfigError(
+            f"beam: the joint phase rate's part 4 k (10 w0 + |xi|) = {rate:.3e} is above "
+            f"{TILT_LIMIT:g}, at every tilt of the joint scheme of {where}"
         )
     if "theta" not in block:
         raise ConfigError(f"{where}: needs a theta value or grid")

@@ -190,14 +190,18 @@ class SaturationReport(NamedTuple):
         return self.empirical_variance / self.cr_variance
 
 
-def default_search_interval(model, theta_true: float, nu: int, information=None) -> tuple[float, float]:
+def default_search_interval(
+    model, theta_true: float, nu: int, information=None, trials: int = 2
+) -> tuple[float, float]:
     """theta_true +- 10 Cramer-Rao sigma, clipped to the model's small-angle
     guard region; ``information`` is F at theta_true, computed if not given.
 
     For schemes whose statistics are even in theta only the magnitude of the
     tilt is identifiable, so the interval is additionally restricted to the
     sign branch of theta_true.  An interval that rounds to the single point
-    theta_true (10 sigma below half an ulp of it) is refused.
+    theta_true (10 sigma below half an ulp of it) is refused, and so is one so
+    wide that the variance of ``trials`` estimates in it, which sums up to
+    ``trials`` squares of its width, could overflow.
     """
     sigma = cramer_rao_bound(information or analytic_fisher(model, theta_true), nu)
     half = 10.0 * sigma
@@ -217,6 +221,11 @@ def default_search_interval(model, theta_true: float, nu: int, information=None)
         raise ValueError(
             f"theta_true={theta_true!r} rad +- 10 Cramer-Rao sigma ({half:.3e} rad at nu={nu}) "
             "rounds to a search interval of zero width"
+        )
+    if not trials * (hi - lo) * (hi - lo) < math.inf:
+        raise ValueError(
+            f"the variance of {trials} estimates over [{lo:.3e}, {hi:.3e}] rad (theta_true +- 10 "
+            f"Cramer-Rao sigma at nu={nu}) is beyond the float range"
         )
     return lo, hi
 
@@ -250,7 +259,7 @@ def run_saturation(
     if trials < 1:
         raise ValueError("need at least one trial")
     information = information or analytic_fisher(model, theta_true)
-    interval = search_interval or default_search_interval(model, theta_true, nu, information)
+    interval = search_interval or default_search_interval(model, theta_true, nu, information, trials)
     estimates = []
     at_boundary = one_port = 0
     for index in range(trials):

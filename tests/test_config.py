@@ -299,8 +299,8 @@ def test_overflowing_k_w0_names_the_field():
 @pytest.mark.parametrize("scheme", ["position", "quadrant", "polarization", "joint"])
 def test_tilt_limit_names_the_field(scheme):
     # k w0 = 1e7 and 4 k xi = 4e7: the displacement phase 4 k |xi| |theta| reaches 1e150
-    # at 2.5e142 rad, and the joint scheme's rate 4 k w0 (k w0 |theta| + 10) + 4 k |xi| at
-    # 2.5e135 rad
+    # at 2.5e142 rad, and the tilt's part 4 k w0 k w0 |theta| of the joint scheme's phase
+    # rate at 2.5e135 rad
     beam = "beam: {k: 1e7, w0: 1m, xi: 1m}\n"
     z = "" if scheme == "polarization" else ", z: 1z_R"
     edge = 2.5e135 if scheme == "joint" else 2.5e142
@@ -313,6 +313,19 @@ def test_tilt_limit_names_the_field(scheme):
         parse_config_text(
             beam + f"run: {{scheme: {scheme}, theta: 0{z}}}\nmontecarlo: {{theta: {-beyond!r}, nu: 10}}\n"
         )
+
+
+def test_joint_phase_rate_past_the_limit_names_the_beam():
+    # with k = 1e7 and xi = 0 the joint phase rate's tilt-free part 4 k (10 w0 + |xi|)
+    # reaches 1e150 at w0 = 2.5e141 m; past it every tilt of a joint block is refused,
+    # theta = 0 included, and the beam is named; other schemes parse there
+    edge = 2.5e141
+    below, beyond = edge * (1.0 - 1e-15), edge * (1.0 + 1e-15)
+    run = "run: {scheme: joint, theta: 0, z: 1z_R}\n"
+    parse_config_text(f"beam: {{k: 1e7, w0: {below!r}}}\n" + run)
+    parse_config_text(f"beam: {{k: 1e7, w0: {beyond!r}}}\nrun: {{scheme: position, theta: 0, z: 1z_R}}\n")
+    with pytest.raises(ConfigError, match=r"^beam: .* above 1e\+150, at every tilt of the joint scheme of run\[0\]$"):
+        parse_config_text(f"beam: {{k: 1e7, w0: {beyond!r}}}\n" + run)
 
 
 @pytest.mark.parametrize("size", ["z_R: 1e-300m", "w0: 1e-160m"])

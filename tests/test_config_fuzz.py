@@ -198,8 +198,9 @@ def check_config(command, text):
     for name, rows in tables.items():
         assert rows, name
         for row in rows:
-            # z_m is empty on polarization rows
-            values = {key: float(v) for key, v in row.items() if key not in TEXT_COLUMNS and v}
+            # z_m is empty on polarization rows; any other empty cell fails float('')
+            values = {key: float(v) for key, v in row.items()
+                      if key not in TEXT_COLUMNS and (v or key != "z_m")}
             if values.get("analytic_fisher") == 0.0 and name == "sweep":
                 assert values.pop("cr_delta_theta_rad") == math.inf, row
             assert all(map(math.isfinite, values.values())), (name, row)

@@ -559,6 +559,15 @@ def test_default_search_interval_refuses_zero_width():
     assert lo < 0.0 < hi
 
 
+def test_default_search_interval_refuses_an_overflowing_variance(beam):
+    # F = 1e-304 at nu = 1: sigma = 1e152, an interval 2e153 rad wide, and the
+    # variance of n estimates in it sums up to n (2e153)^2 = n 4e306, finite to n = 44
+    model = PositionModel(beam, beam.rayleigh_range)  # no guard: the interval is not clipped
+    assert default_search_interval(model, 0.0, 1, 1e-304, trials=44) == (-1e153, 1e153)
+    with pytest.raises(ValueError, match=r"^the variance of 45 estimates over \[-1\.000e\+153, 1\.000e\+153\] rad"):
+        default_search_interval(model, 0.0, 1, 1e-304, trials=45)
+
+
 def test_default_search_interval_keeps_the_sign_branch_of_even_statistics(centered_beam):
     # at xi = 0 the polarization statistics are even in theta for any coherence
     # phase, so an interval across 0 would return the wrong sign half the time

@@ -237,14 +237,34 @@ def test_conditioned_equals_joint_ratio(beam):
     assert cond_plus + cond_minus == pytest.approx(np.ones_like(ratio), abs=0.0)
 
 
+def _conditional_plus_of_the_path_amplitudes(beam, pol, theta, z, u):
+    """P(+|u) = |alpha psi_H + beta psi_V|^2 / (|..+..|^2 + |..-..|^2) in closed form.
+
+    The momentum integral of ``wave_oracle.branch_wavefunction`` is Gaussian; done
+    exactly, each path's wave is a factor common to both paths times e^{+-E}, with
+    E = 2 k theta [i (x - xi) / (1 - i z/z_R) + i xi] = -2 t u s + i (2 t u c + 2 k xi theta)
+    in beam units (t = k w0 theta, c = 1/sqrt(1 + z^2/z_R^2), s = c z/z_R), so the
+    common factor cancels from the ratio.
+    """
+    zeta = z / beam.rayleigh_range
+    c = 1.0 / math.sqrt(1.0 + zeta * zeta)
+    t = beam.k * beam.w0 * theta
+    e = np.exp((-2.0 * t * zeta * c + 2j * t * c) * u + 2j * beam.k * beam.xi * theta)
+    h, v = pol.alpha * e, pol.beta / e
+    plus, minus = np.abs(h + v) ** 2, np.abs(h - v) ** 2
+    return plus / (plus + minus)
+
+
 def test_joint_conditional_plus_is_the_density_ratio():
-    # P(+|u) against forms that share no code with it: the diagonal state's closed form
-    # (1/2)[1 + cos(a theta)/cosh(b theta)] at x = xi + u w(z), and for the other H/V
-    # superpositions the density ratio of the numerically propagated waves; random beams,
-    # states (pure H and V among them) and planes, at tilts inside the guard
+    # P(+|u) against forms that share no code with it: the two paths' amplitudes summed
+    # in complex arithmetic, and the diagonal state's closed form (1/2)[1 + cos(a theta)
+    # /cosh(b theta)] at x = xi + u w(z), to rounding; and, coarsely, the density ratio of
+    # the numerically propagated waves; random beams, states (pure H and V among them)
+    # and planes, at tilts inside the guard
     rng = np.random.default_rng(20)
     diagonal = PolarizationState.diagonal()
     pure = (PolarizationState.horizontal(), PolarizationState.vertical())
+    u = np.linspace(-8.0, 8.0, 161)  # beam widths from xi
     for _ in range(60):
         beam = BeamParams.from_wavelength(
             rng.uniform(400e-9, 2e-6), rng.uniform(3e-4, 5e-3), rng.uniform(-2e-3, 2e-3)
@@ -256,17 +276,20 @@ def test_joint_conditional_plus_is_the_density_ratio():
         for pol in states:
             model = PositionPolarizationModel(beam, pol, z)
             theta = rng.uniform(-1.0, 1.0) * model.small_angle_guard()
+            p_plus = model.conditional_plus(theta, u)
+            if pol not in pure:  # pure states are checked in the tails below
+                expected = _conditional_plus_of_the_path_amplitudes(beam, pol, theta, z, u)
+                assert np.max(np.abs(p_plus - expected)) <= 1e-15
             if pol is diagonal:
-                u = np.linspace(-8.0, 8.0, 161)  # beam widths from xi
                 x = beam.xi + u * beam.width(z)
                 expected = conditioned_polarization_probabilities(beam, theta, z, x)[0]
-                assert np.max(np.abs(model.conditional_plus(theta, u) - expected)) <= 1e-15
-            elif pol not in pure:  # pure states are checked in the tails below
+                assert np.max(np.abs(p_plus - expected)) <= 1e-15
+            elif pol not in pure:
                 # where the waves' quadrature resolves the densities (to ~1e-8 of their peak)
-                u = np.linspace(-3.0, 3.0, 13)
-                wave_plus, wave_minus = joint_density_wave(beam, pol, theta, z, beam.xi + u * beam.width(z))
+                near = np.linspace(-3.0, 3.0, 13)
+                wave_plus, wave_minus = joint_density_wave(beam, pol, theta, z, beam.xi + near * beam.width(z))
                 expected = wave_plus / (wave_plus + wave_minus)
-                assert np.max(np.abs(model.conditional_plus(theta, u) - expected)) <= 1e-10
+                assert np.max(np.abs(model.conditional_plus(theta, near) - expected)) <= 1e-10
             # where the envelope underflows the ratio is 0/0; P(+|u) stays a probability
             tail = np.array([-1e6, -1e3, -40.0, 40.0, 1e3, 1e6])
             assert not np.any(sum(model.branch_pdf(theta, tail)))
