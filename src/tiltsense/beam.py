@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)  # peak of the profile in u, sqrt(2/pi) e^{-2 u^2}
+DOMAIN_WIDTHS = 10.0  # integration window, in beam widths (units of u) around the centers
 
 
 class _BeamFields(NamedTuple):
@@ -63,6 +64,9 @@ class BeamParams(_BeamFields):
                 "the quantum bound 16 k^2 (w0^2/4 + xi^2) must be "
                 f"{'finite' if bound else 'positive'}, got k={k!r}, w0={w0!r}, xi={xi!r}"
             )
+        # qfi_beam_deflection's bound, which underflows where a large xi keeps the one above
+        if not k * w0 * (k * w0) > 0.0:
+            raise ValueError(f"the deflection bound 4 (k w0)^2 must be positive, got k={k!r}, w0={w0!r}")
         return self
 
     @classmethod
@@ -72,6 +76,8 @@ class BeamParams(_BeamFields):
     @classmethod
     def from_rayleigh_range(cls, z_r: float, wavelength: float, xi: float = 0.0) -> "BeamParams":
         """Back-solve the waist from a prescribed Rayleigh range."""
+        if not 0.0 < z_r < math.inf:
+            raise ValueError(f"Rayleigh range must be positive and finite, got {z_r}")
         k = TWO_PI / wavelength
         return cls(k=k, w0=math.sqrt(2.0 * z_r / k), xi=xi)
 

@@ -25,9 +25,8 @@ _TABLE_NAMES = (
     *_MODELS, "analytic_fisher", "cramer_rao_bound", "qfi_for_model",
     "numeric_fisher_oracle", "OracleError", "ConvergenceError",
 )
-_MONTECARLO_NAMES = (
-    *_MODELS, "analytic_fisher", "default_search_interval", "run_saturation", "ConvergenceError",
-)
+# no command reads default_search_interval; kept while perfbench's tracer wraps it (ROADMAP item 2)
+_MONTECARLO_NAMES = (*_MODELS, "default_search_interval", "run_saturation", "ConvergenceError")
 _FIGURE_NAMES = ("BeamParams", "intensity_profile", "fisher_conditioned", "LineChart")
 
 
@@ -190,19 +189,11 @@ def cmd_montecarlo(args) -> int:
             z = float(block.z[0])
         model = build_model(block.scheme, config, z, block.split)
         try:
-            information = analytic_fisher(model, mc.theta)
-            if not information > 0.0:
-                raise ConfigError(f"run[{index}]: scheme carries no information at this working point")
-            try:
-                interval = default_search_interval(model, mc.theta, mc.nu, information, mc.trials)
-            except ValueError as exc:
-                raise ConfigError(f"run[{index}]: {exc}")
-            report = run_saturation(
-                model, mc.theta, mc.nu, mc.trials, mc.seed,
-                search_interval=interval, scheme=block.scheme, information=information,
-            )
+            report = run_saturation(model, mc.theta, mc.nu, mc.trials, mc.seed, scheme=block.scheme)
         except ConvergenceError as exc:
             raise NumericalFailure(f"run[{index}] ({block.scheme}): {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"run[{index}]: {exc}")
         rows.append(
             (
                 index,
@@ -216,7 +207,7 @@ def cmd_montecarlo(args) -> int:
                 report.empirical_variance,
                 report.cr_variance,
                 report.ratio,
-                information,
+                report.information,
             )
         )
         if report.non_interior > 0.05 * report.trials:

@@ -38,7 +38,7 @@ import re
 from array import array
 from typing import NamedTuple, Optional
 
-from .beam import TWO_PI, BeamParams
+from .beam import DOMAIN_WIDTHS, TWO_PI, BeamParams
 from .polarization import PolarizationState
 
 PLANCK = 6.62607015e-34  # J s
@@ -56,9 +56,9 @@ NU_LIMIT = 10 ** 8  # photons per trial; only the joint sampler holds arrays of 
 GRID_LIMIT = 10 ** 6
 
 # largest size of a tilt's phases: t = k w0 |theta| (the models form phases ~ t^2 over
-# windows of 10 beam widths), the displacement phase 4 k |xi| |theta|, and for the joint
-# model the two parts 4 k w0 t and 4 k (10 w0 + |xi|) of its phase's rate per radian;
-# the models square each, so that past this they would overflow
+# windows of DOMAIN_WIDTHS beam widths), the displacement phase 4 k |xi| |theta|, and for
+# the joint model the two parts 4 k w0 t and 4 k (DOMAIN_WIDTHS w0 + |xi|) of its phase's
+# rate per radian; the models square each, so that past this they would overflow
 TILT_LIMIT = 1e150
 
 LENGTH_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9, "pm": 1e-12}
@@ -432,11 +432,11 @@ def _parse_run(block, beam, pol, index) -> RunBlock:
         raise ConfigError(
             f"{where}: the joint scheme's closed-form analysis needs the diagonal input polarization"
         )
-    rate = 4.0 * beam.k * (10.0 * beam.w0 + abs(beam.xi))  # the joint phase rate at theta = 0
+    rate = 4.0 * beam.k * (DOMAIN_WIDTHS * beam.w0 + abs(beam.xi))  # the joint phase rate at 0
     if scheme == "joint" and not rate <= TILT_LIMIT:
         raise ConfigError(
-            f"beam: the joint phase rate's part 4 k (10 w0 + |xi|) = {rate:.3e} is above "
-            f"{TILT_LIMIT:g}, at every tilt of the joint scheme of {where}"
+            f"beam: the joint phase rate's part 4 k ({DOMAIN_WIDTHS:g} w0 + |xi|) = {rate:.3e} "
+            f"is above {TILT_LIMIT:g}, at every tilt of the joint scheme of {where}"
         )
     if "theta" not in block:
         raise ConfigError(f"{where}: needs a theta value or grid")

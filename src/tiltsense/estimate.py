@@ -180,6 +180,7 @@ class SaturationReport(NamedTuple):
     one_port: int
     empirical_variance: float
     cr_variance: float
+    information: float  # F per outcome at theta_true
 
     @property
     def non_interior(self) -> int:
@@ -194,16 +195,20 @@ def default_search_interval(
     model, theta_true: float, nu: int, information=None, trials: int = 2
 ) -> tuple[float, float]:
     """theta_true +- 10 Cramer-Rao sigma, clipped to the model's small-angle
-    guard region; ``information`` is F at theta_true, computed if not given.
+    guard region; ``information`` is F at theta_true, computed if None.
 
     For schemes whose statistics are even in theta only the magnitude of the
     tilt is identifiable, so the interval is additionally restricted to the
-    sign branch of theta_true.  An interval that rounds to the single point
-    theta_true (10 sigma below half an ulp of it) is refused, and so is one so
-    wide that the variance of ``trials`` estimates in it, which sums up to
+    sign branch of theta_true.  Refused: F of 0 or NaN, an interval that rounds
+    to the single point theta_true (10 sigma below half an ulp of it), and one
+    so wide that the variance of ``trials`` estimates in it, which sums up to
     ``trials`` squares of its width, could overflow.
     """
-    sigma = cramer_rao_bound(information or analytic_fisher(model, theta_true), nu)
+    if information is None:
+        information = analytic_fisher(model, theta_true)
+    if not information > 0.0:
+        raise ValueError("scheme carries no information at this working point")
+    sigma = cramer_rao_bound(information, nu)
     half = 10.0 * sigma
     guard = model.small_angle_guard()
     if abs(theta_true) >= guard:
@@ -246,20 +251,14 @@ def run_trial(
 
 
 def run_saturation(
-    model,
-    theta_true: float,
-    nu: int,
-    trials: int,
-    seed: int,
-    search_interval: Optional[tuple[float, float]] = None,
-    scheme: str = "",
-    information: Optional[float] = None,
+    model, theta_true: float, nu: int, trials: int, seed: int, scheme: str = ""
 ) -> SaturationReport:
-    """Trials against the Cramer-Rao variance; F at theta_true is computed once if not given."""
+    """Trials against the Cramer-Rao variance, with F at theta_true computed once; every
+    refusal (``ValueError``, see ``default_search_interval``) comes before the first trial."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    information = information or analytic_fisher(model, theta_true)
-    interval = search_interval or default_search_interval(model, theta_true, nu, information, trials)
+    information = analytic_fisher(model, theta_true)
+    interval = default_search_interval(model, theta_true, nu, information, trials)
     estimates = []
     at_boundary = one_port = 0
     for index in range(trials):
@@ -269,12 +268,12 @@ def run_saturation(
         at_boundary += trial.at_boundary
         one_port += trial.one_port
     empirical = float(np.var(np.array(estimates), ddof=1)) if len(estimates) >= 2 else math.nan
-    cr = 1.0 / (nu * information)
     return SaturationReport(
         trials=trials,
         used_trials=len(estimates),
         at_boundary=at_boundary,
         one_port=one_port,
         empirical_variance=empirical,
-        cr_variance=cr,
+        cr_variance=1.0 / (nu * information),
+        information=information,
     )

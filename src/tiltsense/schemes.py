@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._integrate import integrate_interval
-from .beam import ROOT_2_OVER_PI, BeamParams, each_plane, per_plane
+from .beam import DOMAIN_WIDTHS, ROOT_2_OVER_PI, BeamParams, each_plane, per_plane
 from .fisher import (
     COSH_CUTOFF,
     fisher_conditioned,
@@ -244,8 +244,6 @@ def conditioned_polarization_probabilities(beam: BeamParams, theta: float, z: fl
 #                                    two-outcome scheme (P+ or P- at 0: not a regular point)
 # ---------------------------------------------------------------------------
 
-DOMAIN_WIDTHS = 10.0  # integration window, in beam widths (units of u) around the centers
-
 LOG_FLOOR = 1e-300  # densities are floored here before taking logarithms
 
 # relative tolerance of the joint decomposition's quadrature
@@ -362,8 +360,9 @@ class _InterferometricScheme(_SchemeModel):
         """Largest |theta| inside the first-order regime of ``small_angle_flags``."""
         beam = self.beam
         limits = [math.sqrt(SMALL_ANGLE_LIMIT / (2.0 * (beam.k * beam.w0) ** 2))]
-        if beam.xi != 0.0:
-            limits.append(math.sqrt(SMALL_ANGLE_LIMIT) / (4.0 * beam.k * abs(beam.xi)))
+        rate = 4.0 * beam.k * abs(beam.xi)  # of the displacement phase; 0 sets no limit
+        if rate > 0.0:
+            limits.append(math.sqrt(SMALL_ANGLE_LIMIT) / rate)
         return min(limits)
 
 
@@ -452,7 +451,7 @@ class QuadrantModel(_PlaneScheme, _TwoOutcomeScheme, _DeflectionScheme):
 
     def plus_slope(self, theta: float) -> float:
         g, slope = quadrant_argument(self.beam, theta, self.z, self.split)
-        return math.sqrt(2.0 / math.pi) * slope * math.exp(-g * g)
+        return ROOT_2_OVER_PI * slope * math.exp(-g * g)
 
     def fisher(self, theta: float):
         return per_plane(lambda z: fisher_quadrant(self.beam, theta, z, self.split), self.z)

@@ -51,6 +51,22 @@ def test_validation_messages():
         BeamParams(1e7, -1e-3)
 
 
+def test_deflection_bound_that_underflows_is_refused():
+    # 16 k^2 (w0^2/4 + xi^2) = 1.6e-199 stays positive through xi, while 4 (k w0)^2
+    # underflows to 0 (a zero quantum bound for the position scheme and its oracle step)
+    for k, w0, xi in ((1e-100, 1e-110, 1.0), (1.756957470181827e-51, 1.4523906791118475e-134, 2e-34)):
+        with pytest.raises(ValueError) as info:
+            BeamParams(k=k, w0=w0, xi=xi)
+        assert str(info.value) == f"the deflection bound 4 (k w0)^2 must be positive, got k={k!r}, w0={w0!r}"
+
+
+@pytest.mark.parametrize("z_r", [-1.0, 0.0, math.inf, math.nan])
+def test_rayleigh_range_is_checked_before_the_waist_is_solved(z_r):
+    with pytest.raises(ValueError) as info:
+        BeamParams.from_rayleigh_range(z_r, 633e-9)
+    assert str(info.value) == f"Rayleigh range must be positive and finite, got {z_r}"
+
+
 def test_beam_is_an_immutable_value(beam):
     for name in ("k", "w0", "xi", "extra"):
         with pytest.raises(AttributeError):

@@ -234,6 +234,45 @@ def test_readme_cli_table_lists_every_command_and_flag():
     assert sorted(defined) == sorted(COMMANDS)
 
 
+def test_readme_signatures_match_the_code():
+    # each backticked ``name(params)`` span that names a package export, a model
+    # method (``model.`` or bare) or a submodule function (``oracle.default_step``)
+    import ast
+    import importlib
+    import inspect
+    import pkgutil
+
+    import tiltsense
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    models = [getattr(tiltsense, name) for name in tiltsense.__all__ if name.endswith("Model")]
+    modules = {module.name for module in pkgutil.iter_modules(tiltsense.__path__)}
+    checked = set()
+    for name, params in re.findall(r"`([A-Za-z_][\w.]*)\(([^`()]*)\)`", readme):
+        head, _, attr = name.rpartition(".")
+        if head in tiltsense.__all__:
+            targets = [getattr(getattr(tiltsense, head), attr)]
+        elif head in modules:
+            targets = [getattr(importlib.import_module(f"tiltsense.{head}"), attr)]
+        elif not head and attr in tiltsense.__all__:
+            targets = [getattr(tiltsense, attr)]
+        elif head in ("", "model"):
+            targets = [getattr(model, attr) for model in models if hasattr(model, attr)]
+        else:  # another library's function, such as np.linspace
+            targets = []
+        written = [p.strip().partition("=") for p in params.split(",") if p.strip()]
+        for target in targets:
+            signature = inspect.signature(target)
+            parameters = [p for p in signature.parameters.values() if p.name != "self"]
+            assert [p[0] for p in written] == [p.name for p in parameters], name
+            for (param, equals, default), parameter in zip(written, parameters):
+                if equals:
+                    assert ast.literal_eval(default) == parameter.default, (name, param)
+        checked.update([name] if targets else [])
+    assert {"run_saturation", "default_search_interval", "mle", "regime_flags"} <= checked
+    assert {"oracle.default_step", "model.regime_flags", "BeamParams.plane"} <= checked
+
+
 def test_sweep_covers_all_run_blocks(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -681,6 +720,18 @@ def test_montecarlo_refuses_zero_information(tmp_path, capsys, setup):
     assert "run[0]: scheme carries no information at this working point" in capsys.readouterr().err
 
 
+def test_montecarlo_leaves_f_and_the_search_interval_to_run_saturation(tmp_path, monkeypatch):
+    import tiltsense.cli as cli
+
+    for name in ("analytic_fisher", "default_search_interval"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("cmd_montecarlo called it"))
+    cfg = write_config(tmp_path, MC_CONFIG.replace("trials: 60", "trials: 3"))
+    out = tmp_path / "m"
+    assert main(["montecarlo", "--config", cfg, "--out", str(out)]) in (0, 4)
+    rows = read_rows(out / "montecarlo.csv")
+    assert [float(row["analytic_fisher"]) > 0.0 for row in rows] == [True] * 3
+
+
 def test_montecarlo_search_interval_below_an_ulp_of_theta_exits_2(tmp_path, capsys):
     # 10 Cramer-Rao sigma (3.6e-29 rad) is below half an ulp of theta = 1 urad,
     # so theta +- 10 sigma rounds to the single point theta
@@ -805,6 +856,37 @@ def test_figure_beam_past_the_quantum_bound_at_xi_1mm_exits_2(tmp_path, capsys, 
     assert main(["validate-config", "--config", cfg]) == 0
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "the figures place the beam at xi=0.001 m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        # 4 (k w0)^2 underflows to 0 under a positive 16 k^2 (w0^2/4 + xi^2): the oracle's
+        # step and the joint small-angle guard divided by it
+        ("sweep", "beam: {k: 1e-100, w0: 1e-110m, xi: 1m}\n"
+         "run: {scheme: position, theta: 1urad, z: 1z_R}\n", "beam.w0: the deflection bound"),
+        ("montecarlo", "beam: {k: 1.756957470181827e-51, w0: 1.4523906791118475e-134m, "
+         "xi: 2.0074466422391886e-34m}\nrun: {scheme: joint, theta: 9.39268094759922e-26, z: 1z_R}\n"
+         "montecarlo: {theta: 9.39268094759922e-26, nu: 16, trials: 2}\n", "beam.w0: the deflection bound"),
+        # 4 k |xi| underflows to 0 with xi != 0, where the small-angle guard divided by it
+        ("montecarlo", "beam: {k: 8.494125714281019e-128, w0: 2.624098373972576e-17m, "
+         "xi: -1.9146477759761452e-260m}\n"
+         "run: {scheme: joint, theta: -2.0802859824546192e-136, z: 1.6231918794284092e+23m}\n"
+         "montecarlo: {theta: -2.0802859824546192e-136, nu: 16, trials: 4}\n", None),
+        # the waist was solved from a negative Rayleigh range before any sign check
+        ("validate-config", "beam: {wavelength: 633nm, z_R: -1m}\n",
+         "beam.z_R: Rayleigh range must be positive and finite, got -1.0"),
+    ],
+    ids=["deflection-bound-sweep", "deflection-bound-montecarlo", "displacement-rate", "negative-z_R"],
+)
+def test_beams_with_underflowing_bounds_end_cleanly(tmp_path, capsys, command, text, message):
+    argv = [command, "--config", write_config(tmp_path, text)]
+    code = main(argv if command == "validate-config" else [*argv, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), err
+    if message:  # names the beam field
+        assert code == 2
+        assert err.startswith(f"config error: {message}")
 
 
 def test_joint_block_needs_the_diagonal_state(tmp_path, capsys):

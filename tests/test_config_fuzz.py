@@ -3,10 +3,12 @@
 Every field of a config that the five commands read is drawn, up to two of
 them far from laboratory scales: lengths, angles and energies log-uniform over
 1e-300..1e300, in their own units and in the units of another dimension, and
-the values 0, -1 and ``.nan``; theta and z as one value or a grid of up to
-three; every scheme and polarization form; whole numbers on both sides of
-their limits; and the keys that no longer exist (``montecarlo.interval`` and
-the ``plus`` preset).  ``montecarlo`` runs at most 100 photons and 5 trials.
+the values 0, -1 and ``.nan``; in one config of four, also the beam's three
+fields together, each log-uniform in its own units; theta and z as one value
+or a grid of up to three; every scheme and polarization form; whole numbers
+on both sides of their limits; and the keys that no longer exist
+(``montecarlo.interval`` and the ``plus`` preset).  ``montecarlo`` runs at
+most 100 photons and 5 trials.
 ``cli.main`` runs in this process with numpy's RuntimeWarnings raised as
 errors, and each run must exit 0, 2, 3 or 4 without an exception.  The tables
 it writes hold finite numbers only (``cr_delta_theta_rad`` is inf exactly
@@ -36,15 +38,21 @@ MESSAGES = ("config error: ", "numerical failure: ", "statistical check failed: 
 TEXT_COLUMNS = ("scheme", "warnings")  # every other column of every table holds numbers
 
 
+def _far(units, signs):
+    """A quantity string log-uniform in 1e-300..1e300 with one of ``units``."""
+    return st.builds(
+        lambda sign, exponent, unit: f"{sign}{10.0 ** exponent!r}{unit}",
+        st.sampled_from(signs),
+        st.floats(-300.0, 300.0),
+        st.sampled_from(units),
+    )
+
+
 def _wide(own, foreign):
     """A quantity string: log-uniform in 1e-300..1e300 with an own unit (mostly) or
     a foreign one, or 0, -1 or .nan; own and foreign are tuples of unit names."""
-    magnitude = st.builds(
-        lambda sign, exponent, unit: f"{sign}{10.0 ** exponent!r}{unit}",
-        st.sampled_from(["", "", "", "-"]),
-        st.floats(-300.0, 300.0),
-        st.sampled_from(own) | st.sampled_from(foreign),
-    )
+    signs = ("", "", "", "-")
+    magnitude = _far(own, signs) | _far(foreign, signs)
     special = st.sampled_from(["0", "-1", ".nan"]) | st.builds(
         lambda value, unit: value + unit, st.sampled_from(["0", "-1"]), st.sampled_from(own)
     )
@@ -80,6 +88,15 @@ FIELDS = {
     "montecarlo.theta": (_near(1.0, "urad", ("", "-")), _wide(ANGLES, NOT_ANGLES)),
     "energy": (_near(1.0, "fJ"), _wide(("", *ENERGY_UNITS), (*LENGTH_UNITS, *ANGLE_UNITS))),
 }
+# the beam's fields all far from laboratory scales at once, each positive in its own units
+# (xi of either sign), so that one bound can underflow while another stays in range
+FAR_BEAM = {
+    "wavelength": _far(LENGTHS, ("",)),
+    "k": _far(("",), ("",)),
+    "w0": _far(LENGTHS, ("",)),
+    "z_R": _far(LENGTHS, ("",)),
+    "xi": _far(LENGTHS, ("", "-")),
+}
 
 
 def _flow(fields):
@@ -89,10 +106,14 @@ def _flow(fields):
 @st.composite
 def configs(draw, command="sweep"):
     """A one-block config for ``command``; up to two of its fields take a value of any
-    scale, unit or special, and theta and z may be small grids of such values."""
+    scale, unit or special, and theta and z may be small grids of such values.  In one
+    config of four, the beam's three fields also take values of any scale together."""
     wide = draw(st.sets(st.sampled_from(sorted(FIELDS)), max_size=2))
+    far_beam = draw(st.integers(0, 3)) == 0
 
     def value(field):
+        if far_beam and field in FAR_BEAM:
+            return draw(FAR_BEAM[field])
         return draw(FIELDS[field][field in wide])
 
     def grid(field):
@@ -111,7 +132,7 @@ def configs(draw, command="sweep"):
     for pair in (("wavelength", "k"), ("w0", "z_R")):
         field = draw(st.sampled_from(pair))
         beam[field] = value(field)
-    if draw(st.booleans()):
+    if far_beam or draw(st.booleans()):
         beam["xi"] = value("xi")
     lines = [f"beam: {_flow(beam)}"]
 
@@ -226,6 +247,17 @@ def check_config(command, text):
 @example(("montecarlo", "beam: {wavelength: 7358.987441198978nm, z_R: 1.0m}\n"
           "run: {scheme: position, theta: 0.04010242470254117urad, z: 2.1997213522687156e-161m}\n"
           "montecarlo: {theta: -488.124280600798urad, nu: 72, trials: 3, seed: 332}\n"))
+# found by this test with the beam's fields far from laboratory scales together: 4 (k w0)^2
+# underflows under a positive quantum bound (exit 2), and 4 k |xi| underflows with xi != 0
+@example(("sweep", "beam: {k: 1e-100, w0: 1e-110m, xi: 1m}\n"
+          "run: {scheme: position, theta: 1urad, z: 1z_R}\n"))
+@example(("montecarlo", "beam: {k: 1.756957470181827e-51, w0: 1.4523906791118475e-134m, "
+          "xi: 2.0074466422391886e-34m}\nrun: {scheme: joint, theta: 9.39268094759922e-26, z: 1z_R}\n"
+          "montecarlo: {theta: 9.39268094759922e-26, nu: 16, trials: 2}\n"))
+@example(("montecarlo", "beam: {k: 8.494125714281019e-128, w0: 2.624098373972576e-17m, "
+          "xi: -1.9146477759761452e-260m}\n"
+          "run: {scheme: joint, theta: -2.0802859824546192e-136, z: 1.6231918794284092e+23m}\n"
+          "montecarlo: {theta: -2.0802859824546192e-136, nu: 16, trials: 4}\n"))
 def test_one_row_configs_end_cleanly(case):
     check_config(*case)
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 
 import numpy as np
@@ -568,6 +569,21 @@ def test_default_search_interval_refuses_an_overflowing_variance(beam):
         default_search_interval(model, 0.0, 1, 1e-304, trials=45)
 
 
+@pytest.mark.parametrize("information", [0.0, math.nan])
+def test_default_search_interval_refuses_a_given_f_without_recomputing_it(beam, monkeypatch, information):
+    import tiltsense.estimate as estimate
+
+    monkeypatch.setattr(estimate, "analytic_fisher", lambda *a: pytest.fail("F was recomputed"))
+    model = PositionModel(beam, beam.rayleigh_range)
+    with pytest.raises(ValueError, match="^scheme carries no information at this working point$"):
+        default_search_interval(model, 1e-6, 1000, information=information)
+
+
+def test_default_search_interval_refuses_a_computed_f_of_zero(beam):
+    with pytest.raises(ValueError, match="carries no information"):
+        default_search_interval(PositionModel(beam, 0.0), 1e-6, 1000)
+
+
 def test_default_search_interval_keeps_the_sign_branch_of_even_statistics(centered_beam):
     # at xi = 0 the polarization statistics are even in theta for any coherence
     # phase, so an interval across 0 would return the wrong sign half the time
@@ -594,6 +610,34 @@ def test_run_trial_record(beam):
     counts = sample_outcomes(model, 1e-6, 1000, trial_rng(99, 3))
     assert trial == mle(model, counts, interval)
     assert math.isfinite(trial.theta_hat)
+
+
+def test_run_saturation_takes_its_interval_and_information_from_the_working_point():
+    parameters = inspect.signature(run_saturation).parameters
+    assert list(parameters) == ["model", "theta_true", "nu", "trials", "seed", "scheme"]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        lambda beam: PolarizationModel(beam, PolarizationState.horizontal()),
+        lambda beam: PositionModel(beam, 0.0),
+    ],
+    ids=["horizontal-polarization", "position-at-z0"],
+)
+def test_run_saturation_refuses_zero_information_before_any_trial(beam, monkeypatch, model):
+    import tiltsense.estimate as estimate
+
+    monkeypatch.setattr(estimate, "run_trial", lambda *a: pytest.fail("a trial ran"))
+    with pytest.raises(ValueError, match="carries no information"):
+        run_saturation(model(beam), 1e-6, 1000, 5, seed=1)
+
+
+def test_saturation_report_carries_the_information_it_used(beam):
+    model = QuadrantModel(beam, beam.rayleigh_range)
+    report = run_saturation(model, 1e-6, 2000, 5, seed=7)
+    assert report.information == model.fisher(1e-6)
+    assert report.cr_variance == 1.0 / (2000 * report.information)
 
 
 def test_polarization_saturation_500_trials(beam):

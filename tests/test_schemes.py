@@ -388,6 +388,16 @@ def test_small_angle_flags(beam):
     assert len(small_angle_flags(centered, 1e-3)) == 1
 
 
+def test_small_angle_guard_where_the_displacement_rate_underflows():
+    # xi != 0, but 4 k |xi| = 6.5e-387 underflows to 0: the displacement phase sets no limit
+    beam = BeamParams(k=8.494125714281019e-128, w0=2.624098373972576e-17, xi=-1.9146477759761452e-260)
+    centered = BeamParams(k=beam.k, w0=beam.w0)
+    for model in (PolarizationModel, lambda b, pol: PositionPolarizationModel(b, pol, 1.0)):
+        guard = model(beam, PolarizationState.diagonal()).small_angle_guard()
+        assert guard == model(centered, PolarizationState.diagonal()).small_angle_guard()
+        assert math.isfinite(guard)
+
+
 # ---------------------------------------------------------------------------
 # evenness in theta
 # ---------------------------------------------------------------------------
