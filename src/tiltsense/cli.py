@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, linspace, load_config
+# no command writes JSON tables; write_json is kept while perfbench's tracer wraps it (ROADMAP item 2)
 from .output import write_csv, write_json, write_sidecar
 
 _MODELS = ("PolarizationModel", "PositionModel", "PositionPolarizationModel", "QuadrantModel")
@@ -75,12 +76,12 @@ class NumericalFailure(RuntimeError):
     """The oracle or a quadrature failed; the message names the run block (and row)."""
 
 
-def build_model(scheme: str, config: ScenarioConfig, z, split):
+def build_model(scheme: str, config: ScenarioConfig, z):
     beam, pol = config.beam, config.polarization
     if scheme == "position":
         return PositionModel(beam, z)
     if scheme == "quadrant":
-        return QuadrantModel(beam, z, split)
+        return QuadrantModel(beam, z)
     if scheme == "polarization":
         return PolarizationModel(beam, pol)
     return PositionPolarizationModel(beam, pol, z)
@@ -104,7 +105,7 @@ def _run_block_rows(config, run_index, block, nu):
     planeless = block.z is None
     zs = [""] if planeless else block.z.tolist()
     column = None if planeless else np.reshape(block.z, (-1, 1))
-    model = build_model(block.scheme, config, column, block.split)
+    model = build_model(block.scheme, config, column)
     qfi = qfi_for_model(model)
     rows = []
     for theta_index, theta in enumerate(block.theta.tolist()):
@@ -129,14 +130,20 @@ def _run_block_rows(config, run_index, block, nu):
     return rows
 
 
-def _emit_table(args, name, header, rows, config_text, seed=None):
+def _out_dir(args) -> Path:
+    """Create the output directory; called where writing starts, so a failed run leaves none."""
     out = Path(args.out)
-    suffix = "json" if args.format == "json" else "csv"
-    table = out / f"{name}.{suffix}"
-    if args.format == "json":
-        write_json(table, header, rows)
-    else:
-        write_csv(table, header, rows)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}")
+    return out
+
+
+def _emit_table(args, name, header, rows, config_text, seed=None):
+    out = _out_dir(args)
+    table = out / f"{name}.csv"
+    write_csv(table, header, rows)
     write_sidecar(
         out / f"{name}.meta.json",
         command=name,
@@ -187,7 +194,7 @@ def cmd_montecarlo(args) -> int:
                     f"run[{index}]: montecarlo needs a scalar z, got a grid of {len(block.z)}"
                 )
             z = float(block.z[0])
-        model = build_model(block.scheme, config, z, block.split)
+        model = build_model(block.scheme, config, z)
         try:
             report = run_saturation(model, mc.theta, mc.nu, mc.trials, mc.seed, scheme=block.scheme)
         except ConvergenceError as exc:
@@ -261,7 +268,7 @@ def _write_figure(args, config, command, panels) -> int:
                 f"w0={beam.w0!r} m (z_R={beam.rayleigh_range!r} m); the figures span "
                 "10 z_R in z and millimetre offsets in x"
             )
-    out = Path(args.out)
+    out = _out_dir(args)
     outputs = []
     for name, title, xlabel, ylabel, header, x, columns, labels in panels:
         write_csv(out / f"{name}.csv", header, list(zip(x, *columns)))
@@ -396,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tiltsense {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, config_required=True, table=False):
+    def command(name, func, summary, config_required=True):
         p = sub.add_parser(name, help=summary)
         p.add_argument(
             "--config", required=config_required, default=None, help="scenario YAML file"
@@ -404,12 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         # read by no command; kept while every perfbench command passes it (ROADMAP item 1)
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-        if table:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(func=func)
         return p
 
-    command("sweep", cmd_sweep, "Fisher table for every run block", table=True)
+    command("sweep", cmd_sweep, "Fisher table for every run block")
     command(
         "figure3", cmd_figure3, "information-per-photon curves (CSV + SVG)",
         config_required=False,
@@ -418,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figure4", cmd_figure4, "probability-scaled information curves (CSV + SVG)",
         config_required=False,
     )
-    command("montecarlo", cmd_montecarlo, "Cramer-Rao saturation runs", table=True)
+    command("montecarlo", cmd_montecarlo, "Cramer-Rao saturation runs")
 
     p_val = sub.add_parser("validate-config", help="parse and validate a config file")
     p_val.add_argument("--config", required=True)

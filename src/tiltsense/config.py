@@ -5,10 +5,9 @@ numbers are taken as SI.  Unit bugs are the dominant failure mode in this
 domain, so resolution happens once, at parse time, into SI (the models then
 work in beam units, :mod:`tiltsense.beam`).  Each field resolves its unit in
 the table of its own dimension and refuses any other: ``LENGTH_UNITS`` for
-``wavelength``, ``w0``, ``z_R`` and ``xi``, these plus ``z_R``/``zR`` (the
-beam's Rayleigh range) for ``z`` and ``split``, ``ANGLE_UNITS`` for ``theta``,
-``polar`` and ``azimuth``, ``ENERGY_UNITS`` for ``energy``; ``k`` is a bare
-number in rad/m.
+``wavelength``, ``w0``, ``z_R`` and ``xi``, these plus ``z_R`` (the beam's
+Rayleigh range) for ``z``, ``ANGLE_UNITS`` for ``theta``, ``polar`` and
+``azimuth``, ``ENERGY_UNITS`` for ``energy``.
 
 The text is read by ``read_yaml``, a small reader of the YAML that configs
 use, so that no command imports a YAML library:
@@ -255,7 +254,10 @@ def parse_integer(value, *, where: str, low: int = 1, high: float = math.inf) ->
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     elif isinstance(value, str) and re.fullmatch(r"\s*[+-]?\d+\s*", value):
-        value = int(value)
+        try:
+            value = int(value)
+        except ValueError:  # past Python's limit of 4300 digits per conversion
+            raise ConfigError(f"{where}: a whole number of {len(value.strip())} characters is too long")
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected a whole number, got {value!r}")
     if not low <= value < high:
@@ -350,19 +352,14 @@ def _either(section, where: str, first: str, second: str) -> str:
 
 
 def _parse_beam(section, where="beam") -> BeamParams:
-    _check_keys(section, where, {"wavelength", "k", "w0", "z_R", "xi"})
-    source = _either(section, where, "wavelength", "k")
-    if source == "k":
-        k = parse_quantity(section["k"], {}, where=f"{where}.k")
-        if k <= 0.0:
-            raise ConfigError(f"{where}.k: wavenumber must be positive, got {k}")
-        wavelength = TWO_PI / k
-    else:
-        wavelength = parse_quantity(section["wavelength"], LENGTH_UNITS, where=f"{where}.wavelength")
-        if wavelength <= 0.0:
-            raise ConfigError(f"{where}.wavelength: must be positive, got {wavelength}")
-    if not 0.0 < TWO_PI / wavelength < math.inf:
-        raise ConfigError(f"{where}.{source}: gives no finite wavenumber and wavelength")
+    _check_keys(section, where, {"wavelength", "w0", "z_R", "xi"})
+    if "wavelength" not in section:
+        raise ConfigError(f"{where}: needs wavelength")
+    wavelength = parse_quantity(section["wavelength"], LENGTH_UNITS, where=f"{where}.wavelength")
+    if wavelength <= 0.0:
+        raise ConfigError(f"{where}.wavelength: must be positive, got {wavelength}")
+    if not TWO_PI / wavelength < math.inf:
+        raise ConfigError(f"{where}.wavelength: gives no finite wavenumber")
     xi = parse_quantity(section.get("xi", 0.0), LENGTH_UNITS, where=f"{where}.xi")
     field = _either(section, where, "w0", "z_R")
     size = parse_quantity(section[field], LENGTH_UNITS, where=f"{where}.{field}")
@@ -404,7 +401,6 @@ class RunBlock(NamedTuple):
     scheme: str
     theta: array
     z: Optional[array] = None
-    split: Optional[float] = None
 
 
 class MonteCarloBlock(NamedTuple):
@@ -424,7 +420,7 @@ class ScenarioConfig(NamedTuple):
 
 def _parse_run(block, beam, pol, index) -> RunBlock:
     where = f"run[{index}]"
-    _check_keys(block, where, {"scheme", "theta", "z", "split"})
+    _check_keys(block, where, {"scheme", "theta", "z"})
     scheme = block.get("scheme")
     if scheme not in SCHEMES:
         raise ConfigError(f"{where}.scheme: must be one of {SCHEMES}, got {scheme!r}")
@@ -442,13 +438,12 @@ def _parse_run(block, beam, pol, index) -> RunBlock:
         raise ConfigError(f"{where}: needs a theta value or grid")
     theta = parse_grid(block["theta"], ANGLE_UNITS, where=f"{where}.theta")
     _check_tilt(max(theta[0], theta[-1], key=abs), beam, scheme, f"{where}.theta")
-    lengths = {**LENGTH_UNITS, "z_R": beam.rayleigh_range, "zR": beam.rayleigh_range}
     needs_z = scheme in ("position", "quadrant", "joint")
     z = None
     if needs_z:
         if "z" not in block:
             raise ConfigError(f"{where}: scheme {scheme!r} needs a z value or grid")
-        z = parse_grid(block["z"], lengths, where=f"{where}.z")
+        z = parse_grid(block["z"], {**LENGTH_UNITS, "z_R": beam.rayleigh_range}, where=f"{where}.z")
         if z[0] < 0.0:
             raise ConfigError(f"{where}.z: detector positions must be >= 0")
         # the sweep holds every row of the block before it writes the table
@@ -459,12 +454,7 @@ def _parse_run(block, beam, pol, index) -> RunBlock:
             )
     elif "z" in block:
         raise ConfigError(f"{where}.z: scheme 'polarization' is independent of z")
-    split = None
-    if "split" in block:
-        if scheme != "quadrant":
-            raise ConfigError(f"{where}.split: only the quadrant scheme has a split line")
-        split = parse_quantity(block["split"], lengths, where=f"{where}.split")
-    return RunBlock(scheme=scheme, theta=theta, z=z, split=split)
+    return RunBlock(scheme=scheme, theta=theta, z=z)
 
 
 def _parse_montecarlo(section, wavelength) -> MonteCarloBlock:

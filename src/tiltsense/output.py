@@ -1,4 +1,4 @@
-"""Schema-stable CSV/JSON emission and reproducibility sidecars.
+"""Schema-stable CSV/JSON emission and reproducibility sidecars, into an existing directory.
 
 CSV is the normative output: fixed header, fixed column order, full-precision
 scientific notation, newline-terminated rows.  Reruns with the same inputs
@@ -7,11 +7,8 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from itertools import repeat
-from pathlib import Path
 
 
 def format_value(value) -> str:
@@ -31,8 +28,8 @@ def write_csv(path, header, rows) -> None:
     gives the bytes that ``format_value`` and ``csv.writer`` give it: no such
     field needs quoting.  Any other row goes through both.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    import csv  # here, so that validate-config does not load it
+
     formats = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -55,8 +52,8 @@ def _json_safe(value):
 
 
 def write_json(path, header, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    import json
+
     records = [dict(zip(header, (_json_safe(v) for v in row))) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=2, sort_keys=False, allow_nan=False)
@@ -73,8 +70,8 @@ def write_sidecar(path, *, command, argv, version, seed=None, config_text=None, 
         "outputs": list(outputs),
         "config": config_text,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    import json
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -439,6 +439,7 @@ class QuadrantModel(_PlaneScheme, _TwoOutcomeScheme, _DeflectionScheme):
 
     __slots__ = ("beam", "z", "split")
 
+    # no command sets split; kept while perfbench's self-test passes one (ROADMAP item 2)
     def __init__(self, beam: BeamParams, z, split: Optional[float] = None):
         self.beam = beam
         self.z = z

@@ -190,6 +190,4 @@ class LineChart:
         return "\n".join(parts) + "\n"
 
     def write(self, path):
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_svg(), encoding="utf-8")
+        Path(path).write_text(self.to_svg(), encoding="utf-8")

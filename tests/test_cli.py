@@ -112,16 +112,18 @@ def test_fisher_outputs_are_reproducible_and_threadsafe(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
-def test_fisher_json_format(tmp_path):
+def test_fisher_json_format(tmp_path, capsys):
+    # the tables are CSV only: argparse refuses --format before any work
     cfg = write_config(
         tmp_path, "beam: {wavelength: 633nm, w0: 1mm}\nrun: {scheme: position, theta: 1urad, z: 1z_R}\n"
     )
     out = tmp_path / "json_out"
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
-    records = json.loads((out / "sweep.json").read_text())
-    assert len(records) == 1
-    assert records[0]["scheme"] == "position"
-    assert records[0]["oracle_fisher"] == pytest.approx(records[0]["analytic_fisher"], rel=1e-6)
+    for command in ("sweep", "montecarlo"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(out), "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fisher_row_invariants(tmp_path):
@@ -587,16 +589,18 @@ def test_figure4_matches_the_numpy_evaluation(tmp_path):
             np.testing.assert_array_max_ulp(column, expected, maxulp=4)
 
 
-def test_quadrant_split_option(tmp_path):
+def test_quadrant_split_option(tmp_path, capsys):
+    # the quadrant detector splits at the beam center x = xi: a split line is an unknown key
     cfg = write_config(
         tmp_path,
         "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n"
         "run: {scheme: quadrant, theta: 1urad, z: 1z_R, split: 0.9mm}\n",
     )
     out = tmp_path / "split"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    row = read_rows(out / "sweep.csv")[0]
-    assert float(row["oracle_fisher"]) == pytest.approx(float(row["analytic_fisher"]), rel=1e-6)
+    for argv in (["validate-config"], ["sweep", "--out", str(out)]):
+        assert main([*argv, "--config", cfg]) == 2
+        assert "config error: run[0]: unknown keys ['split']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
@@ -690,6 +694,39 @@ def test_fractional_nu_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, MC_CONFIG.replace("nu: 10000", "nu: 2.7"))
     assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
     assert "montecarlo.nu: expected a whole number" in capsys.readouterr().err
+
+
+LONG = '"' + "1" * 4301 + '"'  # quoted digits, one past Python's limit for converting them
+
+
+@pytest.mark.parametrize(
+    "command, change, field",
+    [
+        ("validate-config", ("nu: 10000", f"nu: {LONG}"), "montecarlo.nu"),
+        ("montecarlo", ("trials: 60", f"trials: {LONG}"), "montecarlo.trials"),
+        ("montecarlo", ("seed: 424242", f"seed: {LONG}"), "montecarlo.seed"),
+        ("sweep", ("theta: 1urad, z", f"theta: {{start: 0, stop: 1urad, count: {LONG}}}, z"), "run[0].theta.count"),
+    ],
+    ids=["nu", "trials", "seed", "count"],
+)
+def test_whole_numbers_past_the_digit_limit_exit_2(tmp_path, capsys, command, change, field):
+    cfg = write_config(tmp_path, MC_CONFIG.replace(*change, 1))
+    out = [] if command == "validate-config" else ["--out", str(tmp_path / "o")]
+    assert main([command, "--config", cfg, *out]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: a whole number of 4301 characters")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "montecarlo", "figure3", "figure4"])
+def test_out_that_is_not_a_directory_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, MC_CONFIG.replace("trials: 60", "trials: 2"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    for out in (blocker, blocker / "sub"):  # an existing file, and a path under it
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --out: [Errno ")
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "scenario.yaml"]
 
 
 def test_photon_count_above_nu_limit_exits_2(tmp_path, capsys):
@@ -823,10 +860,10 @@ def test_overflowing_k_w0_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "beam",
     [
-        # k w0 = 1e100: every closed form squares it
-        "{k: 1e200, w0: 1e-100m}",
-        # k w0 = 9e153: the position closed form and quantum bound are inf
-        "{k: 1e150, w0: 9e3m}",
+        # k w0 = 1e100: every closed form squares it (k = 2 pi/wavelength = 1e200)
+        "{wavelength: 6.283185307179586e-200m, w0: 1e-100m}",
+        # k w0 = 9e153: the position closed form and quantum bound are inf (k = 1e150)
+        "{wavelength: 6.283185307179586e-150m, w0: 9e3m}",
         # k xi = 1e157: the polarization closed form squares it
         "{wavelength: 633nm, w0: 1mm, xi: 1e150m}",
     ],
@@ -852,7 +889,8 @@ def test_beam_past_the_quantum_bound_exits_2_from_every_command(tmp_path, capsys
 @pytest.mark.parametrize("command", ["figure3", "figure4"])
 def test_figure_beam_past_the_quantum_bound_at_xi_1mm_exits_2(tmp_path, capsys, command):
     # the config's beam (xi = 0) sits just below the bound; the figures' xi = 1 mm beam does not
-    cfg = write_config(tmp_path, "beam: {k: 3.3e153, w0: 2.0314860499913023m}\n")
+    # k = 2 pi/wavelength = 3.3e153
+    cfg = write_config(tmp_path, "beam: {wavelength: 1.9039955476301777e-153m, w0: 2.0314860499913023m}\n")
     assert main(["validate-config", "--config", cfg]) == 0
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "the figures place the beam at xi=0.001 m" in capsys.readouterr().err
@@ -863,13 +901,14 @@ def test_figure_beam_past_the_quantum_bound_at_xi_1mm_exits_2(tmp_path, capsys, 
     [
         # 4 (k w0)^2 underflows to 0 under a positive 16 k^2 (w0^2/4 + xi^2): the oracle's
         # step and the joint small-angle guard divided by it
-        ("sweep", "beam: {k: 1e-100, w0: 1e-110m, xi: 1m}\n"
+        # (k = 2 pi/wavelength = 1e-100, 1.756957470181827e-51 and 8.494125714281019e-128)
+        ("sweep", "beam: {wavelength: 6.283185307179586e+100m, w0: 1e-110m, xi: 1m}\n"
          "run: {scheme: position, theta: 1urad, z: 1z_R}\n", "beam.w0: the deflection bound"),
-        ("montecarlo", "beam: {k: 1.756957470181827e-51, w0: 1.4523906791118475e-134m, "
+        ("montecarlo", "beam: {wavelength: 3.576173819693735e+51m, w0: 1.4523906791118475e-134m, "
          "xi: 2.0074466422391886e-34m}\nrun: {scheme: joint, theta: 9.39268094759922e-26, z: 1z_R}\n"
          "montecarlo: {theta: 9.39268094759922e-26, nu: 16, trials: 2}\n", "beam.w0: the deflection bound"),
         # 4 k |xi| underflows to 0 with xi != 0, where the small-angle guard divided by it
-        ("montecarlo", "beam: {k: 8.494125714281019e-128, w0: 2.624098373972576e-17m, "
+        ("montecarlo", "beam: {wavelength: 7.397094790598379e+127m, w0: 2.624098373972576e-17m, "
          "xi: -1.9146477759761452e-260m}\n"
          "run: {scheme: joint, theta: -2.0802859824546192e-136, z: 1.6231918794284092e+23m}\n"
          "montecarlo: {theta: -2.0802859824546192e-136, nu: 16, trials: 4}\n", None),
@@ -974,7 +1013,7 @@ def test_config_missing_what_the_command_needs_exits_2(tmp_path, capsys, setup, 
         # the offsets of a 4e146 m waist overflow the conditional Fisher 16 k^2 x^2 itself
         ("figure4", "wavelength: 633nm, z_R: 1e300m", "(z_R=1e+300 m)"),
         # the density squares the width at 5 z_R, 2.5e154 m
-        ("figure4", "k: 1, w0: 5e153m", "the figure4a curves are not finite"),
+        ("figure4", "wavelength: 6.283185307179586m, w0: 5e153m", "the figure4a curves are not finite"),
     ],
     ids=["huge-z_R-figure4", "huge-w0-figure4"],
 )

@@ -6,9 +6,11 @@ them far from laboratory scales: lengths, angles and energies log-uniform over
 the values 0, -1 and ``.nan``; in one config of four, also the beam's three
 fields together, each log-uniform in its own units; theta and z as one value
 or a grid of up to three; every scheme and polarization form; whole numbers
-on both sides of their limits; and the keys that no longer exist
-(``montecarlo.interval`` and the ``plus`` preset).  ``montecarlo`` runs at
-most 100 photons and 5 trials.
+on both sides of their limits, plain or quoted, and one in twenty a quoted
+digit string past Python's 4300-digit conversion limit; and the inputs that no
+longer exist (``beam.k``, ``run.split``, the ``zR`` unit,
+``montecarlo.interval`` and the ``plus`` preset).  ``montecarlo`` runs at most
+100 photons and 5 trials.
 ``cli.main`` runs in this process with numpy's RuntimeWarnings raised as
 errors, and each run must exit 0, 2, 3 or 4 without an exception.  The tables
 it writes hold finite numbers only (``cr_delta_theta_rad`` is inf exactly
@@ -32,7 +34,6 @@ from hypothesis import strategies as st
 from tiltsense.cli import main
 from tiltsense.config import ANGLE_UNITS, ENERGY_UNITS, LENGTH_UNITS, SCHEMES
 
-RAYLEIGH_UNITS = ("z_R", "zR")
 COMMANDS = ("sweep", "validate-config", "montecarlo", "figure3", "figure4")
 MESSAGES = ("config error: ", "numerical failure: ", "statistical check failed: ")
 TEXT_COLUMNS = ("scheme", "warnings")  # every other column of every table holds numbers
@@ -59,6 +60,15 @@ def _wide(own, foreign):
     return st.one_of(magnitude, magnitude, magnitude, special)
 
 
+def _whole(numbers):
+    """A whole number of ``numbers``, plain or as quoted digits; one in twenty is
+    instead a quoted digit string longer than Python converts (4300 digits)."""
+    return st.integers(0, 19).flatmap(
+        lambda pick: st.integers(4301, 4400).map(lambda n: '"' + "7" * n + '"') if pick == 7
+        else numbers.map(lambda n: f'"{n}"' if pick % 2 else str(n))
+    )
+
+
 def _near(typical, unit, signs=("",)):
     """A quantity string within a factor 1e3 of ``typical`` ``unit``."""
     return st.builds(
@@ -72,11 +82,10 @@ LENGTHS = ("", *LENGTH_UNITS)
 NOT_LENGTHS = (*ANGLE_UNITS, *ENERGY_UNITS)
 ANGLES = ("", *ANGLE_UNITS)
 NOT_ANGLES = (*LENGTH_UNITS, *ENERGY_UNITS)
-PLANES = (*LENGTHS, "z_R", "zR")
+PLANES = (*LENGTHS, "z_R", "zR")  # zR, once a spelling of z_R, is refused
 # each field: (a laboratory-scale value, a value of any scale, unit or special)
 FIELDS = {
     "wavelength": (_near(633.0, "nm"), _wide(LENGTHS, NOT_LENGTHS)),
-    "k": (_near(1e7, ""), _wide(("",), (*LENGTHS[1:], *NOT_LENGTHS))),
     "w0": (_near(1.0, "mm"), _wide(LENGTHS, NOT_LENGTHS)),
     "z_R": (_near(1.0, "m"), _wide(LENGTHS, NOT_LENGTHS)),
     "xi": (_near(1.0, "mm", ("", "-")) | st.just("0"), _wide(LENGTHS, NOT_LENGTHS)),
@@ -84,7 +93,6 @@ FIELDS = {
     "azimuth": (st.floats(-180.0, 180.0).map(lambda deg: f"{deg!r}deg"), _wide(ANGLES, NOT_ANGLES)),
     "theta": (_near(1.0, "urad", ("", "-")) | st.just("0"), _wide(ANGLES, NOT_ANGLES)),
     "z": (_near(1.0, "z_R") | st.just("0"), _wide(PLANES, NOT_LENGTHS)),
-    "split": (_near(0.1, "mm", ("", "-")), _wide(PLANES, NOT_LENGTHS)),
     "montecarlo.theta": (_near(1.0, "urad", ("", "-")), _wide(ANGLES, NOT_ANGLES)),
     "energy": (_near(1.0, "fJ"), _wide(("", *ENERGY_UNITS), (*LENGTH_UNITS, *ANGLE_UNITS))),
 }
@@ -92,7 +100,6 @@ FIELDS = {
 # (xi of either sign), so that one bound can underflow while another stays in range
 FAR_BEAM = {
     "wavelength": _far(LENGTHS, ("",)),
-    "k": _far(("",), ("",)),
     "w0": _far(LENGTHS, ("",)),
     "z_R": _far(LENGTHS, ("",)),
     "xi": _far(LENGTHS, ("", "-")),
@@ -125,15 +132,16 @@ def configs(draw, command="sweep"):
             return value(field)
         if shape == "list":
             return "[" + ", ".join(value(field) for _ in range(draw(st.integers(1, 3)))) + "]"
-        count = draw(st.integers(1, 3))
+        count = draw(_whole(st.integers(1, 3)))
         return _flow({"start": value(field), "stop": value(field), "count": count})
 
-    beam = {}
-    for pair in (("wavelength", "k"), ("w0", "z_R")):
-        field = draw(st.sampled_from(pair))
-        beam[field] = value(field)
+    beam = {"wavelength": value("wavelength")}
+    field = draw(st.sampled_from(("w0", "z_R")))
+    beam[field] = value(field)
     if far_beam or draw(st.booleans()):
         beam["xi"] = value("xi")
+    if draw(st.integers(0, 19)) == 7:
+        beam["k"] = "1e7"  # refused: the beam takes its wavelength only
     lines = [f"beam: {_flow(beam)}"]
 
     polarization = draw(st.sampled_from(["none", "preset", "bloch"]))
@@ -147,8 +155,8 @@ def configs(draw, command="sweep"):
     run = {"scheme": scheme, "theta": grid("theta")}
     if scheme != "polarization":
         run["z"] = grid("z")
-    if scheme == "quadrant" and draw(st.booleans()):
-        run["split"] = value("split")
+    if draw(st.integers(0, 19)) == 7:
+        run["split"] = "0.1mm"  # refused: the quadrant detector splits at x = xi
     lines.append(f"run: {_flow(run)}")
 
     if command == "montecarlo":
@@ -156,19 +164,19 @@ def configs(draw, command="sweep"):
         # commands' configs cover the limits of these fields)
         montecarlo = {
             "theta": value("montecarlo.theta"),
-            "nu": draw(st.integers(1, 100)),
-            "trials": draw(st.integers(2, 5)),
-            "seed": draw(st.integers(0, 2 ** 16)),
+            "nu": draw(_whole(st.integers(1, 100))),
+            "trials": draw(_whole(st.integers(2, 5))),
+            "seed": draw(_whole(st.integers(0, 2 ** 16))),
         }
         lines.append(f"montecarlo: {_flow(montecarlo)}")
     elif draw(st.booleans()):
         montecarlo = {"theta": value("montecarlo.theta")}
         if draw(st.booleans()):
-            montecarlo["nu"] = draw(st.integers(0, 2 * 10 ** 8))
+            montecarlo["nu"] = draw(_whole(st.integers(0, 2 * 10 ** 8)))
         else:
             montecarlo["energy"] = value("energy")
-        montecarlo["trials"] = draw(st.integers(1, 500))
-        montecarlo["seed"] = draw(st.integers(-1, 2 ** 64))
+        montecarlo["trials"] = draw(_whole(st.integers(1, 500)))
+        montecarlo["seed"] = draw(_whole(st.integers(-1, 2 ** 64)))
         if draw(st.integers(0, 9)) == 0:
             montecarlo["interval"] = "[0, 2urad]"
         lines.append(f"montecarlo: {_flow(montecarlo)}")
@@ -229,9 +237,13 @@ def check_config(command, text):
 
 @settings(max_examples=100, deadline=None)
 @given(case=cases())
-# the retired keys exit 2 naming themselves
+# the retired inputs exit 2 naming themselves
 @example(("sweep", "beam: {wavelength: 633nm, w0: 1mm}\npolarization: plus\n"
           "run: {scheme: joint, theta: 1urad, z: 1z_R}\n"))
+@example(("validate-config", "beam: {wavelength: 633nm, k: 1e7, w0: 1mm}\n"))
+@example(("sweep", "beam: {wavelength: 633nm, w0: 1mm}\nrun: {scheme: position, theta: 1urad, z: 1zR}\n"))
+@example(("sweep", "beam: {wavelength: 633nm, w0: 1mm}\n"
+          "run: {scheme: quadrant, theta: 1urad, z: 1z_R, split: 0.1mm}\n"))
 @example(("validate-config", "beam: {wavelength: 633nm, w0: 1mm}\nrun: {scheme: polarization, theta: 0}\n"
           "montecarlo: {theta: 1urad, nu: 100, interval: [0, 2urad]}\n"))
 # found by this test: far past any physical tilt the joint and position models overflow
@@ -241,7 +253,7 @@ def check_config(command, text):
           "run: {scheme: joint, theta: -2.698193939762969e+219urad, z: 0.1z_R}\n"))
 @example(("sweep", "beam: {wavelength: 633nm, z_R: 1m, xi: -1mm}\n"
           "run: {scheme: position, theta: -2.698193939762969e+219urad, z: 0.1z_R}\n"))
-@example(("sweep", "beam: {k: 42640709.4963394, w0: 9.007041358615979mm}\n"
+@example(("sweep", "beam: {wavelength: 1.4735180022553287e-07m, w0: 9.007041358615979mm}\n"
           "run: {scheme: position, theta: -1, z: 9.007041358615979z_R}\n"))
 # found by this test: F = 3.3e-315, so that the estimates' variance overflowed in np.var
 @example(("montecarlo", "beam: {wavelength: 7358.987441198978nm, z_R: 1.0m}\n"
@@ -249,15 +261,25 @@ def check_config(command, text):
           "montecarlo: {theta: -488.124280600798urad, nu: 72, trials: 3, seed: 332}\n"))
 # found by this test with the beam's fields far from laboratory scales together: 4 (k w0)^2
 # underflows under a positive quantum bound (exit 2), and 4 k |xi| underflows with xi != 0
-@example(("sweep", "beam: {k: 1e-100, w0: 1e-110m, xi: 1m}\n"
+# (k = 2 pi/wavelength = 1e-100, 1.756957470181827e-51 and 8.494125714281019e-128)
+@example(("sweep", "beam: {wavelength: 6.283185307179586e+100m, w0: 1e-110m, xi: 1m}\n"
           "run: {scheme: position, theta: 1urad, z: 1z_R}\n"))
-@example(("montecarlo", "beam: {k: 1.756957470181827e-51, w0: 1.4523906791118475e-134m, "
+@example(("montecarlo", "beam: {wavelength: 3.576173819693735e+51m, w0: 1.4523906791118475e-134m, "
           "xi: 2.0074466422391886e-34m}\nrun: {scheme: joint, theta: 9.39268094759922e-26, z: 1z_R}\n"
           "montecarlo: {theta: 9.39268094759922e-26, nu: 16, trials: 2}\n"))
-@example(("montecarlo", "beam: {k: 8.494125714281019e-128, w0: 2.624098373972576e-17m, "
+@example(("montecarlo", "beam: {wavelength: 7.397094790598379e+127m, w0: 2.624098373972576e-17m, "
           "xi: -1.9146477759761452e-260m}\n"
           "run: {scheme: joint, theta: -2.0802859824546192e-136, z: 1.6231918794284092e+23m}\n"
           "montecarlo: {theta: -2.0802859824546192e-136, nu: 16, trials: 4}\n"))
+# whole numbers past Python's 4300-digit limit ended in a ValueError traceback
+@example(("validate-config", "beam: {wavelength: 633nm, w0: 1mm}\nrun: {scheme: polarization, theta: 0}\n"
+          f'montecarlo: {{theta: 1urad, nu: "{"1" * 5000}", trials: 2}}\n'))
+@example(("montecarlo", "beam: {wavelength: 633nm, w0: 1mm}\nrun: {scheme: polarization, theta: 0}\n"
+          f'montecarlo: {{theta: 1urad, nu: 10, trials: "{"1" * 4301}"}}\n'))
+@example(("montecarlo", "beam: {wavelength: 633nm, w0: 1mm}\nrun: {scheme: polarization, theta: 0}\n"
+          f'montecarlo: {{theta: 1urad, nu: 10, seed: "{"1" * 4301}"}}\n'))
+@example(("sweep", "beam: {wavelength: 633nm, w0: 1mm}\n"
+          f'run: {{scheme: polarization, theta: {{start: 0, stop: 1urad, count: "{"1" * 4301}"}}}}\n'))
 def test_one_row_configs_end_cleanly(case):
     check_config(*case)
 

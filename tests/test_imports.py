@@ -24,10 +24,11 @@ run:
 montecarlo: {theta: 1urad, nu: 10000, trials: 20, seed: 7}
 """
 
-# runs cli.main on the arguments after -c, then prints its exit code and the loaded modules
+# runs cli.main on the arguments after -c, then prints its exit code and the modules
+# loaded by then (json, which prints them, is imported after)
 RUN_MAIN = (
-    "import json, sys; from tiltsense.cli import main; code = main(sys.argv[1:]); "
-    "print(json.dumps([code, sorted(sys.modules)]))"
+    "import sys; from tiltsense.cli import main; code = main(sys.argv[1:]); "
+    "modules = sorted(sys.modules); import json; print(json.dumps([code, modules]))"
 )
 
 
@@ -56,6 +57,7 @@ def _run_command(tmp_path, *argv):
 def test_validate_config_loads_no_numpy(tmp_path):
     modules = _run_command(tmp_path, "validate-config")
     assert "numpy" not in modules
+    assert not {"json", "csv"} & set(modules)  # only the writers of tables and sidecars use them
     assert _tiltsense_modules(modules) <= {"cli", "config", "output", "beam", "polarization"}
 
 
@@ -270,14 +272,17 @@ def test_commands_run_where_yaml_cannot_be_imported(tmp_path):
     assert {path.stem for path in (tmp_path / "out").glob("*.csv")} == tables
 
 
-# runs the process entry on the arguments after -c, then prints its exit code and the loaded modules
+# runs the process entry on the arguments after -c, then prints its exit code and the loaded
+# modules, as RUN_MAIN does
 RUN_ENTRY = """
-import json, sys
+import sys
 from tiltsense.__main__ import main
 try:
     main()
 except SystemExit as exc:
-    print(json.dumps([exc.code, sorted(sys.modules)]))
+    modules = sorted(sys.modules)
+    import json
+    print(json.dumps([exc.code, modules]))
 """
 
 

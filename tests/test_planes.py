@@ -243,7 +243,7 @@ def test_each_sweep_block_builds_one_model(tmp_path):
     text = "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n" + (
         "run:\n"
         "  - {scheme: position, theta: [0.5urad, 1urad], z: [1z_R, 2z_R]}\n"
-        "  - {scheme: quadrant, theta: [0.5urad, 1urad, 2urad], z: [0z_R, 1z_R, 2z_R], split: 0.9mm}\n"
+        "  - {scheme: quadrant, theta: [0.5urad, 1urad, 2urad], z: [0z_R, 1z_R, 2z_R]}\n"
         "  - {scheme: polarization, theta: [0, 1urad]}\n"
         "  - {scheme: joint, theta: 1urad, z: 1z_R}\n"
     )
