@@ -860,10 +860,11 @@ def test_overflowing_k_w0_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "beam",
     [
-        # k w0 = 1e100: every closed form squares it (k = 2 pi/wavelength = 1e200)
-        "{wavelength: 6.283185307179586e-200m, w0: 1e-100m}",
+        # k w0 = 1e100: every closed form squares it (k = 2 pi/wavelength = 1e200);
+        # the id names the beam by its wavenumber
+        pytest.param("{wavelength: 6.283185307179586e-200m, w0: 1e-100m}", id="{k: 1e200, w0: 1e-100m}"),
         # k w0 = 9e153: the position closed form and quantum bound are inf (k = 1e150)
-        "{wavelength: 6.283185307179586e-150m, w0: 9e3m}",
+        pytest.param("{wavelength: 6.283185307179586e-150m, w0: 9e3m}", id="{k: 1e150, w0: 9e3m}"),
         # k xi = 1e157: the polarization closed form squares it
         "{wavelength: 633nm, w0: 1mm, xi: 1e150m}",
     ],

@@ -70,6 +70,13 @@ def test_a_unit_of_another_dimension_names_its_field(tmp_path, capsys, slot, pre
     assert f"not the unit {unit!r} in {value!r}" in err
 
 
+# z takes Rayleigh ranges; split and the zR spelling, once also cases here, are retired
+@pytest.mark.parametrize("slot", ["z"])
+@pytest.mark.parametrize("unit", ["z_R"])
+def test_z_and_split_take_rayleigh_ranges(tmp_path, slot, unit):
+    assert validate(tmp_path, config(**{slot: "1" + unit})) == 0
+
+
 @pytest.mark.parametrize(
     "slot, prefix, field",
     [
