@@ -201,6 +201,9 @@ def cmd_montecarlo(args) -> int:
             raise NumericalFailure(f"run[{index}] ({block.scheme}): {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"run[{index}]: {exc}")
+        except MemoryError:  # nothing is written before every block has run
+            raise ConfigError(f"run[{index}] ({block.scheme}): montecarlo.nu: {mc.nu} photons "
+                              "per trial do not fit in memory")
         rows.append(
             (
                 index,

@@ -18,16 +18,15 @@ use, so that no command imports a YAML library:
 * plain, single-quoted and double-quoted scalars, each on one line;
 * full-line and trailing ``#`` comments; an empty document reads as None.
 
-Plain scalars resolve as the YAML 1.1 ``SafeLoader`` of PyYAML resolves them:
-``1e-6`` and ``1.0e6`` stay strings (``parse_quantity`` reads them), while
-``1.0e+6``, ``.5`` and ``1.`` are floats; ``010`` is 8, ``0x1A`` is 26,
-``0b101`` is 5 and ``1_000`` is 1000; ``yes``/``On`` are True and ``~`` is
-None; ``.nan`` and ``.inf`` are the float specials.  Every other form is
-refused with its line and column: anchors, aliases and tags, document markers,
-``|`` and ``>`` block scalars, scalars that run over several lines, tabs in
-the indentation, a key given twice in one mapping, plain scalars that start
-with ``?`` or ``:``, and the sexagesimal numbers (``1:30``), dates
-(``2001-01-01``) and ``<<``/``=`` keys that YAML 1.1 gives a meaning.
+Every scalar reads as its text, as under PyYAML's ``BaseLoader``, and an empty
+value as None, so that the field parsers are the one grammar of a config's
+numbers: decimal numbers, with a unit where the field takes one.  They refuse
+YAML 1.1's other numbers (``0x10``, ``010``, ``0b11``, ``1_000``, ``1:30``),
+booleans (``yes``, ``off``) and nulls (``~``, ``null``), naming the field.  The
+reader refuses every other form with its line and column: anchors, aliases and
+tags, document markers, ``|`` and ``>`` block scalars, scalars over several
+lines, a backslash in a double-quoted scalar, tabs in the indentation, a key
+given twice in one mapping, and plain scalars that start with ``?`` or ``:``.
 """
 
 from __future__ import annotations
@@ -47,7 +46,9 @@ SCHEMES = ("position", "quadrant", "polarization", "joint")
 
 SEED_LIMIT = 2 ** 64  # seeds key a Philox stream through one uint64
 
-NU_LIMIT = 10 ** 8  # photons per trial; only the joint sampler holds arrays of them
+# photons per trial.  A joint trial holds arrays of them, at a peak of about 52 bytes
+# a photon (5 GB at the limit); montecarlo refuses a block that does not fit, by name
+NU_LIMIT = 10 ** 8
 
 # points per {start, stop, count} grid: 8 MB of doubles, built in Python in
 # about 0.2 s, and a sweep of ~1 ms rows over them already takes a quarter of
@@ -66,9 +67,9 @@ ANGLE_UNITS = {"rad": 1.0, "mrad": 1e-3, "urad": 1e-6, "µrad": 1e-6, "nrad": 1e
 ENERGY_UNITS = {"J": 1.0, "mJ": 1e-3, "uJ": 1e-6, "µJ": 1e-6, "nJ": 1e-9, "pJ": 1e-12,
                 "fJ": 1e-15, "aJ": 1e-18}
 
-_QUANTITY_RE = re.compile(
-    r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-zµ_]*)\s*$"
-)
+# decimal numbers only; a leading zero is refused, since YAML 1.1 reads 010 as octal 8
+_QUANTITY_RE = re.compile(r"^\s*([+-]?(?:(?:0|[1-9]\d*)(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+                          r"\s*([A-Za-zµ_]*)\s*$")
 
 
 class ConfigError(ValueError):
@@ -78,27 +79,13 @@ class ConfigError(ValueError):
 # -- the YAML reader (see the module docstring) -------------------------------
 
 _ENDS = ("", " ", "\n")  # what follows the ":" of a block key and the "-" of an entry
-_WORDS = dict.fromkeys(("~", "null", "Null", "NULL"))
-_WORDS.update(dict.fromkeys("yes Yes YES true True TRUE on On ON".split(), True))
-_WORDS.update(dict.fromkeys("no No NO false False FALSE off Off OFF".split(), False))
-_FLOAT = re.compile(r"[-+]?(?:[0-9][0-9_]*\.[0-9_]*(?:[eE][-+][0-9]+)?|\.(?:inf|Inf|INF))"
-                    r"|\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?|\.(?:nan|NaN|NAN)")
-_INT = re.compile(r"[-+]?(?:0b[01_]+|0[0-7_]+|0|[1-9][0-9_]*|0x[0-9a-fA-F_]+)")
-_OCTAL = re.compile(r"^([-+]?)0(?=[0-7])")  # YAML 1.1 writes 0o10 as 010
-# sexagesimal numbers, timestamps, and the merge and value keys of YAML 1.1
-_REFUSED = re.compile(r"[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+(?:\.[0-9_]*)?"
-                      r"|[0-9]{4}-[0-9]{1,2}-[0-9]{1,2}(?:[Tt ].*)?|<<|=")
 # a plain scalar on one line, by context (block, flow): words split by spaces,
 # ending before ": " and " #", in flow context also before ",[]{}?" and ":]"
 _PLAIN = [
     re.compile(rf"{word}(?: +(?!#){word})*")
     for word in (r"(?:[^ \t\n:]|:(?=[^ \t\n]))+", r"(?:[^ \t\n:,?\[\]{}]|:(?=[^ \t\n,\[\]{}]))+")
 ]
-_ESCAPES = dict(zip('0abt\tnvfre "\\/N_LP', '\0\a\b\t\t\n\v\f\r\x1b "\\/\x85\xa0\u2028\u2029'))
-_ESCAPE = re.compile(r"\\(?:[xuU]((?<=x)[0-9a-fA-F]{2}|(?<=u)[0-9a-fA-F]{4}|(?<=U)[0-9a-fA-F]{8})"
-                     r'|([0abt\tnvfre "\\/N_LP]))')
-_QUOTED = {"'": re.compile(r"'((?:[^'\n]|'')*)'"),
-           '"': re.compile(rf'"((?:[^"\\\n]|{_ESCAPE.pattern})*)"')}
+_QUOTED = {"'": re.compile(r"'((?:[^'\n]|'')*)'"), '"': re.compile(r'"([^"\\\n]*)"')}
 _GAP = re.compile(r" *(?:#[^\n]*)?")  # spaces, then perhaps a comment
 _BAD_TEXT = re.compile(r"(?m)^(?P<document_markers>---|\.\.\.)(?=[ \t\n]|$)"
                        r"|(?P<special_characters>"
@@ -190,29 +177,18 @@ class _Reader:
         if char in _QUOTED:
             quoted = _QUOTED[char].match(self.text, start)
             if not quoted:
-                self.fail("a quoted scalar must end on its line, with YAML's escapes only")
+                self.fail("a quoted scalar must end on its line, and a double-quoted one holds no \\")
             self.pos = quoted.end()
-            if char == "'":
-                return quoted[1].replace("''", "'")
-            return _ESCAPE.sub(lambda m: chr(int(m[1], 16)) if m[1] else _ESCAPES[m[2]], quoted[1])
+            return quoted[1].replace("''", "'") if char == "'" else quoted[1]
         plain = _PLAIN[flow].match(self.text, start)
         if not plain or char in "-?:,[]{}#&*!|>%@`" and (char != "-" or self.peek(1) in _ENDS):
             self.fail(f"expected a value, found {char or 'the end'!r}")
-        text, value = plain[0], plain[0].replace("_", "")
-        if _REFUSED.fullmatch(text):
-            self.fail(f"{text!r} reads as a sexagesimal number, date or merge key; quote it")
         self.pos = plain.end()
-        if text in _WORDS:
-            return _WORDS[text]
-        if _FLOAT.fullmatch(text):  # float() reads .inf and .nan without the dot
-            return float(value.replace(".", "") if value[-1] in "fFnN" else value)
-        if _INT.fullmatch(text):
-            return int(_OCTAL.sub(r"\g<1>0o", value), 0)
-        return text
+        return plain[0]
 
 
 def read_yaml(text: str):
-    """The data of a config, as PyYAML's ``safe_load`` reads it; other forms raise ConfigError."""
+    """A config's data as PyYAML's ``BaseLoader`` reads it, an empty value as None; else ConfigError."""
     reader = _Reader(text.removeprefix("\ufeff").replace("\r\n", "\n"))
     bad = _BAD_TEXT.search(reader.text)
     if bad:
@@ -230,7 +206,7 @@ def parse_quantity(value, units: dict, *, where: str = "value") -> float:
     if isinstance(value, (int, float)):
         try:
             number, unit = float(value), ""
-        except OverflowError:  # YAML integers are unbounded
+        except OverflowError:  # Python integers are unbounded
             raise ConfigError(f"{where}: must be finite, got an integer beyond the float range")
     elif isinstance(value, str):
         match = _QUANTITY_RE.match(value)
@@ -250,16 +226,21 @@ def parse_quantity(value, units: dict, *, where: str = "value") -> float:
 
 
 def parse_integer(value, *, where: str, low: int = 1, high: float = math.inf) -> int:
-    """A whole number in [low, high): an int, an integral float or a digit string."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    elif isinstance(value, str) and re.fullmatch(r"\s*[+-]?\d+\s*", value):
+    """A whole number in [low, high): an int, decimal digits, or a bare decimal of integral
+    value that ``parse_quantity`` reads (``100.0``, ``1e4``)."""
+    if isinstance(value, str) and re.fullmatch(r"\s*[+-]?(?:0|[1-9]\d*)\s*", value):
         try:
             value = int(value)
         except ValueError:  # past Python's limit of 4300 digits per conversion
             raise ConfigError(f"{where}: a whole number of {len(value.strip())} characters is too long")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected a whole number, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, int):
+        try:
+            number = parse_quantity(value, {}, where=where)
+        except ConfigError:
+            number = math.nan
+        if not number.is_integer():
+            raise ConfigError(f"{where}: expected a whole number, got {value!r}")
+        value = int(number)
     if not low <= value < high:
         raise ConfigError(f"{where}: must be in [{low}, {high}), got {value}")
     return value
@@ -476,10 +457,7 @@ def _parse_montecarlo(section, wavelength) -> MonteCarloBlock:
         if nu < 1:
             raise ConfigError(f"{where}.energy: nu must be >= 1, got {nu}")
     if nu > NU_LIMIT:
-        raise ConfigError(
-            f"{where}.{source}: {nu} photons per trial exceed the limit of {NU_LIMIT} "
-            "(one sample array of them would not fit in memory)"
-        )
+        raise ConfigError(f"{where}.{source}: {nu} photons per trial exceed the limit of {NU_LIMIT}")
     # an empirical variance needs two estimates
     trials = parse_integer(section.get("trials", 200), where=f"{where}.trials", low=2)
     seed = parse_integer(section.get("seed", 0), where=f"{where}.seed", low=0, high=SEED_LIMIT)
@@ -489,12 +467,8 @@ def _parse_montecarlo(section, wavelength) -> MonteCarloBlock:
 def parse_config_text(text: str) -> ScenarioConfig:
     try:
         data = read_yaml(text)
-    except ConfigError:
-        raise
     except RecursionError:  # the reader descends one call per level of nesting
         raise ConfigError("not valid YAML: collections nested too deeply")
-    except ValueError as exc:  # e.g. an integer past Python's 4300-digit conversion limit
-        raise ConfigError(f"not a usable YAML value: {exc}")
     if data is None:
         data = {}
     if not isinstance(data, dict):

@@ -258,22 +258,6 @@ def _sample_signs(p_plus, nu: int, rng: np.random.Generator):
     return signs
 
 
-def _sample_mixture(model, theta: float, nu: int, rng: np.random.Generator):
-    """Exact positions from the model's Gaussian mixture of one or two components.
-
-    The component draw is that of ``rng.choice(len(weights), nu, p=...)`` with
-    p = weights / weights.sum(): one uniform per outcome against the normalized
-    cumulative weights, cdf = [p0, 1] or [1].
-    """
-    weights, means, sigmas = model.gaussian_mixture(theta)
-    cdf = np.cumsum(weights / weights.sum())
-    cdf /= cdf[-1]
-    # the component index as an int8 view: take() on it is about twice as fast as
-    # np.where between two scalars, whose branches the random mask mispredicts
-    component = (rng.random(nu) >= cdf[0]).view(np.int8)
-    return means.take(component) + sigmas.take(component) * rng.standard_normal(nu)
-
-
 class _SchemeModel:
     """Base of the scheme models, whose fields are the names in their ``__slots__``."""
 
@@ -578,7 +562,7 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         return per_plane(lambda z: tuple(k4w0 * r for r in self.beam.plane(z)[:2]), self.z)
 
     def _marginal(self, theta: float, u):
-        """(P, dP/dtheta) of ``total_pdf``: the path Gaussians of ``gaussian_mixture``,
+        """(P, dP/dtheta) of ``total_pdf``: the path Gaussians that ``sample`` draws from,
         of variance 1/4, with centers -+ t s that move at -+ k w0 s per unit theta."""
         slope = self._slope()
         shift, rate = slope * theta, 4.0 * slope
@@ -604,14 +588,6 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         p_minus += p_plus
         p_plus /= p_minus
         return p_plus.reshape(u.shape)[()]
-
-    def gaussian_mixture(self, theta: float):
-        shift = self._slope() * theta
-        return (
-            np.array([abs(self.pol.alpha) ** 2, abs(self.pol.beta) ** 2]),
-            np.array([-shift, shift]),
-            np.array([0.5, 0.5]),
-        )
 
     def domain(self, theta: float):
         reach = abs(self._slope() * theta) + DOMAIN_WIDTHS
@@ -664,8 +640,16 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         return self.decomposition(theta).total
 
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
-        """The statistic of nu photons: positions u from the mixture, then each sign given u."""
-        u = _sample_mixture(self, theta, nu, rng)
+        """The statistic of nu photons: each photon's path H or V, by the draw of
+        ``rng.choice(2, nu, p=weights / weights.sum())``, then its position u about the
+        path's center -+ t s, then its sign given u."""
+        weights = np.array([abs(self.pol.alpha) ** 2, abs(self.pol.beta) ** 2])
+        cdf = np.cumsum(weights / weights.sum())
+        # the path as an int8 view: take() on it is about twice as fast as np.where
+        # between two scalars, whose branches the random mask mispredicts
+        path = (rng.random(nu) >= cdf[0] / cdf[-1]).view(np.int8)
+        shift = self._slope() * theta
+        u = np.array([-shift, shift]).take(path) + 0.5 * rng.standard_normal(nu)
         return self.statistic((_sample_signs(self.conditional_plus(theta, u), nu, rng), u))
 
     def statistic(self, outcomes) -> JointStatistic:

@@ -670,16 +670,18 @@ def test_console_entry_point_runs(tmp_path, monkeypatch):
 
 
 def test_non_finite_theta_exits_2_naming_the_field(tmp_path, capsys):
-    sweep = write_config(
-        tmp_path,
-        "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n"
-        "run: {scheme: position, theta: .nan, z: 1z_R}\n",
-    )
-    assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "s")]) == 2
-    assert "run[0].theta: must be finite" in capsys.readouterr().err
-    mc = write_config(tmp_path, MC_CONFIG.replace("theta: 1urad, nu", "theta: .nan, nu"), "mc.yaml")
-    assert main(["montecarlo", "--config", mc, "--out", str(tmp_path / "m")]) == 2
-    assert "montecarlo.theta: must be finite" in capsys.readouterr().err
+    # 1e999 overflows to inf; YAML 1.1's .nan is no number of the fields' grammar
+    for value, why in (("1e999", "must be finite"), (".nan", "cannot parse quantity '.nan'")):
+        sweep = write_config(
+            tmp_path,
+            "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n"
+            f"run: {{scheme: position, theta: {value}, z: 1z_R}}\n",
+        )
+        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "s")]) == 2
+        assert f"run[0].theta: {why}" in capsys.readouterr().err
+        mc = write_config(tmp_path, MC_CONFIG.replace("theta: 1urad, nu", f"theta: {value}, nu"), "mc.yaml")
+        assert main(["montecarlo", "--config", mc, "--out", str(tmp_path / "m")]) == 2
+        assert f"montecarlo.theta: {why}" in capsys.readouterr().err
 
 
 def test_seed_out_of_range_exits_2(tmp_path, capsys):
@@ -736,6 +738,27 @@ def test_photon_count_above_nu_limit_exits_2(tmp_path, capsys):
         assert "montecarlo.nu: 100000000000000000000 photons per trial exceed" in (
             capsys.readouterr().err
         )
+    assert not (tmp_path / "m").exists()
+
+
+def test_a_block_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # a joint trial peaks at about 52 bytes a photon, so that a count under NU_LIMIT may not fit
+    from tiltsense import PositionPolarizationModel
+
+    def no_memory(self, theta, nu, rng):
+        raise MemoryError
+
+    monkeypatch.setattr(PositionPolarizationModel, "sample", no_memory)
+    cfg = write_config(
+        tmp_path,
+        "beam: {wavelength: 633nm, w0: 1mm}\n"
+        "run: [{scheme: position, theta: 1urad, z: 1z_R}, {scheme: joint, theta: 1urad, z: 1z_R}]\n"
+        "montecarlo: {theta: 1urad, nu: 1000, trials: 2}\n",
+    )
+    assert main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: run[1] (joint): montecarlo.nu: 1000 photons per trial do not fit in memory\n"
+    )
     assert not (tmp_path / "m").exists()
 
 

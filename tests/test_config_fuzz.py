@@ -17,6 +17,10 @@ it writes hold finite numbers only (``cr_delta_theta_rad`` is inf exactly
 where ``analytic_fisher`` is 0) and come with no warning, and a failed run
 prints one ``config error:``, ``numerical failure:`` or ``statistical check
 failed:`` line.
+
+The spellings that YAML 1.1 reads as numbers, booleans or nulls (``0x10``,
+``010``, ``0b11``, ``1_000``, ``1:30``, dates, ``yes``, ``~``), drawn into one
+field of a valid config at a time, exit 2 naming that field.
 """
 
 import contextlib
@@ -282,6 +286,71 @@ def check_config(command, text):
           f'run: {{scheme: polarization, theta: {{start: 0, stop: 1urad, count: "{"1" * 4301}"}}}}\n'))
 def test_one_row_configs_end_cleanly(case):
     check_config(*case)
+
+
+def _any_case(words):
+    return st.builds(
+        lambda word, upper: "".join(c.upper() if u else c for c, u in zip(word, upper)),
+        st.sampled_from(words), st.lists(st.booleans(), min_size=5, max_size=5),
+    )
+
+
+# spellings that YAML 1.1 reads as numbers, booleans or nulls and no field reads
+SIGNS = st.sampled_from(["", "-", "+"])
+RETIRED = st.one_of(
+    st.builds("{}0x{}".format, SIGNS, st.text("0123456789abcdefABCDEF_", min_size=1, max_size=4)),
+    st.builds("{}0b{}".format, SIGNS, st.text("01_", min_size=1, max_size=4)),
+    # a leading zero: once octal (010 was 8), or a decimal like 00.5
+    st.builds("{}0{}{}".format, SIGNS, st.text("0123456789", min_size=1, max_size=3),
+              st.sampled_from(["", ".5", "urad", "mm"])),
+    st.builds("{}{}_{}".format, SIGNS, st.integers(1, 999), st.text("0123456789_", min_size=1, max_size=3)),
+    st.builds("{}:{:02d}".format, st.integers(0, 190), st.integers(0, 59)),
+    st.sampled_from(["2001-01-01", "2001-12-14t21:59:43.10-05:00", "2002-12-14 21:59:43.10 -5"]),
+    _any_case(["yes", "no", "on", "off", "true", "false", "null"]),
+    st.just("~"),
+)
+# each field that reads a number (and polarization, which reads a preset), with the name
+# it reports; "count" is the theta grid's
+RETIRED_FIELDS = {
+    "wavelength": "beam.wavelength", "w0": "beam.w0", "z_R": "beam.z_R", "xi": "beam.xi",
+    "polarization": "polarization", "polar": "polarization.polar", "azimuth": "polarization.azimuth",
+    "start": "run[0].theta.start", "stop": "run[0].theta.stop", "count": "run[0].theta.count",
+    "z": "run[0].z", "theta": "montecarlo.theta", "nu": "montecarlo.nu", "energy": "montecarlo.energy",
+    "trials": "montecarlo.trials", "seed": "montecarlo.seed",
+}
+
+
+def _with_retired(field, spelling):
+    """A valid config but for ``spelling`` in ``field``."""
+    values = {
+        "wavelength": "633nm", "w0": "1mm", "xi": "0.1mm", "polar": "90deg", "azimuth": "0deg",
+        "start": "0", "stop": "1urad", "count": "3", "z": "1z_R", "theta": "1urad", "nu": "100",
+        "trials": "5", "seed": "1", field: spelling,
+    }
+
+    def pick(*keys):
+        return _flow({key: values[key] for key in keys})
+
+    size = "z_R" if field == "z_R" else "w0"
+    source = "energy" if field == "energy" else "nu"
+    polarization = spelling if field == "polarization" else pick("polar", "azimuth")
+    return (
+        f"beam: {pick('wavelength', size, 'xi')}\npolarization: {polarization}\n"
+        f"run: {{scheme: position, theta: {pick('start', 'stop', 'count')}, z: {values['z']}}}\n"
+        f"montecarlo: {pick('theta', source, 'trials', 'seed')}\n"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["validate-config", "sweep"]), field=st.sampled_from(sorted(RETIRED_FIELDS)),
+       spelling=RETIRED)
+@example(command="validate-config", field="polarization", spelling="null")
+@example(command="validate-config", field="seed", spelling="010")
+@example(command="sweep", field="count", spelling="0x10")
+def test_retired_spellings_exit_2_naming_the_field(command, field, spelling):
+    code, err, tables, _ = run_command(command, _with_retired(field, spelling))
+    assert code == 2 and not tables, err
+    assert err.startswith(f"config error: {RETIRED_FIELDS[field]}: "), (spelling, err)
 
 
 @pytest.mark.slow

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import inspect
 import math
@@ -32,7 +33,7 @@ from tiltsense.estimate import (
     run_trial,
 )
 from tiltsense.oracle import numeric_fisher_oracle
-from tiltsense.schemes import _sample_mixture, _sample_signs
+from tiltsense.schemes import _sample_signs
 
 
 def test_trial_rng_streams_are_reproducible_and_distinct():
@@ -50,12 +51,12 @@ def test_trial_rng_streams_are_reproducible_and_distinct():
 # ---------------------------------------------------------------------------
 
 
-class _Mixture:
-    def __init__(self, weights, means, sigmas):
-        self.parts = tuple(np.array(v, dtype=float) for v in (weights, means, sigmas))
-
-    def gaussian_mixture(self, theta):
-        return self.parts
+def _paths(model, theta):
+    """The joint model's two path Gaussians, (weights, means, sigmas) in beam widths: weights
+    |alpha|^2 and |beta|^2, centers -+ t s, and sigma 1/2 (a variance of 1/4)."""
+    shift = model._slope() * theta
+    weights = [abs(model.pol.alpha) ** 2, abs(model.pol.beta) ** 2]
+    return np.array(weights), np.array([-shift, shift]), np.array([0.5, 0.5])
 
 
 def _photons(model, theta, nu, rng):
@@ -68,8 +69,8 @@ def _photons(model, theta, nu, rng):
         return _sample_signs(float(model.probabilities(theta)[0]), nu, rng)
     if isinstance(model, PositionModel):
         # the profile's standard deviation is w/2: 1/2 in beam widths
-        return _sample_mixture(_Mixture([1.0], [model.mean(theta)], [0.5]), theta, nu, rng)
-    x = _sample_mixture(model, theta, nu, rng)
+        return _choice_mixture(np.array([1.0]), np.array([model.mean(theta)]), np.array([0.5]), nu, rng)
+    x = _choice_mixture(*_paths(model, theta), nu, rng)
     return _sample_signs(model.conditional_plus(theta, x), nu, rng), x
 
 
@@ -187,19 +188,21 @@ def _where_signs(p_plus, nu, rng):
 
 @pytest.mark.parametrize(
     "weights",
-    [[1.0], [0.5, 0.5], [0.9, 0.1], [0.2, 0.7], [1e-9, 1.0], [1.0, 0.0], [0.0, 1.0]],
+    [[1.0, 1e-9], [0.5, 0.5], [0.9, 0.1], [0.2, 0.7], [1e-9, 1.0], [1.0, 0.0], [0.0, 1.0]],
 )
-def test_mixture_sampler_draws_what_rng_choice_drew(weights):
-    n = len(weights)
-    mixture = _Mixture(weights, [1e-3 - 2e-6, 1e-3 + 3e-6][:n], [5e-4, 7e-4][:n])
+def test_mixture_sampler_draws_what_rng_choice_drew(beam, weights):
+    # the joint model's photons at path weights |alpha|^2 : |beta|^2 = weights
+    norm = sum(weights)
+    pol = PolarizationState(complex(math.sqrt(weights[0] / norm)), cmath.exp(3j) * math.sqrt(weights[1] / norm))
+    model = PositionPolarizationModel(beam, pol, beam.rayleigh_range)
     for index in range(3):
-        expected = _choice_mixture(*mixture.parts, 5000, trial_rng(8, index))
-        rng = trial_rng(8, index)
-        got = _sample_mixture(mixture, 0.0, 5000, rng)
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
-        # the generator is left where the old sampler left it
         reference = trial_rng(8, index)
-        _choice_mixture(*mixture.parts, 5000, reference)
+        x = _choice_mixture(*_paths(model, 1.5e-6), 5000, reference)
+        signs = _where_signs(model.conditional_plus(1.5e-6, x), 5000, reference)
+        rng = trial_rng(8, index)
+        got = model.sample(1.5e-6, 5000, rng)
+        assert _same_statistic(got, model.statistic((signs, x)))
+        # the generator is left where the old sampler left it
         assert rng.random() == reference.random()
 
 
@@ -218,7 +221,7 @@ def test_joint_sampler_draws_what_the_old_samplers_drew(beam):
     for pol in (PolarizationState.diagonal(), PolarizationState.from_bloch(0.3, 3.0)):
         model = PositionPolarizationModel(beam, pol, beam.rayleigh_range)
         rng = trial_rng(10, 0)
-        x = _choice_mixture(*model.gaussian_mixture(1.5e-6), 5000, rng)
+        x = _choice_mixture(*_paths(model, 1.5e-6), 5000, rng)
         p_plus, p_minus = model.branch_pdf(1.5e-6, x)
         signs = _where_signs(p_plus / (p_plus + p_minus), 5000, rng)
         got = sample_outcomes(model, 1.5e-6, 5000, trial_rng(10, 0))
