@@ -39,8 +39,8 @@ _WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 class PlaneError(RuntimeError):
     """A failure at the plane of index ``plane``; ``reason`` is that plane's one-plane message."""
 
-    def __init__(self, reason, plane=0, message=None):
-        super().__init__(message or reason)
+    def __init__(self, reason, plane=0):
+        super().__init__(reason)
         self.reason, self.plane = reason, plane
 
 
@@ -86,9 +86,7 @@ def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
     for members in groups.values():
         for start in range(0, len(members), MAX_PLANES):
             planes = members[start:start + MAX_PLANES]
-            total = _passes(
-                f, np.array([rows[i] for i in planes]), np.array(planes), rtol, atol, len(rows) > 1
-            )
+            total = _passes(f, np.array([rows[i] for i in planes]), np.array(planes), rtol, atol)
             if result is None:
                 result = np.empty(total.shape[:-1] + (len(rows),))
             result[..., planes] = total
@@ -96,11 +94,8 @@ def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
     return float(result) if result.ndim == 0 else result
 
 
-def _passes(f, edges, planes, rtol, atol, many):
-    """Sums over the planes ``planes`` whose segment edges are the rows of ``edges``.
-
-    A ConvergenceError's message names the plane when ``many`` is set: the call has several planes.
-    """
+def _passes(f, edges, planes, rtol, atol):
+    """Sums over the planes ``planes`` whose segment edges are the rows of ``edges``."""
     result = None  # the sums of the planes converged so far, once a plane is left open
     pending = np.arange(len(planes))  # the planes still open, as indices into ``planes``
     previous, gap, panels = None, None, 1
@@ -113,10 +108,8 @@ def _passes(f, edges, planes, rtol, atol, many):
         finite = np.isfinite(total).reshape(-1, len(pending)).all(axis=0)
         if not finite.all():
             at = int(np.argmin(finite))
-            raise _failure(
-                edges[at], planes[pending[at]], many,
-                f": the integrand is not finite there (sum {total[..., at]})",
-            )
+            detail = f": the integrand is not finite there (sum {total[..., at]})"
+            raise _failure(edges[at], planes[pending[at]], detail)
         if previous is not None:
             gap = np.abs(total - previous)
             done = gap <= np.maximum(atol, rtol * np.abs(total))
@@ -132,13 +125,12 @@ def _passes(f, edges, planes, rtol, atol, many):
             edges, pending, total, gap = edges[open_], pending[open_], total[..., open_], gap[..., open_]
         previous, panels = total, 2 * panels
     raise _failure(
-        edges[0], planes[pending[0]], many,
+        edges[0], planes[pending[0]],
         f" with {MAX_PANELS} panels per segment; the last two sums differ by "
         f"{np.max(gap[..., 0]):.3e}",
     )
 
 
-def _failure(edges, plane, many, detail):
+def _failure(edges, plane, detail):
     span = f"quadrature did not converge on [{edges[0]:.6e}, {edges[-1]:.6e}]"
-    named = f"{span} (plane {plane}){detail}" if many else None
-    return ConvergenceError(span + detail, int(plane), named)
+    return ConvergenceError(span + detail, int(plane))

@@ -192,10 +192,10 @@ class SaturationReport(NamedTuple):
 
 
 def default_search_interval(
-    model, theta_true: float, nu: int, information=None, trials: int = 2
+    model, theta_true: float, nu: int, information: float, trials: int
 ) -> tuple[float, float]:
     """theta_true +- 10 Cramer-Rao sigma, clipped to the model's small-angle
-    guard region; ``information`` is F at theta_true, computed if None.
+    guard region; ``information`` is F at theta_true.
 
     For schemes whose statistics are even in theta only the magnitude of the
     tilt is identifiable, so the interval is additionally restricted to the
@@ -204,8 +204,6 @@ def default_search_interval(
     so wide that the variance of ``trials`` estimates in it, which sums up to
     ``trials`` squares of its width, could overflow.
     """
-    if information is None:
-        information = analytic_fisher(model, theta_true)
     if not information > 0.0:
         raise ValueError("scheme carries no information at this working point")
     sigma = cramer_rao_bound(information, nu)

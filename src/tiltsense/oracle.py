@@ -13,7 +13,7 @@ import numpy as np
 
 from ._integrate import PlaneError, integrate_interval
 
-# outcomes with less probability than this are dropped from the discrete sum
+# outcomes with less probability than this are dropped from the discrete sum (NaN is kept)
 PROB_FLOOR = 1e-300
 
 # continuous integrand points below this density (per beam width, in u = (x - xi)/w)
@@ -75,6 +75,12 @@ def _derivative(values, theta, h, floor, x=None, planes=None):
     return p0, deriv
 
 
+def _information(p0, deriv, floor):
+    """sum_j deriv_j^2 / p0_j over axis 0, less the p0_j below ``floor``; a NaN p0_j stays in."""
+    dead = p0 < floor
+    return np.sum(np.where(dead, 0.0, deriv * deriv / np.where(dead, 1.0, p0)), axis=0)
+
+
 def numeric_fisher_oracle(model, theta: float, step: float | None = None):
     """Finite-difference Fisher information of ``model`` at ``theta``.
 
@@ -102,10 +108,8 @@ def _discrete_fisher(model, theta, h):
     def probabilities(th):
         return np.asarray(model.probabilities(th), dtype=float)
 
-    p0, deriv = _derivative(probabilities, theta, h, PROB_FLOOR)
-    keep = p0 >= PROB_FLOOR
     # a sum over the outcomes of each plane
-    return np.sum(np.where(keep, deriv ** 2 / np.where(keep, p0, 1.0), 0.0), axis=0)
+    return _information(*_derivative(probabilities, theta, h, PROB_FLOOR), PROB_FLOOR)
 
 
 def _continuous_fisher(model, theta, h, density):
@@ -120,9 +124,8 @@ def _continuous_fisher(model, theta, h, density):
             return np.reshape(pdf(th, x), (-1,) + x.shape)
 
         p0, deriv = _derivative(branches, theta, h, DENSITY_FLOOR, x, planes)
-        dead = p0 < DENSITY_FLOOR  # NaN stays in, so the quadrature cannot converge on it
-        information = np.sum(np.where(dead, 0.0, deriv * deriv / np.where(dead, 1.0, p0)), axis=0)
-        return np.stack([information, np.sum(p0, axis=0)])
+        # NaN stays in, so the quadrature cannot converge on it
+        return np.stack([_information(p0, deriv, DENSITY_FLOOR), np.sum(p0, axis=0)])
 
     atol = 1e-12 * float(np.max(model.qfi()))  # on the model's scale, as in the decomposition
     information, norm = integrate_interval(integrand, lo, hi, points, rtol=1e-9, atol=atol)

@@ -12,8 +12,6 @@ from itertools import repeat
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):

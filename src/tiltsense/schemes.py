@@ -244,7 +244,7 @@ def conditioned_polarization_probabilities(beam: BeamParams, theta: float, z: fl
 #                                    two-outcome scheme (P+ or P- at 0: not a regular point)
 # ---------------------------------------------------------------------------
 
-LOG_FLOOR = 1e-300  # densities are floored here before taking logarithms
+LOG_FLOOR = 1e-300  # a density is floored here before its log, and counts as zero below it
 
 # relative tolerance of the joint decomposition's quadrature
 DECOMPOSITION_RTOL = 1e-10
@@ -562,8 +562,8 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         return per_plane(lambda z: tuple(k4w0 * r for r in self.beam.plane(z)[:2]), self.z)
 
     def _marginal(self, theta: float, u):
-        """(P, dP/dtheta) of ``total_pdf``: the path Gaussians that ``sample`` draws from,
-        of variance 1/4, with centers -+ t s that move at -+ k w0 s per unit theta."""
+        """(P, dP/dtheta) of the position marginal (no interference term): the path Gaussians
+        that ``sample`` draws from, of variance 1/4, centers -+ t s moving at -+ k w0 s per theta."""
         slope = self._slope()
         shift, rate = slope * theta, 4.0 * slope
         u = np.asarray(u, dtype=float)
@@ -571,10 +571,6 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         g_h = (abs(self.pol.alpha) ** 2 * ROOT_2_OVER_PI) * np.exp(-2.0 * offset_h * offset_h)
         g_v = (abs(self.pol.beta) ** 2 * ROOT_2_OVER_PI) * np.exp(-2.0 * offset_v * offset_v)
         return g_h + g_v, rate * (g_v * offset_v - g_h * offset_h)
-
-    def total_pdf(self, theta: float, u):
-        """Position marginal: the interference term cancels, leaving a mixture."""
-        return self._marginal(theta, u)[0]
 
     def conditional_plus(self, theta: float, u):
         """P(outcome=+1 | detected at u): p_plus / (p_plus + p_minus) of the branch terms
@@ -620,7 +616,7 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
             model = self if planes is None else self.at_planes(planes)
             p, dp = model._marginal(theta, u)
             a_rate, b_rate = model._rates()
-            dead = p < 1e-300
+            dead = p < LOG_FLOOR
             return np.stack([
                 p * information_from_rates(a_rate * u + k4xi, b_rate * u, theta),
                 np.where(dead, 0.0, dp * dp / np.where(dead, 1.0, p)),

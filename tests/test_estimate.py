@@ -158,7 +158,7 @@ def test_joint_sampling_ks_against_quadrature_cdf(beam):
 
     lo, hi = model.domain(theta)
     grid = np.linspace(lo, hi, 20001)
-    dens = model.total_pdf(theta, grid)
+    dens = model._marginal(theta, grid)[0]
     cdf_grid = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
     cdf_grid /= cdf_grid[-1]
 
@@ -341,7 +341,9 @@ def _case(beam, name, nu=2000, index=0):
     """(model, theta_true, photon outcomes, search interval) of a score case."""
     model, theta, interval = SCORE_CASES[name](beam)
     outcomes = _photons(model, theta, nu, trial_rng(77, index))
-    return model, theta, outcomes, interval or default_search_interval(model, theta, nu)
+    if interval is None:
+        interval = default_search_interval(model, theta, nu, model.fisher(theta), 2)
+    return model, theta, outcomes, interval
 
 
 def _information(model, theta):
@@ -546,10 +548,10 @@ def test_mle_interval_validation(beam):
 
 def test_default_search_interval_guard(beam):
     model = PolarizationModel(beam, PolarizationState.diagonal())
-    lo, hi = default_search_interval(model, 1e-6, 10 ** 4)
+    lo, hi = default_search_interval(model, 1e-6, 10 ** 4, model.fisher(1e-6), 2)
     assert lo < 1e-6 < hi
     with pytest.raises(ValueError):
-        default_search_interval(model, 1e-3, 10 ** 4)
+        default_search_interval(model, 1e-3, 10 ** 4, model.fisher(1e-3), 2)
 
 
 def test_default_search_interval_refuses_zero_width():
@@ -557,9 +559,9 @@ def test_default_search_interval_refuses_zero_width():
     beam = BeamParams.from_wavelength(1e-30, 1e-3)
     model = PositionModel(beam, beam.rayleigh_range)
     with pytest.raises(ValueError, match="rounds to a search interval of zero width"):
-        default_search_interval(model, 1e-6, 1000)
+        default_search_interval(model, 1e-6, 1000, model.fisher(1e-6), 2)
     # at theta = 0 the same sigma still spans an interval
-    lo, hi = default_search_interval(model, 0.0, 1000)
+    lo, hi = default_search_interval(model, 0.0, 1000, model.fisher(0.0), 2)
     assert lo < 0.0 < hi
 
 
@@ -579,12 +581,13 @@ def test_default_search_interval_refuses_a_given_f_without_recomputing_it(beam, 
     monkeypatch.setattr(estimate, "analytic_fisher", lambda *a: pytest.fail("F was recomputed"))
     model = PositionModel(beam, beam.rayleigh_range)
     with pytest.raises(ValueError, match="^scheme carries no information at this working point$"):
-        default_search_interval(model, 1e-6, 1000, information=information)
+        default_search_interval(model, 1e-6, 1000, information, 2)
 
 
 def test_default_search_interval_refuses_a_computed_f_of_zero(beam):
-    with pytest.raises(ValueError, match="carries no information"):
-        default_search_interval(PositionModel(beam, 0.0), 1e-6, 1000)
+    # run_saturation computes F (0 for a position model at z = 0) and passes it on
+    with pytest.raises(ValueError, match="^scheme carries no information at this working point$"):
+        run_saturation(PositionModel(beam, 0.0), 1e-6, 1000, trials=2, seed=0)
 
 
 def test_default_search_interval_keeps_the_sign_branch_of_even_statistics(centered_beam):
@@ -593,7 +596,7 @@ def test_default_search_interval_keeps_the_sign_branch_of_even_statistics(center
     pol = PolarizationState.from_bloch(0.5 * math.pi, 0.25 * math.pi)
     model = PolarizationModel(centered_beam, pol)
     assert model.even_in_theta
-    interval = default_search_interval(model, 5e-6, 10 ** 5)
+    interval = default_search_interval(model, 5e-6, 10 ** 5, model.fisher(5e-6), 2)
     assert interval[0] >= 0.0
     trials = [run_trial(model, "polarization", 5e-6, 10 ** 5, 7, i, interval) for i in range(10)]
     interior = [trial.theta_hat for trial in trials if trial.interior]

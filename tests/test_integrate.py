@@ -292,11 +292,20 @@ def test_plane_failures_name_the_plane():
     def f(x, planes):
         return np.where(planes[:, None] == 2, np.nan, np.ones_like(x))
 
-    with pytest.raises(ConvergenceError, match=r"\(plane 2\): the integrand is not finite there"):
+    # the error carries the plane's index, and the message its one-plane call gives
+    with pytest.raises(ConvergenceError, match=r"\]: the integrand is not finite there") as failure:
         integrate_interval(f, np.zeros(3), np.ones(3))
+    assert failure.value.plane == 2
+    with pytest.raises(ConvergenceError) as single:
+        integrate_interval(lambda x: f(x[None, :], np.array([2]))[0], 0.0, 1.0)
+    assert str(failure.value) == failure.value.reason == str(single.value)
 
     def step(x, planes):
         return np.where((planes[:, None] == 1) & (x < 1.0 / math.sqrt(2.0)), 0.0, 1.0)
 
-    with pytest.raises(ConvergenceError, match=r"\(plane 1\) with 512 panels per segment"):
+    with pytest.raises(ConvergenceError, match=r"\] with 512 panels per segment") as failure:
         integrate_interval(step, np.zeros(3), np.ones(3), rtol=1e-11)
+    assert failure.value.plane == 1
+    with pytest.raises(ConvergenceError) as single:
+        integrate_interval(lambda x: step(x[None, :], np.array([1]))[0], 0.0, 1.0, rtol=1e-11)
+    assert str(failure.value) == failure.value.reason == str(single.value)

@@ -240,6 +240,20 @@ def test_discrete_exclusion_bookkeeping():
     assert value == pytest.approx(1.0101010101010102, rel=1e-8)
 
 
+def test_discrete_sum_keeps_a_nan_outcome(beam):
+    # a NaN probability is not below the floor: the sum carries it, as the
+    # continuous path's quadrature does, instead of dropping the outcome
+    @dataclass(frozen=True)
+    class WithNanOutcome:
+        def probabilities(self, theta):
+            return np.array([0.5 + theta, math.nan, 0.5 - theta])
+
+    assert math.isnan(numeric_fisher_oracle(WithNanOutcome(), 0.1, step=1e-6))
+    model = QuadrantModel(beam, math.nan)
+    assert math.isnan(model.fisher(1e-6))
+    assert math.isnan(numeric_fisher_oracle(model, 1e-6))
+
+
 def test_oracle_rejects_noise():
     @dataclass(frozen=True)
     class Noisy:

@@ -14,7 +14,6 @@ from tiltsense.svgplot import HEIGHT, WIDTH, LineChart, nice_ticks
 def test_format_value():
     assert format_value(1.5) == "1.50000000000000000e+00"
     assert format_value(3) == "3"
-    assert format_value(True) == "true"
     assert format_value("a; b") == "a; b"
 
 

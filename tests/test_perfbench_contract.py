@@ -3,9 +3,12 @@
 ``perfbench/traced.py`` wraps package functions by name (``estimate.run_trial``,
 ``estimate.log_likelihood``, the names ``cli`` binds, every model's density
 methods) before it runs a command.  Each workload's tiny config runs here under
-it, so that removing or renaming one of those names fails in this suite.
+it, so that removing or renaming one of those names fails in this suite.  The
+self-test's model check (``perfbench/selftest.py``) runs here too: it builds
+every scheme model the tracer subclasses, with the arguments it passes them.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -48,3 +51,11 @@ def test_traced_tiny_workload_runs(tmp_path, workload, span):
         spans |= {record[0] for record in payload["spans"]}
     # over all the workload's commands: validate-config records no figure span
     assert span in spans
+
+
+def test_selftest_counting_models_match_the_plain_models(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # restores sys.path, also the self-test's own entry
+    selftest = importlib.import_module("selftest")
+    monkeypatch.setattr(selftest, "failures", [])
+    selftest.counting_models_match_plain()
+    assert selftest.failures == []
