@@ -48,6 +48,11 @@ class ConvergenceError(PlaneError):
     """The quadrature failed to reach the requested tolerance."""
 
 
+def take_planes(value, planes):
+    """A column's entries at the planes of index ``planes`` (a 1-d array); a float is every plane's."""
+    return value if np.ndim(value) == 0 else value[planes]
+
+
 def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
     """Integrate f over [lo, hi], split at the interior breakpoints.
 

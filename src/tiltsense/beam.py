@@ -108,31 +108,40 @@ class BeamParams(_BeamFields):
         return self.plane(z)[2]
 
 
-def each_plane(value, z):
-    """value(z) at one plane z (a float), or the list of value(v) over the planes v of a column."""
-    if getattr(z, "ndim", 0) == 0:
-        return value(z)
-    return [value(v) for v in z.ravel().tolist()]
+def each_plane(value, *columns):
+    """value(*row) at one row of floats, or the list of value(*row) over the rows of columns.
 
-
-def per_plane(constants, z):
-    """constants(z) at one plane z (a float), or at each plane of a column of planes.
-
-    A column is an ndarray of z values of shape (planes, 1).  It is taken one
-    plane at a time through the scalar code, so that each plane gets the bits
-    of a one-plane call, and what ``constants`` returns, a float or a tuple of
-    floats, comes back as columns of that shape.  Broadcast against positions
-    of shape (planes, nodes), they give each plane's row its own constants.
-    A float z (the figures pass one) loads no numpy.
+    A column is an ndarray of shape (rows, 1), z values for a column of planes
+    or theta values beside them; a float in place of a column is every row's.
     """
-    if getattr(z, "ndim", 0) == 0:
-        return constants(z)
+    if all(getattr(column, "ndim", 0) == 0 for column in columns):
+        return value(*columns)
     import numpy as np
 
-    values = np.array(each_plane(constants, z))
+    if len(columns) > 1:
+        columns = np.broadcast_arrays(*columns)
+    return [value(*row) for row in zip(*(column.ravel().tolist() for column in columns))]
+
+
+def per_plane(constants, *columns):
+    """constants(*row) at one row of floats, or at each row of columns (see ``each_plane``).
+
+    A column of z values, of shape (planes, 1), or of the z and theta values of
+    (theta, z) rows, is taken one row at a time through the scalar code, so
+    that each row gets the bits of a one-row call, and what ``constants``
+    returns, a float or a tuple of floats, comes back as columns of that
+    shape.  Broadcast against positions of shape (planes, nodes), they give
+    each row its own constants.  Floats (the figures pass one z) load no numpy.
+    """
+    if all(getattr(column, "ndim", 0) == 0 for column in columns):
+        return constants(*columns)
+    import numpy as np
+
+    shape = np.broadcast(*columns).shape
+    values = np.array(each_plane(constants, *columns))
     if values.ndim == 1:
-        return values.reshape(z.shape)
-    return tuple(values.T.reshape((-1,) + z.shape))
+        return values.reshape(shape)
+    return tuple(values.T.reshape((-1,) + shape))
 
 
 def intensity_profile(beam: BeamParams, theta: float, z, x):

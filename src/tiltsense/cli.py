@@ -8,13 +8,14 @@ failure, 4 statistical-check failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig, linspace, load_config
-# no command writes JSON tables; write_json is kept while perfbench's tracer wraps it (ROADMAP item 2)
+from .config import GRID_LIMIT, ConfigError, ScenarioConfig, linspace, load_config
+# no command writes JSON tables; write_json is kept while perfbench's tracer wraps it (ROADMAP item 4)
 from .output import write_csv, write_json, write_sidecar
 
 _MODELS = ("PolarizationModel", "PositionModel", "PositionPolarizationModel", "QuadrantModel")
@@ -26,7 +27,7 @@ _TABLE_NAMES = (
     *_MODELS, "analytic_fisher", "cramer_rao_bound", "qfi_for_model",
     "numeric_fisher_oracle", "OracleError", "ConvergenceError",
 )
-# no command reads default_search_interval; kept while perfbench's tracer wraps it (ROADMAP item 2)
+# no command reads default_search_interval; kept while perfbench's tracer wraps it (ROADMAP item 4)
 _MONTECARLO_NAMES = (*_MODELS, "default_search_interval", "run_saturation", "ConvergenceError")
 _FIGURE_NAMES = ("BeamParams", "intensity_profile", "fisher_conditioned", "LineChart")
 
@@ -92,42 +93,74 @@ def build_model(scheme: str, config: ScenarioConfig, z):
 # ---------------------------------------------------------------------------
 
 
-def _run_block_rows(config, run_index, block, nu):
-    """One Fisher row per (theta, z) point of a run block, in grid order, from one model.
+def _run_block_rows(config, blocks, nu):
+    """One Fisher row per (theta, z) point of the run blocks of one scheme, from one model.
 
-    The model holds the block's planes as a column (a polarization block has
-    none); a failure names the row of the failing plane with that plane's own message.
+    ``blocks`` holds (run index, block) pairs of that scheme, in config order.
+    The model holds every point of them as one row, a (theta, z) pair (a
+    polarization row has no z), so the closed forms and the oracle take them
+    all in one call each.  The rows come back in config and grid order; a
+    failure names the failing row with that row's own message.
     """
     import numpy as np
 
     from .oracle import default_step
 
-    planeless = block.z is None
-    zs = [""] if planeless else block.z.tolist()
-    column = None if planeless else np.reshape(block.z, (-1, 1))
-    model = build_model(block.scheme, config, column)
+    scheme = blocks[0][1].scheme
+    planeless = blocks[0][1].z is None
+    # per block, its run index, thetas and planes: its grid is their product, theta-major
+    grids = [
+        (run_index, block.theta.tolist(), [""] if planeless else block.z.tolist())
+        for run_index, block in blocks
+    ]
+    column = np.reshape([theta for _, thetas, zs in grids for theta in thetas for _ in zs], (-1, 1))
+    planes = None if planeless else np.reshape(
+        [z for _, thetas, zs in grids for _ in thetas for z in zs], (-1, 1)
+    )
+    model = build_model(scheme, config, planes)
     qfi = qfi_for_model(model)
-    rows = []
-    for theta_index, theta in enumerate(block.theta.tolist()):
-        first = theta_index * len(zs)
-        step = default_step(theta, qfi)
-        try:
-            analytic = np.ravel(analytic_fisher(model, theta)).tolist()
-            oracle = np.ravel(numeric_fisher_oracle(model, theta, step)).tolist()
-        except (OracleError, ConvergenceError) as exc:
-            at = f"theta={theta!r} rad" + ("" if planeless else f", z={zs[exc.plane]!r} m")
-            raise NumericalFailure(
-                f"run[{run_index}] row {first + exc.plane} ({block.scheme}, {at}): {exc.reason}"
-            ) from exc
-        flags = model.regime_flags(theta, step)
-        for plane, z in enumerate(zs):
-            value = analytic[plane]
-            rows.append((
-                run_index, first + plane, block.scheme, theta, z, value, oracle[plane], qfi,
-                value / qfi if qfi > 0.0 else math.nan, cramer_rao_bound(value, nu),
-                "; ".join(flags if planeless else flags[plane]),
-            ))
-    return rows
+    step = default_step(column, qfi)
+    try:
+        analytic = np.ravel(analytic_fisher(model, column)).tolist()
+        oracle = np.ravel(numeric_fisher_oracle(model, column, step)).tolist()
+    except (OracleError, ConvergenceError) as exc:
+        index = exc.plane
+        for run_index, thetas, zs in grids:
+            if index < len(thetas) * len(zs):
+                break
+            index -= len(thetas) * len(zs)
+        theta, z = thetas[index // len(zs)], zs[index % len(zs)]
+        at = f"theta={theta!r} rad" + ("" if planeless else f", z={z!r} m")
+        message = f"run[{run_index}] row {index} ({scheme}, {at}): {exc.reason}"
+        raise NumericalFailure(message) from exc
+    # zip takes its iterables in turn, so each block's grid takes only its own rows of values
+    values = zip(analytic, oracle, model.regime_flags(column, step))
+    return [
+        (run_index, index, scheme, theta, z, value, oracle_value, qfi,
+         value / qfi if qfi > 0.0 else math.nan, cramer_rao_bound(value, nu), "; ".join(flags))
+        for run_index, thetas, zs in grids
+        for index, ((theta, z), (value, oracle_value, flags))
+        in enumerate(zip(itertools.product(thetas, zs), values))
+    ]
+
+
+def _batches(runs):
+    """The run blocks of each scheme as lists of (run index, block), in config order.
+
+    A list holds at most GRID_LIMIT rows, as many as one block may hold: a
+    model's memory grows with its rows, and this keeps it within that of the
+    largest block a config may give.
+    """
+    batches, open_ = [], {}  # open_: per scheme, its last list and that list's rows
+    for run_index, block in enumerate(runs):
+        size = len(block.theta) * (1 if block.z is None else len(block.z))
+        batch, rows = open_.get(block.scheme, (None, GRID_LIMIT))
+        if rows + size > GRID_LIMIT:
+            batch, rows = [], 0
+            batches.append(batch)
+        batch.append((run_index, block))
+        open_[block.scheme] = batch, rows + size
+    return batches
 
 
 def _out_dir(args) -> Path:
@@ -163,9 +196,8 @@ def cmd_sweep(args) -> int:
     if not config.runs:
         raise ConfigError("config has no run blocks")
     nu = config.montecarlo.nu if config.montecarlo else 1
-    rows = []
-    for run_index, block in enumerate(config.runs):
-        rows.extend(_run_block_rows(config, run_index, block, nu))
+    rows = [row for blocks in _batches(config.runs) for row in _run_block_rows(config, blocks, nu)]
+    rows.sort(key=lambda row: row[0])  # stable: the rows of a block stay in grid order
     table = _emit_table(args, "sweep", FISHER_HEADER, rows, config.raw_text)
     print(f"wrote {table} ({len(rows)} rows)")
     return EXIT_OK
@@ -412,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--config", required=config_required, default=None, help="scenario YAML file"
         )
         p.add_argument("--out", default=".", help="output directory")
-        # read by no command; kept while every perfbench command passes it (ROADMAP item 1)
+        # read by no command; kept while every perfbench command passes it (ROADMAP item 4)
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
         p.set_defaults(func=func)
         return p

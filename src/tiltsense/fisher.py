@@ -94,8 +94,8 @@ def fisher_quadrant(
     with the split defaulting to x = xi so that g = 2 sqrt(2) theta z / w(z).
     """
     g, slope = quadrant_argument(beam, theta, z, split)
-    # 1 - erf^2 = erfc(g) (2 - erfc(g)), stable in the tails
-    erfc = math.erfc(g)
+    # 1 - erf^2 is even in g and equals erfc(|g|) (2 - erfc(|g|)), stable in both tails
+    erfc = math.erfc(abs(g))
     complement = erfc * (2.0 - erfc)
     if complement <= 0.0:
         return 0.0
@@ -173,7 +173,7 @@ def fisher_conditioned(beam: BeamParams, z, x, theta: float):
     return information_from_rates(*interference_coefficients(beam, z, x), theta)
 
 
-def information_from_rates(a, b, theta: float):
+def information_from_rates(a, b, theta):
     """Conditioned Fisher information from the rates (a, b) of ``interference_coefficients``.
 
     Exact value from the conditioned probabilities (1/2)[1 pm cos(a th)/cosh(b th)]:
@@ -186,9 +186,10 @@ def information_from_rates(a, b, theta: float):
     cancels, no square of theta underflows, and it is finite up to COSH_CUTOFF;
     at theta = 0, and where a = b = 0, it is the limit a^2 + b^2 =
     16 k^2 (z_R^2 x^2 + z^2 xi^2)/(z^2 + z_R^2).  a and b are floats, ndarrays or
-    lists, and F is of the same kind.
+    lists, and F is of the same kind; theta is a float or, for a and b of shape
+    (rows, nodes), a column of one theta per row, whose theta = 0 rows take that limit.
     """
-    if theta == 0.0:
+    if getattr(theta, "ndim", 0) == 0 and theta == 0.0:
         if isinstance(a, list):
             return [p * p + q * q for p, q in zip(a, b)]
         return a * a + b * b
@@ -207,7 +208,7 @@ def information_from_rates(a, b, theta: float):
         num = aa * sinc + bb * np.cos(p) * tanhc
         den = bb * sinhc * sinhc + aa * sinc * sinc
         val = num * (num / den)
-    val = np.where(den > 0.0, val, aa + bb)
+    val = np.where((den > 0.0) & (theta != 0.0), val, aa + bb)
     val = np.where(qa > COSH_CUTOFF, 0.0, val)
     if isinstance(kind, list):
         return val.tolist()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._integrate import PlaneError, integrate_interval
+from ._integrate import PlaneError, integrate_interval, take_planes
 
 # outcomes with less probability than this are dropped from the discrete sum (NaN is kept)
 PROB_FLOOR = 1e-300
@@ -35,9 +35,15 @@ class OracleError(PlaneError):
     """The finite-difference oracle could not produce a trustworthy value."""
 
 
-def default_step(theta: float, qfi: float) -> float:
-    """The step at theta for a model of quantum bound ``qfi``: 1e-9 rad on a 633 nm, 1 mm beam."""
-    return max(STEP_FRACTION * qfi ** -0.5, STEP_THETA_RTOL * abs(theta))
+def default_step(theta, qfi: float):
+    """The step at theta for a model of quantum bound ``qfi``: 1e-9 rad on a 633 nm, 1 mm beam.
+
+    theta is a float, or a column of tilts that gets a column of steps, one per row.
+    """
+    floor = STEP_FRACTION * qfi ** -0.5
+    if np.ndim(theta):
+        return np.maximum(floor, STEP_THETA_RTOL * np.abs(theta))
+    return max(floor, STEP_THETA_RTOL * abs(theta))
 
 
 def _derivative(values, theta, h, floor, x=None, planes=None):
@@ -50,6 +56,7 @@ def _derivative(values, theta, h, floor, x=None, planes=None):
     at a column of planes of (outcomes, planes, 1) or (branches, planes,
     nodes): each plane is measured against its own derivative, as in a
     one-plane pass, and names a failure (through ``planes``, x's planes).
+    theta and h are floats, or columns of one value per plane: each plane its own stencil.
     """
     p0 = values(theta)
     d_h = (values(theta + h) - values(theta - h)) / (2.0 * h)
@@ -81,7 +88,7 @@ def _information(p0, deriv, floor):
     return np.sum(np.where(dead, 0.0, deriv * deriv / np.where(dead, 1.0, p0)), axis=0)
 
 
-def numeric_fisher_oracle(model, theta: float, step: float | None = None):
+def numeric_fisher_oracle(model, theta, step=None):
     """Finite-difference Fisher information of ``model`` at ``theta``.
 
     Works on any model exposing ``probabilities(theta)`` (discrete outcomes),
@@ -91,13 +98,18 @@ def numeric_fisher_oracle(model, theta: float, step: float | None = None):
     a density must integrate to 1, or no step resolves it.  A model at a column of planes
     gives its probabilities as (outcomes, planes, 1), or its domain one bound per plane
     and ``at_planes(index)``, the model at those planes only; the result is then a column
-    over its planes, each entry with the bits of that plane's own model.
+    over its planes, each entry with the bits of that plane's own model.  theta, and
+    ``step`` if given, may be such a column too, one (theta, z) row per plane, each row
+    with its own step, stencil, derivative tolerance and norm check.
     """
     kinds = [name for name in ("probabilities", "branch_pdf", "pdf") if hasattr(model, name)]
     if not kinds:
         raise TypeError(f"{type(model).__name__} exposes no outcome probabilities")
-    h = default_step(theta, model.qfi()) if step is None else float(step)
-    if h <= 0.0:
+    if step is None:
+        h = default_step(theta, model.qfi())
+    else:
+        h = np.asarray(step, dtype=float) if np.ndim(step) else float(step)
+    if np.any(h <= 0.0):
         raise ValueError("step must be positive")
     if kinds[0] == "probabilities":
         return _discrete_fisher(model, theta, h)
@@ -118,12 +130,16 @@ def _continuous_fisher(model, theta, h, density):
     points = tuple(model.breakpoints(theta)) if hasattr(model, "breakpoints") else ()
 
     def integrand(x, planes=None):
-        pdf = getattr(model if planes is None else model.at_planes(planes), density)
+        at, th, step = model, theta, h
+        if planes is not None:  # the rows still open, each at its own theta and step
+            at = model.at_planes(planes)
+            th, step = take_planes(theta, planes), take_planes(h, planes)
+        pdf = getattr(at, density)
 
         def branches(th):
             return np.reshape(pdf(th, x), (-1,) + x.shape)
 
-        p0, deriv = _derivative(branches, theta, h, DENSITY_FLOOR, x, planes)
+        p0, deriv = _derivative(branches, th, step, DENSITY_FLOOR, x, planes)
         # NaN stays in, so the quadrature cannot converge on it
         return np.stack([_information(p0, deriv, DENSITY_FLOOR), np.sum(p0, axis=0)])
 

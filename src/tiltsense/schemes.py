@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._integrate import integrate_interval
+from ._integrate import integrate_interval, take_planes
 from .beam import DOMAIN_WIDTHS, ROOT_2_OVER_PI, BeamParams, each_plane, per_plane
 from .fisher import (
     COSH_CUTOFF,
@@ -79,7 +79,7 @@ def quadrant_probabilities(
     return 0.5 * math.erfc(-arg), 0.5 * math.erfc(arg)
 
 
-def sagnac_joint_density(beam: BeamParams, pol: PolarizationState, theta: float, z, x):
+def sagnac_joint_density(beam: BeamParams, pol: PolarizationState, theta, z, x):
     """Joint densities (p_plus, p_minus) of diagonal-basis outcome and position.
 
     Projecting the interferometer output onto (|H> pm |V>)/sqrt(2) and then on
@@ -103,19 +103,20 @@ def sagnac_joint_density(beam: BeamParams, pol: PolarizationState, theta: float,
     (|beta|^2 for q >= 0) and far = 1 - near.  Since d^2 = near * far, both
     terms are non-negative and nothing cancels at a dark fringe.  z is one
     plane (a float), or a column of planes for x of shape (planes, nodes)
-    (see ``per_plane``).
+    (see ``per_plane``), and theta a float or a column of one tilt per plane.
     """
-    w = per_plane(beam.width, z)
-    p_plus, p_minus = _joint_density(beam, pol, theta, z, (np.asarray(x, dtype=float) - beam.xi) / w)
+    c, s, w = per_plane(beam.plane, z)
+    u = (np.asarray(x, dtype=float) - beam.xi) / w
+    p_plus, p_minus = _joint_density(beam, pol, theta, (c, s), u)
     return p_plus / w, p_minus / w
 
 
-def _joint_density(beam: BeamParams, pol: PolarizationState, theta: float, z, u):
+def _joint_density(beam: BeamParams, pol: PolarizationState, theta, plane, u):
     """The densities w p_pm of ``sagnac_joint_density`` at u = (x - xi)/w(z): the branch
     terms of ``_joint_terms`` times their envelope sqrt(2/pi) e^{-2(|u| - |t s|)^2}."""
     shape = np.shape(u)  # u is taken at least 1-d, so that the ufuncs below can write in place
     u = np.asarray(u, dtype=float).reshape(shape if len(shape) == 2 else -1)
-    p_plus, p_minus, path_rate = _joint_terms(beam, pol, theta, z, u)
+    p_plus, p_minus, path_rate = _joint_terms(beam, pol, theta, plane, u)
     # in place: with more live temporaries glibc trims and refaults them every call
     envelope = np.abs(u)
     envelope -= 0.25 * abs(path_rate)  # |t s|, of the same bits: scaling by 4 is exact
@@ -129,20 +130,19 @@ def _joint_density(beam: BeamParams, pol: PolarizationState, theta: float, z, u)
     return p_plus.reshape(shape)[()], p_minus.reshape(shape)[()]
 
 
-def _joint_terms(beam: BeamParams, pol: PolarizationState, theta: float, z, u):
+def _joint_terms(beam: BeamParams, pol: PolarizationState, theta, plane, u):
     """The branch terms gap + 2 d t' {cos^2, sin^2}(psi/2) of ``sagnac_joint_density``,
     w p_pm without their envelope, at u of shape (nodes,) or (planes, nodes), and the
     rate 4 t s of q in u per plane, a quarter of which is the envelope's reach |t s|.
 
     gap = (sqrt(near) - sqrt(far) t')^2 / 2 and t' = e^{-|q|}, q = 4 u t s; both are >= 0.
+    ``plane`` is (c, s) of ``beam.plane(z)``, floats or columns (see ``per_plane``), and
+    theta a float or a column of one tilt per plane: its share of each plane's constants
+    is the scalar expression broadcast, so a row has the bits of a one-row call.
     """
-
-    def constants(z):
-        c, s, _ = beam.plane(z)
-        t = beam.k * beam.w0 * theta
-        return 4.0 * t * s, t * c
-
-    path_rate, phase_rate = per_plane(constants, z)
+    c, s = plane
+    t = beam.k * beam.w0 * theta
+    path_rate, phase_rate = 4.0 * t * s, t * c
     q = u * path_rate
     pa = abs(pol.alpha) ** 2
     pb = abs(pol.beta) ** 2
@@ -274,19 +274,27 @@ class _SchemeModel:
 class _PlaneScheme(_SchemeModel):
     """A model at a column of detector planes z, a float ndarray of shape (planes, 1).
 
-    One plane is a column of one row, or a float z.  What depends on z takes
-    its shape, each plane with the bits of its one-plane model: probabilities,
-    ``fisher``, ``domain``, ``breakpoints``, ``even_in_theta``, the warnings
-    and the quadratures.  The densities take positions u of shape (planes,
-    nodes).  Sampling and the score take a float z only.
+    One plane is a column of one row, or a float z.  theta is a float, or a
+    column of z's shape that gives each plane its own tilt, so that a row of
+    the batch is a (theta, z) pair.  What depends on them takes that shape,
+    each row with the bits of its one-row model: probabilities, ``fisher``,
+    ``domain``, ``breakpoints``, ``even_in_theta``, the warnings and the
+    quadratures.  The densities take positions u of shape (planes, nodes).
+    Sampling and the score take a float z and a float theta only.
     """
 
-    __slots__ = ()
+    __slots__ = ("_planes",)  # (z, its _plane()), formed once per z
+
+    def _plane(self):
+        """(c, s) of ``beam.plane`` at each plane (see ``per_plane``), formed once per z."""
+        cached = getattr(self, "_planes", None)
+        if cached is None or cached[0] is not self.z:
+            cached = self._planes = self.z, per_plane(lambda z: self.beam.plane(z)[:2], self.z)
+        return cached[1]
 
     def _slope(self):
         """2 z/w = k w0 s per plane: the rate in u per unit theta of the deflected center."""
-        kw0 = self.beam.k * self.beam.w0
-        return per_plane(lambda z: kw0 * self.beam.plane(z)[1], self.z)
+        return self.beam.k * self.beam.w0 * self._plane()[1]
 
     def at_planes(self, planes):
         """The same model at the planes of index ``planes`` (a 1-d array) only."""
@@ -296,6 +304,7 @@ class _PlaneScheme(_SchemeModel):
         for name in self.__slots__:
             setattr(model, name, getattr(self, name))
         model.z = self.z[planes]
+        model._planes = model.z, tuple(v[planes] for v in self._plane())
         return model
 
 
@@ -312,7 +321,7 @@ class _DeflectionScheme(_SchemeModel):
     def qfi(self) -> float:
         return qfi_beam_deflection(self.beam)
 
-    def regime_flags(self, theta: float, step: float):
+    def regime_flags(self, theta, step):
         return each_plane(lambda z: (), self.z)
 
     def small_angle_guard(self) -> float:
@@ -332,13 +341,17 @@ class _InterferometricScheme(_SchemeModel):
     def qfi(self) -> float:
         return qfi_sagnac(self.beam, self.pol)
 
-    def regime_flags(self, theta: float, step: float):
-        """A tuple of warnings (at a column of planes, a list of one per plane); an even
-        model is at its stationary point where the oracle's stencil theta -+ ``step`` straddles 0."""
-        flags = small_angle_flags(self.beam, theta)
-        stationary = flags + ("theta=0 stationary point: finite differences see only the even part",)
-        near_zero = abs(theta) < step
-        return each_plane(lambda even: stationary if even and near_zero else flags, self.even_in_theta)
+    def regime_flags(self, theta, step):
+        """A tuple of warnings (at columns of rows, a list of one per row); an even model
+        is at its stationary point where the oracle's stencil theta -+ ``step`` straddles 0."""
+
+        def flags(theta, step, even):
+            flags = small_angle_flags(self.beam, theta)
+            if even and abs(theta) < step:
+                flags += ("theta=0 stationary point: finite differences see only the even part",)
+            return flags
+
+        return each_plane(flags, theta, step, self.even_in_theta)
 
     def small_angle_guard(self) -> float:
         """Largest |theta| inside the first-order regime of ``small_angle_flags``."""
@@ -386,21 +399,21 @@ class PositionModel(_PlaneScheme, _DeflectionScheme):
         self.beam = beam
         self.z = z
 
-    def mean(self, theta: float):
+    def mean(self, theta):
         return self._slope() * theta
 
-    def pdf(self, theta: float, u):
+    def pdf(self, theta, u):
         offset = np.asarray(u, dtype=float) - self.mean(theta)
         return ROOT_2_OVER_PI * np.exp(-2.0 * offset * offset)
 
-    def domain(self, theta: float):
+    def domain(self, theta):
         c = self.mean(theta)
         return c - DOMAIN_WIDTHS, c + DOMAIN_WIDTHS
 
-    def breakpoints(self, theta: float):
+    def breakpoints(self, theta):
         return (self.mean(theta),)
 
-    def fisher(self, theta: float):
+    def fisher(self, theta):
         return per_plane(lambda z: fisher_position(self.beam, z), self.z)
 
     def sample(self, theta: float, nu: int, rng: np.random.Generator):
@@ -423,27 +436,34 @@ class QuadrantModel(_PlaneScheme, _TwoOutcomeScheme, _DeflectionScheme):
 
     __slots__ = ("beam", "z", "split")
 
-    # no command sets split; kept while perfbench's self-test passes one (ROADMAP item 2)
+    # no command sets split; kept while perfbench's self-test passes one (ROADMAP item 4)
     def __init__(self, beam: BeamParams, z, split: Optional[float] = None):
         self.beam = beam
         self.z = z
         self.split = split
 
-    def probabilities(self, theta: float):
-        return np.array(
-            per_plane(lambda z: quadrant_probabilities(self.beam, theta, z, self.split), self.z)
-        )
+    def probabilities(self, theta):
+        return np.array(per_plane(
+            lambda z, theta: quadrant_probabilities(self.beam, theta, z, self.split), self.z, theta
+        ))
 
     def plus_slope(self, theta: float) -> float:
         g, slope = quadrant_argument(self.beam, theta, self.z, self.split)
         return ROOT_2_OVER_PI * slope * math.exp(-g * g)
 
-    def fisher(self, theta: float):
-        return per_plane(lambda z: fisher_quadrant(self.beam, theta, z, self.split), self.z)
+    def fisher(self, theta):
+        return per_plane(
+            lambda z, theta: fisher_quadrant(self.beam, theta, z, self.split), self.z, theta
+        )
 
 
 class PolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
-    """Position-integrated diagonal polarization measurement; outcomes +1/-1."""
+    """Position-integrated diagonal polarization measurement; outcomes +1/-1.
+
+    It has no plane; theta is a float, or a column of shape (rows, 1) whose
+    probabilities, ``fisher`` and warnings take that shape, each row with the
+    bits of a float theta.  Sampling and the score take a float theta.
+    """
 
     __slots__ = ("beam", "pol")
 
@@ -451,8 +471,10 @@ class PolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
         self.beam = beam
         self.pol = pol
 
-    def probabilities(self, theta: float):
-        return np.array(sagnac_polarization_probabilities(self.beam, self.pol, theta))
+    def probabilities(self, theta):
+        return np.array(per_plane(
+            lambda theta: sagnac_polarization_probabilities(self.beam, self.pol, theta), theta
+        ))
 
     def plus_slope(self, theta: float) -> float:
         kw0 = self.beam.k * self.beam.w0
@@ -470,8 +492,8 @@ class PolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
         # c = 4 k xi: without a displacement the phase does not depend on theta
         return self.beam.xi == 0.0 or super().even_in_theta
 
-    def fisher(self, theta: float) -> float:
-        return fisher_sagnac_polarization(self.beam, self.pol, theta)
+    def fisher(self, theta):
+        return per_plane(lambda theta: fisher_sagnac_polarization(self.beam, self.pol, theta), theta)
 
 
 class ConditionedPolarizationModel(_TwoOutcomeScheme, _InterferometricScheme):
@@ -552,16 +574,16 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         balanced = abs(self.pol.sigma_z_mean) <= NORM_TOL
         return (balanced | (self.z == 0.0)) & super().even_in_theta
 
-    def branch_pdf(self, theta: float, u):
+    def branch_pdf(self, theta, u):
         """The pair of densities (p_plus(u), p_minus(u))."""
-        return _joint_density(self.beam, self.pol, theta, self.z, u)
+        return _joint_density(self.beam, self.pol, theta, self._plane(), u)
 
     def _rates(self):
         """(4 k w0 c, 4 k w0 s) per plane: at u the rates are a = 4 k w0 c u + 4 k xi, b = 4 k w0 s u."""
         k4w0 = 4.0 * self.beam.k * self.beam.w0
-        return per_plane(lambda z: tuple(k4w0 * r for r in self.beam.plane(z)[:2]), self.z)
+        return tuple(k4w0 * r for r in self._plane())
 
-    def _marginal(self, theta: float, u):
+    def _marginal(self, theta, u):
         """(P, dP/dtheta) of the position marginal (no interference term): the path Gaussians
         that ``sample`` draws from, of variance 1/4, centers -+ t s moving at -+ k w0 s per theta."""
         slope = self._slope()
@@ -580,22 +602,22 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         u = np.asarray(u, dtype=float)
         if self.pol.coherence_magnitude == 0.0:
             return np.full(u.shape, 0.5)[()]
-        p_plus, p_minus, _ = _joint_terms(self.beam, self.pol, theta, self.z, u.reshape(-1))
+        p_plus, p_minus, _ = _joint_terms(self.beam, self.pol, theta, self._plane(), u.reshape(-1))
         p_minus += p_plus
         p_plus /= p_minus
         return p_plus.reshape(u.shape)[()]
 
-    def domain(self, theta: float):
+    def domain(self, theta):
         reach = abs(self._slope() * theta) + DOMAIN_WIDTHS
         return -reach, reach
 
-    def breakpoints(self, theta: float):
+    def breakpoints(self, theta):
         # the path centers, and the inner edges of their windows once these no longer meet at 0
         shift = self._slope() * theta
         inner = np.maximum(abs(shift) - DOMAIN_WIDTHS, 0.0)
         return (-shift, -inner, 0.0, inner, shift)
 
-    def decomposition(self, theta: float) -> FisherDecomposition:
+    def decomposition(self, theta) -> FisherDecomposition:
         """Split the Fisher information into polarization and spatial parts.
 
         For the diagonal input state:
@@ -605,7 +627,8 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         with P(u) the position marginal.  In the small-angle regime the first term
         carries everything (16 k^2 [w0^2/4 + xi^2]) and the second vanishes.
         A model of a column of planes integrates them in the same passes, each
-        to its own convergence, and its parts are columns over the planes.
+        to its own convergence and at its own theta where theta is a column,
+        and its parts are columns over the planes.
         """
         if not self.pol.is_diagonal:
             raise ValueError("closed-form decomposition is defined for the diagonal input state")
@@ -613,12 +636,14 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         k4xi = 4.0 * self.beam.k * self.beam.xi
 
         def integrand(u, planes=None):
-            model = self if planes is None else self.at_planes(planes)
-            p, dp = model._marginal(theta, u)
+            model, at = self, theta
+            if planes is not None:
+                model, at = self.at_planes(planes), take_planes(theta, planes)
+            p, dp = model._marginal(at, u)
             a_rate, b_rate = model._rates()
             dead = p < LOG_FLOOR
             return np.stack([
-                p * information_from_rates(a_rate * u + k4xi, b_rate * u, theta),
+                p * information_from_rates(a_rate * u + k4xi, b_rate * u, at),
                 np.where(dead, 0.0, dp * dp / np.where(dead, 1.0, p)),
             ])
 
@@ -631,7 +656,7 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         )
         return FisherDecomposition(avg, pos, avg + pos)
 
-    def fisher(self, theta: float):
+    def fisher(self, theta):
         """Total of ``decomposition`` (diagonal input state only)."""
         return self.decomposition(theta).total
 

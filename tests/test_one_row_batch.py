@@ -2,12 +2,10 @@
 
 Coincident breakpoints are one segment edge, so a joint plane at theta = 0
 or at z = 0, whose three breakpoints fall together, is integrated on two
-segments instead of two plus two of zero width.  Every position and joint
-block of a sweep takes the batched call, one plane or many, and writes the
+segments instead of two plus two of zero width.  The position and joint
+rows of a sweep take the batched call, one row or many, and write the
 bytes of the per-row path.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -104,9 +102,10 @@ def test_a_one_plane_block_takes_the_batched_call(tmp_path):
             patch.setattr(cli, name, recording)
         code, _, table, counter = _sweep(tmp_path, text)
     assert code == 0
-    # one batched call of each per (block, theta), and no one-plane call
-    assert calls == [("analytic_fisher", True), ("numeric_fisher_oracle", True)] * 4
+    # one batched call of each per scheme, its two thetas as two rows, and no one-row call
+    assert calls == [("analytic_fisher", True), ("numeric_fisher_oracle", True)] * 2
     one_code, _, one_table, one_counter = _sweep(tmp_path, text, one_plane=True, name="one")
     assert (one_code, one_table) == (0, table)
-    # the same passes: (1, nodes) batches against (nodes,) one-plane calls
-    assert list(map(math.prod, counter.shapes)) == list(map(math.prod, one_counter.shapes))
+    # the same nodes: (2, nodes) batches against two (nodes,) one-row calls each
+    assert [shape[0] for shape in counter.shapes] == [2] * (len(one_counter.shapes) // 2)
+    assert counter.nodes == one_counter.nodes

@@ -64,9 +64,8 @@ def test_closed_forms_match_the_reference_far_below_the_bound(text):
 def _points(seed=20260, count=40):
     """(model, theta) at seeded beams, planes and states, each tilt inside its model's guard.
 
-    A quadrant tilt keeps |g| = |2 sqrt(2) theta z/w| within 3.  Further below
-    the split, ``fisher_quadrant``'s 2 - erfc(g) cancels: on a 633 nm, 1 mm beam
-    at z = z_R it is 1.5e-5 off at g = -5, and 0 for F = 1.6e-7 at g = -6.
+    A quadrant tilt keeps |g| = |2 sqrt(2) theta z/w| within 3; the tails
+    further out are checked by ``test_quadrant_matches_the_reference_far_from_the_split``.
     """
     rng = random.Random(seed)
     points = []
@@ -94,3 +93,13 @@ def _points(seed=20260, count=40):
 def test_closed_forms_match_the_reference_inside_the_guards():
     for model, theta in _points():
         _assert_agrees(model, theta)
+
+
+@pytest.mark.parametrize("g", [-6.0, -5.0, 5.0, 6.0])
+def test_quadrant_matches_the_reference_far_from_the_split(g):
+    # 1 - erf^2 is formed from erfc(|g|): from erfc(g) (2 - erfc(g)) it was 1.5e-5
+    # off at g = -5, and 0 for F = 1.568e-7 at g = -6, where 2 - erfc(g) cancels
+    beam = BeamParams.from_wavelength(633e-9, 1e-3, 1e-3)
+    model = QuadrantModel(beam, beam.rayleigh_range)
+    slope = beam.k * beam.w0 * beam.plane(model.z)[1]  # 2 z/w, so that g = sqrt(2) slope theta
+    _assert_agrees(model, g / (math.sqrt(2.0) * slope))
