@@ -3,15 +3,18 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tiltsense import BeamParams, PolarizationState, PositionPolarizationModel
-from tiltsense import oracle, schemes
-from tiltsense._integrate import ORDER, ConvergenceError, integrate_interval
+from tiltsense import BeamParams, PolarizationState, PositionModel, PositionPolarizationModel
+from tiltsense import _integrate, oracle, schemes
+from tiltsense._integrate import (
+    COMPANION_ORDER, MAX_PLANES, ORDER, ConvergenceError, integrate_interval,
+)
 from tiltsense.cli import main
 from tiltsense.oracle import numeric_fisher_oracle
 
@@ -37,13 +40,23 @@ def test_array_valued_integrand_returns_every_integral():
 def test_doubling_starts_at_one_panel_per_segment():
     sizes = []
 
-    def gaussian(x):
-        sizes.append(x.size)
-        return np.exp(-0.5 * x * x)
+    def gaussian(width):
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-0.5 * (x / width) ** 2)
 
-    integrate_interval(gaussian, -12.0, 12.0, breakpoints=(0.0,), rtol=1e-11)
-    # two segments of one panel, then of two: a smooth integrand converges at once
-    assert sizes == [2 * ORDER, 4 * ORDER]
+        return f
+
+    integrate_interval(gaussian(1.0), -12.0, 12.0, breakpoints=(0.0,), rtol=1e-11)
+    # two segments of one panel, at the rule's and the companion's nodes in one call:
+    # the companion confirms a smooth integrand's first sum
+    assert sizes == [2 * (ORDER + COMPANION_ORDER)]
+    sizes.clear()
+    # on panels 60 widths wide it does not: the doubling goes on from two panels,
+    # against the one-panel sum, and keeps the two-panel sum of the rule alone
+    value = integrate_interval(gaussian(0.5), -30.0, 30.0, breakpoints=(0.0,), rtol=1e-11)
+    assert sizes == [2 * (ORDER + COMPANION_ORDER), 4 * ORDER]
+    assert value.hex() == dense_rule(gaussian(0.5), -30.0, 30.0, (0.0,), panels=2).hex()
 
 
 def test_breakpoints_outside_the_interval_are_ignored():
@@ -141,12 +154,12 @@ def test_cli_import_does_not_load_scipy():
 DENSE_PANELS = 128
 
 
-def dense_rule(f, lo, hi, breakpoints=(), **_tolerances):
-    """The engine's rule at a fixed DENSE_PANELS panels per segment; no doubling, no tolerances."""
+def dense_rule(f, lo, hi, breakpoints=(), panels=DENSE_PANELS, **_tolerances):
+    """The engine's rule at a fixed number of panels per segment; no doubling, no tolerances."""
     nodes, weights = np.polynomial.legendre.leggauss(ORDER)
     edges = np.array([lo, *sorted(p for p in breakpoints if lo < p < hi), hi], dtype=float)
-    half = (0.5 * np.diff(edges) / DENSE_PANELS)[:, None]
-    centers = edges[:-1, None] + (2.0 * np.arange(DENSE_PANELS) + 1.0) * half
+    half = (0.5 * np.diff(edges) / panels)[:, None]
+    centers = edges[:-1, None] + (2.0 * np.arange(panels) + 1.0) * half
     x = (centers[..., None] + half[..., None] * nodes).ravel()
     w = np.broadcast_to(half[..., None] * weights, centers.shape + (ORDER,)).ravel()
     total = np.sum(f(x) * w, axis=-1)
@@ -198,6 +211,10 @@ def test_dense_node_where_the_density_derivative_crosses_zero():
 
 @settings(max_examples=40, deadline=None)
 @given(joint_points)
+# decompositions that the companion confirms within the full tolerance (the first) or
+# within a tenth of it (the second) end 1e-11 and 1.04e-13 off
+@example((1.9715838025619625e-06, 0.00390625, 1.1953125, 0.1015625, 0.9375, -1.0))
+@example((1.9513314077388325e-06, 0.00390625, 0.5029349752459336, 0.1, 0.5932507540088454, -1.0))
 def test_one_panel_start_matches_a_dense_rule(point):
     check_against_dense_rule(point)
 
@@ -210,11 +227,12 @@ def test_one_panel_start_matches_a_dense_rule_widely(point):
 
 
 def test_node_table_is_numpys_leggauss_bit_for_bit():
-    from tiltsense import _integrate
-
     nodes, weights = np.polynomial.legendre.leggauss(ORDER)
     assert _integrate._NODES.tobytes() == nodes.tobytes()
     assert _integrate._WEIGHTS.tobytes() == weights.tobytes()
+    nodes, weights = np.polynomial.legendre.leggauss(COMPANION_ORDER)
+    assert _integrate._COMPANION_NODES.tobytes() == nodes.tobytes()
+    assert _integrate._COMPANION_WEIGHTS.tobytes() == weights.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +271,18 @@ def test_converged_planes_drop_out_of_later_passes():
 
     def f(x, planes):
         sizes.append(x.shape)
-        # plane 1 is a kink that needs many doublings, plane 0 a constant
-        return np.where(planes[:, None] == 1, np.abs(x - 1.0 / math.sqrt(2.0)), 1.0)
+        # plane 0 is a constant, which the companion confirms; plane 1 a Gaussian of
+        # width 0.04, which it does not, but 2 panels do; plane 2 a kink that needs many
+        # doublings
+        gaussian = np.exp(-0.5 * ((x - 0.5) / 0.04) ** 2)
+        kink = np.abs(x - 1.0 / math.sqrt(2.0))
+        return np.select([planes[:, None] == 1, planes[:, None] == 2], [gaussian, kink], 1.0)
 
-    values = integrate_interval(f, np.zeros(2), np.ones(2), rtol=1e-8)
+    values = integrate_interval(f, np.zeros(3), np.ones(3), rtol=1e-8)
     assert values[0] == 1.0
-    assert values[1] == pytest.approx(0.25 + (1.0 / math.sqrt(2.0) - 0.5) ** 2, rel=1e-8)
-    assert sizes[:2] == [(2, ORDER), (2, 2 * ORDER)]
-    assert all(shape[0] == 1 for shape in sizes[2:]) and len(sizes) > 2
+    assert values[1] == pytest.approx(0.04 * math.sqrt(2.0 * math.pi), rel=1e-8)
+    assert values[2] == pytest.approx(0.25 + (1.0 / math.sqrt(2.0) - 0.5) ** 2, rel=1e-8)
+    assert sizes == [(3, ORDER + COMPANION_ORDER), (2, 2 * ORDER)] + [(1, ORDER << k) for k in range(2, 9)]
 
 
 def test_planes_with_different_segment_counts_integrate_apart():
@@ -270,13 +292,12 @@ def test_planes_with_different_segment_counts_integrate_apart():
         plane_gaussians([1.0, 1.0], sizes), np.array([-12.0, -12.0]), np.array([12.0, 1.0]),
         breakpoints=(np.array([2.0, 2.0]),),
     )
-    assert sorted(shape[0] for shape in sizes) == [1, 1, 1, 1]
+    # one pass each: the first plane on two segments, then the second on one
+    assert sizes == [(1, 2 * (ORDER + COMPANION_ORDER)), (1, ORDER + COMPANION_ORDER)]
     assert values[0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_planes_share_a_pass_in_groups_of_at_most_max_planes():
-    from tiltsense._integrate import MAX_PLANES
-
     sizes = []
     count = 2 * MAX_PLANES + 3
     values = integrate_interval(
@@ -284,8 +305,11 @@ def test_planes_share_a_pass_in_groups_of_at_most_max_planes():
         np.full(count, -30.0), np.full(count, 30.0), breakpoints=(0.0,),
     )
     assert values[0] == pytest.approx(np.ones(count), rel=1e-12)
+    # the companion does not confirm most widths below 1.4 on two panels 30 wide: all
+    # 16 planes of the first group and 4 of the second go on to 2 panels per segment
+    first, doubled = 2 * (ORDER + COMPANION_ORDER), 4 * ORDER
+    assert sizes == [(16, first), (16, doubled), (16, first), (4, doubled), (3, first)]
     assert max(shape[0] for shape in sizes) == MAX_PLANES
-    assert sum(shape[0] * shape[1] for shape in sizes) == count * (2 + 4) * ORDER
 
 
 def test_plane_failures_name_the_plane():
@@ -309,3 +333,69 @@ def test_plane_failures_name_the_plane():
     with pytest.raises(ConvergenceError) as single:
         integrate_interval(lambda x: step(x[None, :], np.array([1]))[0], 0.0, 1.0, rtol=1e-11)
     assert str(failure.value) == failure.value.reason == str(single.value)
+
+
+def list_edges(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
+    """integrate_interval at array bounds, with every plane's edges built as a Python list.
+
+    The engine's former layout of the edges, kept as the reference for its arrays:
+    the same groups, in the same order, through the same passes.
+    """
+    columns = np.broadcast_arrays(*(np.ravel(v) for v in (lo, hi, *breakpoints)))
+    rows = [
+        [low, *sorted({p for p in points if low < p < high}), high]
+        for low, high, *points in zip(*(c.tolist() for c in columns))
+    ]
+    groups = {}
+    for index, row in enumerate(rows):
+        groups.setdefault(len(row), []).append(index)
+    result = None
+    for members in groups.values():
+        for start in range(0, len(members), MAX_PLANES):
+            planes = members[start:start + MAX_PLANES]
+            edges = np.array([rows[i] for i in planes])
+            total = _integrate._passes(f, edges, np.array(planes), rtol, atol)
+            if result is None:
+                result = np.empty(total.shape[:-1] + (len(rows),))
+            result[..., planes] = total
+    return result.reshape(result.shape[:-1] + np.shape(lo))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([-3.0, -1.0]),  # lo
+            st.sampled_from([1.0, 2.0, 3.0]),  # hi
+            # breakpoints: repeated, on the bounds, outside them, not finite, a signed zero
+            st.lists(st.sampled_from([-3.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 4.0, math.nan, math.inf]),
+                     min_size=3, max_size=3),
+        ),
+        min_size=1, max_size=2 * MAX_PLANES + 5,
+    )
+)
+def test_array_edges_group_and_integrate_as_list_edges(planes):
+    lo, hi, points = (np.array(column) for column in zip(*planes))
+    calls, list_calls = [], []
+    values = integrate_interval(plane_gaussians(np.ones(len(planes)), calls), lo, hi, tuple(points.T))
+    reference = list_edges(plane_gaussians(np.ones(len(planes)), list_calls), lo, hi, tuple(points.T))
+    assert values.tobytes() == reference.tobytes()
+    assert calls == list_calls
+
+
+def test_a_large_position_oracle_holds_its_edges_in_arrays():
+    # 20,000 planes of a 633 nm, 1 mm beam over 0.5-10 z_R at 1 urad; with the edges
+    # held as Python lists, as in list_edges, the call peaked at 7.3 MB
+    beam = BeamParams.from_wavelength(633e-9, 1e-3)
+    model = PositionModel(beam, np.linspace(0.5, 10.0, 20000).reshape(-1, 1) * beam.rayleigh_range)
+    numeric_fisher_oracle(PositionModel(beam, model.z[:2]), 1e-6)  # the call's imports
+    tracemalloc.start()
+    try:
+        value = numeric_fisher_oracle(model, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "integrate_interval", list_edges)
+        assert numeric_fisher_oracle(model, 1e-6).tobytes() == value.tobytes()

@@ -12,13 +12,14 @@ import pytest
 
 from tiltsense import BeamParams, PolarizationState, PositionPolarizationModel
 from tiltsense import cli, oracle, schemes
-from tiltsense._integrate import ORDER, integrate_interval
+from tiltsense._integrate import COMPANION_ORDER, ORDER, integrate_interval
 from tiltsense.oracle import numeric_fisher_oracle
 
 from test_integrate import dense_rule, plane_gaussians
 from test_planes import NodeCounter, _sweep
 
 BEAM = "beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\n"
+FIRST = ORDER + COMPANION_ORDER  # the nodes of a segment's first pass, one panel of each rule
 
 
 def test_a_breakpoint_given_twice_is_one_edge_with_float_bounds():
@@ -32,7 +33,7 @@ def test_a_breakpoint_given_twice_is_one_edge_with_float_bounds():
     merged_sizes, sizes[:] = sizes[:], []
     single = integrate_interval(gaussian, -12.0, 12.0, breakpoints=(0.0,))
     assert merged.hex() == single.hex()
-    assert merged_sizes == sizes == [2 * ORDER, 4 * ORDER]
+    assert merged_sizes == sizes == [2 * FIRST]
 
 
 def test_a_breakpoint_given_twice_is_one_edge_with_array_bounds():
@@ -43,7 +44,7 @@ def test_a_breakpoint_given_twice_is_one_edge_with_array_bounds():
     )
     single = integrate_interval(plane_gaussians([0.5, 1.0], single_sizes), lo, hi, breakpoints=(0.0,))
     assert merged.tobytes() == single.tobytes()
-    assert sizes == single_sizes == [(2, 2 * ORDER), (2, 4 * ORDER)]
+    assert sizes == single_sizes == [(2, 2 * FIRST)]
 
 
 @pytest.mark.parametrize(
@@ -58,10 +59,10 @@ def test_a_joint_plane_with_coincident_breakpoints_evaluates_half_the_nodes(z_ra
     with pytest.MonkeyPatch.context() as patch:
         counter = NodeCounter(patch)
         decomposition = model.decomposition(theta)
-        # two segments of one panel, then of two
-        assert counter.nodes == 384
+        # two segments of one panel at both rules' nodes, where a plane off the coincidence has four
+        assert counter.nodes == 2 * FIRST
         value = numeric_fisher_oracle(model, theta)
-        assert counter.nodes == 2 * 384
+        assert counter.nodes == 2 * 2 * FIRST
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(schemes, "integrate_interval", dense_rule)
         patch.setattr(oracle, "integrate_interval", dense_rule)
@@ -77,9 +78,9 @@ def test_a_waist_plane_is_integrated_in_its_own_group(tmp_path):
     text = BEAM + "run: {scheme: joint, theta: 1urad, z: [0z_R, 1z_R]}\n"
     code, err, table, counter = _sweep(tmp_path, text)
     assert (code, err) == (0, "")
-    # the z = 0 plane on 2 segments, then the 1 z_R plane on 4, each to its
-    # first comparison; in the decomposition and again in the oracle
-    passes = [(1, 2 * ORDER), (1, 4 * ORDER), (1, 4 * ORDER), (1, 8 * ORDER)]
+    # the z = 0 plane on 2 segments, then the 1 z_R plane on 4, each in its
+    # first pass; in the decomposition and again in the oracle
+    passes = [(1, 2 * FIRST), (1, 4 * FIRST)]
     assert counter.shapes == passes + passes
     one_code, _, one_table, one_counter = _sweep(tmp_path, text, one_plane=True, name="one")
     assert (one_code, one_table) == (0, table)

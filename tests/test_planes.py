@@ -292,28 +292,48 @@ def test_the_blocks_a_config_uses_do_not_change_its_table(tmp_path):
 
 
 def test_sweep_fisher_batches_its_rows_into_few_passes(tmp_path):
-    # seed 7: 40 joint rows in ten one-theta blocks and 10 position rows.  A model
-    # per (block, theta) makes 42 integrand calls on these nodes; one per scheme
-    # fills 3 groups of at most 16 joint rows (2 passes each, in the closed form
-    # and again in the oracle), plus 2 position passes: 14 calls
+    # seed 7: 40 joint rows in ten one-theta blocks and 10 position rows.  One model
+    # per scheme fills 3 groups of at most 16 joint rows (in the closed form and again
+    # in the oracle), plus 1 position group, and every row ends in its first pass, where
+    # the companion rule confirms its sum: 7 calls on 340 segments of 64 + 33 nodes.
+    # A verify-only second pass, or rows out of their batch, would add calls or nodes
     code, _, _, counter = _sweep(tmp_path, cases()["sweep-fisher"][0])
     assert code == 0
-    assert counter.nodes == 65280
-    assert len(counter.shapes) <= 16
+    assert counter.nodes == 32980
+    assert len(counter.shapes) == 7
 
 
 def test_a_converged_plane_drops_out_of_later_passes(tmp_path):
     text = FAILING_BEAM + f"run: {{scheme: joint, theta: {FAILING_THETA}, z: [0.0078z_R, 1z_R]}}\n"
     code, err, table, counter = _sweep(tmp_path, text)
     assert (code, err) == (0, "")
-    # the plane at 1 z_R converges at the first comparison, the other after 8 passes;
-    # both the decomposition and the oracle integrate them together
-    passes = [(2, 256), (2, 512)] + [(1, 256 << k) for k in range(2, 8)]
+    # the companion rule confirms neither plane's first pass (4 segments of 64 + 33
+    # nodes); the plane at 1 z_R converges at 2 panels, the other after 8 passes; both
+    # the decomposition and the oracle integrate them together
+    passes = [(2, 388), (2, 512)] + [(1, 256 << k) for k in range(2, 8)]
     assert counter.shapes == passes + passes
     one_code, _, one_table, one_counter = _sweep(tmp_path, text, one_plane=True, name="one")
     assert (one_code, one_table) == (0, table)
-    assert counter.nodes == one_counter.nodes == 132096
+    assert counter.nodes == one_counter.nodes == 132624
     assert len(one_counter.shapes) == 20
+
+
+def test_planes_the_companion_rejects_keep_their_doubled_sums(tmp_path):
+    # k = 6e150 /m: the decomposition ends in its first pass, but the companion rule
+    # rejects both oracle rows (z = 0 on 2 segments, 1 z_R on 4), which double to 256
+    # panels; their values are those of doubling from one panel alone, bit for bit
+    text = "beam: {wavelength: 1e-150m, w0: 1mm}\nrun: {scheme: joint, theta: 1e-160, z: [0, 1z_R]}\n"
+    code, err, table, counter = _sweep(tmp_path, text)
+    assert (code, err) == (0, "")
+    assert counter.shapes == [(1, 194), (1, 388)] + [
+        shape for segments in (2, 4)
+        for shape in [(1, segments * 97)] + [(1, segments * 64 << k) for k in range(1, 9)]
+    ]
+    rows = table.decode().splitlines()
+    column = rows[0].split(",").index("oracle_fisher")
+    assert [row.split(",")[column] for row in rows[1:]] == [
+        "1.57913598022048639e+296", "1.57913597967615470e+296",
+    ]
 
 
 @pytest.mark.parametrize("case", ["scenario.sample", "sweep-fisher"])
