@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .config import GRID_LIMIT, ConfigError, ScenarioConfig, linspace, load_config
 # no command writes JSON tables; write_json is kept while perfbench's tracer wraps it (ROADMAP item 4)
-from .output import write_csv, write_json, write_sidecar
+from .output import format_column, write_csv, write_json, write_sidecar
 
 _MODELS = ("PolarizationModel", "PositionModel", "PositionPolarizationModel", "QuadrantModel")
 # The names each command takes from the other layers.  A command binds its
@@ -293,7 +293,10 @@ def _write_figure(args, config, command, panels) -> int:
     """Write each panel's CSV and SVG, then the sidecar that lists them.
 
     A panel is (name, title, x label, y label, header, x, columns, curve labels),
-    its x and columns lists of floats.
+    its x and columns lists of floats.  Every column is checked finite before
+    any file is written, so each is formatted once, as text that needs no
+    quoting, and written with ``write_csv(..., formatted=True)``; panels that
+    share one x list in a row share its text too.
     """
     for name, *_, columns, _ in panels:
         if not all(all(map(math.isfinite, column)) for column in columns):
@@ -305,8 +308,12 @@ def _write_figure(args, config, command, panels) -> int:
             )
     out = _out_dir(args)
     outputs = []
+    x_text = last_x = None
     for name, title, xlabel, ylabel, header, x, columns, labels in panels:
-        write_csv(out / f"{name}.csv", header, list(zip(x, *columns)))
+        if x is not last_x:
+            x_text, last_x = format_column(x), x
+        rows = list(zip(x_text, *map(format_column, columns)))
+        write_csv(out / f"{name}.csv", header, rows, formatted=True)
         chart = LineChart(title, xlabel, ylabel)
         for column, label in zip(columns, labels):
             chart.add(x, column, label=label)
@@ -338,13 +345,13 @@ def cmd_figure3(args) -> int:
         k2 = beam.k ** 2
         columns_a.append([f / k2 for f in fisher_conditioned(beam, 5.0 * zr, x, 0.0)])
 
-    # panel (b): same quantity vs z at fixed detection points, xi = 1 mm
+    # panel (b): same quantity vs z at fixed detection points, xi = 1 mm, one
+    # call per z for the three points (the bits of one call per point)
     beam_b = beams[1]
     z = linspace(0.0, 10.0 * zr, 501).tolist()
-    columns_b = [
-        [fisher_conditioned(beam_b, zz, xx, 0.0) / beam_b.k ** 2 for zz in z]
-        for xx in (0.0, 1e-3, 1.5e-3)
-    ]
+    k2 = beam_b.k ** 2
+    rows_b = [fisher_conditioned(beam_b, zz, [0.0, 1e-3, 1.5e-3], 0.0) for zz in z]
+    columns_b = [[f / k2 for f in column] for column in zip(*rows_b)]
     return _write_figure(args, config, "figure3", [
         (
             "figure3a", "Information per detected photon vs position (z = 5 z_R)",

@@ -589,6 +589,28 @@ def test_figure4_matches_the_numpy_evaluation(tmp_path):
             np.testing.assert_array_max_ulp(column, expected, maxulp=4)
 
 
+def test_figures_evaluate_and_format_each_column_once(tmp_path, monkeypatch):
+    from tiltsense import cli
+
+    calls, formatted = [], []
+    conditioned, format_column = cli.fisher_conditioned, cli.format_column
+    monkeypatch.setattr(cli, "fisher_conditioned", lambda *args: calls.append(args) or conditioned(*args))
+    monkeypatch.setattr(cli, "format_column", lambda values: formatted.append(values) or format_column(values))
+    assert main(["figure3", "--out", str(tmp_path)]) == 0
+    # panel (a): one call per xi for its 601 x; panel (b): one call per z for its three x
+    assert len(calls) == 2 + 501
+    assert [len(args[2]) for args in calls] == [601, 601] + [3] * 501
+    # per panel, its x and each curve, once
+    assert len(formatted) == len({id(values) for values in formatted}) == (1 + 2) + (1 + 3)
+
+    calls.clear()
+    formatted.clear()
+    assert main(["figure4", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 4
+    # the two x grids, each shared by two panels, once each; then each panel's two curves
+    assert len(formatted) == len({id(values) for values in formatted}) == 2 + 4 * 2
+
+
 def test_quadrant_split_option(tmp_path, capsys):
     # the quadrant detector splits at the beam center x = xi: a split line is an unknown key
     cfg = write_config(
@@ -632,41 +654,103 @@ def test_shipped_sample_configs_validate():
         assert main(["validate-config", "--config", str(root / name)]) == 0
 
 
-def test_console_entry_point_runs(tmp_path, monkeypatch):
+def _entry(*argv, cwd, launch=("-m", "tiltsense"), **kwargs):
+    """Run ``python -m tiltsense`` (or ``python *launch``) on ``argv`` in ``cwd``,
+    with this checkout's package first."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(kwargs.pop("env", {}))
+    kwargs.setdefault("capture_output", True)
+    return subprocess.run([sys.executable, *launch, *argv], text=True, cwd=cwd, env=env, **kwargs)
 
-    def entry(*argv, cwd=None):
-        return subprocess.run(
-            [sys.executable, "-m", "tiltsense", *argv], capture_output=True, text=True, cwd=cwd, env=env,
-        )
 
-    result = entry("--version")
+# per exit code, a config that ends the command with it, the command, and the start of its message
+FAILING_RUNS = {
+    2: ("beam: {wavelength: 633nm, w0: 1mm}\nrun: {scheme: position, theta: 0, z: []}\n",
+        "validate-config", "config error: run[0].z"),
+    3: ("beam: {wavelength: 633nm, z_R: 1e300m}\nrun: {scheme: position, theta: 1urad, z: [0, 1z_R]}\n",
+        "sweep", "numerical failure: run[0] row 1 (position, theta=1e-06 rad, z=1e+300 m)"),
+    4: ("beam: {wavelength: 633nm, w0: 1mm, xi: 1mm}\nrun: {scheme: polarization, theta: 0}\n"
+        "montecarlo: {theta: 0, nu: 10000, trials: 10, seed: 5}\n",
+        "montecarlo", "statistical check failed: run[0] (polarization): all outcomes fell in one port"),
+}
+
+
+def test_console_entry_point_runs(tmp_path, monkeypatch, capsys):
+    result = _entry("--version", cwd=tmp_path)
     assert result.returncode == 0
     assert "tiltsense" in result.stdout
 
-    # the entry writes the bytes cli.main writes in-process, argv and all
-    argv = ("sweep", "--config", "scenario.yaml", "--out", "out")
+    # every command through the entry prints what cli.main prints in-process and
+    # writes its bytes, argv and all, also where it exits 2, 3 or 4
+    root = Path(__file__).resolve().parents[1]
+    configs = {
+        "scenario.yaml": BASE_CONFIG,
+        "montecarlo.yaml": (root / "montecarlo.sample.yaml").read_text(encoding="utf-8"),
+    }
+    runs = [
+        (0, "", ("validate-config", "--config", "scenario.yaml")),
+        (0, "", ("sweep", "--config", "scenario.yaml", "--out", "out")),
+        (0, "", ("figure3", "--config", "scenario.yaml", "--out", "out")),
+        (0, "", ("figure4", "--out", "out")),
+        (0, "", ("montecarlo", "--config", "montecarlo.yaml", "--out", "out")),
+    ]
+    for code, (config, command, message) in FAILING_RUNS.items():
+        configs[f"exit{code}.yaml"] = config
+        out = () if command == "validate-config" else ("--out", f"out{code}")
+        runs.append((code, message, (command, "--config", f"exit{code}.yaml", *out)))
     process, in_process = tmp_path / "process", tmp_path / "in_process"
     for directory in (process, in_process):
         directory.mkdir()
-        write_config(directory, BASE_CONFIG)
-    assert entry(*argv, cwd=process).returncode == 0
+        for name, text in configs.items():
+            write_config(directory, text, name)
     monkeypatch.chdir(in_process)
-    assert main(list(argv)) == 0
-    written = sorted(path.name for path in (process / "out").iterdir())
-    assert written == ["sweep.csv", "sweep.meta.json"]
-    assert written == sorted(path.name for path in (in_process / "out").iterdir())
+    for code, message, argv in runs:
+        result = _entry(*argv, cwd=process)
+        assert (result.returncode, main(list(argv))) == (code, code)
+        assert (result.stdout, result.stderr) == capsys.readouterr()
+        assert result.stderr.startswith(message)
+    written = sorted(str(path.relative_to(process)) for path in process.glob("out*/*"))
+    assert written == sorted(str(path.relative_to(in_process)) for path in in_process.glob("out*/*"))
+    assert {"out/sweep.csv", "out/figure3b.csv", "out/figure4d.svg", "out/montecarlo.csv",
+            "out4/montecarlo.csv"} <= set(written)
     for name in written:
-        assert (process / "out" / name).read_bytes() == (in_process / "out" / name).read_bytes()
+        assert (process / name).read_bytes() == (in_process / name).read_bytes()
 
     # and cli.main leaves the caller's collector as it found it
     assert gc.isenabled() and gc.get_freeze_count() == 0
 
-    write_config(process, "beam: {wavelength: 633nm, w0: 1mm}\nrun: {scheme: position, theta: 0, z: []}\n")
-    result = entry("validate-config", "--config", "scenario.yaml", cwd=process)
-    assert result.returncode == 2
-    assert "config error" in result.stderr and "run[0].z" in result.stderr
+
+# the entry with its hard exit replaced by the interpreter's usual one, which
+# flushes stdout again at shutdown
+INTERCEPTED_EXIT = ("-c", "import os, sys\nfrom tiltsense.__main__ import main\nos._exit = sys.exit\nmain()")
+
+
+@pytest.mark.parametrize("launch", [("-m", "tiltsense"), INTERCEPTED_EXIT], ids=["entry", "intercepted"])
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["validate-config", "sweep"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, monkeypatch, command, unbuffered, launch):
+    # the reader of stdout is gone before the command prints, as in `tiltsense ... | true`:
+    # the command still writes its files whole, then exits 1 and writes no traceback,
+    # also where the exit flushes stdout again (stdout is pointed at os.devnull)
+    argv = ["--config", "scenario.yaml"] + (["--out", "out"] if command == "sweep" else [])
+    for directory in (tmp_path / "process", tmp_path / "in_process"):
+        directory.mkdir()
+        write_config(directory, BASE_CONFIG)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _entry(
+            command, *argv, cwd=tmp_path / "process", launch=launch, env={"PYTHONUNBUFFERED": unbuffered},
+            stdout=write_end, stderr=subprocess.PIPE, capture_output=False,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "")
+    monkeypatch.chdir(tmp_path / "in_process")
+    assert main([command, *argv]) == 0
+    for path in (tmp_path / "in_process").glob("out/*"):
+        assert (tmp_path / "process" / "out" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_non_finite_theta_exits_2_naming_the_field(tmp_path, capsys):

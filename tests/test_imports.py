@@ -109,6 +109,48 @@ def _reach(module):
     return seen
 
 
+# what the entry's hard exit rests on: os._exit flushes no open file and runs no
+# atexit handler, and it ends every thread and child along with the process
+EXIT_HAZARDS = {("atexit", "register"), ("os", "fork"), ("threading", "Thread")}
+
+
+def _calls_of(tree):
+    """The (module, name) of each call spelled ``module.name(...)`` or, after
+    ``from module import name``, ``name(...)``."""
+    imported = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            yield func.value.id, func.attr
+        elif isinstance(func, ast.Name) and func.id in imported:
+            yield imported[func.id]
+
+
+def test_every_file_is_closed_before_the_command_returns():
+    opened, hazards = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_with = {
+            id(item.context_expr)
+            for node in ast.walk(tree) if isinstance(node, (ast.With, ast.AsyncWith))
+            for item in node.items
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in in_with and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "open"
+            ):
+                opened.append(f"{path.name}:{node.lineno}")
+        hazards += [f"{path.name}: {m}.{n}" for m, n in _calls_of(tree) if (m, n) in EXIT_HAZARDS]
+    assert (opened, hazards) == ([], [])
+
+
 def test_module_layers_point_one_way():
     # the parse sees what is there: a module-level and a function-local import
     assert "fisher" in _imports("schemes") and "oracle" in _imports("cli")
@@ -273,10 +315,13 @@ def test_commands_run_where_yaml_cannot_be_imported(tmp_path):
 
 
 # runs the process entry on the arguments after -c, then prints its exit code and the loaded
-# modules, as RUN_MAIN does
+# modules, as RUN_MAIN does; the entry's hard exit raises SystemExit here instead
 RUN_ENTRY = """
-import sys
+import os, sys
 from tiltsense.__main__ import main
+def exit_with(code):
+    raise SystemExit(code)
+os._exit = exit_with
 try:
     main()
 except SystemExit as exc:

@@ -7,7 +7,7 @@ import xml.dom.minidom
 
 import numpy as np
 
-from tiltsense.output import format_value, write_csv, write_json, write_sidecar
+from tiltsense.output import format_column, format_value, write_csv, write_json, write_sidecar
 from tiltsense.svgplot import HEIGHT, WIDTH, LineChart, nice_ticks
 
 
@@ -119,6 +119,19 @@ def test_write_csv_matches_the_row_by_row_writer(tmp_path):
     floats = list(zip(x.tolist(), np.sin(x).tolist(), (x / 3.0).tolist()))
     write_csv(path, header, floats)
     assert path.read_bytes() == _reference_csv(header, floats)
+
+
+def test_formatted_columns_write_the_bytes_of_float_rows(tmp_path):
+    # the figures format each column once and pass the text with formatted=True
+    x = np.linspace(-1.0, 1.0, 101).tolist()
+    extremes = [5e-324, -0.0, 1.7976931348623157e308, 1e-320] * 25 + [0.1]
+    columns = [x, np.sin(x).tolist(), extremes]
+    header = ("a", "b", "c")
+    rows = list(zip(*columns))
+    write_csv(tmp_path / "text.csv", header, list(zip(*map(format_column, columns))), formatted=True)
+    assert (tmp_path / "text.csv").read_bytes() == _reference_csv(header, rows)
+    assert format_column(extremes) == [format_value(v) for v in extremes]
+    assert format_column([]) == []
 
 
 def _reference_points(chart):
