@@ -293,30 +293,31 @@ def _write_figure(args, config, command, panels) -> int:
     """Write each panel's CSV and SVG, then the sidecar that lists them.
 
     A panel is (name, title, x label, y label, header, x, columns, curve labels),
-    its x and columns lists of floats.  Every column is checked finite before
-    any file is written, so each is formatted once, as text that needs no
-    quoting, and written with ``write_csv(..., formatted=True)``; panels that
-    share one x list in a row share its text too.
+    its x and columns lists of floats.  Every panel's chart is built, which
+    checks each value finite, before any file is written, so each column is
+    formatted once, as text that needs no quoting, and written with
+    ``write_csv(..., formatted=True)``; panels that share one x list in a row
+    share its text too.
     """
-    for name, *_, columns, _ in panels:
-        if not all(all(map(math.isfinite, column)) for column in columns):
+    charts = []
+    for name, title, xlabel, ylabel, _, x, columns, labels in panels:
+        try:
+            charts.append(LineChart(title, xlabel, ylabel, x, zip(columns, labels)))
+        except ValueError as exc:
             beam = _figure_beam(config, 0.0)
             raise ConfigError(
-                f"beam: the {name} curves are not finite for k={beam.k!r} rad/m, "
+                f"beam: the {name} curves are not finite ({exc}) for k={beam.k!r} rad/m, "
                 f"w0={beam.w0!r} m (z_R={beam.rayleigh_range!r} m); the figures span "
                 "10 z_R in z and millimetre offsets in x"
             )
     out = _out_dir(args)
     outputs = []
     x_text = last_x = None
-    for name, title, xlabel, ylabel, header, x, columns, labels in panels:
+    for (name, *_, header, x, columns, _), chart in zip(panels, charts):
         if x is not last_x:
             x_text, last_x = format_column(x), x
         rows = list(zip(x_text, *map(format_column, columns)))
         write_csv(out / f"{name}.csv", header, rows, formatted=True)
-        chart = LineChart(title, xlabel, ylabel)
-        for column, label in zip(columns, labels):
-            chart.add(x, column, label=label)
         chart.write(out / f"{name}.svg")
         outputs += [f"{name}.csv", f"{name}.svg"]
     write_sidecar(

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -611,6 +612,22 @@ def test_figures_evaluate_and_format_each_column_once(tmp_path, monkeypatch):
     assert len(formatted) == len({id(values) for values in formatted}) == 2 + 4 * 2
 
 
+def test_figure4_tests_each_plotted_value_finite_once(tmp_path, monkeypatch):
+    # work budget: each chart checks its grid and its two curves, 2,001 values each,
+    # once; the figure path made about 80,000 tests when every layer checked again
+    from types import SimpleNamespace
+
+    from tiltsense import svgplot
+
+    tests = []
+    isfinite = math.isfinite
+    counting = SimpleNamespace(**vars(math))
+    counting.isfinite = lambda value: tests.append(None) or isfinite(value)
+    monkeypatch.setattr(svgplot, "math", counting)
+    assert main(["figure4", "--out", str(tmp_path)]) == 0
+    assert len(tests) <= 4 * 3 * 2001
+
+
 def test_quadrant_split_option(tmp_path, capsys):
     # the quadrant detector splits at the beam center x = xi: a split line is an unknown key
     cfg = write_config(
@@ -1162,6 +1179,19 @@ def test_figure_curves_of_extreme_lengths_are_finite(tmp_path, command, beam):
         x, xi_0, xi_1mm = np.loadtxt(tmp_path / "o" / "figure3a.csv", delimiter=",", skiprows=1).T
         assert xi_0 == pytest.approx(16.0 * x * x / 26.0, rel=1e-12, abs=1e-25)
         assert xi_1mm == pytest.approx(16.0 * (x * x + 25e-6) / 26.0, rel=1e-12)
+
+
+def test_figures_of_a_beam_spanning_a_few_ulps_end(tmp_path):
+    # at w0 = 1e-20 m the x grids of panels 4c and 4d span two ulps of xi = 1 mm,
+    # where the tick loop once stalled; a separate process, so a stall fails on the timeout
+    (tmp_path / "tiny.yaml").write_text("beam: {wavelength: 633nm, w0: 1e-20m}\n", encoding="utf-8")
+    for command in ("figure3", "figure4"):
+        result = _entry(command, "--config", "tiny.yaml", "--out", "o", cwd=tmp_path, timeout=60)
+        assert result.returncode == 0, result.stderr
+    svgs = sorted((tmp_path / "o").glob("*.svg"))
+    assert len(svgs) == 6
+    for svg in svgs:
+        xml.dom.minidom.parse(str(svg))
 
 
 def test_grid_count_above_the_limit_exits_2(tmp_path, capsys):

@@ -219,6 +219,28 @@ def test_one_panel_start_matches_a_dense_rule(point):
     check_against_dense_rule(point)
 
 
+# points where the engine ends over the property's 1e-13 of a dense rule: the companion
+# rejects the first (doubling then ends 1.16e-13 off) and confirms the other three (they
+# end 1.6-1.9e-13 off); the property draws such a point about once in 8,000 examples.
+# They fail on every run until the engine refines its panels locally; then they pass,
+# strict xfail reports that as a failure, and the mark goes
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="the engine ends 1.2-2e-13 of the total off the dense rule"
+)
+@pytest.mark.parametrize(
+    "point",
+    [
+        (1.915397779618534e-06, 0.00390625, 0.84375, 0.1015625, 0.84375, -1.0),
+        (6.391053584556513e-07, 0.005, 0.6070535127265027, 0.11043716047282263, 0.6731246554347265, -1.0),
+        (6.989109276315409e-07, 0.0001, -2.982161851951356, 0.12894464706059597, 1.1790819670430528, -1.0),
+        (1.2073076261028842e-06, 0.005, -1.9253124039647778, 0.1, 1.0556864106312638, -1.0),
+    ],
+    ids=["companion-rejects", "companion-confirms-1", "companion-confirms-2", "companion-confirms-3"],
+)
+def test_points_near_a_tenth_of_z_r_end_off_the_dense_rule(point):
+    check_against_dense_rule(point)
+
+
 @pytest.mark.slow
 @settings(max_examples=500, deadline=None)
 @given(joint_points)

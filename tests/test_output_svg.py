@@ -6,9 +6,10 @@ import re
 import xml.dom.minidom
 
 import numpy as np
+import pytest
 
 from tiltsense.output import format_column, format_value, write_csv, write_json, write_sidecar
-from tiltsense.svgplot import HEIGHT, WIDTH, LineChart, nice_ticks
+from tiltsense.svgplot import HEIGHT, TICKS, WIDTH, LineChart, nice_ticks
 
 
 def test_format_value():
@@ -64,13 +65,23 @@ def test_nice_ticks_cover_range():
     assert len(ticks) >= 3
     ticks = nice_ticks(-1e-6, 1e-6)
     assert min(ticks) >= -1e-6 and max(ticks) <= 1e-6
+    # a bound that is not finite, or a span past the float range, gets the unit ticks
+    assert nice_ticks(math.nan, 1.0) == nice_ticks(0.0, math.inf) == nice_ticks(-1e308, 1e308) == [0.0, 1.0]
+
+
+def test_nice_ticks_end_on_a_span_of_a_few_ulps():
+    # panels 4c and 4d of a w0 = 1e-20 m beam span two ulps of xi = 1 mm: the step is
+    # below ulp(t), so t += step stalls, and the tick loop once never ended
+    lo, hi = 1e-3, 1e-3 + 4.336808689942018e-19
+    ticks = nice_ticks(lo, hi)
+    assert 1 <= len(ticks) <= TICKS + 1
+    assert ticks == sorted(set(ticks))
+    assert lo <= ticks[0] and ticks[-1] <= hi
 
 
 def test_linechart_renders_valid_svg(tmp_path):
-    chart = LineChart("demo", "x", "y")
     xs = np.linspace(0, 1, 50)
-    chart.add(xs, np.sin(xs), label="sine")
-    chart.add(xs, np.cos(xs), label="cosine")
+    chart = LineChart("demo", "x", "y", xs, [(np.sin(xs), "sine"), (np.cos(xs), "cosine")])
     path = tmp_path / "demo.svg"
     chart.write(path)
     text = path.read_text()
@@ -81,11 +92,25 @@ def test_linechart_renders_valid_svg(tmp_path):
 
 
 def test_linechart_handles_flat_curve(tmp_path):
-    chart = LineChart("flat", "x", "y")
-    chart.add([0.0, 1.0], [2.0, 2.0])
-    text = chart.to_svg()
+    text = LineChart("flat", "x", "y", [0.0, 1.0], [([2.0, 2.0], "")]).to_svg()
     xml.dom.minidom.parseString(text)
     assert "<polyline" in text
+
+
+def test_linechart_escapes_its_text():
+    chart = LineChart("a < b & c", "x <m>", "y & z", [0.0, 1.0], [([1.0, 2.0], "p > q")])
+    texts = xml.dom.minidom.parseString(chart.to_svg()).getElementsByTagName("text")
+    data = {node.firstChild.data for node in texts}
+    assert {"a < b & c", "x <m>", "y & z", "p > q"} <= data
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_linechart_refuses_a_non_finite_value_naming_its_curve(bad):
+    x = [0.0, 1.0, 2.0]
+    with pytest.raises(ValueError, match=rf"^x is not finite at index 1: {bad!r}$"):
+        LineChart("t", "x", "y", [0.0, bad, 2.0], [([1.0, 2.0, 3.0], "a")])
+    with pytest.raises(ValueError, match=rf"^curve 1 'b' is not finite at index 2: {bad!r}$"):
+        LineChart("t", "x", "y", np.array(x), [([1.0, 2.0, 3.0], "a"), (np.array([1.0, 2.0, bad]), "b")])
 
 
 def _reference_csv(header, rows):
@@ -135,12 +160,11 @@ def test_formatted_columns_write_the_bytes_of_float_rows(tmp_path):
 
 
 def _reference_points(chart):
-    # per-point polylines, the loop that LineChart.to_svg's array code replaces
+    # per-point polylines, the loop that LineChart.to_svg's one % call per curve replaces
     plot_w = WIDTH - 86 - 24
     plot_h = HEIGHT - 40 - 58
-    xs = [float(v) for c in chart.curves for v in c.x if math.isfinite(v)]
-    ys = [float(v) for c in chart.curves for v in c.y if math.isfinite(v)]
-    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
+    ys = [v for y, _ in chart.curves for v in y]
+    x_lo, x_hi = (min(chart.x), max(chart.x)) if chart.x else (0.0, 1.0)
     y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
     if x_hi == x_lo:
         x_hi = x_lo + (abs(x_lo) or 1.0)
@@ -154,28 +178,27 @@ def _reference_points(chart):
         " ".join(
             f"{86 + (float(x) - x_lo) / (x_hi - x_lo) * plot_w:.2f},"
             f"{40 + plot_h - (float(y) - y_lo) / (y_hi - y_lo) * plot_h:.2f}"
-            for x, y in zip(c.x, c.y)
-            if math.isfinite(x) and math.isfinite(y)
+            for x, y in zip(chart.x, curve)
         )
-        for c in chart.curves
+        for curve, _ in chart.curves
     ]
 
 
 def test_linechart_points_match_the_per_point_reference():
-    x = [0.0, 0.5, math.nan, 1.5, 2.0, math.inf, 3.0]
-    y = [1.0, -math.inf, 2.0, math.nan, -0.5, 0.25, 1e-3]
-    from_lists = LineChart("t", "x", "y").add(x, y).add(x[:4], [-0.0, 0.0, 4.0, 5.0])
-    from_arrays = LineChart("t", "x", "y").add(np.array(x), np.array(y))
-    from_arrays.add(np.array(x[:4]), np.array([-0.0, 0.0, 4.0, 5.0]))
+    x = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    y = [1.0, -2.0, 2.0, 0.0, -0.5, 0.25, 1e-3]
+    flat = [-0.0, 0.0, 4.0, 5.0, 5.0, 5.0, 5.0]
+    from_lists = LineChart("t", "x", "y", x, [(y, "a"), (flat, "")])
+    from_arrays = LineChart("t", "x", "y", np.array(x), [(np.array(y), "a"), (np.array(flat), "")])
     text = from_lists.to_svg()
     assert text == from_arrays.to_svg()
     points = re.findall(r'<polyline points="([^"]*)"', text)
     assert points == _reference_points(from_lists)
-    assert len(points[0].split()) == 3
+    assert len(points[0].split()) == len(x)
 
-    flat = LineChart("flat", "x", "y").add([2.0, 2.0], [math.nan, math.nan])
-    assert re.findall(r'<polyline points="([^"]*)"', flat.to_svg()) == [""]
+    flat = LineChart("flat", "x", "y", [2.0, 2.0], [([1.0, 1.0], "")])
+    assert re.findall(r'<polyline points="([^"]*)"', flat.to_svg()) == _reference_points(flat)
 
     x = np.linspace(-3e-3, 3e-3, 601)
-    chart = LineChart("t", "x", "y").add(x, np.exp(-x * x / 1e-6)).add(x, np.where(x < 0, np.nan, x))
+    chart = LineChart("t", "x", "y", x, [(np.exp(-x * x / 1e-6), ""), (np.where(x < 0, 0.0, x), "")])
     assert re.findall(r'<polyline points="([^"]*)"', chart.to_svg()) == _reference_points(chart)
