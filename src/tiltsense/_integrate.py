@@ -91,13 +91,15 @@ def take_planes(value, planes):
 def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
     """Integrate f over [lo, hi], split at the interior breakpoints.
 
-    Every segment gets the same number of equal panels, and a breakpoint given
-    more than once is one edge.  The first pass, of 1 panel per segment, also
-    sums the companion rule on each panel; if the two sums agree within
-    COMPANION_SHARE of max(atol, rtol |sum|) in every component, the ORDER-point
-    sum is the result.  Otherwise the panel count doubles until two successive
-    sums agree within max(atol, rtol |sum|) in every component.  f may return
-    an array whose last axis runs over the nodes, one integral per component.
+    The breakpoints come in ascending order, or ValueError is raised; those
+    outside (lo, hi) are ignored, and a breakpoint given more than once is one
+    edge.  Every segment gets the same number of equal panels.  The first
+    pass, of 1 panel per segment, also sums the companion rule on each panel;
+    if the two sums agree within COMPANION_SHARE of max(atol, rtol |sum|) in
+    every component, the ORDER-point sum is the result.  Otherwise the panel
+    count doubles until two successive sums agree within max(atol, rtol |sum|)
+    in every component.  f may return an array whose last axis runs over the
+    nodes, one integral per component.
 
     With array bounds, one entry per plane, each plane is its own integral,
     with its own edges (each breakpoint a float or one value per plane) and
@@ -119,20 +121,19 @@ def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
     columns = (np.asarray(v, dtype=float).ravel() for v in (lo, hi, *breakpoints))
     low, high, *points = np.broadcast_arrays(*columns)
     points = np.stack(points, axis=-1) if points else np.empty((len(low), 0))
-    # each plane's points inside (lo, hi) in order, then inf for the others
-    points = _sorted_rows(np.where((low[:, None] < points) & (points < high[:, None]), points, np.inf))
-    # its inner edges: those points, less any that repeats the one before
-    inner = points < np.inf
+    if np.isnan(points).any() or (points[:, 1:] < points[:, :-1]).any():
+        raise ValueError("each plane's breakpoints must ascend, with no NaN")
+    # each plane's inner edges: its points inside (lo, hi), less any that repeats the one before
+    inner = (low[:, None] < points) & (points < high[:, None])
     inner[:, 1:] &= points[:, 1:] != points[:, :-1]
     # counted and grouped with the float and mask operations of a pass: an integer
     # reduction would page in numpy loops that raise a cold command's peak memory
     counts = np.sum(np.where(inner, 1.0, 0.0), axis=-1)
     index = np.arange(len(low))
-    # planes with the same number of segments share a pass, the groups in order of first plane
-    groups = [index[counts == count] for count in range(points.shape[-1] + 1)]
     result = None
-    for members in sorted((g for g in groups if g.size), key=lambda g: g[0]):
-        count = int(counts[members[0]])
+    # planes with the same number of segments share a pass, the groups in order of first plane
+    for count in dict.fromkeys(counts.tolist()):
+        members, count = index[counts == count], int(count)
         for start in range(0, len(members), MAX_PLANES):
             planes = members[start:start + MAX_PLANES]
             inner_edges = points[planes][inner[planes]].reshape(len(planes), count)
@@ -143,19 +144,6 @@ def integrate_interval(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
             result[..., planes] = total
     result = result.reshape(result.shape[:-1] + np.broadcast_shapes(np.shape(lo), np.shape(hi)))
     return float(result) if result.ndim == 0 else result
-
-
-def _sorted_rows(points):
-    """Each row of ``points`` in ascending order, by odd-even transposition.
-
-    A row holds a model's few breakpoints; ``np.sort`` would page its vectorised
-    sort kernels into memory, which costs a cold command more than it sorts.
-    """
-    points = points.copy()
-    for phase in range(points.shape[-1]):
-        left, right = points[:, phase % 2:-1:2], points[:, phase % 2 + 1::2]
-        left[...], right[...] = np.minimum(left, right), np.maximum(left, right)
-    return points
 
 
 def _rule(edges, panels, nodes, weights):

@@ -173,19 +173,28 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _unwritable(path, exc):
+    """The exit-2 error for an output file: a failed ``write()`` (a full disk) names no file."""
+    return ConfigError(f"--out: cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit_table(args, name, header, rows, config_text, seed=None):
     out = _out_dir(args)
-    table = out / f"{name}.csv"
-    write_csv(table, header, rows)
-    write_sidecar(
-        out / f"{name}.meta.json",
-        command=name,
-        argv=args.raw_argv,
-        version=__version__,
-        seed=seed,
-        config_text=config_text,
-        outputs=[table.name],
-    )
+    table = path = out / f"{name}.csv"
+    try:
+        write_csv(table, header, rows)
+        path = out / f"{name}.meta.json"
+        write_sidecar(
+            path,
+            command=name,
+            argv=args.raw_argv,
+            version=__version__,
+            seed=seed,
+            config_text=config_text,
+            outputs=[table.name],
+        )
+    except OSError as exc:
+        raise _unwritable(path, exc)
     return table
 
 
@@ -313,21 +322,27 @@ def _write_figure(args, config, command, panels) -> int:
     out = _out_dir(args)
     outputs = []
     x_text = last_x = None
-    for (name, *_, header, x, columns, _), chart in zip(panels, charts):
-        if x is not last_x:
-            x_text, last_x = format_column(x), x
-        rows = list(zip(x_text, *map(format_column, columns)))
-        write_csv(out / f"{name}.csv", header, rows, formatted=True)
-        chart.write(out / f"{name}.svg")
-        outputs += [f"{name}.csv", f"{name}.svg"]
-    write_sidecar(
-        out / f"{command}.meta.json",
-        command=command,
-        argv=args.raw_argv,
-        version=__version__,
-        config_text=config.raw_text if config else None,
-        outputs=outputs,
-    )
+    try:
+        for (name, *_, header, x, columns, _), chart in zip(panels, charts):
+            if x is not last_x:
+                x_text, last_x = format_column(x), x
+            rows = list(zip(x_text, *map(format_column, columns)))
+            path = out / f"{name}.csv"
+            write_csv(path, header, rows, formatted=True)
+            path = out / f"{name}.svg"
+            chart.write(path)
+            outputs += [f"{name}.csv", f"{name}.svg"]
+        path = out / f"{command}.meta.json"
+        write_sidecar(
+            path,
+            command=command,
+            argv=args.raw_argv,
+            version=__version__,
+            config_text=config.raw_text if config else None,
+            outputs=outputs,
+        )
+    except OSError as exc:
+        raise _unwritable(path, exc)
     print(f"wrote {out}/" + ", ".join(outputs))
     return EXIT_OK
 

@@ -503,4 +503,6 @@ def load_config(path) -> ScenarioConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     return parse_config_text(text)

@@ -93,7 +93,7 @@ def numeric_fisher_oracle(model, theta, step=None):
 
     Works on any model exposing ``probabilities(theta)`` (discrete outcomes),
     ``pdf(theta, x)`` (continuous), or ``branch_pdf(theta, x)`` (joint
-    discrete-and-continuous), the latter two with ``domain(theta)``/``breakpoints(theta)``
+    discrete-and-continuous), the latter two with ``domain(theta)``/``breakpoints(theta)`` (ascending)
     and ``qfi()``, whose bound scales the step and the quadrature's absolute tolerance;
     a density must integrate to 1, or no step resolves it.  A model at a column of planes
     gives its probabilities as (outcomes, planes, 1), or its domain one bound per plane

@@ -612,9 +612,9 @@ class PositionPolarizationModel(_PlaneScheme, _InterferometricScheme):
         return -reach, reach
 
     def breakpoints(self, theta):
-        # the path centers, and the inner edges of their windows once these no longer meet at 0
-        shift = self._slope() * theta
-        inner = np.maximum(abs(shift) - DOMAIN_WIDTHS, 0.0)
+        # ascending: the path centers and the inner edges of their windows, 0 while these meet
+        shift = abs(self._slope() * theta)
+        inner = np.maximum(shift - DOMAIN_WIDTHS, 0.0)
         return (-shift, -inner, 0.0, inner, shift)
 
     def decomposition(self, theta) -> FisherDecomposition:

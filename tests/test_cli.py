@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import gc
 import json
 import math
@@ -830,6 +831,66 @@ def test_out_that_is_not_a_directory_exits_2(tmp_path, capsys, command):
         assert capsys.readouterr().err.startswith("config error: --out: [Errno ")
     assert blocker.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "scenario.yaml"]
+
+
+# per command, an output file it writes; figure3 has written figure3a.csv before figure3a.svg
+BLOCKED_OUTPUTS = {
+    "sweep": "sweep.csv", "montecarlo": "montecarlo.meta.json",
+    "figure3": "figure3a.svg", "figure4": "figure4d.csv",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BLOCKED_OUTPUTS))
+def test_an_output_file_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, command):
+    # a directory where the file should go, through the entry and in-process
+    name = BLOCKED_OUTPUTS[command]
+    argv = [command, "--config", "scenario.yaml", "--out", "out"]
+    message = f"config error: --out: cannot write {Path('out', name)}: {os.strerror(errno.EISDIR)}\n"
+    for directory in ("process", "in_process"):
+        (tmp_path / directory / "out" / name).mkdir(parents=True)
+        write_config(tmp_path / directory, MC_CONFIG.replace("trials: 60", "trials: 2"))
+    result = _entry(*argv, cwd=tmp_path / "process")
+    assert (result.returncode, result.stderr) == (2, message)
+    monkeypatch.chdir(tmp_path / "in_process")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_a_failed_write_names_the_file_it_was_writing(tmp_path, monkeypatch, capsys):
+    # an OSError from write() (a full disk) carries no file name
+    from tiltsense import cli
+
+    def full(path, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    monkeypatch.setattr(cli, "write_sidecar", full)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    path = tmp_path / "out" / "sweep.meta.json"
+    assert capsys.readouterr().err == f"config error: --out: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate-config"], ["sweep", "--out", "out"], ["montecarlo", "--out", "out"],
+     ["figure3", "--out", "out"], ["figure4", "--out", "out"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # "# cafe" with its e acute saved as Latin-1, through the entry and in-process
+    argv = [argv[0], "--config", "latin1.yaml", *argv[1:]]
+    text = MC_CONFIG.replace("trials: 60", "trials: 2")
+    message = (f"config error: cannot read config latin1.yaml: not UTF-8 text "
+               f"(invalid continuation byte at byte {len(text) + 5})\n")
+    for directory in ("process", "in_process"):
+        (tmp_path / directory).mkdir()
+        (tmp_path / directory / "latin1.yaml").write_bytes(text.encode() + "# caf\xe9\n".encode("latin-1"))
+    result = _entry(*argv, cwd=tmp_path / "process")
+    assert (result.returncode, result.stderr) == (2, message)
+    monkeypatch.chdir(tmp_path / "in_process")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "in_process" / "out").exists()
 
 
 def test_photon_count_above_nu_limit_exits_2(tmp_path, capsys):

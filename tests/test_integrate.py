@@ -65,6 +65,55 @@ def test_breakpoints_outside_the_interval_are_ignored():
 
 
 @pytest.mark.parametrize(
+    "breakpoints",
+    [
+        (1.0, 0.0),
+        (5.0, 4.0),  # outside the interval too
+        (-1.0, math.nan, 1.0),
+        (math.nan,),
+        (np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 1.0])),  # plane 1 of three descends
+        (np.array([0.0, math.nan]),),
+    ],
+    ids=["descending", "descending-outside", "nan-between", "lone-nan", "one-plane-descends",
+         "one-plane-nan"],
+)
+def test_breakpoints_that_descend_or_hold_nan_are_refused(breakpoints):
+    calls = []
+    planes = max(np.size(p) for p in breakpoints)
+    lo, hi = (-2.0, 2.0) if planes == 1 else (np.full(planes, -2.0), np.full(planes, 2.0))
+    with pytest.raises(ValueError, match="breakpoints must ascend, with no NaN"):
+        integrate_interval(lambda x, *_: calls.append(x) or np.cos(x), lo, hi, breakpoints)
+    assert calls == []
+
+
+THETAS = st.sampled_from([0.0, -0.0]) | st.floats(-1e-2, 1e-2)  # rad; the joint windows part past 1e-3
+Z_FACTORS = st.sampled_from([0.0]) | st.floats(0.0, 20.0)  # z / z_R
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(THETAS, Z_FACTORS), min_size=1, max_size=4),
+    st.sampled_from([PositionModel, PositionPolarizationModel]),
+    st.booleans(),
+)
+# both signed zeros at z = 0, and the joint windows apart on either side of theta = 0
+@example([(-0.0, 0.0), (0.0, 0.0), (-1e-2, 20.0), (1e-2, 1.0)], PositionPolarizationModel, True)
+@example([(-0.0, 0.0)], PositionPolarizationModel, False)
+def test_continuous_models_give_their_breakpoints_in_ascending_order(rows, model, column):
+    # at a float theta and z, or at a column of (theta, z) rows
+    beam = BeamParams.from_wavelength(633e-9, 1e-3, 1e-3)
+    args = (beam, PolarizationState.diagonal()) if model is PositionPolarizationModel else (beam,)
+    thetas, z_factors = zip(*rows)
+    if column:
+        theta, z = np.reshape(thetas, (-1, 1)), np.reshape(z_factors, (-1, 1)) * beam.rayleigh_range
+    else:
+        theta, z = thetas[0], z_factors[0] * beam.rayleigh_range
+    points = np.broadcast_arrays(*(np.ravel(p) for p in model(*args, z).breakpoints(theta)))
+    for before, after in zip(points, points[1:]):
+        assert (before <= after).all()
+
+
+@pytest.mark.parametrize(
     "integrand",
     [
         lambda x: np.full_like(x, np.nan),
@@ -389,9 +438,10 @@ def list_edges(f, lo, hi, breakpoints=(), rtol=1e-11, atol=0.0):
         st.tuples(
             st.sampled_from([-3.0, -1.0]),  # lo
             st.sampled_from([1.0, 2.0, 3.0]),  # hi
-            # breakpoints: repeated, on the bounds, outside them, not finite, a signed zero
-            st.lists(st.sampled_from([-3.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 4.0, math.nan, math.inf]),
-                     min_size=3, max_size=3),
+            # breakpoints, in ascending order: repeated, on the bounds, outside them, not finite,
+            # both signed zeros in either order
+            st.lists(st.sampled_from([-math.inf, -3.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 4.0, math.inf]),
+                     min_size=3, max_size=3).map(sorted),
         ),
         min_size=1, max_size=2 * MAX_PLANES + 5,
     )
